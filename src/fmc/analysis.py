@@ -1,8 +1,16 @@
 """Feature-model analyses: satisfiability, dead features, configuration count.
 
 Consistency is decided on the propositional semantics with a built-in
-DPLL procedure (unit propagation + branching with backtracking); counting
-uses exhaustive enumeration pruned by the tree structure, capped at
+DPLL solver. It is iterative: a trail of assigned literals, unit
+propagation over two watched literals per clause, and chronological
+backtracking to the last decision not yet flipped. Dead features reuse one
+solver per formula, asking "can this feature be selected?" as an
+assumption, and only for features no earlier witness selected. Every model
+the solver returns, and every witness, is re-checked against the clauses.
+
+Counting works on the same CNF: unit propagation, a factor of two per free
+variable, independent components counted once each and cached by their
+clause sets, and branching on the most frequent variable. It is capped at
 ENUMERATION_CAP features.
 """
 
@@ -10,8 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .model import ConstraintKind, FeatureModel, GroupKind, Variability
-from .propositional import PropositionalFormula, satisfies, to_propositional
+from .model import FeatureModel
+from .propositional import PropositionalFormula, cnf, satisfies, to_propositional
 
 ENUMERATION_CAP = 24
 
@@ -24,72 +32,174 @@ class EnumerationCapError(Exception):
     """Model too large for exhaustive configuration counting."""
 
 
+class _Solver:
+    """Two-watched-literal DPLL over one formula, queried under assumptions.
+
+    ``value`` and ``watches`` are indexed by literal; a negative literal
+    ``-v`` uses Python's negative indexing, so both signs of every variable
+    have their own slot. ``value[lit]`` is 1 when lit is true, -1 when false
+    and 0 when unassigned. The assignments forced by unit clauses stay on
+    the trail between queries; everything else is undone after each one.
+    """
+
+    def __init__(self, formula: PropositionalFormula):
+        size = 2 * formula.num_vars + 1
+        self.num_vars = formula.num_vars
+        self.value = [0] * size
+        self.watches: list[list[int]] = [[] for _ in range(size)]
+        self.clauses: list[list[int]] = []
+        self.trail: list[int] = []
+        self.head = 0  # trail[:head] has been propagated
+        # variables to try True first when deciding (all of them by default)
+        self.prefer = bytearray([1]) * (formula.num_vars + 1)
+        self.void = False
+        for clause in formula.clauses:
+            lits = list(dict.fromkeys(clause))
+            if len(lits) == 1:
+                if self.value[lits[0]] == -1:
+                    self.void = True
+                elif self.value[lits[0]] == 0:
+                    self._assign(lits[0])
+            else:
+                self.watches[lits[0]].append(len(self.clauses))
+                self.watches[lits[1]].append(len(self.clauses))
+                self.clauses.append(lits)
+        self.void = self.void or not self._propagate()
+        self.base = len(self.trail)
+
+    def _assign(self, lit: int) -> None:
+        self.value[lit] = 1
+        self.value[-lit] = -1
+        self.trail.append(lit)
+
+    def _undo(self, size: int) -> None:
+        value = self.value
+        for lit in self.trail[size:]:
+            value[lit] = value[-lit] = 0
+        del self.trail[size:]
+        self.head = size
+
+    def _propagate(self) -> bool:
+        """Unit propagation to fixpoint; False on a conflict."""
+        value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
+        head = self.head
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
+            kept = []
+            for i, index in enumerate(watching):
+                clause = clauses[index]
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                other = clause[0]
+                if value[other] == 1:
+                    kept.append(index)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1], clause[k] = lit, false_lit
+                        watches[lit].append(index)
+                        break
+                else:
+                    kept.append(index)
+                    if value[other] == -1:
+                        # the caller backtracks, which also resets head
+                        kept.extend(watching[i + 1:])
+                        watches[false_lit] = kept
+                        return False
+                    value[other] = 1
+                    value[-other] = -1
+                    trail.append(other)
+            watches[false_lit] = kept
+        self.head = head
+        return True
+
+    def _decision(self, clause: list[int]) -> int:
+        """The literal to assign first on an open clause: a preferred
+        variable set True, else the first negative literal, else the first
+        unassigned literal."""
+        value, prefer = self.value, self.prefer
+        best = 0
+        for lit in clause:
+            if value[lit] == 0:
+                if prefer[abs(lit)]:
+                    return abs(lit)
+                if best == 0 or best > 0 > lit:
+                    best = lit
+        return best
+
+    def solve(self, assumptions: tuple[int, ...] = ()) -> dict[int, bool] | None:
+        """A total assignment satisfying the formula and the assumption
+        literals, or None. Variables in no open clause come out False."""
+        if self.void:
+            return None
+        value, clauses, trail = self.value, self.clauses, self.trail
+        # decision levels: (trail size before, literal, clause index, flippable);
+        # assumptions are levels that are never flipped
+        levels: list[tuple[int, int, int, bool]] = []
+        ok = True
+        for lit in assumptions:
+            if value[lit] == 1:
+                continue
+            if value[lit] == -1:
+                ok = False
+                break
+            levels.append((len(trail), lit, 0, False))
+            self._assign(lit)
+            ok = self._propagate()
+            if not ok:
+                break
+        pointer = 0  # clauses before it are satisfied on this branch
+        result = None
+        while True:
+            if ok:
+                while pointer < len(clauses):
+                    for lit in clauses[pointer]:
+                        if value[lit] == 1:
+                            break
+                    else:
+                        break
+                    pointer += 1
+                if pointer == len(clauses):
+                    result = {v: value[v] == 1 for v in range(1, self.num_vars + 1)}
+                    break
+                lit = self._decision(clauses[pointer])
+                levels.append((len(trail), lit, pointer, True))
+            else:
+                while levels:
+                    size, lit, pointer, flippable = levels.pop()
+                    self._undo(size)
+                    if flippable:
+                        lit = -lit
+                        levels.append((size, lit, pointer, False))
+                        break
+                else:
+                    break
+            self._assign(lit)
+            ok = self._propagate()
+        self._undo(self.base)
+        return result
+
+
+def _checked(formula: PropositionalFormula,
+             assignment: dict[int, bool] | None) -> dict[int, bool] | None:
+    """The assignment, after checking that it satisfies every clause."""
+    if assignment is not None and not satisfies(formula, assignment):
+        raise AssertionError("solver returned a non-satisfying assignment")
+    return assignment
+
+
 def solve(formula: PropositionalFormula) -> dict[int, bool] | None:
     """DPLL satisfiability: a satisfying total assignment, or None.
 
-    Branching picks the most frequent unassigned variable among open
-    clauses (ties to the lowest index), trying True first. Don't-care
-    variables default to False, so an empty formula yields all-false.
-    The assignment is re-checked against every clause before returning.
+    Decisions are taken on a variable of the first clause not yet
+    satisfied, trying True first. Don't-care variables default to False, so an
+    empty formula yields all-false. The assignment is re-checked against
+    every clause before returning.
     """
-    assignment: dict[int, bool] = {}
-    if not _dpll(formula.clauses, assignment):
-        return None
-    full = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
-    if not satisfies(formula, full):
-        raise AssertionError("solver returned a non-satisfying assignment")
-    return full
-
-
-def _dpll(clauses: tuple[tuple[int, ...], ...], assignment: dict[int, bool]) -> bool:
-    trail: list[int] = []
-
-    def undo() -> None:
-        for var in trail:
-            del assignment[var]
-
-    # unit propagation to fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            unit = 0
-            open_clause = True
-            for lit in clause:
-                value = assignment.get(abs(lit))
-                if value is None:
-                    if unit:
-                        open_clause = False  # two unassigned literals
-                        break
-                    unit = lit
-                elif value == (lit > 0):
-                    open_clause = False
-                    break
-            if not open_clause:
-                continue
-            if unit == 0:
-                undo()
-                return False
-            assignment[abs(unit)] = unit > 0
-            trail.append(abs(unit))
-            changed = True
-
-    counts: Counter[int] = Counter()
-    for clause in clauses:
-        if any(assignment.get(abs(lit)) == (lit > 0) for lit in clause):
-            continue
-        counts.update(abs(lit) for lit in clause if abs(lit) not in assignment)
-    if not counts:
-        return True  # every clause satisfied
-    var = max(counts, key=lambda v: (counts[v], -v))
-
-    for value in (True, False):
-        assignment[var] = value
-        if _dpll(clauses, assignment):
-            return True
-        del assignment[var]
-    undo()
-    return False
+    return _checked(formula, _Solver(formula).solve())
 
 
 def check_consistency(model: FeatureModel) -> bool:
@@ -97,93 +207,129 @@ def check_consistency(model: FeatureModel) -> bool:
     return solve(to_propositional(model)) is not None
 
 
-def dead_features(model: FeatureModel) -> set[str]:
+def dead_features(model: FeatureModel, *,
+                  formula: PropositionalFormula | None = None) -> set[str]:
     """Features that appear in no valid configuration.
 
     Raises VoidModelError if the model itself has no valid configuration.
-    One satisfiability call per feature not already witnessed alive.
+    ``formula`` is ``to_propositional(model)`` when the caller already has
+    it. One solver answers, for each feature no witness has selected yet,
+    whether it can be selected; each witness marks every feature it
+    selects alive.
     """
-    formula = to_propositional(model)
+    if formula is None:
+        formula = to_propositional(model)
     base = solve(formula)
     if base is None:
         raise VoidModelError("model has no valid configuration")
-    alive = {var for var, value in base.items() if value}
+    solver = _Solver(formula)
+    alive: set[int] = set()
+
+    def mark_alive(witness: dict[int, bool]) -> None:
+        for v, value in witness.items():
+            if value:
+                alive.add(v)
+                solver.prefer[v] = 0  # later witnesses try features not yet seen first
+
+    mark_alive(base)
     dead = set()
     for var in range(1, formula.num_vars + 1):
         if var in alive:
             continue
-        witness = solve(PropositionalFormula(
-            formula.num_vars, formula.clauses + ((var,),), formula.variables))
+        witness = _checked(formula, solver.solve((var,)))
         if witness is None:
             dead.add(formula.feature(var))
         else:
-            alive.update(v for v, value in witness.items() if value)
+            mark_alive(witness)
     return dead
 
 
-def count_configurations(model: FeatureModel) -> int:
-    """Exact number of valid configurations by pruned enumeration.
+def count_configurations(model: FeatureModel, *,
+                         formula: PropositionalFormula | None = None) -> int:
+    """Exact number of valid configurations: the models of the model's CNF.
 
-    The tree prunes the search: children of unselected parents are forced
-    off, mandatory children of selected parents forced on. Group and
-    cross-tree rules are checked as soon as all involved features are
-    decided. Models beyond ENUMERATION_CAP features raise
-    EnumerationCapError rather than approximating.
+    ``formula`` is ``to_propositional(model)`` when the caller already has
+    it. Models beyond ENUMERATION_CAP features raise EnumerationCapError
+    rather than approximating; the cap also bounds the branching depth.
     """
     n = len(model.features)
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"model has {n} features; counting is capped at {ENUMERATION_CAP}")
+    clauses = formula.clauses if formula is not None else cnf(model)
+    cache: dict[frozenset, int] = {}
 
-    index = {f.name: i for i, f in enumerate(model.features)}
-    parent_of = [index[f.parent] if f.parent is not None else -1 for f in model.features]
-    mandatory = [f.variability is Variability.MANDATORY for f in model.features]
+    def count(clauses: list[tuple[int, ...]], num_vars: int) -> int:
+        # models over num_vars variables, a superset of those in the clauses
+        while True:
+            unit = next((c[0] for c in clauses if len(c) == 1), 0)
+            if not unit:
+                break
+            clauses = _assign(clauses, unit)
+            if clauses is None:
+                return 0
+            num_vars -= 1
+        total = 1
+        for component in _components(clauses):
+            key = frozenset(component)
+            if key not in cache:
+                cache[key] = branch(component)
+            total *= cache[key]
+            if not total:
+                return 0
+        free = num_vars - len({abs(lit) for c in clauses for lit in c})
+        return total << free
 
-    # rule checks scheduled at the last involved feature's position
-    checks: list[list] = [[] for _ in range(n)]
-
-    def add_check(positions, predicate):
-        checks[max(positions)].append(predicate)
-
-    for group in model.groups:
-        owner = index[group.owner]
-        members = tuple(index[m] for m in group.members)
-        if group.kind is GroupKind.OR:
-            add_check((owner, *members),
-                      lambda sel, o=owner, ms=members: not sel[o] or any(sel[m] for m in ms))
-        else:
-            add_check((owner, *members),
-                      lambda sel, o=owner, ms=members:
-                          not sel[o] or sum(sel[m] for m in ms) == 1)
-    for c in model.constraints:
-        src, tgt = index[c.source], index[c.target]
-        if c.kind is ConstraintKind.REQUIRES:
-            add_check((src, tgt), lambda sel, s=src, t=tgt: not sel[s] or sel[t])
-        else:
-            add_check((src, tgt), lambda sel, s=src, t=tgt: not (sel[s] and sel[t]))
-
-    selected = [False] * n
-
-    def walk(i: int) -> int:
-        if i == n:
-            return 1
-        if parent_of[i] == -1:
-            choices = (True,)
-        elif not selected[parent_of[i]]:
-            choices = (False,)
-        elif mandatory[i]:
-            choices = (True,)
-        else:
-            choices = (False, True)
+    def branch(component: list[tuple[int, ...]]) -> int:
+        frequency = Counter(abs(lit) for c in component for lit in c)
+        var = max(frequency, key=lambda v: (frequency[v], -v))
         total = 0
-        for value in choices:
-            selected[i] = value
-            if all(check(selected) for check in checks[i]):
-                total += walk(i + 1)
-        selected[i] = False
+        for lit in (var, -var):
+            rest = _assign(component, lit)
+            if rest is not None:
+                total += count(rest, len(frequency) - 1)
         return total
 
-    return walk(0)
+    return count(list(clauses), n)
+
+
+def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]] | None:
+    """The clauses with lit set True, or None if one becomes empty."""
+    rest = []
+    for clause in clauses:
+        if lit in clause:
+            continue
+        if -lit in clause:
+            clause = tuple(x for x in clause if x != -lit)
+            if not clause:
+                return None
+        rest.append(clause)
+    return rest
+
+
+def _components(clauses: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """The clauses split into groups that share no variable."""
+    by_var: dict[int, list[int]] = {}
+    for i, clause in enumerate(clauses):
+        for lit in clause:
+            by_var.setdefault(abs(lit), []).append(i)
+    seen = [False] * len(clauses)
+    components = []
+    for start in range(len(clauses)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, component = [start], []
+        while stack:
+            clause = clauses[stack.pop()]
+            component.append(clause)
+            for lit in clause:
+                for j in by_var.pop(abs(lit), ()):
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+        components.append(component)
+    return components
 
 
 def analyze(model: FeatureModel) -> dict:
@@ -191,12 +337,17 @@ def analyze(model: FeatureModel) -> dict:
 
     Returns {"consistent": bool, "dead_features": [names in feature
     order], "configuration_count": int | None}; the count is None when
-    the model exceeds the enumeration cap.
+    the model exceeds the enumeration cap. The CNF is built once and the
+    base formula solved once, inside dead_features.
     """
-    consistent = check_consistency(model)
-    dead = dead_features(model) if consistent else set()
+    formula = to_propositional(model)
     try:
-        count = count_configurations(model)
+        dead = dead_features(model, formula=formula)
+        consistent = True
+    except VoidModelError:
+        dead, consistent = set(), False
+    try:
+        count = count_configurations(model, formula=formula)
     except EnumerationCapError:
         count = None
     return {

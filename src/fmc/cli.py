@@ -36,6 +36,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _Failure(1, f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Failure(1, f"{path}: {exc}") from exc
 
 
 def _load_model(path: str) -> FeatureModel:

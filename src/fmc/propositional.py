@@ -54,15 +54,19 @@ class PropositionalFormula:
 
 
 def to_propositional(model: FeatureModel) -> PropositionalFormula:
-    """Encode the model's configuration semantics as CNF.
+    """Encode the model's configuration semantics as CNF (see ``cnf``)."""
+    return PropositionalFormula(len(model.features), cnf(model), model.feature_names)
+
+
+def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
+    """The clauses of ``to_propositional(model)``, without building the formula.
 
     Clause order: root unit clause; child-implies-parent (feature order);
     parent-implies-mandatory-child (feature order); group clauses (group
     order: at-least-one, then pairwise at-most-one for alternatives);
     cross-tree constraints (declaration order).
     """
-    names = model.feature_names
-    var = {name: i + 1 for i, name in enumerate(names)}
+    var = {name: i + 1 for i, name in enumerate(model.feature_names)}
     clauses: list[tuple[int, ...]] = [(var[model.root],)]
 
     for f in model.features:
@@ -89,13 +93,16 @@ def to_propositional(model: FeatureModel) -> PropositionalFormula:
         else:
             clauses.append((-var[c.source], -var[c.target]))
 
-    return PropositionalFormula(len(names), tuple(clauses), tuple(names))
+    return tuple(clauses)
 
 
 def satisfies(formula: PropositionalFormula, assignment: Mapping[int, bool]) -> bool:
     """True iff the total assignment makes every clause true."""
     for clause in formula.clauses:
-        if not any(assignment[abs(lit)] == (lit > 0) for lit in clause):
+        for lit in clause:
+            if assignment[abs(lit)] == (lit > 0):
+                break
+        else:
             return False
     return True
 

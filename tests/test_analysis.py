@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -18,6 +20,9 @@ from fmc.propositional import PropositionalFormula, satisfies, to_propositional
 
 from helpers import (
     oracle_configurations,
+    oracle_consistent,
+    oracle_count,
+    oracle_dead,
     random_model,
     truth_table_satisfiable,
 )
@@ -153,3 +158,34 @@ def test_analyze_over_cap_count_is_null():
     report = analyze(model)
     assert report["consistent"] and report["configuration_count"] is None
     assert report["dead_features"] == []
+
+
+def test_check_many_alternative_groups_without_recursion_error(tmp_path):
+    # 1 + 1500 * 3 features: the search depth grows with the group count
+    groups = "\n".join(f"  optional G{i} {{ alternative {{ A{i} B{i} }} }}"
+                       for i in range(1500))
+    path = tmp_path / "groups.fm"
+    path.write_text(f"feature Root {{\n{groups}\n}}\nconstraints {{ A0 requires B1 }}\n")
+    result = subprocess.run([sys.executable, "-m", "fmc", "check", str(path)],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout.splitlines() == [
+        "consistent: yes", "dead features: none",
+        f"configurations: not counted (over {ENUMERATION_CAP} features)"]
+
+
+def test_count_at_cap():
+    children = " ".join(f"optional C{i}" for i in range(ENUMERATION_CAP - 1))
+    model = parse(f"feature Root {{ {children} }}")  # exactly cap features
+    assert count_configurations(model) == 2 ** 23
+
+
+def test_analysis_matches_oracle_on_random_models_up_to_14_features():
+    rng = random.Random(2024)
+    for _ in range(60):
+        model = random_model(rng, max_features=14)
+        assert check_consistency(model) == oracle_consistent(model)
+        assert count_configurations(model) == oracle_count(model)
+        if oracle_consistent(model):
+            assert dead_features(model) == oracle_dead(model)

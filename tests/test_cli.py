@@ -198,3 +198,19 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, check=False)
     assert result.returncode == 0
     assert result.stdout.strip() == "160"
+
+
+def test_non_utf8_model_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.fm"
+    bad.write_bytes(b"feature A\xff\n")
+    assert main(["check", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err
+
+
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_bytes(b"AISCO\n\xff\n")
+    assert main(["validate", AISCO, str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and "can't decode byte 0xff" in err
