@@ -132,8 +132,7 @@ def cmd_scaffold(args) -> int:
     try:
         site = scaffold.generate(ontology, registry,
                                  include_rule_classes=not args.skip_rule_classes)
-        written = scaffold.write_phase1(site, args.outdir, args.overwrite, zotonic_notes)
-        written += scaffold.write_phase2(site, args.outdir, args.overwrite, zotonic_notes)
+        written = scaffold.write(site, args.outdir, args.overwrite, zotonic_notes)
     except (OSError, scaffold.ScaffoldError) as exc:
         raise _Failure(2, str(exc)) from exc
     for path in written:

@@ -37,16 +37,7 @@ from .owl import (
     SomeValuesFrom,
     SubClassOf,
     UnionOf,
-    validate_ontology,
 )
-
-XSD_TYPES = {
-    "string": "xsd:string",
-    "integer": "xsd:integer",
-    "decimal": "xsd:decimal",
-    "boolean": "xsd:boolean",
-    "date": "xsd:date",
-}
 
 
 class CompileError(Exception):
@@ -83,11 +74,6 @@ def emit_feature_base(feature: Feature) -> list[Axiom]:
 
 def emit_mandatory(parent: Feature, child: Feature) -> Axiom:
     return SubClassOf(NamedClass(rule_class_name(parent.name)), _exists(child.name))
-
-
-def emit_optional(parent: Feature, child: Feature) -> list[Axiom]:
-    # optional children place no restriction on the parent's rule class
-    return []
 
 
 def emit_or(parent: Feature, group: Group) -> Axiom:
@@ -141,7 +127,7 @@ def emit_attributes(feature: Feature, seen_properties: set | None = None) -> lis
         seen.add(attr.name)
         axioms.append(Declaration(EntityKind.DATA_PROPERTY, attr.name))
         axioms.append(DataPropertyDomain(attr.name, NamedClass(feature.name)))
-        axioms.append(DataPropertyRange(attr.name, XSD_TYPES[attr.datatype]))
+        axioms.append(DataPropertyRange(attr.name, "xsd:" + attr.datatype))
     return axioms
 
 
@@ -187,10 +173,8 @@ def compile_model(model: FeatureModel, iri: str | None = None) -> Ontology:
     for feature in model.features:
         axioms.extend(emit_attributes(feature, seen_properties))
 
-    ontology = Ontology(iri or default_iri(model.root), tuple(axioms))
     try:
-        validate_ontology(ontology)
+        return Ontology(iri or default_iri(model.root), tuple(axioms))
     except OwlError as exc:
         # e.g. feature names A and ARule colliding on the rule class
         raise CompileError(str(exc)) from exc
-    return ontology

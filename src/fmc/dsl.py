@@ -170,48 +170,57 @@ class _Parser:
         return rec
 
     def parse_body(self, owner: str) -> None:
+        """Parse a ``{...}`` body with everything nested in it.
+
+        Open bodies and groups sit on an explicit stack, so nesting depth is
+        limited by memory, not by the interpreter's recursion limit. A frame
+        is (owner, intro token, group id, members); the last three are None
+        for a body.
+        """
         self.expect("{")
-        while True:
+        stack: list[tuple] = [(owner, None, None, None)]
+        while stack:
+            owner, intro, group_id, members = stack[-1]
             tok = self.peek()
             if tok.kind == "}":
                 self.advance()
-                return
+                stack.pop()
+                if intro is not None:
+                    self.close_group(owner, intro, group_id, members)
+                continue
             if tok.kind == "eof":
-                raise ParseError("unclosed '{': expected '}'", tok.line, tok.column)
-            if self.at_keyword("mandatory", "optional"):
+                unclosed = "unclosed group" if intro is not None else "unclosed '{'"
+                raise ParseError(f"{unclosed}: expected '}}'", tok.line, tok.column)
+            if intro is not None:
+                name_tok = self.expect_name("group member name")
+                members.append(name_tok.value)
+                self.add_feature(name_tok, owner, Variability.GROUP_MEMBER, group_id)
+            elif self.at_keyword("mandatory", "optional"):
                 kind = Variability.MANDATORY if tok.value == "mandatory" else Variability.OPTIONAL
                 self.advance()
                 name_tok = self.expect_name()
                 self.add_feature(name_tok, owner, kind)
-                if self.peek().kind == "{":
-                    self.parse_body(name_tok.value)
             elif self.at_keyword("or", "alternative"):
-                self.parse_group(owner, tok)
+                self.advance()
+                self.expect("{")
+                stack.append((owner, tok, len(self.groups), []))
+                self.groups.append(None)  # reserve the id; nested groups claim later ones
+                continue
             elif self.at_keyword("attribute"):
                 self.parse_attribute(owner)
+                continue
             else:
                 raise ParseError(
                     "expected 'mandatory', 'optional', 'or', 'alternative', "
                     f"'attribute', or '}}', got {tok.describe()}",
                     tok.line, tok.column)
-
-    def parse_group(self, owner: str, intro: _Token) -> None:
-        kind = GroupKind.OR if intro.value == "or" else GroupKind.ALTERNATIVE
-        self.advance()
-        self.expect("{")
-        group_id = len(self.groups)
-        self.groups.append(None)  # reserve the id; nested groups claim later ones
-        members: list[str] = []
-        while self.peek().kind != "}":
-            if self.peek().kind == "eof":
-                tok = self.peek()
-                raise ParseError("unclosed group: expected '}'", tok.line, tok.column)
-            name_tok = self.expect_name("group member name")
-            members.append(name_tok.value)
-            self.add_feature(name_tok, owner, Variability.GROUP_MEMBER, group_id)
             if self.peek().kind == "{":
-                self.parse_body(name_tok.value)
-        self.advance()
+                self.advance()
+                stack.append((name_tok.value, None, None, None))
+
+    def close_group(self, owner: str, intro: _Token, group_id: int,
+                    members: list[str]) -> None:
+        kind = GroupKind.OR if intro.value == "or" else GroupKind.ALTERNATIVE
         if len(members) < 2:
             raise ParseError(
                 f"{kind.value} group under '{owner}' needs at least 2 members, found {len(members)}",
@@ -282,7 +291,7 @@ def parse_file(path) -> FeatureModel:
 def to_source(model: FeatureModel) -> str:
     """Pretty-print a model in the DSL; parse(to_source(m)) == m."""
     lines: list[str] = []
-    _write_feature(model, model.feature(model.root), 0, "feature", lines)
+    _write_tree(model, lines)
     if model.constraints:
         lines.append("")
         lines.append("constraints {")
@@ -292,31 +301,41 @@ def to_source(model: FeatureModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_feature(model: FeatureModel, feature: Feature, depth: int,
-                   intro: str | None, lines: list[str]) -> None:
-    indent = "  " * depth
-    head = f"{indent}{intro} {feature.name}" if intro else f"{indent}{feature.name}"
-    children = model.children(feature.name)
-    if not feature.attributes and not children:
-        lines.append(head)
-        return
-    lines.append(head + " {")
-    for attr in feature.attributes:
-        lines.append(f"{indent}  attribute {attr.name} : {attr.datatype}")
-    printed: set[str] = set()
-    for child in children:
-        if child.name in printed:
+def _write_tree(model: FeatureModel, lines: list[str]) -> None:
+    # A stack of pending output: a str is a finished line, a tuple is a
+    # (feature, depth, intro) still to expand. Iterative, so deep models
+    # do not hit the interpreter's recursion limit.
+    stack: list = [(model.feature(model.root), 0, "feature")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
             continue
-        if child.variability is Variability.GROUP_MEMBER:
-            group = model.group(child.group)
-            lines.append(f"{indent}  {group.kind.value} {{")
-            for member in group.members:
-                _write_feature(model, model.feature(member), depth + 2, None, lines)
-            lines.append(f"{indent}  }}")
-            printed.update(group.members)
-        else:
-            _write_feature(model, child, depth + 1, child.variability.value, lines)
-    lines.append(indent + "}")
+        feature, depth, intro = item
+        indent = "  " * depth
+        head = f"{indent}{intro} {feature.name}" if intro else f"{indent}{feature.name}"
+        children = model.children(feature.name)
+        if not feature.attributes and not children:
+            lines.append(head)
+            continue
+        lines.append(head + " {")
+        for attr in feature.attributes:
+            lines.append(f"{indent}  attribute {attr.name} : {attr.datatype}")
+        body: list = []  # in output order; pushed reversed
+        printed: set[str] = set()
+        for child in children:
+            if child.name in printed:
+                continue
+            if child.variability is Variability.GROUP_MEMBER:
+                group = model.group(child.group)
+                body.append(f"{indent}  {group.kind.value} {{")
+                body.extend((model.feature(m), depth + 2, None) for m in group.members)
+                body.append(f"{indent}  }}")
+                printed.update(group.members)
+            else:
+                body.append((child, depth + 1, child.variability.value))
+        body.append(indent + "}")
+        stack.extend(reversed(body))
 
 
 def parse_configuration(text: str) -> set[str]:

@@ -6,6 +6,10 @@ ObjectPropertyRange, DataPropertyDomain, DataPropertyRange, and class
 expressions built from named classes, owl:Thing, ObjectComplementOf,
 ObjectIntersectionOf, ObjectUnionOf, ObjectSomeValuesFrom and
 ObjectAllValuesFrom. ``parse_functional`` inverts ``serialize_functional``.
+
+An ``Ontology`` validates itself when it is built (``validate_ontology``),
+so the serializer and the scaffold need not check again; an axiom that
+uses an undeclared name raises ``UndeclaredNameError``.
 """
 
 from __future__ import annotations
@@ -148,8 +152,13 @@ class DataPropertyRange(Axiom):
 
 @dataclass(frozen=True)
 class Ontology:
+    """An ontology whose names are declared: built only if it validates."""
+
     iri: str
     axioms: tuple[Axiom, ...]
+
+    def __post_init__(self):
+        validate_ontology(self)
 
 
 # --- validation ------------------------------------------------------------
@@ -261,7 +270,6 @@ def serialize_functional(ontology: Ontology) -> str:
     so the output has exactly len(axioms) + 3 lines. The owl: and xsd:
     prefixes are treated as built-ins and not declared.
     """
-    validate_ontology(ontology)
     lines = [f"Prefix(:=<{ontology.iri}>)", f"Ontology(<{ontology.iri}>"]
     lines.extend(_render_axiom(a) for a in ontology.axioms)
     lines.append(")")
@@ -287,10 +295,8 @@ _ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<assign>:=)
-      | (?P<iri><[^<>\s]*>)
+      | (?P<punct>[()]|:=)
+      | <(?P<iri>[^<>\s]*)>
       | (?P<pname>(?:[A-Za-z][A-Za-z0-9_]*)?:[A-Za-z][A-Za-z0-9_]*)
       | (?P<word>[A-Za-z][A-Za-z0-9_]*)
       | (?P<number>[0-9]+)
@@ -299,79 +305,73 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _OwlToken:
-    kind: str  # "(", ")", ":=", "iri", "pname", "word", "eof"
-    value: str
-    line: int
-    column: int
-
-    def describe(self) -> str:
-        return "end of input" if self.kind == "eof" else f"'{self.value}'"
+def _syntax_error(text: str, offset: int, message: str,
+                  cls: type[OwlSyntaxError] = OwlSyntaxError) -> OwlSyntaxError:
+    # line and column are worked out only here, when an error is raised
+    line_start = text.rfind("\n", 0, offset) + 1
+    return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokenize_functional(text: str) -> list[_OwlToken]:
+def _tokenize_functional(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) per token; kind is the value for punctuation,
+    "iri" (value without the brackets), "pname", "word", "number" or "eof"."""
     tokens = []
-    line, line_start, i = 1, 0, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise OwlSyntaxError(f"unexpected character {text[i]!r}", line, i - line_start + 1)
-        col = m.start() - line_start + 1
-        if m.lastgroup == "ws":
-            line += m.group().count("\n")
-            if "\n" in m.group():
-                line_start = m.start() + m.group().rindex("\n") + 1
-        elif m.lastgroup == "lparen":
-            tokens.append(_OwlToken("(", "(", line, col))
-        elif m.lastgroup == "rparen":
-            tokens.append(_OwlToken(")", ")", line, col))
-        elif m.lastgroup == "assign":
-            tokens.append(_OwlToken(":=", ":=", line, col))
-        elif m.lastgroup == "iri":
-            tokens.append(_OwlToken("iri", m.group()[1:-1], line, col))
-        else:
-            tokens.append(_OwlToken(m.lastgroup, m.group(), line, col))
-        i = m.end()
-    tokens.append(_OwlToken("eof", "", line, len(text) - line_start + 1))
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group(kind)
+            tokens.append((value if kind == "punct" else kind, value, m.start()))
+    if pos != len(text):
+        raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
+    tokens.append(("eof", "", pos))
     return tokens
 
 
+def _describe(tok: tuple[str, str, int]) -> str:
+    return "end of input" if tok[0] == "eof" else f"'{tok[1]}'"
+
+
 class _OwlParser:
-    def __init__(self, tokens: list[_OwlToken]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize_functional(text)
         self.pos = 0
 
-    def peek(self) -> _OwlToken:
+    def error(self, tok, message: str,
+              cls: type[OwlSyntaxError] = OwlSyntaxError) -> OwlSyntaxError:
+        return _syntax_error(self.text, tok[2], message, cls)
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _OwlToken:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _OwlToken:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok.kind != kind:
-            raise OwlSyntaxError(f"expected '{kind}', got {tok.describe()}",
-                                 tok.line, tok.column)
+        if tok[0] != kind:
+            raise self.error(tok, f"expected '{kind}', got {_describe(tok)}")
         return self.advance()
 
-    def expect_word(self, word: str) -> _OwlToken:
+    def expect_word(self, word: str) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok.kind != "word" or tok.value != word:
-            raise OwlSyntaxError(f"expected '{word}', got {tok.describe()}",
-                                 tok.line, tok.column)
+        if tok[0] != "word" or tok[1] != word:
+            raise self.error(tok, f"expected '{word}', got {_describe(tok)}")
         return self.advance()
 
     def local_name(self, what: str) -> str:
         # a name in the default (empty) prefix, e.g. ":AISCO"
         tok = self.peek()
-        if tok.kind != "pname" or not tok.value.startswith(":"):
-            raise OwlSyntaxError(f"expected {what} (:Name), got {tok.describe()}",
-                                 tok.line, tok.column)
+        if tok[0] != "pname" or not tok[1].startswith(":"):
+            raise self.error(tok, f"expected {what} (:Name), got {_describe(tok)}")
         self.advance()
-        return tok.value[1:]
+        return tok[1][1:]
 
     def parse_ontology(self) -> Ontology:
         self.expect_word("Prefix")
@@ -381,111 +381,102 @@ class _OwlParser:
         self.expect(")")
         self.expect_word("Ontology")
         self.expect("(")
-        iri = self.expect("iri").value
+        iri = self.expect("iri")[1]
         axioms = []
-        while self.peek().kind != ")":
-            if self.peek().kind == "eof":
-                tok = self.peek()
-                raise OwlSyntaxError("unclosed 'Ontology(': expected ')'",
-                                     tok.line, tok.column)
+        while self.peek()[0] != ")":
+            if self.peek()[0] == "eof":
+                raise self.error(self.peek(), "unclosed 'Ontology(': expected ')'")
             axioms.append(self.parse_axiom())
         self.advance()
         tok = self.peek()
-        if tok.kind != "eof":
-            raise OwlSyntaxError(f"unexpected {tok.describe()} after ontology",
-                                 tok.line, tok.column)
+        if tok[0] != "eof":
+            raise self.error(tok, f"unexpected {_describe(tok)} after ontology")
         return Ontology(iri, tuple(axioms))
 
     def parse_axiom(self) -> Axiom:
         tok = self.peek()
-        if tok.kind != "word":
-            raise OwlSyntaxError(f"expected an axiom, got {tok.describe()}",
-                                 tok.line, tok.column)
-        if tok.value not in _AXIOM_KEYWORDS:
-            raise UnsupportedConstructError(f"unsupported construct '{tok.value}'",
-                                            tok.line, tok.column)
+        kind, keyword, _ = tok
+        if kind != "word":
+            raise self.error(tok, f"expected an axiom, got {_describe(tok)}")
+        if keyword not in _AXIOM_KEYWORDS:
+            raise self.error(tok, f"unsupported construct '{keyword}'", UnsupportedConstructError)
         self.advance()
         self.expect("(")
-        if tok.value == "Declaration":
+        if keyword == "Declaration":
             kind_tok = self.peek()
-            if kind_tok.kind != "word":
-                raise OwlSyntaxError(f"expected entity kind, got {kind_tok.describe()}",
-                                     kind_tok.line, kind_tok.column)
-            if kind_tok.value not in _ENTITY_KINDS:
-                raise UnsupportedConstructError(
-                    f"unsupported declaration kind '{kind_tok.value}'",
-                    kind_tok.line, kind_tok.column)
+            if kind_tok[0] != "word":
+                raise self.error(kind_tok, f"expected entity kind, got {_describe(kind_tok)}")
+            if kind_tok[1] not in _ENTITY_KINDS:
+                raise self.error(kind_tok, f"unsupported declaration kind '{kind_tok[1]}'",
+                                 UnsupportedConstructError)
             self.advance()
             self.expect("(")
             name = self.local_name("entity name")
             self.expect(")")
-            axiom: Axiom = Declaration(_ENTITY_KINDS[kind_tok.value], name)
-        elif tok.value == "SubClassOf":
+            axiom: Axiom = Declaration(_ENTITY_KINDS[kind_tok[1]], name)
+        elif keyword == "SubClassOf":
             axiom = SubClassOf(self.parse_expr(), self.parse_expr())
-        elif tok.value == "EquivalentClasses":
+        elif keyword == "EquivalentClasses":
             axiom = EquivalentClasses(self.parse_expr(), self.parse_expr())
             self.reject_extra_operands("EquivalentClasses")
-        elif tok.value == "DisjointClasses":
+        elif keyword == "DisjointClasses":
             axiom = DisjointClasses(self.parse_named("disjoint class"),
                                     self.parse_named("disjoint class"))
             self.reject_extra_operands("DisjointClasses")
-        elif tok.value == "ObjectPropertyRange":
+        elif keyword == "ObjectPropertyRange":
             axiom = ObjectPropertyRange(self.local_name("object property"), self.parse_expr())
-        elif tok.value == "DataPropertyDomain":
+        elif keyword == "DataPropertyDomain":
             axiom = DataPropertyDomain(self.local_name("data property"),
                                        self.parse_named("domain class"))
         else:  # DataPropertyRange
             prop = self.local_name("data property")
             dt_tok = self.peek()
-            if dt_tok.kind != "pname" or dt_tok.value.startswith(":"):
-                raise OwlSyntaxError(f"expected a datatype, got {dt_tok.describe()}",
-                                     dt_tok.line, dt_tok.column)
+            if dt_tok[0] != "pname" or dt_tok[1].startswith(":"):
+                raise self.error(dt_tok, f"expected a datatype, got {_describe(dt_tok)}")
             self.advance()
-            axiom = DataPropertyRange(prop, dt_tok.value)
+            axiom = DataPropertyRange(prop, dt_tok[1])
         self.expect(")")
         return axiom
 
     def reject_extra_operands(self, construct: str) -> None:
         tok = self.peek()
-        if tok.kind != ")":
-            raise UnsupportedConstructError(
-                f"n-ary {construct} is not supported (expected exactly 2 operands)",
-                tok.line, tok.column)
+        if tok[0] != ")":
+            raise self.error(
+                tok, f"n-ary {construct} is not supported (expected exactly 2 operands)",
+                UnsupportedConstructError)
 
     def parse_named(self, what: str) -> NamedClass:
         return NamedClass(self.local_name(what))
 
     def parse_expr(self) -> ClassExpression:
         tok = self.peek()
-        if tok.kind == "pname":
-            if tok.value.startswith(":"):
+        kind, value, _ = tok
+        if kind == "pname":
+            if value.startswith(":"):
                 self.advance()
-                return NamedClass(tok.value[1:])
-            if tok.value == "owl:Thing":
+                return NamedClass(value[1:])
+            if value == "owl:Thing":
                 self.advance()
                 return THING
-            raise OwlSyntaxError(f"expected a class expression, got {tok.describe()}",
-                                 tok.line, tok.column)
-        if tok.kind != "word":
-            raise OwlSyntaxError(f"expected a class expression, got {tok.describe()}",
-                                 tok.line, tok.column)
-        if tok.value not in _EXPR_KEYWORDS:
-            raise UnsupportedConstructError(f"unsupported construct '{tok.value}'",
-                                            tok.line, tok.column)
+            raise self.error(tok, f"expected a class expression, got {_describe(tok)}")
+        if kind != "word":
+            raise self.error(tok, f"expected a class expression, got {_describe(tok)}")
+        if value not in _EXPR_KEYWORDS:
+            raise self.error(tok, f"unsupported construct '{value}'", UnsupportedConstructError)
         self.advance()
         self.expect("(")
-        if tok.value == "ObjectComplementOf":
+        if value == "ObjectComplementOf":
             expr: ClassExpression = ComplementOf(self.parse_expr())
-        elif tok.value in ("ObjectIntersectionOf", "ObjectUnionOf"):
+        elif value in ("ObjectIntersectionOf", "ObjectUnionOf"):
             operands = [self.parse_expr(), self.parse_expr()]
-            while self.peek().kind != ")":
+            while self.peek()[0] != ")":
                 operands.append(self.parse_expr())
-            ctor = IntersectionOf if tok.value == "ObjectIntersectionOf" else UnionOf
+            ctor = IntersectionOf if value == "ObjectIntersectionOf" else UnionOf
             expr = ctor(tuple(operands))
         else:  # ObjectSomeValuesFrom / ObjectAllValuesFrom
             prop = self.local_name("object property")
             filler = self.parse_expr()
-            ctor = SomeValuesFrom if tok.value == "ObjectSomeValuesFrom" else AllValuesFrom
+            ctor = SomeValuesFrom if value == "ObjectSomeValuesFrom" else AllValuesFrom
             expr = ctor(prop, filler)
         self.expect(")")
         return expr
@@ -494,10 +485,13 @@ class _OwlParser:
 def parse_functional(text: str) -> Ontology:
     """Parse the functional-style subset emitted by serialize_functional.
 
-    Raises OwlSyntaxError (with position) on malformed input and
-    UnsupportedConstructError on OWL constructs outside the subset.
+    The result is a validated ``Ontology``. Raises OwlSyntaxError (with
+    position) on malformed input, UnsupportedConstructError on OWL
+    constructs outside the subset, UndeclaredNameError when an axiom uses
+    a name the text does not declare, and OwlError on other validation
+    failures (such as a duplicate declaration).
     """
-    return _OwlParser(_tokenize_functional(text)).parse_ontology()
+    return _OwlParser(text).parse_ontology()
 
 
 def parse_functional_file(path) -> Ontology:

@@ -6,13 +6,16 @@ a selected or-group owner has at least one selected member; a selected
 alternative-group owner has exactly one selected member; requires/excludes
 constraints hold. Attributes never affect validity.
 
-``to_propositional`` realizes these rules as CNF over 1-based variables,
-where variable ``i`` stands for ``model.features[i - 1]``.
+These rules are stated once, as a list of clauses over 1-based variables
+(variable ``i`` stands for ``model.features[i - 1]``). ``to_propositional``
+is that list as CNF; ``is_valid_configuration`` evaluates the same clauses
+on a selection and reports each broken rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .model import ConstraintKind, FeatureModel, GroupKind, Variability
@@ -58,6 +61,41 @@ def to_propositional(model: FeatureModel) -> PropositionalFormula:
     return PropositionalFormula(len(model.features), cnf(model), model.feature_names)
 
 
+def _rules(model: FeatureModel):
+    """Yield (rule, features, clauses) for every configuration rule.
+
+    This is the one statement of the rules: ``cnf`` and
+    ``is_valid_configuration`` both read it. The order is the order in
+    which the checker reports violations: root; per feature (feature
+    order) its parent rule, then its mandatory rule; groups (group order);
+    cross-tree constraints (declaration order).
+    """
+    var = {name: i + 1 for i, name in enumerate(model.feature_names)}
+    yield "root", (model.root,), ((var[model.root],),)
+    for f in model.features:
+        if f.parent is None:
+            continue
+        child, parent = var[f.name], var[f.parent]
+        yield "parent", (f.name, f.parent), ((-child, parent),)
+        if f.variability is Variability.MANDATORY:
+            yield "mandatory", (f.parent, f.name), ((-parent, child),)
+    for group in model.groups:
+        members = [var[m] for m in group.members]
+        clauses = [(-var[group.owner], *members)]
+        if group.kind is GroupKind.ALTERNATIVE:
+            # child-implies-parent already forces members off when the owner
+            # is off, so the pair clauses need no owner guard
+            clauses += [(-a, -b) for a, b in combinations(members, 2)]
+        yield group.kind.value, (group.owner, *group.members), tuple(clauses)
+    for c in model.constraints:
+        target = var[c.target] if c.kind is ConstraintKind.REQUIRES else -var[c.target]
+        yield c.kind.value, (c.source, c.target), ((-var[c.source], target),)
+
+
+_CNF_ORDER = {"root": 0, "parent": 1, "mandatory": 2, "or": 3, "alternative": 3,
+              "requires": 4, "excludes": 4}
+
+
 def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
     """The clauses of ``to_propositional(model)``, without building the formula.
 
@@ -66,34 +104,8 @@ def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
     order: at-least-one, then pairwise at-most-one for alternatives);
     cross-tree constraints (declaration order).
     """
-    var = {name: i + 1 for i, name in enumerate(model.feature_names)}
-    clauses: list[tuple[int, ...]] = [(var[model.root],)]
-
-    for f in model.features:
-        if f.parent is not None:
-            clauses.append((-var[f.name], var[f.parent]))
-    for f in model.features:
-        if f.parent is not None and f.variability is Variability.MANDATORY:
-            clauses.append((-var[f.parent], var[f.name]))
-
-    for group in model.groups:
-        owner = var[group.owner]
-        members = [var[m] for m in group.members]
-        clauses.append((-owner, *members))
-        if group.kind is GroupKind.ALTERNATIVE:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    # child-implies-parent already forces members off when the
-                    # owner is off, so the pair clause needs no owner guard
-                    clauses.append((-members[i], -members[j]))
-
-    for c in model.constraints:
-        if c.kind is ConstraintKind.REQUIRES:
-            clauses.append((-var[c.source], var[c.target]))
-        else:
-            clauses.append((-var[c.source], -var[c.target]))
-
-    return tuple(clauses)
+    rules = sorted(_rules(model), key=lambda rule: _CNF_ORDER[rule[0]])
+    return tuple(clause for _, _, clauses in rules for clause in clauses)
 
 
 def satisfies(formula: PropositionalFormula, assignment: Mapping[int, bool]) -> bool:
@@ -119,6 +131,18 @@ class Violation:
         return self.message
 
 
+_MESSAGES = {
+    "root": "root feature '{0}' must be selected",
+    "parent": "'{0}' is selected but its parent '{1}' is not",
+    "mandatory": "'{0}' is selected but its mandatory child '{1}' is not",
+    "or": "or group under '{0}' needs at least one of {{{members}}} selected",
+    "alternative": ("alternative group under '{0}' needs exactly one of "
+                    "{{{members}}} selected ({detail})"),
+    "requires": "'{0}' requires '{1}', which is not selected",
+    "excludes": "'{0}' excludes '{1}', but both are selected",
+}
+
+
 def is_valid_configuration(model: FeatureModel,
                            config: Iterable[str]) -> tuple[bool, tuple[Violation, ...]]:
     """Check a set of selected feature names against the model's rules.
@@ -131,50 +155,16 @@ def is_valid_configuration(model: FeatureModel,
         model.feature(name)  # raises UnknownFeatureError
         selected.add(name)
 
+    true = {i if name in selected else -i for i, name in enumerate(model.feature_names, 1)}
     violations: list[Violation] = []
-    if model.root not in selected:
-        violations.append(Violation(
-            "root", (model.root,), f"root feature '{model.root}' must be selected"))
-
-    for f in model.features:
-        if f.parent is None:
-            continue
-        if f.name in selected and f.parent not in selected:
-            violations.append(Violation(
-                "parent", (f.name, f.parent),
-                f"'{f.name}' is selected but its parent '{f.parent}' is not"))
-        if (f.variability is Variability.MANDATORY
-                and f.parent in selected and f.name not in selected):
-            violations.append(Violation(
-                "mandatory", (f.parent, f.name),
-                f"'{f.parent}' is selected but its mandatory child '{f.name}' is not"))
-
-    for group in model.groups:
-        if group.owner not in selected:
-            continue
-        chosen = tuple(m for m in group.members if m in selected)
-        if group.kind is GroupKind.OR and not chosen:
-            violations.append(Violation(
-                "or", (group.owner, *group.members),
-                f"or group under '{group.owner}' needs at least one of "
-                f"{{{', '.join(group.members)}}} selected"))
-        elif group.kind is GroupKind.ALTERNATIVE and len(chosen) != 1:
-            detail = "none selected" if not chosen else f"{', '.join(chosen)} all selected"
-            violations.append(Violation(
-                "alternative", (group.owner, *group.members),
-                f"alternative group under '{group.owner}' needs exactly one of "
-                f"{{{', '.join(group.members)}}} selected ({detail})"))
-
-    for c in model.constraints:
-        if c.kind is ConstraintKind.REQUIRES:
-            if c.source in selected and c.target not in selected:
-                violations.append(Violation(
-                    "requires", (c.source, c.target),
-                    f"'{c.source}' requires '{c.target}', which is not selected"))
-        else:
-            if c.source in selected and c.target in selected:
-                violations.append(Violation(
-                    "excludes", (c.source, c.target),
-                    f"'{c.source}' excludes '{c.target}', but both are selected"))
-
+    for rule, features, clauses in _rules(model):
+        if rule in ("or", "alternative") and features[0] not in selected:
+            continue  # a group constrains its members only under a selected owner
+        if not any(map(true.isdisjoint, clauses)):
+            continue  # every clause has a true literal
+        chosen = [m for m in features[1:] if m in selected]
+        detail = f"{', '.join(chosen)} all selected" if chosen else "none selected"
+        message = _MESSAGES[rule].format(*features, members=", ".join(features[1:]),
+                                         detail=detail)
+        violations.append(Violation(rule, features, message))
     return (not violations, tuple(violations))

@@ -26,10 +26,8 @@ from .owl import (
     NamedClass,
     ObjectPropertyRange,
     Ontology,
-    OwlError,
     SomeValuesFrom,
     SubClassOf,
-    validate_ontology,
 )
 
 TRIGGER_KINDS = ("Sum", "Count", "Average")
@@ -132,10 +130,6 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
     is resolved to its feature class via the C ≡ ∃hasF.F equivalence.
     One form per category with a field per datatype property on it.
     """
-    try:
-        validate_ontology(ontology)
-    except OwlError as exc:
-        raise ScaffoldError(str(exc)) from exc
     triggers = normalize_triggers(DEFAULT_TRIGGERS if registry is None else registry)
 
     classes: list[str] = []
@@ -215,12 +209,29 @@ def _prepare(paths: list[Path], overwrite: bool) -> None:
                 "(pass overwrite to replace)")
 
 
+def _phase1_target(outdir) -> Path:
+    return Path(outdir) / "install_data.json"
+
+
+def _phase2_targets(scaffold: SiteScaffold, outdir) -> list[Path]:
+    templates = Path(outdir) / "templates"
+    return [templates / f"{c.name}_form.tpl.txt" for c in scaffold.categories]
+
+
+def write(scaffold: SiteScaffold, outdir, overwrite: bool = False,
+          zotonic_notes: bool = False) -> list[Path]:
+    """Write both phases. Every target is checked before any file is
+    written, so a refusal leaves the directory as it was."""
+    _prepare([_phase1_target(outdir), *_phase2_targets(scaffold, outdir)], overwrite)
+    return (write_phase1(scaffold, outdir, True, zotonic_notes)
+            + write_phase2(scaffold, outdir, True, zotonic_notes))
+
+
 def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
                  zotonic_notes: bool = False) -> list[Path]:
     """Write install_data.json: categories, predicates, and their rules."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    target = outdir / "install_data.json"
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    target = _phase1_target(outdir)
     _prepare([target], overwrite)
     document: dict = {}
     if zotonic_notes:
@@ -239,10 +250,9 @@ def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
 def write_phase2(scaffold: SiteScaffold, outdir, overwrite: bool = False,
                  zotonic_notes: bool = False) -> list[Path]:
     """Write one templates/<category>_form.tpl.txt stub per category."""
-    templates = Path(outdir) / "templates"
-    templates.mkdir(parents=True, exist_ok=True)
+    (Path(outdir) / "templates").mkdir(parents=True, exist_ok=True)
     fields_by_category = {form.category: form.fields for form in scaffold.forms}
-    targets = [templates / f"{c.name}_form.tpl.txt" for c in scaffold.categories]
+    targets = _phase2_targets(scaffold, outdir)
     _prepare(targets, overwrite)
     for category, target in zip(scaffold.categories, targets):
         lines = []

@@ -157,6 +157,19 @@ def test_scaffold_refuses_overwrite_then_allows(tmp_path, capsys):
     assert main(["scaffold", AISCO, str(outdir), "--overwrite"]) == 0
 
 
+def test_scaffold_refusal_writes_nothing(tmp_path, capsys):
+    # a clash in phase 2 must not leave phase 1's file behind
+    outdir = tmp_path / "site"
+    (outdir / "templates").mkdir(parents=True)
+    (outdir / "templates" / "AISCO_form.tpl.txt").touch()
+    for _ in range(2):
+        assert main(["scaffold", AISCO, str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "AISCO_form.tpl.txt" in err and "install_data.json" not in err
+        assert not (outdir / "install_data.json").exists()
+    assert main(["scaffold", AISCO, str(outdir), "--overwrite"]) == 0
+
+
 def test_scaffold_skip_rule_classes(tmp_path):
     outdir = tmp_path / "site"
     assert main(["scaffold", AISCO, str(outdir), "--skip-rule-classes"]) == 0

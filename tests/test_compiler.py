@@ -12,7 +12,6 @@ from fmc.compiler import (
     emit_excludes,
     emit_feature_base,
     emit_mandatory,
-    emit_optional,
     emit_or,
     emit_requires,
 )
@@ -57,10 +56,6 @@ def test_feature_base_is_five_axioms_in_order():
 
 def test_mandatory_restricts_parent_rule_class():
     assert emit_mandatory(A, B) == SubClassOf(NamedClass("ARule"), exists("B"))
-
-
-def test_optional_emits_nothing():
-    assert emit_optional(A, Feature("B", "A", Variability.OPTIONAL)) == []
 
 
 def test_requires_attaches_to_feature_class():

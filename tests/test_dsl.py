@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
+from fmc.analysis import ENUMERATION_CAP
 from fmc.dsl import ParseError, parse, parse_configuration, to_source
-from fmc.model import ConstraintKind, GroupKind, Variability
+from fmc.model import ConstraintKind, Feature, FeatureModel, GroupKind, Variability
 
 from helpers import random_model
 
@@ -154,6 +157,30 @@ def test_round_trip_random_models():
     for _ in range(60):
         model = random_model(rng, max_features=14, allow_attributes=True)
         assert parse(to_source(model)) == model
+
+
+def optional_chain(length):
+    """F0 { optional F1 { optional F2 { ... } } }: nesting depth length - 1."""
+    features = [Feature("F0", None, Variability.MANDATORY)] + [
+        Feature(f"F{i}", f"F{i - 1}", Variability.OPTIONAL) for i in range(1, length)]
+    return FeatureModel("F0", tuple(features))
+
+
+def test_round_trip_deep_nesting():
+    model = optional_chain(1200)
+    assert parse(to_source(model)) == model
+
+
+def test_check_deep_nesting_without_recursion_error(tmp_path):
+    path = tmp_path / "deep.fm"
+    path.write_text(to_source(optional_chain(1200)))
+    result = subprocess.run([sys.executable, "-m", "fmc", "check", str(path)],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout.splitlines() == [
+        "consistent: yes", "dead features: none",
+        f"configurations: not counted (over {ENUMERATION_CAP} features)"]
 
 
 def test_parse_configuration():

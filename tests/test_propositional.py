@@ -7,6 +7,7 @@ from fmc.dsl import parse
 from fmc.model import UnknownFeatureError
 from fmc.propositional import (
     PropositionalFormula,
+    cnf,
     is_valid_configuration,
     satisfies,
     to_propositional,
@@ -127,3 +128,63 @@ def test_full_selection_valid_without_groups_or_excludes():
         requires_only = replace(model, constraints=tuple(
             c for c in model.constraints if c.kind is ConstraintKind.REQUIRES))
         assert is_valid_configuration(requires_only, set(model.feature_names))[0]
+
+
+EVERY_RULE_KIND = (
+    "feature A {\n"
+    "  mandatory B\n"
+    "  optional C { optional D }\n"
+    "  or { E F }\n"
+    "  alternative { G H I }\n"
+    "}\n"
+    "constraints {\n"
+    "  C requires D\n"
+    "  B excludes E\n"
+    "}\n")
+
+
+def test_cnf_clause_order_is_pinned():
+    # A=1 B=2 C=3 D=4 E=5 F=6 G=7 H=8 I=9
+    assert cnf(parse(EVERY_RULE_KIND)) == (
+        (1,),
+        (-2, 1), (-3, 1), (-4, 3), (-5, 1), (-6, 1), (-7, 1), (-8, 1), (-9, 1),
+        (-1, 2),
+        (-1, 5, 6),
+        (-1, 7, 8, 9), (-7, -8), (-7, -9), (-8, -9),
+        (-3, 4),
+        (-2, -5),
+    )
+
+
+def test_violation_messages_are_pinned():
+    model = parse(EVERY_RULE_KIND)
+
+    def check(*selected):
+        valid, violations = is_valid_configuration(model, selected)
+        assert valid == (not violations)
+        return [(v.rule, v.features, v.message) for v in violations]
+
+    assert check() == [
+        ("root", ("A",), "root feature 'A' must be selected")]
+    assert check("A", "D") == [
+        ("mandatory", ("A", "B"), "'A' is selected but its mandatory child 'B' is not"),
+        ("parent", ("D", "C"), "'D' is selected but its parent 'C' is not"),
+        ("or", ("A", "E", "F"), "or group under 'A' needs at least one of {E, F} selected"),
+        ("alternative", ("A", "G", "H", "I"),
+         "alternative group under 'A' needs exactly one of {G, H, I} selected "
+         "(none selected)"),
+    ]
+    assert check("A", "B", "C", "E", "G", "H") == [
+        ("alternative", ("A", "G", "H", "I"),
+         "alternative group under 'A' needs exactly one of {G, H, I} selected "
+         "(G, H all selected)"),
+        ("requires", ("C", "D"), "'C' requires 'D', which is not selected"),
+        ("excludes", ("B", "E"), "'B' excludes 'E', but both are selected"),
+    ]
+    # group rules apply only under a selected owner
+    assert check("G", "H") == [
+        ("root", ("A",), "root feature 'A' must be selected"),
+        ("parent", ("G", "A"), "'G' is selected but its parent 'A' is not"),
+        ("parent", ("H", "A"), "'H' is selected but its parent 'A' is not"),
+    ]
+    assert check("A", "B", "F", "I") == []

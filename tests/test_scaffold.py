@@ -131,11 +131,11 @@ def test_empty_ontology_yields_empty_scaffold():
 
 
 def test_generate_rejects_invalid_ontology():
-    from fmc.owl import NamedClass, SubClassOf
+    from fmc.owl import NamedClass, SubClassOf, UndeclaredNameError
 
-    broken = Ontology("http://example.org/x#",
-                      (SubClassOf(NamedClass("A"), NamedClass("B")),))
-    with pytest.raises(ScaffoldError, match="not declared"):
+    with pytest.raises(UndeclaredNameError, match="not declared"):
+        broken = Ontology("http://example.org/x#",
+                          (SubClassOf(NamedClass("A"), NamedClass("B")),))
         generate(broken)
 
 
