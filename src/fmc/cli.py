@@ -126,7 +126,9 @@ def cmd_scaffold(args) -> int:
     if triggers_path:
         try:
             registry = scaffold.load_triggers(triggers_path)
-        except (OSError, scaffold.ScaffoldError) as exc:
+        except OSError as exc:
+            raise _Failure(2, f"{triggers_path}: {exc.strerror or exc}") from exc
+        except scaffold.ScaffoldError as exc:
             raise _Failure(2, f"{triggers_path}: {exc}") from exc
     zotonic_notes = args.flavor == "zotonic-notes"
     try:

@@ -12,6 +12,10 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 Identifiers match ``[A-Za-z][A-Za-z0-9_]*``. The structural keywords are
 reserved and cannot name features. ``parse(to_source(m))`` reproduces ``m``
 exactly for any model whose feature order is declaration (preorder) order.
+
+The parser shares its lexer and token cursor with the OWL reader
+(``fmc.lexer``): one regex scan, whose white-space group also swallows
+comments, with line and column worked out only when an error is raised.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .lexer import Cursor, Token, describe
 from .model import (
     DATATYPES,
     Attribute,
@@ -37,7 +42,16 @@ KEYWORDS = frozenset({
     "attribute", "constraints", "requires", "excludes",
 })
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# A comment runs to the end of its line and is skipped with the white
+# space; a comment that ends the text is where end of input is reported.
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>(?:[ \t\r\n]+|\#[^\n]*(?=\n))+)
+      | (?P<punct>[{}:])
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<eof>\#.*)
+    """,
+    re.VERBOSE,
+)
 
 
 class ParseError(Exception):
@@ -49,48 +63,6 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "{", "}", ":", "eof"
-    value: str
-    line: int
-    column: int
-
-    def describe(self) -> str:
-        return "end of input" if self.kind == "eof" else f"'{self.value}'"
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in "{}:":
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-        else:
-            m = _IDENT_RE.match(source, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
-
 @dataclass
 class _FeatureRec:
     name: str
@@ -100,73 +72,58 @@ class _FeatureRec:
     attributes: list[Attribute] = field(default_factory=list)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+class _Parser(Cursor):
+    """Tokens are (kind, value, offset); kind is "ident", "{", "}", ":" or "eof"."""
+
+    def __init__(self, source: str):
+        super().__init__(source, _TOKEN_RE, ParseError)
         self.records: list[_FeatureRec] = []
         self.by_name: dict[str, _FeatureRec] = {}
         self.groups: list[Group | None] = []
         self.constraints: list[CrossTreeConstraint] = []
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def at_keyword(self, *words: str) -> bool:
         tok = self.peek()
-        return tok.kind == "ident" and tok.value in words
+        return tok[0] == "ident" and tok[1] in words
 
-    def expect(self, kind: str) -> _Token:
+    def expect_name(self, what: str = "feature name") -> Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected '{kind}', got {tok.describe()}", tok.line, tok.column)
-        return self.advance()
-
-    def expect_name(self, what: str = "feature name") -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, got {tok.describe()}", tok.line, tok.column)
-        if tok.value in KEYWORDS:
-            raise ParseError(
-                f"'{tok.value}' is a reserved keyword and cannot be used as a {what}",
-                tok.line, tok.column)
+        if tok[0] != "ident":
+            raise self.error(tok, f"expected {what}, got {describe(tok)}")
+        if tok[1] in KEYWORDS:
+            raise self.error(tok, f"'{tok[1]}' is a reserved keyword and cannot be used as a {what}")
         return self.advance()
 
     def parse_model(self) -> FeatureModel:
         tok = self.peek()
         if not self.at_keyword("feature"):
-            raise ParseError(f"expected 'feature', got {tok.describe()}", tok.line, tok.column)
+            raise self.error(tok, f"expected 'feature', got {describe(tok)}")
         self.advance()
         root_tok = self.expect_name()
         self.add_feature(root_tok, None, Variability.MANDATORY)
-        if self.peek().kind == "{":
-            self.parse_body(root_tok.value)
+        if self.peek()[0] == "{":
+            self.parse_body(root_tok[1])
         if self.at_keyword("constraints"):
             self.parse_constraints()
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.describe()} after model", tok.line, tok.column)
+        if tok[0] != "eof":
+            raise self.error(tok, f"unexpected {describe(tok)} after model")
 
         features = tuple(
             Feature(r.name, r.parent, r.variability, r.group, tuple(r.attributes))
             for r in self.records)
-        model = FeatureModel(root_tok.value, features, tuple(self.groups),
+        model = FeatureModel(root_tok[1], features, tuple(self.groups),
                              tuple(self.constraints))
         validate(model)
         return model
 
-    def add_feature(self, tok: _Token, parent: str | None,
+    def add_feature(self, tok: Token, parent: str | None,
                     variability: Variability, group: int | None = None) -> _FeatureRec:
-        if tok.value in self.by_name:
-            raise ParseError(f"duplicate feature name '{tok.value}'", tok.line, tok.column)
-        rec = _FeatureRec(tok.value, parent, variability, group)
+        if tok[1] in self.by_name:
+            raise self.error(tok, f"duplicate feature name '{tok[1]}'")
+        rec = _FeatureRec(tok[1], parent, variability, group)
         self.records.append(rec)
-        self.by_name[tok.value] = rec
+        self.by_name[tok[1]] = rec
         return rec
 
     def parse_body(self, owner: str) -> None:
@@ -182,21 +139,21 @@ class _Parser:
         while stack:
             owner, intro, group_id, members = stack[-1]
             tok = self.peek()
-            if tok.kind == "}":
+            if tok[0] == "}":
                 self.advance()
                 stack.pop()
                 if intro is not None:
                     self.close_group(owner, intro, group_id, members)
                 continue
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 unclosed = "unclosed group" if intro is not None else "unclosed '{'"
-                raise ParseError(f"{unclosed}: expected '}}'", tok.line, tok.column)
+                raise self.error(tok, f"{unclosed}: expected '}}'")
             if intro is not None:
                 name_tok = self.expect_name("group member name")
-                members.append(name_tok.value)
+                members.append(name_tok[1])
                 self.add_feature(name_tok, owner, Variability.GROUP_MEMBER, group_id)
             elif self.at_keyword("mandatory", "optional"):
-                kind = Variability.MANDATORY if tok.value == "mandatory" else Variability.OPTIONAL
+                kind = Variability.MANDATORY if tok[1] == "mandatory" else Variability.OPTIONAL
                 self.advance()
                 name_tok = self.expect_name()
                 self.add_feature(name_tok, owner, kind)
@@ -210,21 +167,19 @@ class _Parser:
                 self.parse_attribute(owner)
                 continue
             else:
-                raise ParseError(
-                    "expected 'mandatory', 'optional', 'or', 'alternative', "
-                    f"'attribute', or '}}', got {tok.describe()}",
-                    tok.line, tok.column)
-            if self.peek().kind == "{":
+                raise self.error(
+                    tok, "expected 'mandatory', 'optional', 'or', 'alternative', "
+                    f"'attribute', or '}}', got {describe(tok)}")
+            if self.peek()[0] == "{":
                 self.advance()
-                stack.append((name_tok.value, None, None, None))
+                stack.append((name_tok[1], None, None, None))
 
-    def close_group(self, owner: str, intro: _Token, group_id: int,
+    def close_group(self, owner: str, intro: Token, group_id: int,
                     members: list[str]) -> None:
-        kind = GroupKind.OR if intro.value == "or" else GroupKind.ALTERNATIVE
+        kind = GroupKind.OR if intro[1] == "or" else GroupKind.ALTERNATIVE
         if len(members) < 2:
-            raise ParseError(
-                f"{kind.value} group under '{owner}' needs at least 2 members, found {len(members)}",
-                intro.line, intro.column)
+            raise self.error(intro, f"{kind.value} group under '{owner}' needs at least 2 members, "
+                             f"found {len(members)}")
         self.groups[group_id] = Group(group_id, owner, kind, tuple(members))
 
     def parse_attribute(self, owner: str) -> None:
@@ -232,45 +187,39 @@ class _Parser:
         name_tok = self.expect_name("attribute name")
         self.expect(":")
         dt_tok = self.peek()
-        if dt_tok.kind != "ident" or dt_tok.value not in DATATYPES:
-            raise ParseError(
-                f"expected attribute datatype (one of {', '.join(DATATYPES)}), "
-                f"got {dt_tok.describe()}",
-                dt_tok.line, dt_tok.column)
+        if dt_tok[0] != "ident" or dt_tok[1] not in DATATYPES:
+            raise self.error(
+                dt_tok, f"expected attribute datatype (one of {', '.join(DATATYPES)}), "
+                f"got {describe(dt_tok)}")
         self.advance()
         rec = self.by_name[owner]
-        if any(a.name == name_tok.value for a in rec.attributes):
-            raise ParseError(
-                f"duplicate attribute '{name_tok.value}' on feature '{owner}'",
-                name_tok.line, name_tok.column)
-        rec.attributes.append(Attribute(name_tok.value, dt_tok.value))
+        if any(a.name == name_tok[1] for a in rec.attributes):
+            raise self.error(name_tok, f"duplicate attribute '{name_tok[1]}' on feature '{owner}'")
+        rec.attributes.append(Attribute(name_tok[1], dt_tok[1]))
 
     def parse_constraints(self) -> None:
         self.advance()
         self.expect("{")
-        while self.peek().kind != "}":
+        while self.peek()[0] != "}":
             tok = self.peek()
-            if tok.kind == "eof":
-                raise ParseError("unclosed constraints block: expected '}'", tok.line, tok.column)
+            if tok[0] == "eof":
+                raise self.error(tok, "unclosed constraints block: expected '}'")
             src_tok = self.expect_name()
-            if src_tok.value not in self.by_name:
-                raise ParseError(f"unknown feature '{src_tok.value}' in constraint",
-                                 src_tok.line, src_tok.column)
+            if src_tok[1] not in self.by_name:
+                raise self.error(src_tok, f"unknown feature '{src_tok[1]}' in constraint")
             kind_tok = self.peek()
             if not self.at_keyword("requires", "excludes"):
-                raise ParseError(f"expected 'requires' or 'excludes', got {kind_tok.describe()}",
-                                 kind_tok.line, kind_tok.column)
+                raise self.error(
+                    kind_tok, f"expected 'requires' or 'excludes', got {describe(kind_tok)}")
             self.advance()
-            kind = ConstraintKind.REQUIRES if kind_tok.value == "requires" else ConstraintKind.EXCLUDES
+            kind = ConstraintKind.REQUIRES if kind_tok[1] == "requires" else ConstraintKind.EXCLUDES
             tgt_tok = self.expect_name()
-            if tgt_tok.value not in self.by_name:
-                raise ParseError(f"unknown feature '{tgt_tok.value}' in constraint",
-                                 tgt_tok.line, tgt_tok.column)
-            if src_tok.value == tgt_tok.value:
-                raise ParseError(
-                    f"constraint source and target are the same feature '{src_tok.value}'",
-                    tgt_tok.line, tgt_tok.column)
-            self.constraints.append(CrossTreeConstraint(kind, src_tok.value, tgt_tok.value))
+            if tgt_tok[1] not in self.by_name:
+                raise self.error(tgt_tok, f"unknown feature '{tgt_tok[1]}' in constraint")
+            if src_tok[1] == tgt_tok[1]:
+                raise self.error(
+                    tgt_tok, f"constraint source and target are the same feature '{src_tok[1]}'")
+            self.constraints.append(CrossTreeConstraint(kind, src_tok[1], tgt_tok[1]))
         self.advance()
 
 
@@ -280,7 +229,7 @@ def parse(source: str) -> FeatureModel:
     Feature order in the result is source (preorder) order. Raises
     ParseError with position information on any syntax or naming problem.
     """
-    return _Parser(_tokenize(source)).parse_model()
+    return _Parser(source).parse_model()
 
 
 def parse_file(path) -> FeatureModel:

@@ -168,26 +168,36 @@ def validate(model: FeatureModel) -> None:
             if a.datatype not in DATATYPES:
                 raise ModelError(f"attribute '{a.name}' has unknown datatype '{a.datatype}'")
 
-    # Parent links must form a tree rooted at the single root.
-    for f in model.features:
+    # Parent links must form a tree rooted at the single root: one walk
+    # down from the root reaches every feature unless some lie on or below
+    # a cycle. The walk up from the first one left names the cycle's entry.
+    reached = {root.name}
+    stack = [root.name]
+    while stack:
+        for child in model.children(stack.pop()):
+            reached.add(child.name)
+            stack.append(child.name)
+    if len(reached) != len(names):
+        cur = next(f for f in model.features if f.name not in reached)
         seen = set()
-        cur = f
-        while cur.parent is not None:
-            if cur.name in seen:
-                raise ModelError(f"cycle in parent references involving '{cur.name}'")
+        while cur.name not in seen:
             seen.add(cur.name)
             cur = model.feature(cur.parent)
+        raise ModelError(f"cycle in parent references involving '{cur.name}'")
 
     group_ids = [g.id for g in model.groups]
     if len(group_ids) != len(set(group_ids)):
         raise ModelError("duplicate group ids")
+    members_by_group: dict[tuple[str, int], set[str]] = {}
+    for f in model.features:
+        if f.variability is Variability.GROUP_MEMBER:
+            members_by_group.setdefault((f.parent, f.group), set()).add(f.name)
     for g in model.groups:
         if not model.has_feature(g.owner):
             raise ModelError(f"group {g.id} has unknown owner '{g.owner}'")
         if len(g.members) < 2:
             raise ModelError(f"group {g.id} under '{g.owner}' needs at least 2 members")
-        expected = {c.name for c in model.children(g.owner)
-                    if c.variability is Variability.GROUP_MEMBER and c.group == g.id}
+        expected = members_by_group.get((g.owner, g.id), set())
         if set(g.members) != expected or len(set(g.members)) != len(g.members):
             raise ModelError(
                 f"group {g.id} members must be exactly the group-member children of '{g.owner}'")

@@ -10,6 +10,11 @@ ObjectAllValuesFrom. ``parse_functional`` inverts ``serialize_functional``.
 An ``Ontology`` validates itself when it is built (``validate_ontology``),
 so the serializer and the scaffold need not check again; an axiom that
 uses an undeclared name raises ``UndeclaredNameError``.
+
+The reader shares its lexer and token cursor with the DSL parser
+(``fmc.lexer``): one regex scan, with line and column worked out only
+when an error is raised. Class expressions may nest at most
+``MAX_EXPR_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+
+from .lexer import Cursor, Token, describe
 
 
 class OwlError(Exception):
@@ -293,6 +300,8 @@ _EXPR_KEYWORDS = frozenset({
 })
 _ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
 
+# Token kinds: punctuation is its own kind; "iri" (value without the
+# brackets), "pname", "word" and "number".
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
       | (?P<punct>[()]|:=)
@@ -304,72 +313,28 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-def _syntax_error(text: str, offset: int, message: str,
-                  cls: type[OwlSyntaxError] = OwlSyntaxError) -> OwlSyntaxError:
-    # line and column are worked out only here, when an error is raised
-    line_start = text.rfind("\n", 0, offset) + 1
-    return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+# Class expressions nest at most this deep. The compiler writes at most
+# 4 levels; the bound keeps the recursive reader and validator far from
+# the interpreter's recursion limit.
+MAX_EXPR_DEPTH = 100
 
 
-def _tokenize_functional(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, offset) per token; kind is the value for punctuation,
-    "iri" (value without the brackets), "pname", "word", "number" or "eof"."""
-    tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group(kind)
-            tokens.append((value if kind == "punct" else kind, value, m.start()))
-    if pos != len(text):
-        raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
-    tokens.append(("eof", "", pos))
-    return tokens
-
-
-def _describe(tok: tuple[str, str, int]) -> str:
-    return "end of input" if tok[0] == "eof" else f"'{tok[1]}'"
-
-
-class _OwlParser:
+class _OwlParser(Cursor):
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_functional(text)
-        self.pos = 0
+        super().__init__(text, _TOKEN_RE, OwlSyntaxError)
+        self.depth = 0  # class expressions open around the current token
 
-    def error(self, tok, message: str,
-              cls: type[OwlSyntaxError] = OwlSyntaxError) -> OwlSyntaxError:
-        return _syntax_error(self.text, tok[2], message, cls)
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise self.error(tok, f"expected '{kind}', got {_describe(tok)}")
-        return self.advance()
-
-    def expect_word(self, word: str) -> tuple[str, str, int]:
+    def expect_word(self, word: str) -> Token:
         tok = self.peek()
         if tok[0] != "word" or tok[1] != word:
-            raise self.error(tok, f"expected '{word}', got {_describe(tok)}")
+            raise self.error(tok, f"expected '{word}', got {describe(tok)}")
         return self.advance()
 
     def local_name(self, what: str) -> str:
         # a name in the default (empty) prefix, e.g. ":AISCO"
         tok = self.peek()
         if tok[0] != "pname" or not tok[1].startswith(":"):
-            raise self.error(tok, f"expected {what} (:Name), got {_describe(tok)}")
+            raise self.error(tok, f"expected {what} (:Name), got {describe(tok)}")
         self.advance()
         return tok[1][1:]
 
@@ -390,14 +355,14 @@ class _OwlParser:
         self.advance()
         tok = self.peek()
         if tok[0] != "eof":
-            raise self.error(tok, f"unexpected {_describe(tok)} after ontology")
+            raise self.error(tok, f"unexpected {describe(tok)} after ontology")
         return Ontology(iri, tuple(axioms))
 
     def parse_axiom(self) -> Axiom:
         tok = self.peek()
         kind, keyword, _ = tok
         if kind != "word":
-            raise self.error(tok, f"expected an axiom, got {_describe(tok)}")
+            raise self.error(tok, f"expected an axiom, got {describe(tok)}")
         if keyword not in _AXIOM_KEYWORDS:
             raise self.error(tok, f"unsupported construct '{keyword}'", UnsupportedConstructError)
         self.advance()
@@ -405,7 +370,7 @@ class _OwlParser:
         if keyword == "Declaration":
             kind_tok = self.peek()
             if kind_tok[0] != "word":
-                raise self.error(kind_tok, f"expected entity kind, got {_describe(kind_tok)}")
+                raise self.error(kind_tok, f"expected entity kind, got {describe(kind_tok)}")
             if kind_tok[1] not in _ENTITY_KINDS:
                 raise self.error(kind_tok, f"unsupported declaration kind '{kind_tok[1]}'",
                                  UnsupportedConstructError)
@@ -432,7 +397,7 @@ class _OwlParser:
             prop = self.local_name("data property")
             dt_tok = self.peek()
             if dt_tok[0] != "pname" or dt_tok[1].startswith(":"):
-                raise self.error(dt_tok, f"expected a datatype, got {_describe(dt_tok)}")
+                raise self.error(dt_tok, f"expected a datatype, got {describe(dt_tok)}")
             self.advance()
             axiom = DataPropertyRange(prop, dt_tok[1])
         self.expect(")")
@@ -458,11 +423,14 @@ class _OwlParser:
             if value == "owl:Thing":
                 self.advance()
                 return THING
-            raise self.error(tok, f"expected a class expression, got {_describe(tok)}")
+            raise self.error(tok, f"expected a class expression, got {describe(tok)}")
         if kind != "word":
-            raise self.error(tok, f"expected a class expression, got {_describe(tok)}")
+            raise self.error(tok, f"expected a class expression, got {describe(tok)}")
         if value not in _EXPR_KEYWORDS:
             raise self.error(tok, f"unsupported construct '{value}'", UnsupportedConstructError)
+        if self.depth == MAX_EXPR_DEPTH:
+            raise self.error(tok, f"class expression nested more than {MAX_EXPR_DEPTH} levels deep")
+        self.depth += 1
         self.advance()
         self.expect("(")
         if value == "ObjectComplementOf":
@@ -479,6 +447,7 @@ class _OwlParser:
             ctor = SomeValuesFrom if value == "ObjectSomeValuesFrom" else AllValuesFrom
             expr = ctor(prop, filler)
         self.expect(")")
+        self.depth -= 1
         return expr
 
 

@@ -109,14 +109,19 @@ def normalize_triggers(registry: dict) -> dict[str, str]:
 
 
 def load_triggers(path) -> dict[str, str]:
-    """Read a JSON trigger registry: {"pattern": "Sum" | "Count" | "Average"}."""
+    """Read a JSON trigger registry: {"pattern": "Sum" | "Count" | "Average"}.
+
+    Errors (OSError, ScaffoldError) leave naming the path to the caller.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ScaffoldError(f"{path}: invalid JSON: {exc}") from exc
+        raise ScaffoldError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScaffoldError(str(exc)) from exc
     if not isinstance(raw, dict):
-        raise ScaffoldError(f"{path}: trigger registry must be a JSON object")
+        raise ScaffoldError("trigger registry must be a JSON object")
     return normalize_triggers(raw)
 
 

@@ -202,7 +202,29 @@ def test_scaffold_bad_triggers_env_exits_2(tmp_path, monkeypatch, capsys):
     registry.write_text('{"total": "Max"}')
     monkeypatch.setenv("FMC_TRIGGERS", str(registry))
     assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
-    assert "unknown trigger kind" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown trigger kind" in err
+    assert err.count(str(registry)) == 1
+    for bad, message in (('[]', "trigger registry must be a JSON object"),
+                         ('{nope', "invalid JSON")):
+        registry.write_text(bad)
+        assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {registry}: {message}")
+    monkeypatch.setenv("FMC_TRIGGERS", str(tmp_path))
+    assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}: ") and err.count(str(tmp_path)) == 1
+
+
+def test_scaffold_non_utf8_triggers_env_exits_2(tmp_path, monkeypatch, capsys):
+    registry = tmp_path / "triggers.json"
+    registry.write_bytes(b'{"total": "Sum"\xff}')
+    monkeypatch.setenv("FMC_TRIGGERS", str(registry))
+    assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {registry}: ") and "can't decode byte 0xff" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "site").exists()
 
 
 def test_module_entry_point(tmp_path):

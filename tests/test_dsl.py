@@ -89,6 +89,11 @@ def test_comments_ignored():
     ("feature A\nfeature B", "unexpected 'feature' after model", 2, 1),
     ("feature A { optional feature }", "reserved keyword", 1, 22),
     ("feature A*", "unexpected character '*'", 1, 10),
+    ("feature A {\tweird B }", "expected 'mandatory'", 1, 13),
+    ("feature A {\r\n  optional B\r\n  weird C\r\n}\r\n", "expected 'mandatory'", 3, 3),
+    ("feature A {\n# a comment line\n  weird B\n}", "expected 'mandatory'", 3, 3),
+    ("feature A { mandatory B\n", "unclosed '{'", 2, 1),
+    ("feature A { # open", "unclosed '{'", 1, 13),
 ])
 def test_syntax_errors_carry_position(source, fragment, line, col):
     with pytest.raises(ParseError) as info:

@@ -88,6 +88,15 @@ def test_parent_cycle_rejected():
                                Feature("B", "C", O), Feature("C", "B", O)))
     with pytest.raises(ModelError, match="cycle"):
         validate(model)
+    self_parent = FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                                     Feature("C", "C", O)))
+    with pytest.raises(ModelError, match="cycle in parent references involving 'C'"):
+        validate(self_parent)
+    # D hangs below the B <-> C cycle; the walk up from D enters it at B
+    tail = FeatureModel("A", (Feature("A", None, M), Feature("D", "B", O),
+                              Feature("B", "C", O), Feature("C", "B", O)))
+    with pytest.raises(ModelError, match="cycle in parent references involving 'B'"):
+        validate(tail)
 
 
 def test_group_marker_consistency():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fmc.owl import (
+    MAX_EXPR_DEPTH,
     THING,
     AllValuesFrom,
     ComplementOf,
@@ -189,3 +190,23 @@ HEADER = "Prefix(:=<http://x#>)\nOntology(<http://x#>\n"
 def test_unsupported_constructs_rejected(axiom):
     with pytest.raises(UnsupportedConstructError):
         parse_functional(HEADER + axiom + "\n)")
+
+
+def nested_complements(depth):
+    return (HEADER + "Declaration(Class(:A))\nSubClassOf(:A "
+            + "ObjectComplementOf(" * depth + ":A" + ")" * depth + ")\n)")
+
+
+def test_expression_nesting_is_limited():
+    expr = NamedClass("A")
+    for _ in range(MAX_EXPR_DEPTH):
+        expr = ComplementOf(expr)
+    assert parse_functional(nested_complements(MAX_EXPR_DEPTH)).axioms[1] == SubClassOf(
+        NamedClass("A"), expr)
+    for depth in (MAX_EXPR_DEPTH + 1, 2000):
+        with pytest.raises(OwlSyntaxError, match="nested more than") as info:
+            parse_functional(nested_complements(depth))
+        # at the first keyword past the limit
+        assert info.value.line == 4
+        assert info.value.column == len("SubClassOf(:A ") + MAX_EXPR_DEPTH * len(
+            "ObjectComplementOf(") + 1
