@@ -17,7 +17,7 @@ from . import analysis, scaffold
 from .compiler import CompileError, compile_model
 from .dsl import ParseError, parse, parse_configuration
 from .model import FeatureModel, ModelError, UnknownFeatureError
-from .owl import serialize_functional
+from .owl import write_functional
 from .propositional import is_valid_configuration
 
 TRIGGERS_ENV = "FMC_TRIGGERS"
@@ -58,10 +58,8 @@ def _compile(args) -> object:
 
 def cmd_compile(args) -> int:
     ontology = _compile(args)
-    text = serialize_functional(ontology)
     try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_functional(ontology, args.output)
     except OSError as exc:
         raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
     print(f"wrote {args.output}", file=sys.stderr)

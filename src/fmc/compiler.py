@@ -15,11 +15,21 @@ subclass restrictions:
 
 All feature classes are pairwise disjoint, and each attribute becomes a
 datatype property with the feature class as domain and an xsd range.
+
+Axiom order: the base axioms of each feature (feature order); relation
+axioms (feature order: a mandatory child's axiom at the child's position,
+a group's axioms at the position of its first member in feature order);
+constraint axioms (declaration order); DisjointClasses for every pair of
+feature names, lexicographic; then the attribute axioms (feature order).
 """
 
 from __future__ import annotations
 
-from .model import Feature, FeatureModel, Group, GroupKind, ConstraintKind, Variability
+from collections.abc import Iterator
+from itertools import combinations
+from typing import NamedTuple
+
+from .model import FeatureModel, GroupKind, ConstraintKind, UnknownFeatureError, Variability
 from .owl import (
     Axiom,
     ComplementOf,
@@ -44,137 +54,87 @@ class CompileError(Exception):
     pass
 
 
-def rule_class_name(feature_name: str) -> str:
-    return feature_name + "Rule"
-
-
-def property_name(feature_name: str) -> str:
-    return "has" + feature_name
-
-
 def default_iri(root_name: str) -> str:
     return f"http://example.org/spl/{root_name}#"
 
 
-def _exists(feature_name: str) -> SomeValuesFrom:
-    return SomeValuesFrom(property_name(feature_name), NamedClass(feature_name))
+class _Terms(NamedTuple):
+    """The class expressions one feature F contributes to many axioms."""
+
+    cls: NamedClass  # F
+    rule: NamedClass  # FRule
+    exists: SomeValuesFrom  # ∃hasF.F
 
 
-def emit_feature_base(feature: Feature) -> list[Axiom]:
-    """The five per-feature axioms, in fixed order."""
-    name = feature.name
-    return [
-        Declaration(EntityKind.CLASS, name),
-        Declaration(EntityKind.CLASS, rule_class_name(name)),
-        Declaration(EntityKind.OBJECT_PROPERTY, property_name(name)),
-        ObjectPropertyRange(property_name(name), NamedClass(name)),
-        EquivalentClasses(NamedClass(rule_class_name(name)), _exists(name)),
-    ]
+def _axioms(model: FeatureModel) -> Iterator[Axiom]:
+    """Yield the ontology's axioms in the order the module docstring states.
 
-
-def emit_mandatory(parent: Feature, child: Feature) -> Axiom:
-    return SubClassOf(NamedClass(rule_class_name(parent.name)), _exists(child.name))
-
-
-def emit_or(parent: Feature, group: Group) -> Axiom:
-    union = UnionOf(tuple(_exists(m) for m in group.members))
-    return SubClassOf(NamedClass(rule_class_name(parent.name)), union)
-
-
-def emit_alternative(parent: Feature, group: Group) -> list[Axiom]:
-    """At-least-one union axiom plus pairwise at-most-one exclusions."""
-    rule = NamedClass(rule_class_name(parent.name))
-    axioms: list[Axiom] = [emit_or(parent, group)]
-    members = group.members
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            both = IntersectionOf((_exists(members[i]), _exists(members[j])))
-            axioms.append(SubClassOf(rule, ComplementOf(both)))
-    return axioms
-
-
-def emit_requires(source: Feature, target: Feature) -> Axiom:
-    # the restriction attaches to the feature class itself, not its rule class
-    return SubClassOf(NamedClass(source.name), _exists(target.name))
-
-
-def emit_excludes(source: Feature, target: Feature) -> Axiom:
-    return SubClassOf(NamedClass(source.name), ComplementOf(_exists(target.name)))
-
-
-def emit_disjointness(model: FeatureModel) -> list[Axiom]:
-    """DisjointClasses(Fi, Fj) for every unordered pair, lexicographic."""
-    names = sorted(model.feature_names)
-    return [
-        DisjointClasses(NamedClass(names[i]), NamedClass(names[j]))
-        for i in range(len(names))
-        for j in range(i + 1, len(names))
-    ]
-
-
-def emit_attributes(feature: Feature, seen_properties: set | None = None) -> list[Axiom]:
-    """Datatype-property axioms for one feature's attributes.
-
-    Data-property names share one global namespace; pass the same
-    seen_properties set across features to reject collisions.
+    Each feature's terms are built once; every axiom refers to these
+    shared, immutable objects.
     """
-    seen = seen_properties if seen_properties is not None else set()
-    axioms: list[Axiom] = []
-    for attr in feature.attributes:
-        if attr.name in seen:
-            raise CompileError(
-                f"duplicate data property '{attr.name}' (attribute names are global)")
-        seen.add(attr.name)
-        axioms.append(Declaration(EntityKind.DATA_PROPERTY, attr.name))
-        axioms.append(DataPropertyDomain(attr.name, NamedClass(feature.name)))
-        axioms.append(DataPropertyRange(attr.name, "xsd:" + attr.datatype))
-    return axioms
-
-
-def compile_model(model: FeatureModel, iri: str | None = None) -> Ontology:
-    """Transform a feature model into its OWL ontology.
-
-    Axiom order: base axioms per feature (feature order), relation axioms
-    (feature order: a mandatory child's axiom at the child's position, a
-    group's axioms at its first member's position), cross-tree constraint
-    axioms (declaration order), disjointness, then attribute axioms.
-    """
-    axioms: list[Axiom] = []
+    terms: dict[str, _Terms] = {}
     for feature in model.features:
-        axioms.extend(emit_feature_base(feature))
+        name = feature.name
+        cls = NamedClass(name)
+        t = terms[name] = _Terms(cls, NamedClass(name + "Rule"), SomeValuesFrom("has" + name, cls))
+        yield Declaration(EntityKind.CLASS, name)
+        yield Declaration(EntityKind.CLASS, t.rule.name)
+        yield Declaration(EntityKind.OBJECT_PROPERTY, t.exists.property)
+        yield ObjectPropertyRange(t.exists.property, cls)
+        yield EquivalentClasses(t.rule, t.exists)
 
-    emitted_groups: set[int] = set()
+    def term(name: str) -> _Terms:
+        try:
+            return terms[name]
+        except KeyError:
+            raise UnknownFeatureError([name]) from None
+
+    # a group's axioms sit at its first member in feature order
+    first_member = {f.group: f for f in reversed(model.features)
+                    if f.variability is Variability.GROUP_MEMBER}
     for feature in model.features:
         if feature.parent is None:
             continue
-        parent = model.feature(feature.parent)
+        rule = term(feature.parent).rule
         if feature.variability is Variability.MANDATORY:
-            axioms.append(emit_mandatory(parent, feature))
-        elif feature.variability is Variability.GROUP_MEMBER:
-            if feature.group not in emitted_groups:
-                emitted_groups.add(feature.group)
-                group = model.group(feature.group)
-                if group.kind is GroupKind.OR:
-                    axioms.append(emit_or(parent, group))
-                else:
-                    axioms.extend(emit_alternative(parent, group))
+            yield SubClassOf(rule, terms[feature.name].exists)
+        elif first_member.get(feature.group) is feature:
+            group = model.group(feature.group)
+            members = [term(m).exists for m in group.members]
+            yield SubClassOf(rule, UnionOf(tuple(members)))
+            if group.kind is GroupKind.ALTERNATIVE:
+                for pair in combinations(members, 2):
+                    yield SubClassOf(rule, ComplementOf(IntersectionOf(pair)))
 
     for constraint in model.constraints:
-        source = model.feature(constraint.source)
-        target = model.feature(constraint.target)
+        # the restriction attaches to the feature class itself, not its rule class
+        source, target = term(constraint.source).cls, term(constraint.target).exists
         if constraint.kind is ConstraintKind.REQUIRES:
-            axioms.append(emit_requires(source, target))
+            yield SubClassOf(source, target)
         else:
-            axioms.append(emit_excludes(source, target))
+            yield SubClassOf(source, ComplementOf(target))
 
-    axioms.extend(emit_disjointness(model))
+    classes = [terms[name].cls for name in sorted(model.feature_names)]
+    for a, b in combinations(classes, 2):
+        yield DisjointClasses(a, b)
 
-    seen_properties: set[str] = set()
+    # data-property names share one global namespace
+    declared: set[str] = set()
     for feature in model.features:
-        axioms.extend(emit_attributes(feature, seen_properties))
+        for attr in feature.attributes:
+            if attr.name in declared:
+                raise CompileError(
+                    f"duplicate data property '{attr.name}' (attribute names are global)")
+            declared.add(attr.name)
+            yield Declaration(EntityKind.DATA_PROPERTY, attr.name)
+            yield DataPropertyDomain(attr.name, terms[feature.name].cls)
+            yield DataPropertyRange(attr.name, "xsd:" + attr.datatype)
 
+
+def compile_model(model: FeatureModel, iri: str | None = None) -> Ontology:
+    """Transform a feature model into its OWL ontology."""
     try:
-        return Ontology(iri or default_iri(model.root), tuple(axioms))
+        return Ontology(iri or default_iri(model.root), tuple(_axioms(model)))
     except OwlError as exc:
         # e.g. feature names A and ARule colliding on the rule class
         raise CompileError(str(exc)) from exc

@@ -51,11 +51,17 @@ _DATATYPE_RE = re.compile(r"xsd:[A-Za-z][A-Za-z0-9]*\Z")
 
 # --- class expressions -----------------------------------------------------
 
+# Class expressions nest at most this deep. The compiler writes at most
+# 4 levels; the bound keeps the recursive reader, validator and serializer
+# far from the interpreter's recursion limit.
+MAX_EXPR_DEPTH = 100
+
+
 class ClassExpression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Thing(ClassExpression):
     """owl:Thing, the top concept."""
 
@@ -63,17 +69,17 @@ class Thing(ClassExpression):
 THING = Thing()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedClass(ClassExpression):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplementOf(ClassExpression):
     operand: ClassExpression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntersectionOf(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
@@ -82,7 +88,7 @@ class IntersectionOf(ClassExpression):
             raise OwlError("ObjectIntersectionOf needs at least 2 operands")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnionOf(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
@@ -91,13 +97,13 @@ class UnionOf(ClassExpression):
             raise OwlError("ObjectUnionOf needs at least 2 operands")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SomeValuesFrom(ClassExpression):
     property: str
     filler: ClassExpression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllValuesFrom(ClassExpression):
     property: str
     filler: ClassExpression
@@ -115,49 +121,49 @@ class Axiom:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Declaration(Axiom):
     kind: EntityKind
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubClassOf(Axiom):
     sub: ClassExpression
     sup: ClassExpression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalentClasses(Axiom):
     a: ClassExpression
     b: ClassExpression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisjointClasses(Axiom):
     a: NamedClass
     b: NamedClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectPropertyRange(Axiom):
     property: str
     range: ClassExpression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataPropertyDomain(Axiom):
     property: str
     domain: NamedClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataPropertyRange(Axiom):
     property: str
     datatype: str  # prefixed name, e.g. "xsd:decimal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ontology:
     """An ontology whose names are declared: built only if it validates."""
 
@@ -190,19 +196,23 @@ def validate_ontology(ontology: Ontology) -> None:
         if name not in declared[kind]:
             raise UndeclaredNameError(f"{kind.value} '{name}' used but not declared")
 
-    def check_expr(expr: ClassExpression) -> None:
+    def check_expr(expr: ClassExpression, depth: int = 0) -> None:
+        # depth counts the constructors around expr, as the reader does
         if isinstance(expr, Thing):
             return
         if isinstance(expr, NamedClass):
             need(EntityKind.CLASS, expr.name)
-        elif isinstance(expr, ComplementOf):
-            check_expr(expr.operand)
+            return
+        if depth == MAX_EXPR_DEPTH:
+            raise OwlError(f"class expression nested more than {MAX_EXPR_DEPTH} levels deep")
+        if isinstance(expr, ComplementOf):
+            check_expr(expr.operand, depth + 1)
         elif isinstance(expr, (IntersectionOf, UnionOf)):
             for op in expr.operands:
-                check_expr(op)
+                check_expr(op, depth + 1)
         elif isinstance(expr, (SomeValuesFrom, AllValuesFrom)):
             need(EntityKind.OBJECT_PROPERTY, expr.property)
-            check_expr(expr.filler)
+            check_expr(expr.filler, depth + 1)
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
@@ -312,12 +322,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-# Class expressions nest at most this deep. The compiler writes at most
-# 4 levels; the bound keeps the recursive reader and validator far from
-# the interpreter's recursion limit.
-MAX_EXPR_DEPTH = 100
-
 
 class _OwlParser(Cursor):
     def __init__(self, text: str):

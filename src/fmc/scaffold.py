@@ -193,16 +193,14 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
         elif isinstance(axiom, DataPropertyRange):
             field_type.setdefault(axiom.property, axiom.datatype.removeprefix("xsd:"))
 
-    forms = []
-    for category in categories:
-        fields = tuple(
-            FormField(name, field_type.get(name, "string"), triggers.get(name.lower()))
-            for name in data_properties
-            if field_domain.get(name) == category.name)
-        forms.append(FormSpec(category.name, fields))
+    fields_of: dict[str | None, list[FormField]] = {}
+    for name in data_properties:
+        fields_of.setdefault(field_domain.get(name), []).append(
+            FormField(name, field_type.get(name, "string"), triggers.get(name.lower())))
+    forms = tuple(FormSpec(c.name, tuple(fields_of.get(c.name, ()))) for c in categories)
 
     site = classes[0] if classes else "site"
-    return SiteScaffold(site, categories, predicates, tuple(forms))
+    return SiteScaffold(site, categories, predicates, forms)
 
 
 def _prepare(paths: list[Path], overwrite: bool) -> None:

@@ -1,22 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
-from fmc.compiler import (
-    CompileError,
-    compile_model,
-    default_iri,
-    emit_alternative,
-    emit_attributes,
-    emit_disjointness,
-    emit_excludes,
-    emit_feature_base,
-    emit_mandatory,
-    emit_or,
-    emit_requires,
-)
+from fmc.compiler import CompileError, compile_model, default_iri
 from fmc.dsl import parse
-from fmc.model import Attribute, Feature, Variability
+from fmc.model import Variability
 from fmc.owl import (
     ComplementOf,
     DataPropertyDomain,
@@ -36,51 +25,51 @@ from fmc.owl import (
 
 from helpers import random_model
 
-A = Feature("A", None, Variability.MANDATORY)
-B = Feature("B", "A", Variability.MANDATORY)
-
 
 def exists(name):
     return SomeValuesFrom(f"has{name}", NamedClass(name))
 
 
+def axioms_of(source, kind):
+    return [a for a in compile_model(parse(source)).axioms if isinstance(a, kind)]
+
+
 def test_feature_base_is_five_axioms_in_order():
-    assert emit_feature_base(Feature("X", None, Variability.MANDATORY)) == [
+    assert compile_model(parse("feature X")).axioms == (
         Declaration(EntityKind.CLASS, "X"),
         Declaration(EntityKind.CLASS, "XRule"),
         Declaration(EntityKind.OBJECT_PROPERTY, "hasX"),
         ObjectPropertyRange("hasX", NamedClass("X")),
         EquivalentClasses(NamedClass("XRule"), exists("X")),
-    ]
+    )
 
 
 def test_mandatory_restricts_parent_rule_class():
-    assert emit_mandatory(A, B) == SubClassOf(NamedClass("ARule"), exists("B"))
+    assert axioms_of("feature A { mandatory B }", SubClassOf) == [
+        SubClassOf(NamedClass("ARule"), exists("B"))]
 
 
 def test_requires_attaches_to_feature_class():
-    source = Feature("MemberNotification", "R", Variability.OPTIONAL)
-    target = Feature("Donor", "R", Variability.OPTIONAL)
-    assert emit_requires(source, target) == SubClassOf(
-        NamedClass("MemberNotification"), exists("Donor"))
+    source = ("feature R { optional MemberNotification optional Donor } "
+              "constraints { MemberNotification requires Donor }")
+    assert axioms_of(source, SubClassOf) == [
+        SubClassOf(NamedClass("MemberNotification"), exists("Donor"))]
 
 
 def test_excludes_is_complemented_existential():
-    assert emit_excludes(A, B) == SubClassOf(NamedClass("A"), ComplementOf(exists("B")))
+    assert axioms_of("feature A { optional B } constraints { A excludes B }", SubClassOf) == [
+        SubClassOf(NamedClass("A"), ComplementOf(exists("B")))]
 
 
 def test_or_group_is_union_over_members():
-    model = parse("feature A { or { B C D } }")
-    axiom = emit_or(model.feature("A"), model.groups[0])
-    assert axiom == SubClassOf(
-        NamedClass("ARule"), UnionOf((exists("B"), exists("C"), exists("D"))))
+    assert axioms_of("feature A { or { B C D } }", SubClassOf) == [
+        SubClassOf(NamedClass("ARule"), UnionOf((exists("B"), exists("C"), exists("D"))))]
 
 
 def test_alternative_adds_pairwise_exclusions():
-    model = parse("feature A { alternative { B C D } }")
-    axioms = emit_alternative(model.feature("A"), model.groups[0])
+    axioms = axioms_of("feature A { alternative { B C D } }", SubClassOf)
     assert len(axioms) == 1 + 3  # union + n(n-1)/2 pairs
-    assert axioms[0] == emit_or(model.feature("A"), model.groups[0])
+    assert axioms[0] == axioms_of("feature A { or { B C D } }", SubClassOf)[0]
     assert axioms[1] == SubClassOf(
         NamedClass("ARule"),
         ComplementOf(IntersectionOf((exists("B"), exists("C")))))
@@ -90,9 +79,7 @@ def test_alternative_adds_pairwise_exclusions():
 
 
 def test_disjointness_covers_all_pairs_lexicographically():
-    model = parse("feature M { optional Zeta optional Alpha }")
-    axioms = emit_disjointness(model)
-    assert axioms == [
+    assert axioms_of("feature M { optional Zeta optional Alpha }", DisjointClasses) == [
         DisjointClasses(NamedClass("Alpha"), NamedClass("M")),
         DisjointClasses(NamedClass("Alpha"), NamedClass("Zeta")),
         DisjointClasses(NamedClass("M"), NamedClass("Zeta")),
@@ -100,14 +87,14 @@ def test_disjointness_covers_all_pairs_lexicographically():
 
 
 def test_attributes_emit_domain_and_range():
-    feature = Feature("DonationData", "A", Variability.OPTIONAL,
-                      attributes=(Attribute("total", "decimal"),))
-    assert emit_attributes(feature) == [
+    source = "feature A { optional DonationData { attribute total : decimal } optional X }"
+    assert compile_model(parse(source)).axioms[-3:] == (
         Declaration(EntityKind.DATA_PROPERTY, "total"),
         DataPropertyDomain("total", NamedClass("DonationData")),
         DataPropertyRange("total", "xsd:decimal"),
-    ]
-    assert emit_attributes(Feature("X", "A", Variability.OPTIONAL)) == []
+    )
+    assert axioms_of(source, DataPropertyDomain) == [
+        DataPropertyDomain("total", NamedClass("DonationData"))]
 
 
 def test_duplicate_attribute_name_across_features_fails():
@@ -181,3 +168,110 @@ def test_relation_axioms_follow_feature_order():
         SubClassOf(NamedClass("BRule"), exists("D")),
         SubClassOf(NamedClass("ARule"), exists("C")),
     ]
+
+
+def test_group_axioms_sit_at_first_member_in_feature_order():
+    model = parse("feature A { or { B { mandatory D } C } mandatory E }")
+    group = model.groups[0]
+    # a model built in code may list the members out of feature order
+    shuffled = dataclasses.replace(
+        model, groups=(dataclasses.replace(group, members=("C", "B")),))
+    assert [a for a in compile_model(shuffled).axioms if isinstance(a, SubClassOf)] == [
+        SubClassOf(NamedClass("ARule"), UnionOf((exists("C"), exists("B")))),
+        SubClassOf(NamedClass("BRule"), exists("D")),
+        SubClassOf(NamedClass("ARule"), exists("E")),
+    ]
+
+
+EVERY_CONSTRUCT = """feature Shop {
+  attribute name : string
+  or { Card Cash }
+  alternative { Small Medium Large }
+  mandatory Cart { attribute total : decimal }
+}
+constraints {
+  Card requires Cart
+  Cash excludes Large
+}
+"""
+
+EVERY_CONSTRUCT_OFN = """\
+Prefix(:=<http://example.org/shop#>)
+Ontology(<http://example.org/shop#>
+Declaration(Class(:Shop))
+Declaration(Class(:ShopRule))
+Declaration(ObjectProperty(:hasShop))
+ObjectPropertyRange(:hasShop :Shop)
+EquivalentClasses(:ShopRule ObjectSomeValuesFrom(:hasShop :Shop))
+Declaration(Class(:Card))
+Declaration(Class(:CardRule))
+Declaration(ObjectProperty(:hasCard))
+ObjectPropertyRange(:hasCard :Card)
+EquivalentClasses(:CardRule ObjectSomeValuesFrom(:hasCard :Card))
+Declaration(Class(:Cash))
+Declaration(Class(:CashRule))
+Declaration(ObjectProperty(:hasCash))
+ObjectPropertyRange(:hasCash :Cash)
+EquivalentClasses(:CashRule ObjectSomeValuesFrom(:hasCash :Cash))
+Declaration(Class(:Small))
+Declaration(Class(:SmallRule))
+Declaration(ObjectProperty(:hasSmall))
+ObjectPropertyRange(:hasSmall :Small)
+EquivalentClasses(:SmallRule ObjectSomeValuesFrom(:hasSmall :Small))
+Declaration(Class(:Medium))
+Declaration(Class(:MediumRule))
+Declaration(ObjectProperty(:hasMedium))
+ObjectPropertyRange(:hasMedium :Medium)
+EquivalentClasses(:MediumRule ObjectSomeValuesFrom(:hasMedium :Medium))
+Declaration(Class(:Large))
+Declaration(Class(:LargeRule))
+Declaration(ObjectProperty(:hasLarge))
+ObjectPropertyRange(:hasLarge :Large)
+EquivalentClasses(:LargeRule ObjectSomeValuesFrom(:hasLarge :Large))
+Declaration(Class(:Cart))
+Declaration(Class(:CartRule))
+Declaration(ObjectProperty(:hasCart))
+ObjectPropertyRange(:hasCart :Cart)
+EquivalentClasses(:CartRule ObjectSomeValuesFrom(:hasCart :Cart))
+SubClassOf(:ShopRule ObjectUnionOf(ObjectSomeValuesFrom(:hasCard :Card) ObjectSomeValuesFrom(:hasCash :Cash)))
+SubClassOf(:ShopRule ObjectUnionOf(ObjectSomeValuesFrom(:hasSmall :Small) ObjectSomeValuesFrom(:hasMedium :Medium) ObjectSomeValuesFrom(:hasLarge :Large)))
+SubClassOf(:ShopRule ObjectComplementOf(ObjectIntersectionOf(ObjectSomeValuesFrom(:hasSmall :Small) ObjectSomeValuesFrom(:hasMedium :Medium))))
+SubClassOf(:ShopRule ObjectComplementOf(ObjectIntersectionOf(ObjectSomeValuesFrom(:hasSmall :Small) ObjectSomeValuesFrom(:hasLarge :Large))))
+SubClassOf(:ShopRule ObjectComplementOf(ObjectIntersectionOf(ObjectSomeValuesFrom(:hasMedium :Medium) ObjectSomeValuesFrom(:hasLarge :Large))))
+SubClassOf(:ShopRule ObjectSomeValuesFrom(:hasCart :Cart))
+SubClassOf(:Card ObjectSomeValuesFrom(:hasCart :Cart))
+SubClassOf(:Cash ObjectComplementOf(ObjectSomeValuesFrom(:hasLarge :Large)))
+DisjointClasses(:Card :Cart)
+DisjointClasses(:Card :Cash)
+DisjointClasses(:Card :Large)
+DisjointClasses(:Card :Medium)
+DisjointClasses(:Card :Shop)
+DisjointClasses(:Card :Small)
+DisjointClasses(:Cart :Cash)
+DisjointClasses(:Cart :Large)
+DisjointClasses(:Cart :Medium)
+DisjointClasses(:Cart :Shop)
+DisjointClasses(:Cart :Small)
+DisjointClasses(:Cash :Large)
+DisjointClasses(:Cash :Medium)
+DisjointClasses(:Cash :Shop)
+DisjointClasses(:Cash :Small)
+DisjointClasses(:Large :Medium)
+DisjointClasses(:Large :Shop)
+DisjointClasses(:Large :Small)
+DisjointClasses(:Medium :Shop)
+DisjointClasses(:Medium :Small)
+DisjointClasses(:Shop :Small)
+Declaration(DataProperty(:name))
+DataPropertyDomain(:name :Shop)
+DataPropertyRange(:name xsd:string)
+Declaration(DataProperty(:total))
+DataPropertyDomain(:total :Cart)
+DataPropertyRange(:total xsd:decimal)
+)
+"""
+
+
+def test_every_construct_serializes_to_pinned_text():
+    ontology = compile_model(parse(EVERY_CONSTRUCT), "http://example.org/shop#")
+    assert serialize_functional(ontology) == EVERY_CONSTRUCT_OFN

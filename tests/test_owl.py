@@ -210,3 +210,9 @@ def test_expression_nesting_is_limited():
         assert info.value.line == 4
         assert info.value.column == len("SubClassOf(:A ") + MAX_EXPR_DEPTH * len(
             "ObjectComplementOf(") + 1
+        # an Ontology built in code is held to the same bound
+        deep = NamedClass("A")
+        for _ in range(depth):
+            deep = ComplementOf(deep)
+        with pytest.raises(OwlError, match="nested more than"):
+            Ontology(IRI, declared((EntityKind.CLASS, "A")) + (SubClassOf(NamedClass("A"), deep),))

@@ -2,7 +2,8 @@
 
 ``parse`` returns a model or raises ``ParseError``; ``parse_functional``
 returns an ``Ontology`` or raises ``OwlError``; a syntax error's line and
-column point inside the text; ``fmc check`` exits with a documented code.
+column point inside the text; ``fmc check`` exits with a documented code,
+and ``fmc compile`` writes the ontology ``compile_model`` builds.
 Mutated inputs start from ``to_source`` and ``serialize_functional`` output
 of the seeded generators in ``helpers``.
 """
@@ -14,9 +15,17 @@ import tempfile
 import pytest
 
 from fmc.cli import main
+from fmc.compiler import compile_model
 from fmc.dsl import KEYWORDS, ParseError, parse, to_source
 from fmc.model import FeatureModel
-from fmc.owl import Ontology, OwlError, OwlSyntaxError, parse_functional, serialize_functional
+from fmc.owl import (
+    Ontology,
+    OwlError,
+    OwlSyntaxError,
+    parse_functional,
+    parse_functional_file,
+    serialize_functional,
+)
 
 from helpers import random_model, random_ontology
 
@@ -95,12 +104,28 @@ def test_parse_functional_returns_ontology_or_owl_error(text):
         assert parse_functional(serialize_functional(ontology)) == ontology
 
 
+def saved(tmp, text):
+    path = os.path.join(tmp, "model.fm")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(mutated(dsl_source, DSL_PIECES))
 def test_cli_check_exits_with_documented_code(text):
     # an exception escaping main would be a traceback on the command line
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.fm")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        assert main(["check", path]) in (0, 1, 2, 3, 4)
+        assert main(["check", saved(tmp, text)]) in (0, 1, 2, 3, 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(0, 2**32 - 1).map(lambda seed: dsl_source(random.Random(seed))),
+                 mutated(dsl_source, DSL_PIECES)))
+def test_cli_compile_writes_the_compiled_ontology(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "model.ofn")
+        code = main(["compile", saved(tmp, text), out])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert parse_functional_file(out) == compile_model(parse(text))

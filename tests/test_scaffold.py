@@ -9,6 +9,7 @@ from fmc.owl import Declaration, EntityKind, Ontology
 from fmc.scaffold import (
     DEFAULT_TRIGGERS,
     Category,
+    FormField,
     FormSpec,
     Predicate,
     ScaffoldError,
@@ -128,6 +129,24 @@ def test_load_triggers(tmp_path):
 def test_empty_ontology_yields_empty_scaffold():
     scaffold = generate(Ontology("http://example.org/x#", ()))
     assert scaffold == SiteScaffold("site", (), (), ())
+
+
+def test_form_fields_keep_declaration_order_across_categories():
+    from fmc.owl import DataPropertyDomain, DataPropertyRange, NamedClass
+
+    # the data properties of A and B alternate in declaration order
+    props = (("a1", "A"), ("b1", "B"), ("a2", "A"), ("b2", "B"), ("total", "A"))
+    axioms = (Declaration(EntityKind.CLASS, "A"), Declaration(EntityKind.CLASS, "B"))
+    for name, domain in props:
+        axioms += (Declaration(EntityKind.DATA_PROPERTY, name),
+                   DataPropertyDomain(name, NamedClass(domain)),
+                   DataPropertyRange(name, "xsd:integer"))
+    forms = generate(Ontology("http://example.org/x#", axioms)).forms
+    assert forms == (
+        FormSpec("A", (FormField("a1", "integer"), FormField("a2", "integer"),
+                       FormField("total", "integer", "Sum"))),
+        FormSpec("B", (FormField("b1", "integer"), FormField("b2", "integer"))),
+    )
 
 
 def test_generate_rejects_invalid_ontology():
