@@ -207,18 +207,15 @@ def check_consistency(model: FeatureModel) -> bool:
     return solve(to_propositional(model)) is not None
 
 
-def dead_features(model: FeatureModel, *,
-                  formula: PropositionalFormula | None = None) -> set[str]:
+def dead_features(model: FeatureModel) -> set[str]:
     """Features that appear in no valid configuration.
 
-    Raises VoidModelError if the model itself has no valid configuration.
-    ``formula`` is ``to_propositional(model)`` when the caller already has
-    it. One solver answers, for each feature no witness has selected yet,
-    whether it can be selected; each witness marks every feature it
-    selects alive.
+    Raises VoidModelError if the model itself has no valid configuration,
+    found by the one ``solve`` of the base formula. One solver then
+    answers, for each feature no witness has selected yet, whether it can
+    be selected; each witness marks every feature it selects alive.
     """
-    if formula is None:
-        formula = to_propositional(model)
+    formula = to_propositional(model)
     base = solve(formula)
     if base is None:
         raise VoidModelError("model has no valid configuration")
@@ -244,19 +241,18 @@ def dead_features(model: FeatureModel, *,
     return dead
 
 
-def count_configurations(model: FeatureModel, *,
-                         formula: PropositionalFormula | None = None) -> int:
+def count_configurations(model: FeatureModel) -> int:
     """Exact number of valid configurations: the models of the model's CNF.
 
-    ``formula`` is ``to_propositional(model)`` when the caller already has
-    it. Models beyond ENUMERATION_CAP features raise EnumerationCapError
-    rather than approximating; the cap also bounds the branching depth.
+    Models beyond ENUMERATION_CAP features raise EnumerationCapError
+    before any clause is built, rather than approximating; the cap also
+    bounds the branching depth.
     """
     n = len(model.features)
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"model has {n} features; counting is capped at {ENUMERATION_CAP}")
-    clauses = formula.clauses if formula is not None else cnf(model)
+    clauses = cnf(model)
     cache: dict[frozenset, int] = {}
 
     def count(clauses: list[tuple[int, ...]], num_vars: int) -> int:
@@ -337,17 +333,17 @@ def analyze(model: FeatureModel) -> dict:
 
     Returns {"consistent": bool, "dead_features": [names in feature
     order], "configuration_count": int | None}; the count is None when
-    the model exceeds the enumeration cap. The CNF is built once and the
-    base formula solved once, inside dead_features.
+    the model exceeds the enumeration cap. The base formula is solved
+    once, inside dead_features, which also decides consistency; the count
+    builds its own clauses only for models within the cap.
     """
-    formula = to_propositional(model)
     try:
-        dead = dead_features(model, formula=formula)
+        dead = dead_features(model)
         consistent = True
     except VoidModelError:
         dead, consistent = set(), False
     try:
-        count = count_configurations(model, formula=formula)
+        count = count_configurations(model)
     except EnumerationCapError:
         count = None
     return {

@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from itertools import combinations
 from typing import NamedTuple
 
-from .model import FeatureModel, GroupKind, ConstraintKind, UnknownFeatureError, Variability
+from .model import FeatureModel, GroupKind, ConstraintKind, Variability
 from .owl import (
     Axiom,
     ComplementOf,
@@ -83,24 +83,18 @@ def _axioms(model: FeatureModel) -> Iterator[Axiom]:
         yield ObjectPropertyRange(t.exists.property, cls)
         yield EquivalentClasses(t.rule, t.exists)
 
-    def term(name: str) -> _Terms:
-        try:
-            return terms[name]
-        except KeyError:
-            raise UnknownFeatureError([name]) from None
-
     # a group's axioms sit at its first member in feature order
     first_member = {f.group: f for f in reversed(model.features)
                     if f.variability is Variability.GROUP_MEMBER}
     for feature in model.features:
         if feature.parent is None:
             continue
-        rule = term(feature.parent).rule
+        rule = terms[feature.parent].rule
         if feature.variability is Variability.MANDATORY:
             yield SubClassOf(rule, terms[feature.name].exists)
         elif first_member.get(feature.group) is feature:
             group = model.group(feature.group)
-            members = [term(m).exists for m in group.members]
+            members = [terms[m].exists for m in group.members]
             yield SubClassOf(rule, UnionOf(tuple(members)))
             if group.kind is GroupKind.ALTERNATIVE:
                 for pair in combinations(members, 2):
@@ -108,7 +102,7 @@ def _axioms(model: FeatureModel) -> Iterator[Axiom]:
 
     for constraint in model.constraints:
         # the restriction attaches to the feature class itself, not its rule class
-        source, target = term(constraint.source).cls, term(constraint.target).exists
+        source, target = terms[constraint.source].cls, terms[constraint.target].exists
         if constraint.kind is ConstraintKind.REQUIRES:
             yield SubClassOf(source, target)
         else:

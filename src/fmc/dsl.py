@@ -34,7 +34,6 @@ from .model import (
     Group,
     GroupKind,
     Variability,
-    validate,
 )
 
 KEYWORDS = frozenset({
@@ -112,10 +111,8 @@ class _Parser(Cursor):
         features = tuple(
             Feature(r.name, r.parent, r.variability, r.group, tuple(r.attributes))
             for r in self.records)
-        model = FeatureModel(root_tok[1], features, tuple(self.groups),
-                             tuple(self.constraints))
-        validate(model)
-        return model
+        return FeatureModel(root_tok[1], features, tuple(self.groups),
+                            tuple(self.constraints))
 
     def add_feature(self, tok: Token, parent: str | None,
                     variability: Variability, group: int | None = None) -> _FeatureRec:

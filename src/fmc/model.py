@@ -5,7 +5,8 @@ A child feature is mandatory, optional, or a member of an or/alternative
 group owned by its parent. Attributes attach typed data fields to a
 feature; they never influence which configurations are valid.
 
-All values are immutable after construction and safe to share.
+A ``FeatureModel`` validates itself when it is built (``validate``). All
+values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class Feature:
 
 @dataclass(frozen=True)
 class FeatureModel:
-    """A parsed feature model: the compiler's input representation.
+    """A feature model: built only if it validates.
 
     ``features`` preserves declaration order (parents before their
     children); that order drives every deterministic downstream output.
@@ -110,6 +111,7 @@ class FeatureModel:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
         object.__setattr__(self, "_groups_by_id", {g.id: g for g in self.groups})
+        validate(self)
 
     def feature(self, name: str) -> Feature:
         try:
@@ -134,8 +136,8 @@ class FeatureModel:
 def validate(model: FeatureModel) -> None:
     """Check every structural invariant; raise ModelError on the first failure.
 
-    The DSL parser cannot produce an invalid model, so this mainly guards
-    programmatically built models (generators, tests, future tooling).
+    This runs when a ``FeatureModel`` is built, so every model, parsed or
+    built in code, has passed it.
     """
     names = [f.name for f in model.features]
     if len(names) != len(set(names)):

@@ -178,8 +178,8 @@ class Ontology:
 
 def validate_ontology(ontology: Ontology) -> None:
     """Check declaration closure: unique declarations per kind, every used
-
-    name declared, names lexically valid. Raises OwlError subclasses.
+    name declared, names lexically valid. Raises OwlError subclasses; every
+    declaration is checked before any use, then uses in axiom order.
     """
     if not ontology.iri or any(ch in ontology.iri for ch in "<> \t\n"):
         raise OwlError(f"invalid ontology IRI {ontology.iri!r}")
@@ -191,17 +191,15 @@ def validate_ontology(ontology: Ontology) -> None:
             if axiom.name in declared[axiom.kind]:
                 raise OwlError(f"duplicate {axiom.kind.value} declaration '{axiom.name}'")
             declared[axiom.kind].add(axiom.name)
-
-    def need(kind: EntityKind, name: str) -> None:
-        if name not in declared[kind]:
-            raise UndeclaredNameError(f"{kind.value} '{name}' used but not declared")
+    classes, object_properties, data_properties = declared.values()  # EntityKind order
 
     def check_expr(expr: ClassExpression, depth: int = 0) -> None:
         # depth counts the constructors around expr, as the reader does
-        if isinstance(expr, Thing):
-            return
         if isinstance(expr, NamedClass):
-            need(EntityKind.CLASS, expr.name)
+            if expr.name not in classes:
+                raise _undeclared(EntityKind.CLASS, expr.name)
+            return
+        if isinstance(expr, Thing):
             return
         if depth == MAX_EXPR_DEPTH:
             raise OwlError(f"class expression nested more than {MAX_EXPR_DEPTH} levels deep")
@@ -211,35 +209,44 @@ def validate_ontology(ontology: Ontology) -> None:
             for op in expr.operands:
                 check_expr(op, depth + 1)
         elif isinstance(expr, (SomeValuesFrom, AllValuesFrom)):
-            need(EntityKind.OBJECT_PROPERTY, expr.property)
+            if expr.property not in object_properties:
+                raise _undeclared(EntityKind.OBJECT_PROPERTY, expr.property)
             check_expr(expr.filler, depth + 1)
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
     for axiom in ontology.axioms:
-        if isinstance(axiom, Declaration):
+        # DisjointClasses first: a compiled ontology is almost all of them
+        if isinstance(axiom, DisjointClasses):
+            check_expr(axiom.a)
+            check_expr(axiom.b)
+        elif isinstance(axiom, Declaration):
             continue
-        if isinstance(axiom, SubClassOf):
+        elif isinstance(axiom, SubClassOf):
             check_expr(axiom.sub)
             check_expr(axiom.sup)
         elif isinstance(axiom, EquivalentClasses):
             check_expr(axiom.a)
             check_expr(axiom.b)
-        elif isinstance(axiom, DisjointClasses):
-            check_expr(axiom.a)
-            check_expr(axiom.b)
         elif isinstance(axiom, ObjectPropertyRange):
-            need(EntityKind.OBJECT_PROPERTY, axiom.property)
+            if axiom.property not in object_properties:
+                raise _undeclared(EntityKind.OBJECT_PROPERTY, axiom.property)
             check_expr(axiom.range)
         elif isinstance(axiom, DataPropertyDomain):
-            need(EntityKind.DATA_PROPERTY, axiom.property)
+            if axiom.property not in data_properties:
+                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
             check_expr(axiom.domain)
         elif isinstance(axiom, DataPropertyRange):
-            need(EntityKind.DATA_PROPERTY, axiom.property)
+            if axiom.property not in data_properties:
+                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
             if not _DATATYPE_RE.match(axiom.datatype):
                 raise OwlError(f"unsupported datatype {axiom.datatype!r}")
         else:
             raise OwlError(f"unknown axiom {axiom!r}")
+
+
+def _undeclared(kind: EntityKind, name: str) -> UndeclaredNameError:
+    return UndeclaredNameError(f"{kind.value} '{name}' used but not declared")
 
 
 # --- serialization ---------------------------------------------------------

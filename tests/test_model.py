@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from fmc.dsl import parse
 from fmc.model import (
     Attribute,
     ConstraintKind,
@@ -44,68 +47,56 @@ def test_validate_accepts_two_node():
 
 
 def test_duplicate_names_rejected():
-    model = FeatureModel("A", (Feature("A", None, M), Feature("B", "A", M),
-                               Feature("B", "A", O)))
     with pytest.raises(ModelError, match="duplicate feature name"):
-        validate(model)
+        FeatureModel("A", (Feature("A", None, M), Feature("B", "A", M),
+                           Feature("B", "A", O)))
 
 
 def test_invalid_name_rejected():
-    model = FeatureModel("A", (Feature("A", None, M), Feature("9lives", "A", O)))
     with pytest.raises(ModelError, match="invalid feature name"):
-        validate(model)
+        FeatureModel("A", (Feature("A", None, M), Feature("9lives", "A", O)))
 
 
 def test_single_root_required():
-    no_root = FeatureModel("A", (Feature("A", "B", M), Feature("B", "A", M)))
     with pytest.raises(ModelError, match="exactly one root"):
-        validate(no_root)
-    two_roots = FeatureModel("A", (Feature("A", None, M), Feature("B", None, M)))
+        FeatureModel("A", (Feature("A", "B", M), Feature("B", "A", M)))
     with pytest.raises(ModelError, match="exactly one root"):
-        validate(two_roots)
+        FeatureModel("A", (Feature("A", None, M), Feature("B", None, M)))
 
 
 def test_root_field_must_match_parentless_feature():
-    model = FeatureModel("B", (Feature("A", None, M), Feature("B", "A", M)))
     with pytest.raises(ModelError, match="root field"):
-        validate(model)
+        FeatureModel("B", (Feature("A", None, M), Feature("B", "A", M)))
 
 
 def test_root_must_be_mandatory():
-    model = FeatureModel("A", (Feature("A", None, O),))
     with pytest.raises(ModelError, match="root feature must be mandatory"):
-        validate(model)
+        FeatureModel("A", (Feature("A", None, O),))
 
 
 def test_unknown_parent_rejected():
-    model = FeatureModel("A", (Feature("A", None, M), Feature("B", "Nope", O)))
     with pytest.raises(ModelError, match="unknown parent"):
-        validate(model)
+        FeatureModel("A", (Feature("A", None, M), Feature("B", "Nope", O)))
 
 
 def test_parent_cycle_rejected():
-    model = FeatureModel("A", (Feature("A", None, M),
-                               Feature("B", "C", O), Feature("C", "B", O)))
     with pytest.raises(ModelError, match="cycle"):
-        validate(model)
-    self_parent = FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
-                                     Feature("C", "C", O)))
+        FeatureModel("A", (Feature("A", None, M),
+                           Feature("B", "C", O), Feature("C", "B", O)))
     with pytest.raises(ModelError, match="cycle in parent references involving 'C'"):
-        validate(self_parent)
+        FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                           Feature("C", "C", O)))
     # D hangs below the B <-> C cycle; the walk up from D enters it at B
-    tail = FeatureModel("A", (Feature("A", None, M), Feature("D", "B", O),
-                              Feature("B", "C", O), Feature("C", "B", O)))
     with pytest.raises(ModelError, match="cycle in parent references involving 'B'"):
-        validate(tail)
+        FeatureModel("A", (Feature("A", None, M), Feature("D", "B", O),
+                           Feature("B", "C", O), Feature("C", "B", O)))
 
 
 def test_group_marker_consistency():
-    missing_gid = FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G)))
     with pytest.raises(ModelError, match="group id and group-member"):
-        validate(missing_gid)
-    spurious_gid = FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O, 0)))
+        FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G)))
     with pytest.raises(ModelError, match="group id and group-member"):
-        validate(spurious_gid)
+        FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O, 0)))
 
 
 def grouped(members=("B", "C"), group=None):
@@ -120,11 +111,10 @@ def test_valid_group_accepted():
 
 
 def test_group_needs_two_members():
-    model = FeatureModel(
-        "A", (Feature("A", None, M), Feature("B", "A", G, 0)),
-        (Group(0, "A", GroupKind.OR, ("B",)),))
     with pytest.raises(ModelError, match="at least 2 members"):
-        validate(model)
+        FeatureModel(
+            "A", (Feature("A", None, M), Feature("B", "A", G, 0)),
+            (Group(0, "A", GroupKind.OR, ("B",)),))
 
 
 def test_group_members_must_match_children():
@@ -134,10 +124,9 @@ def test_group_members_must_match_children():
 
 
 def test_feature_referencing_unknown_group():
-    model = FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 7),
-                               Feature("C", "A", G, 7)))
     with pytest.raises(ModelError, match="unknown group"):
-        validate(model)
+        FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 7),
+                           Feature("C", "A", G, 7)))
 
 
 def test_duplicate_group_ids_rejected():
@@ -149,27 +138,48 @@ def test_duplicate_group_ids_rejected():
 
 
 def test_attribute_validation():
-    dup = FeatureModel("A", (Feature("A", None, M, attributes=(
-        Attribute("x", "string"), Attribute("x", "integer"))),))
     with pytest.raises(ModelError, match="duplicate attribute"):
-        validate(dup)
-    bad_type = FeatureModel("A", (Feature("A", None, M, attributes=(
-        Attribute("x", "float"),)),))
+        FeatureModel("A", (Feature("A", None, M, attributes=(
+            Attribute("x", "string"), Attribute("x", "integer"))),))
     with pytest.raises(ModelError, match="unknown datatype"):
-        validate(bad_type)
-    bad_name = FeatureModel("A", (Feature("A", None, M, attributes=(
-        Attribute("2x", "string"),)),))
+        FeatureModel("A", (Feature("A", None, M, attributes=(
+            Attribute("x", "float"),)),))
     with pytest.raises(ModelError, match="invalid attribute name"):
-        validate(bad_name)
+        FeatureModel("A", (Feature("A", None, M, attributes=(
+            Attribute("2x", "string"),)),))
 
 
 def test_constraint_validation():
     base = (Feature("A", None, M), Feature("B", "A", O))
-    unknown = FeatureModel("A", base, constraints=(
-        CrossTreeConstraint(ConstraintKind.REQUIRES, "B", "Z"),))
     with pytest.raises(ModelError, match="unknown feature 'Z'"):
-        validate(unknown)
-    self_ref = FeatureModel("A", base, constraints=(
-        CrossTreeConstraint(ConstraintKind.EXCLUDES, "B", "B"),))
+        FeatureModel("A", base, constraints=(
+            CrossTreeConstraint(ConstraintKind.REQUIRES, "B", "Z"),))
     with pytest.raises(ModelError, match="same feature"):
-        validate(self_ref)
+        FeatureModel("A", base, constraints=(
+            CrossTreeConstraint(ConstraintKind.EXCLUDES, "B", "B"),))
+
+
+def with_unknown_group_id(model):
+    return dataclasses.replace(model, features=tuple(
+        dataclasses.replace(f, group=7) if f.name == "B" else f for f in model.features))
+
+
+def with_unknown_constraint_endpoint(model):
+    return dataclasses.replace(model, constraints=(
+        CrossTreeConstraint(ConstraintKind.REQUIRES, "B", "Z"),))
+
+
+def with_unknown_group_member(model):
+    group = dataclasses.replace(model.groups[0], members=("B", "Z"))
+    return dataclasses.replace(model, groups=(group,))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (with_unknown_group_id, "group 0 members must be exactly"),
+    (with_unknown_constraint_endpoint, "unknown feature 'Z'"),
+    (with_unknown_group_member, "group 0 members must be exactly"),
+])
+def test_model_built_in_code_is_checked_when_built(fault, message):
+    # not first by a consumer such as compile_model
+    with pytest.raises(ModelError, match=message):
+        fault(parse("feature A { or { B C } }"))

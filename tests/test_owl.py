@@ -114,6 +114,57 @@ def test_bad_iri_and_bad_datatype_rejected():
             DataPropertyRange("d", "unprefixed"),)))
 
 
+def first_error(*axioms):
+    """The type and message of the error that building an ontology raises."""
+    with pytest.raises(OwlError) as info:
+        Ontology(IRI, axioms)
+    return type(info.value), str(info.value)
+
+
+A, X, Y = NamedClass("A"), NamedClass("X"), NamedClass("Y")
+
+
+def test_declaration_errors_come_before_use_errors():
+    assert first_error(
+        Declaration(EntityKind.CLASS, "A"), SubClassOf(A, X),
+        Declaration(EntityKind.CLASS, "A"),
+    ) == (OwlError, "duplicate Class declaration 'A'")
+
+
+def test_first_undeclared_use_in_axiom_order_is_reported():
+    assert first_error(
+        Declaration(EntityKind.CLASS, "A"), SubClassOf(A, X), DisjointClasses(A, Y),
+    ) == (UndeclaredNameError, "Class 'X' used but not declared")
+    assert first_error(
+        Declaration(EntityKind.CLASS, "A"), DisjointClasses(A, Y), SubClassOf(A, X),
+    ) == (UndeclaredNameError, "Class 'Y' used but not declared")
+
+
+def test_operands_are_checked_left_to_right():
+    decl = Declaration(EntityKind.CLASS, "A")
+    assert first_error(decl, SubClassOf(Y, X)) == (
+        UndeclaredNameError, "Class 'Y' used but not declared")
+    assert first_error(decl, EquivalentClasses(A, SomeValuesFrom("hasX", X))) == (
+        UndeclaredNameError, "ObjectProperty 'hasX' used but not declared")
+    assert first_error(decl, ObjectPropertyRange("hasX", X)) == (
+        UndeclaredNameError, "ObjectProperty 'hasX' used but not declared")
+    assert first_error(decl, DataPropertyDomain("d", X)) == (
+        UndeclaredNameError, "DataProperty 'd' used but not declared")
+
+
+def test_undeclared_data_property_beats_bad_datatype_on_the_same_axiom():
+    assert first_error(DataPropertyRange("d", "unprefixed")) == (
+        UndeclaredNameError, "DataProperty 'd' used but not declared")
+
+
+def test_errors_on_different_axioms_come_in_axiom_order():
+    decls = declared((EntityKind.CLASS, "A"), (EntityKind.DATA_PROPERTY, "d"))
+    assert first_error(*decls, SubClassOf(A, X), DataPropertyRange("d", "unprefixed")) == (
+        UndeclaredNameError, "Class 'X' used but not declared")
+    assert first_error(*decls, DataPropertyRange("d", "unprefixed"), SubClassOf(A, X)) == (
+        OwlError, "unsupported datatype 'unprefixed'")
+
+
 def test_round_trip_empty_ontology():
     ontology = Ontology(IRI, ())
     assert parse_functional(serialize_functional(ontology)) == ontology
