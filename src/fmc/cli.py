@@ -14,10 +14,10 @@ import os
 import sys
 
 from . import analysis, scaffold
-from .compiler import CompileError, compile_model
+from .compiler import CompileError, _axioms, default_iri
 from .dsl import ParseError, parse, parse_configuration
 from .model import FeatureModel, ModelError, UnknownFeatureError
-from .owl import write_functional
+from .owl import Ontology, OwlError, _checked_axioms, _write_functional
 from .propositional import is_valid_configuration
 
 TRIGGERS_ENV = "FMC_TRIGGERS"
@@ -48,18 +48,14 @@ def _load_model(path: str) -> FeatureModel:
         raise _Failure(1, f"{path}: {exc}") from exc
 
 
-def _compile(args) -> object:
-    model = _load_model(args.input)
-    try:
-        return compile_model(model, args.iri)
-    except CompileError as exc:
-        raise _Failure(2, f"{args.input}: {exc}") from exc
-
-
 def cmd_compile(args) -> int:
-    ontology = _compile(args)
+    model = _load_model(args.input)
+    iri = args.iri or default_iri(model.root)
     try:
-        write_functional(ontology, args.output)
+        # each axiom is checked and written as it is built; none is kept
+        _write_functional(iri, _checked_axioms(iri, _axioms(model)), args.output)
+    except (CompileError, OwlError) as exc:
+        raise _Failure(2, f"{args.input}: {exc}") from exc
     except OSError as exc:
         raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
     print(f"wrote {args.output}", file=sys.stderr)
@@ -118,7 +114,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_scaffold(args) -> int:
-    ontology = _compile(args)
+    model = _load_model(args.input)
+    try:
+        # the site reads no DisjointClasses axiom, so none is built
+        ontology = Ontology(args.iri or default_iri(model.root),
+                            tuple(_axioms(model, disjoint=False)))
+    except (CompileError, OwlError) as exc:
+        raise _Failure(2, f"{args.input}: {exc}") from exc
     registry = None
     triggers_path = os.environ.get(TRIGGERS_ENV)
     if triggers_path:

@@ -21,6 +21,12 @@ axioms (feature order: a mandatory child's axiom at the child's position,
 a group's axioms at the position of its first member in feature order);
 constraint axioms (declaration order); DisjointClasses for every pair of
 feature names, lexicographic; then the attribute axioms (feature order).
+
+``compile_model`` collects the axioms into an ``Ontology``. ``fmc compile``
+instead streams them from ``_axioms`` through the validator into the
+output file, so no axiom is kept, and ``fmc scaffold`` skips the
+DisjointClasses block, which is nearly all of the axioms and which the
+scaffold does not read.
 """
 
 from __future__ import annotations
@@ -66,11 +72,12 @@ class _Terms(NamedTuple):
     exists: SomeValuesFrom  # ∃hasF.F
 
 
-def _axioms(model: FeatureModel) -> Iterator[Axiom]:
+def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Axiom]:
     """Yield the ontology's axioms in the order the module docstring states.
 
     Each feature's terms are built once; every axiom refers to these
-    shared, immutable objects.
+    shared, immutable objects. With disjoint=False the DisjointClasses
+    block, which only a reasoner reads, is left out.
     """
     terms: dict[str, _Terms] = {}
     for feature in model.features:
@@ -108,9 +115,10 @@ def _axioms(model: FeatureModel) -> Iterator[Axiom]:
         else:
             yield SubClassOf(source, ComplementOf(target))
 
-    classes = [terms[name].cls for name in sorted(model.feature_names)]
-    for a, b in combinations(classes, 2):
-        yield DisjointClasses(a, b)
+    if disjoint:
+        classes = [terms[name].cls for name in sorted(model.feature_names)]
+        for a, b in combinations(classes, 2):
+            yield DisjointClasses(a, b)
 
     # data-property names share one global namespace
     declared: set[str] = set()

@@ -11,6 +11,14 @@ An ``Ontology`` validates itself when it is built (``validate_ontology``),
 so the serializer and the scaffold need not check again; an axiom that
 uses an undeclared name raises ``UndeclaredNameError``.
 
+Validation is one pass over the axioms (``_checked_axioms``) that yields
+each axiom once it is checked, and rendering (``_lines``) makes one line
+per axiom. ``fmc compile`` chains the two over the compiler's axiom
+stream and writes each line as it comes (``_write_functional``), so no
+axiom is kept; the file appears, atomically, only if the whole stream
+checks out. ``serialize_functional`` and ``write_functional`` use the
+same renderer on a built ``Ontology``.
+
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): one regex scan, with line and column worked out only
 when an error is raised. Class expressions may nest at most
@@ -19,7 +27,9 @@ when an error is raised. Class expressions may nest at most
 
 from __future__ import annotations
 
+import os
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -178,26 +188,37 @@ class Ontology:
 
 def validate_ontology(ontology: Ontology) -> None:
     """Check declaration closure: unique declarations per kind, every used
-    name declared, names lexically valid. Raises OwlError subclasses; every
-    declaration is checked before any use, then uses in axiom order.
+    name declared, names lexically valid. Raises OwlError subclasses: the
+    first declaration error in axiom order if there is one, otherwise the
+    first use error in axiom order. A name may be used before it is
+    declared.
     """
-    if not ontology.iri or any(ch in ontology.iri for ch in "<> \t\n"):
-        raise OwlError(f"invalid ontology IRI {ontology.iri!r}")
+    for _ in _checked_axioms(ontology.iri, ontology.axioms):
+        pass
+
+
+def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
+    """Check the axioms in one pass, yielding each one once it is checked.
+
+    Raises the error ``validate_ontology`` states. A declaration error is
+    raised when it is met. A use may come before its declaration, so
+    uses of names not declared yet, and the first other use error after
+    them, are held until the stream ends; a later declaration error
+    still comes first.
+    """
+    if not iri or any(ch in iri for ch in "<> \t\n"):
+        raise OwlError(f"invalid ontology IRI {iri!r}")
     declared: dict[EntityKind, set[str]] = {kind: set() for kind in EntityKind}
-    for axiom in ontology.axioms:
-        if isinstance(axiom, Declaration):
-            if not _NAME_RE.match(axiom.name):
-                raise OwlError(f"invalid entity name {axiom.name!r}")
-            if axiom.name in declared[axiom.kind]:
-                raise OwlError(f"duplicate {axiom.kind.value} declaration '{axiom.name}'")
-            declared[axiom.kind].add(axiom.name)
     classes, object_properties, data_properties = declared.values()  # EntityKind order
+    # (kind, name) for each use of a name not declared when it was met,
+    # in use order; then the first other use error, if there is one
+    held: list = []
 
     def check_expr(expr: ClassExpression, depth: int = 0) -> None:
         # depth counts the constructors around expr, as the reader does
         if isinstance(expr, NamedClass):
             if expr.name not in classes:
-                raise _undeclared(EntityKind.CLASS, expr.name)
+                held.append((EntityKind.CLASS, expr.name))
             return
         if isinstance(expr, Thing):
             return
@@ -210,18 +231,16 @@ def validate_ontology(ontology: Ontology) -> None:
                 check_expr(op, depth + 1)
         elif isinstance(expr, (SomeValuesFrom, AllValuesFrom)):
             if expr.property not in object_properties:
-                raise _undeclared(EntityKind.OBJECT_PROPERTY, expr.property)
+                held.append((EntityKind.OBJECT_PROPERTY, expr.property))
             check_expr(expr.filler, depth + 1)
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
-    for axiom in ontology.axioms:
+    def check_uses(axiom: Axiom) -> None:
         # DisjointClasses first: a compiled ontology is almost all of them
         if isinstance(axiom, DisjointClasses):
             check_expr(axiom.a)
             check_expr(axiom.b)
-        elif isinstance(axiom, Declaration):
-            continue
         elif isinstance(axiom, SubClassOf):
             check_expr(axiom.sub)
             check_expr(axiom.sup)
@@ -230,19 +249,42 @@ def validate_ontology(ontology: Ontology) -> None:
             check_expr(axiom.b)
         elif isinstance(axiom, ObjectPropertyRange):
             if axiom.property not in object_properties:
-                raise _undeclared(EntityKind.OBJECT_PROPERTY, axiom.property)
+                held.append((EntityKind.OBJECT_PROPERTY, axiom.property))
             check_expr(axiom.range)
         elif isinstance(axiom, DataPropertyDomain):
             if axiom.property not in data_properties:
-                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
+                held.append((EntityKind.DATA_PROPERTY, axiom.property))
             check_expr(axiom.domain)
         elif isinstance(axiom, DataPropertyRange):
             if axiom.property not in data_properties:
-                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
+                held.append((EntityKind.DATA_PROPERTY, axiom.property))
             if not _DATATYPE_RE.match(axiom.datatype):
                 raise OwlError(f"unsupported datatype {axiom.datatype!r}")
         else:
             raise OwlError(f"unknown axiom {axiom!r}")
+
+    failed = False  # a use error is held: no later use can be the first
+    for axiom in axioms:
+        if isinstance(axiom, Declaration):
+            if not _NAME_RE.match(axiom.name):
+                raise OwlError(f"invalid entity name {axiom.name!r}")
+            names = declared[axiom.kind]
+            if axiom.name in names:
+                raise OwlError(f"duplicate {axiom.kind.value} declaration '{axiom.name}'")
+            names.add(axiom.name)
+        elif not failed:
+            try:
+                check_uses(axiom)
+            except OwlError as exc:
+                held.append(exc)
+                failed = True
+        yield axiom
+    for use in held:
+        if isinstance(use, OwlError):
+            raise use
+        kind, name = use
+        if name not in declared[kind]:
+            raise _undeclared(kind, name)
 
 
 def _undeclared(kind: EntityKind, name: str) -> UndeclaredNameError:
@@ -252,10 +294,10 @@ def _undeclared(kind: EntityKind, name: str) -> UndeclaredNameError:
 # --- serialization ---------------------------------------------------------
 
 def _render_expr(expr: ClassExpression) -> str:
-    if isinstance(expr, Thing):
-        return "owl:Thing"
     if isinstance(expr, NamedClass):
         return f":{expr.name}"
+    if isinstance(expr, Thing):
+        return "owl:Thing"
     if isinstance(expr, ComplementOf):
         return f"ObjectComplementOf({_render_expr(expr.operand)})"
     if isinstance(expr, IntersectionOf):
@@ -270,14 +312,15 @@ def _render_expr(expr: ClassExpression) -> str:
 
 
 def _render_axiom(axiom: Axiom) -> str:
+    # DisjointClasses first: a compiled ontology is almost all of them
+    if isinstance(axiom, DisjointClasses):
+        return f"DisjointClasses({_render_expr(axiom.a)} {_render_expr(axiom.b)})"
     if isinstance(axiom, Declaration):
         return f"Declaration({axiom.kind.value}(:{axiom.name}))"
     if isinstance(axiom, SubClassOf):
         return f"SubClassOf({_render_expr(axiom.sub)} {_render_expr(axiom.sup)})"
     if isinstance(axiom, EquivalentClasses):
         return f"EquivalentClasses({_render_expr(axiom.a)} {_render_expr(axiom.b)})"
-    if isinstance(axiom, DisjointClasses):
-        return f"DisjointClasses({_render_expr(axiom.a)} {_render_expr(axiom.b)})"
     if isinstance(axiom, ObjectPropertyRange):
         return f"ObjectPropertyRange(:{axiom.property} {_render_expr(axiom.range)})"
     if isinstance(axiom, DataPropertyDomain):
@@ -287,6 +330,15 @@ def _render_axiom(axiom: Axiom) -> str:
     raise OwlError(f"unknown axiom {axiom!r}")
 
 
+def _lines(iri: str, axioms: Iterable[Axiom]) -> Iterator[str]:
+    """The functional-syntax text, one line (with its newline) at a time."""
+    yield f"Prefix(:=<{iri}>)\n"
+    yield f"Ontology(<{iri}>\n"
+    for axiom in axioms:
+        yield _render_axiom(axiom) + "\n"
+    yield ")\n"
+
+
 def serialize_functional(ontology: Ontology) -> str:
     """Render the ontology in OWL 2 functional-style syntax.
 
@@ -294,15 +346,46 @@ def serialize_functional(ontology: Ontology) -> str:
     so the output has exactly len(axioms) + 3 lines. The owl: and xsd:
     prefixes are treated as built-ins and not declared.
     """
-    lines = [f"Prefix(:=<{ontology.iri}>)", f"Ontology(<{ontology.iri}>"]
-    lines.extend(_render_axiom(a) for a in ontology.axioms)
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(ontology.iri, ontology.axioms))
 
 
 def write_functional(ontology: Ontology, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_functional(ontology))
+    """Write ``serialize_functional(ontology)`` to path, atomically."""
+    _write_functional(ontology.iri, ontology.axioms, path)
+
+
+def _write_functional(iri: str, axioms: Iterable[Axiom], path) -> None:
+    """Write the lines of ``serialize_functional`` as the axioms come.
+
+    The text goes to a new file beside path, which replaces path only
+    once the last axiom is written. An error from the axioms (or from
+    writing) deletes that file, so path is never left half-written. As
+    when writing in place, a symbolic link at path is followed and an
+    existing file keeps its permission bits.
+    """
+    axioms = iter(axioms)
+    path = os.path.realpath(path)
+    temp = f"{path}.{os.urandom(4).hex()}.tmp"
+    created = False
+    try:
+        with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+            created = True
+            fh.writelines(_lines(iri, axioms))
+        try:
+            os.chmod(temp, os.stat(path).st_mode & 0o7777)
+        except FileNotFoundError:
+            pass  # a new file keeps the mode open() gave it
+        os.replace(temp, path)
+        created = False
+    except OSError:
+        # an error in the axioms outranks a write error, as it did when
+        # every axiom was built before the first byte was written
+        for _ in axioms:
+            pass
+        raise
+    finally:
+        if created:
+            os.unlink(temp)
 
 
 # --- parsing ---------------------------------------------------------------

@@ -134,6 +134,9 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
     SubClassOf(C, someValuesFrom(P, _)) restrictions, where a rule class C
     is resolved to its feature class via the C ≡ ∃hasF.F equivalence.
     One form per category with a field per datatype property on it.
+
+    DisjointClasses axioms are never read, so an ontology without them
+    gives the same scaffold; ``fmc scaffold`` compiles without them.
     """
     triggers = normalize_triggers(DEFAULT_TRIGGERS if registry is None else registry)
 

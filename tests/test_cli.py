@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from fmc.cli import main
-from fmc.owl import parse_functional
+from fmc.compiler import compile_model
+from fmc.dsl import parse
+from fmc.owl import parse_functional, serialize_functional
 
-from conftest import AISCO_PATH
+from conftest import AISCO_PATH, GOLDEN_PATH
 
 AISCO = str(AISCO_PATH)
 
@@ -40,6 +42,78 @@ def test_compile_custom_iri(tmp_path):
     out = tmp_path / "x.ofn"
     assert main(["compile", AISCO, str(out), "--iri", "http://acme.test/v1#"]) == 0
     assert "Ontology(<http://acme.test/v1#>" in out.read_text()
+
+
+def test_compile_writes_the_golden_bytes(tmp_path):
+    out = tmp_path / "aisco.ofn"
+    assert main(["compile", AISCO, str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_PATH.read_bytes()
+    iri = "http://acme.test/v1#"
+    assert main(["compile", AISCO, str(out), "--iri", iri]) == 0
+    expected = serialize_functional(compile_model(parse(AISCO_PATH.read_text()), iri))
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+DUPLICATE_ATTRIBUTE = ("feature A { optional B { attribute total : decimal } "
+                       "optional C { attribute total : decimal } }\n")
+RULE_CLASS_CLASH = "feature A { optional ARule }\n"
+
+
+@pytest.mark.parametrize("source, extra, message", [
+    # raised by the compiler after the last DisjointClasses axiom
+    pytest.param(DUPLICATE_ATTRIBUTE, [],
+                 "{src}: duplicate data property 'total' (attribute names are global)",
+                 id="duplicate-attribute"),
+    # raised by the validator at the second declaration of ARule
+    pytest.param(RULE_CLASS_CLASH, [], "{src}: duplicate Class declaration 'ARule'",
+                 id="rule-class-clash"),
+    pytest.param(None, ["--iri", "has space"], "{src}: invalid ontology IRI 'has space'",
+                 id="invalid-iri"),
+])
+@pytest.mark.parametrize("existing", [None, b"keep me\n"], ids=["new", "existing"])
+def test_failed_compile_leaves_nothing_behind(tmp_path, capsys, source, extra, message, existing):
+    src = AISCO
+    if source is not None:
+        src = str(tmp_path / "model.fm")
+        (tmp_path / "model.fm").write_text(source)
+    out = tmp_path / "out.ofn"
+    if existing is not None:
+        out.write_bytes(existing)
+    before = sorted(tmp_path.iterdir())
+    assert main(["compile", src, str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(src=src)}\n"
+    assert sorted(tmp_path.iterdir()) == before
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_compile_error_outranks_an_unwritable_output(tmp_path, capsys):
+    src = tmp_path / "model.fm"
+    src.write_text(DUPLICATE_ATTRIBUTE)
+    assert main(["compile", str(src), str(tmp_path / "missing" / "o.ofn")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}: duplicate data property")
+
+
+def test_compile_to_a_directory_leaves_nothing_behind(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    assert main(["compile", AISCO, str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {target}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not any(target.iterdir())
+
+
+def test_compile_replaces_an_existing_output_in_place(tmp_path):
+    target = tmp_path / "real.ofn"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.ofn"
+    link.symlink_to(target)
+    assert main(["compile", AISCO, str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == GOLDEN_PATH.read_bytes()
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ofn", "real.ofn"]
 
 
 def test_compile_missing_input_exits_1(tmp_path, capsys):

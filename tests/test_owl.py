@@ -165,6 +165,28 @@ def test_errors_on_different_axioms_come_in_axiom_order():
         OwlError, "unsupported datatype 'unprefixed'")
 
 
+def test_a_use_may_come_before_its_declaration():
+    ontology = Ontology(IRI, (SubClassOf(A, SomeValuesFrom("hasX", X)),
+                              *declared((EntityKind.OBJECT_PROPERTY, "hasX"),
+                                        (EntityKind.CLASS, "X"), (EntityKind.CLASS, "A"))))
+    assert parse_functional(serialize_functional(ontology)) == ontology
+
+
+def test_a_name_declared_after_its_use_does_not_hide_a_later_error():
+    assert first_error(
+        Declaration(EntityKind.DATA_PROPERTY, "d"), SubClassOf(A, X),
+        DataPropertyRange("d", "unprefixed"),
+        Declaration(EntityKind.CLASS, "A"), Declaration(EntityKind.CLASS, "X"),
+    ) == (OwlError, "unsupported datatype 'unprefixed'")
+
+
+def test_a_name_never_declared_comes_before_a_later_error():
+    assert first_error(
+        Declaration(EntityKind.DATA_PROPERTY, "d"), SubClassOf(A, X),
+        DataPropertyRange("d", "unprefixed"), Declaration(EntityKind.CLASS, "A"),
+    ) == (UndeclaredNameError, "Class 'X' used but not declared")
+
+
 def test_round_trip_empty_ontology():
     ontology = Ontology(IRI, ())
     assert parse_functional(serialize_functional(ontology)) == ontology

@@ -3,7 +3,8 @@
 ``parse`` returns a model or raises ``ParseError``; ``parse_functional``
 returns an ``Ontology`` or raises ``OwlError``; a syntax error's line and
 column point inside the text; ``fmc check`` exits with a documented code,
-and ``fmc compile`` writes the ontology ``compile_model`` builds.
+``fmc compile`` writes the ontology ``compile_model`` builds, and
+``fmc scaffold`` writes the site ``generate`` derives from it.
 Mutated inputs start from ``to_source`` and ``serialize_functional`` output
 of the seeded generators in ``helpers``.
 """
@@ -11,6 +12,7 @@ of the seeded generators in ``helpers``.
 import os
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from fmc.owl import (
     parse_functional_file,
     serialize_functional,
 )
+from fmc.scaffold import generate, write
 
 from helpers import random_model, random_ontology
 
@@ -119,9 +122,12 @@ def test_cli_check_exits_with_documented_code(text):
         assert main(["check", saved(tmp, text)]) in (0, 1, 2, 3, 4)
 
 
+CLI_MODELS = st.one_of(st.integers(0, 2**32 - 1).map(lambda seed: dsl_source(random.Random(seed))),
+                       mutated(dsl_source, DSL_PIECES))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.integers(0, 2**32 - 1).map(lambda seed: dsl_source(random.Random(seed))),
-                 mutated(dsl_source, DSL_PIECES)))
+@given(CLI_MODELS)
 def test_cli_compile_writes_the_compiled_ontology(text):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "model.ofn")
@@ -129,3 +135,21 @@ def test_cli_compile_writes_the_compiled_ontology(text):
         assert code in (0, 1, 2)
         if code == 0:
             assert parse_functional_file(out) == compile_model(parse(text))
+
+
+def files_under(root):
+    return {p.relative_to(root): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(CLI_MODELS)
+def test_cli_scaffold_writes_the_generated_site(text):
+    # the CLI leaves the DisjointClasses axioms out; the site must not change
+    with tempfile.TemporaryDirectory() as tmp:
+        site = os.path.join(tmp, "site")
+        code = main(["scaffold", saved(tmp, text), site])
+        assert code in (0, 1, 2)
+        if code == 0:
+            expected = os.path.join(tmp, "expected")
+            write(generate(compile_model(parse(text))), expected)
+            assert files_under(site) == files_under(expected)

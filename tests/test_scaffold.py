@@ -5,7 +5,7 @@ import pytest
 
 from fmc.compiler import compile_model
 from fmc.dsl import parse
-from fmc.owl import Declaration, EntityKind, Ontology
+from fmc.owl import Declaration, DisjointClasses, EntityKind, Ontology
 from fmc.scaffold import (
     DEFAULT_TRIGGERS,
     Category,
@@ -171,6 +171,15 @@ def test_counts_match_declarations_on_random_models():
         assert len(scaffold.categories) == len(classes)
         assert len(scaffold.predicates) == len(props)
         assert [c.name for c in scaffold.categories] == [a.name for a in classes]
+
+
+def test_disjointness_axioms_do_not_change_the_site(aisco_ontology):
+    rng = random.Random(8)
+    models = [random_model(rng, allow_attributes=True) for _ in range(30)]
+    for ontology in [aisco_ontology, *map(compile_model, models)]:
+        without = Ontology(ontology.iri, tuple(
+            a for a in ontology.axioms if not isinstance(a, DisjointClasses)))
+        assert generate(without) == generate(ontology)
 
 
 def test_scaffold_invariants_enforced():
