@@ -13,11 +13,11 @@ import json
 import os
 import sys
 
-from . import analysis, scaffold
-from .compiler import CompileError, _axioms, default_iri
+from . import analysis, compiler, scaffold
+from .compiler import CompileError
 from .dsl import ParseError, parse, parse_configuration
 from .model import FeatureModel, ModelError, UnknownFeatureError
-from .owl import Ontology, OwlError, _checked_axioms, _write_functional
+from .owl import _checked_axioms, _write_functional
 from .propositional import is_valid_configuration
 
 TRIGGERS_ENV = "FMC_TRIGGERS"
@@ -48,14 +48,21 @@ def _load_model(path: str) -> FeatureModel:
         raise _Failure(1, f"{path}: {exc}") from exc
 
 
-def cmd_compile(args) -> int:
+def _compile(args, **options):
     model = _load_model(args.input)
-    iri = args.iri or default_iri(model.root)
     try:
-        # each axiom is checked and written as it is built; none is kept
-        _write_functional(iri, _checked_axioms(iri, _axioms(model)), args.output)
-    except (CompileError, OwlError) as exc:
+        return compiler._compile(model, args.iri, **options)
+    except CompileError as exc:
         raise _Failure(2, f"{args.input}: {exc}") from exc
+
+
+def cmd_compile(args) -> int:
+    def write(iri, axioms):
+        # each axiom is checked and written as it is built; none is kept
+        _write_functional(iri, _checked_axioms(iri, axioms), args.output)
+
+    try:
+        _compile(args, build=write)
     except OSError as exc:
         raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
     print(f"wrote {args.output}", file=sys.stderr)
@@ -114,13 +121,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_scaffold(args) -> int:
-    model = _load_model(args.input)
-    try:
-        # the site reads no DisjointClasses axiom, so none is built
-        ontology = Ontology(args.iri or default_iri(model.root),
-                            tuple(_axioms(model, disjoint=False)))
-    except (CompileError, OwlError) as exc:
-        raise _Failure(2, f"{args.input}: {exc}") from exc
+    # the site reads no DisjointClasses axiom, so none is built
+    ontology = _compile(args, disjoint=False)
     registry = None
     triggers_path = os.environ.get(TRIGGERS_ENV)
     if triggers_path:

@@ -31,9 +31,9 @@ scaffold does not read.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .model import FeatureModel, GroupKind, ConstraintKind, Variability
 from .owl import (
@@ -54,6 +54,9 @@ from .owl import (
     SubClassOf,
     UnionOf,
 )
+
+
+_T = TypeVar("_T")
 
 
 class CompileError(Exception):
@@ -135,8 +138,24 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Axiom]:
 
 def compile_model(model: FeatureModel, iri: str | None = None) -> Ontology:
     """Transform a feature model into its OWL ontology."""
+    return _compile(model, iri)
+
+
+def _collect(iri: str, axioms: Iterator[Axiom]) -> Ontology:
+    return Ontology(iri, tuple(axioms))
+
+
+def _compile(model: FeatureModel, iri: str | None, *,
+             build: Callable[[str, Iterator[Axiom]], _T] = _collect,
+             disjoint: bool = True) -> _T:
+    """Return build(iri, axioms) over the model's axioms (see ``_axioms``).
+
+    iri defaults to ``default_iri(model.root)``. An OwlError that build
+    raises, e.g. for feature names A and ARule colliding on the rule
+    class, becomes a CompileError; ``fmc compile`` passes a build that
+    checks and writes each axiom as it comes.
+    """
     try:
-        return Ontology(iri or default_iri(model.root), tuple(_axioms(model)))
+        return build(iri or default_iri(model.root), _axioms(model, disjoint=disjoint))
     except OwlError as exc:
-        # e.g. feature names A and ARule colliding on the rule class
         raise CompileError(str(exc)) from exc

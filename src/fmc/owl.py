@@ -15,8 +15,8 @@ Validation is one pass over the axioms (``_checked_axioms``) that yields
 each axiom once it is checked, and rendering (``_lines``) makes one line
 per axiom. ``fmc compile`` chains the two over the compiler's axiom
 stream and writes each line as it comes (``_write_functional``), so no
-axiom is kept; the file appears, atomically, only if the whole stream
-checks out. ``serialize_functional`` and ``write_functional`` use the
+axiom is kept; the output is opened only once the whole stream has
+checked out. ``serialize_functional`` and ``write_functional`` use the
 same renderer on a built ``Ontology``.
 
 The reader shares its lexer and token cursor with the DSL parser
@@ -27,7 +27,6 @@ when an error is raised. Class expressions may nest at most
 
 from __future__ import annotations
 
-import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -350,42 +349,29 @@ def serialize_functional(ontology: Ontology) -> str:
 
 
 def write_functional(ontology: Ontology, path) -> None:
-    """Write ``serialize_functional(ontology)`` to path, atomically."""
+    """Write ``serialize_functional(ontology)`` to path."""
     _write_functional(ontology.iri, ontology.axioms, path)
 
 
 def _write_functional(iri: str, axioms: Iterable[Axiom], path) -> None:
     """Write the lines of ``serialize_functional`` as the axioms come.
 
-    The text goes to a new file beside path, which replaces path only
-    once the last axiom is written. An error from the axioms (or from
-    writing) deletes that file, so path is never left half-written. As
-    when writing in place, a symbolic link at path is followed and an
-    existing file keeps its permission bits.
+    The lines go to an anonymous temporary file first, and path is opened
+    for writing only once the last axiom is rendered. So an error raised
+    by the axioms leaves path as it was, or absent, and path is opened
+    just as ``open(path, "w")`` would: links, owner and mode stay, and
+    it may be a device or a pipe.
     """
-    axioms = iter(axioms)
-    path = os.path.realpath(path)
-    temp = f"{path}.{os.urandom(4).hex()}.tmp"
-    created = False
-    try:
-        with open(temp, "x", encoding="utf-8", newline="\n") as fh:
-            created = True
-            fh.writelines(_lines(iri, axioms))
-        try:
-            os.chmod(temp, os.stat(path).st_mode & 0o7777)
-        except FileNotFoundError:
-            pass  # a new file keeps the mode open() gave it
-        os.replace(temp, path)
-        created = False
-    except OSError:
-        # an error in the axioms outranks a write error, as it did when
-        # every axiom was built before the first byte was written
-        for _ in axioms:
-            pass
-        raise
-    finally:
-        if created:
-            os.unlink(temp)
+    # imported here, as only a write needs them: tempfile would add about
+    # 8 ms to every start of the command line
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        spool.writelines(_lines(iri, axioms))
+        spool.seek(0)
+        with open(path, "wb") as fh:
+            shutil.copyfileobj(spool.buffer, fh)
 
 
 # --- parsing ---------------------------------------------------------------

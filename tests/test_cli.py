@@ -1,6 +1,9 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -59,6 +62,11 @@ DUPLICATE_ATTRIBUTE = ("feature A { optional B { attribute total : decimal } "
 RULE_CLASS_CLASH = "feature A { optional ARule }\n"
 
 
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else p.stat().st_mode
+            for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("source, extra, message", [
     # raised by the compiler after the last DisjointClasses axiom
     pytest.param(DUPLICATE_ATTRIBUTE, [],
@@ -69,6 +77,8 @@ RULE_CLASS_CLASH = "feature A { optional ARule }\n"
                  id="rule-class-clash"),
     pytest.param(None, ["--iri", "has space"], "{src}: invalid ontology IRI 'has space'",
                  id="invalid-iri"),
+    # the model compiles, but the target is a directory
+    pytest.param(None, [], "{out}: Is a directory", id="directory-target"),
 ])
 @pytest.mark.parametrize("existing", [None, b"keep me\n"], ids=["new", "existing"])
 def test_failed_compile_leaves_nothing_behind(tmp_path, capsys, source, extra, message, existing):
@@ -77,14 +87,16 @@ def test_failed_compile_leaves_nothing_behind(tmp_path, capsys, source, extra, m
         src = str(tmp_path / "model.fm")
         (tmp_path / "model.fm").write_text(source)
     out = tmp_path / "out.ofn"
-    if existing is not None:
+    if message.startswith("{out}"):
+        out.mkdir()
+        if existing is not None:
+            (out / "kept.ofn").write_bytes(existing)
+    elif existing is not None:
         out.write_bytes(existing)
-    before = sorted(tmp_path.iterdir())
+    before = tree(tmp_path)
     assert main(["compile", src, str(out), *extra]) == 2
-    assert capsys.readouterr().err == f"error: {message.format(src=src)}\n"
-    assert sorted(tmp_path.iterdir()) == before
-    if existing is not None:
-        assert out.read_bytes() == existing
+    assert capsys.readouterr().err == f"error: {message.format(src=src, out=out)}\n"
+    assert tree(tmp_path) == before
 
 
 def test_compile_error_outranks_an_unwritable_output(tmp_path, capsys):
@@ -94,26 +106,37 @@ def test_compile_error_outranks_an_unwritable_output(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {src}: duplicate data property")
 
 
-def test_compile_to_a_directory_leaves_nothing_behind(tmp_path, capsys):
-    target = tmp_path / "out"
-    target.mkdir()
-    assert main(["compile", AISCO, str(target)]) == 2
-    assert capsys.readouterr().err == f"error: {target}: Is a directory\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out"]
-    assert not any(target.iterdir())
-
-
-def test_compile_replaces_an_existing_output_in_place(tmp_path):
+def test_compile_rewrites_an_existing_output_in_place(tmp_path):
     target = tmp_path / "real.ofn"
     target.write_text("old\n")
     target.chmod(0o600)
     link = tmp_path / "link.ofn"
     link.symlink_to(target)
+    hard = tmp_path / "hard.ofn"
+    os.link(target, hard)
+    inode = target.stat().st_ino
     assert main(["compile", AISCO, str(link)]) == 0
     assert link.is_symlink()
-    assert target.read_bytes() == GOLDEN_PATH.read_bytes()
+    assert target.stat().st_ino == inode
+    assert target.read_bytes() == hard.read_bytes() == GOLDEN_PATH.read_bytes()
     assert target.stat().st_mode & 0o777 == 0o600
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ofn", "real.ofn"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.ofn", "link.ofn", "real.ofn"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_compile_writes_into_a_named_pipe(tmp_path):
+    fifo = tmp_path / "pipe.ofn"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(["compile", AISCO, str(fifo)]) == 0
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [GOLDEN_PATH.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_compile_missing_input_exits_1(tmp_path, capsys):
