@@ -14,16 +14,18 @@ reserved and cannot name features. ``parse(to_source(m))`` reproduces ``m``
 exactly for any model whose feature order is declaration (preorder) order.
 
 The parser shares its lexer and token cursor with the OWL reader
-(``fmc.lexer``): one regex scan, whose white-space group also swallows
-comments, with line and column worked out only when an error is raised.
+(``fmc.lexer``): the token texts come from one ``findall``, whose skipped
+prefix takes white space and comments, and positions are worked out only
+when an error is raised. The parser compares token texts, and keeps the
+index of a token it may report later (a group's keyword, a duplicate
+name, a constraint's endpoints).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .lexer import Cursor, Token, describe
+from .lexer import Cursor, Lexicon, describe
 from .model import (
     DATATYPES,
     Attribute,
@@ -40,17 +42,7 @@ KEYWORDS = frozenset({
     "feature", "mandatory", "optional", "or", "alternative",
     "attribute", "constraints", "requires", "excludes",
 })
-
-# A comment runs to the end of its line and is skipped with the white
-# space; a comment that ends the text is where end of input is reported.
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>(?:[ \t\r\n]+|\#[^\n]*(?=\n))+)
-      | (?P<punct>[{}:])
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<eof>\#.*)
-    """,
-    re.VERBOSE,
-)
+_NOT_NAMES = frozenset({"{", "}", ":", ""})
 
 
 class ParseError(Exception):
@@ -72,152 +64,162 @@ class _FeatureRec:
 
 
 class _Parser(Cursor):
-    """Tokens are (kind, value, offset); kind is "ident", "{", "}", ":" or "eof"."""
+    """Tokens are texts: an identifier, "{", "}", ":", or "" for end of input."""
+
+    lexicon = Lexicon(
+        skip=r"[ \t\r\n]*(?:\#[^\n]*\n[ \t\r\n]*)*",
+        token=r"[{}:]|[A-Za-z][A-Za-z0-9_]*",
+        # a comment that ends the text is where end of input is reported
+        end=r"(?:\#[^\n]*)?\Z",
+        other=r"[^ \t\r\n\#]",
+    )
+    error_cls = ParseError
 
     def __init__(self, source: str):
-        super().__init__(source, _TOKEN_RE, ParseError)
+        super().__init__(source)
         self.records: list[_FeatureRec] = []
         self.by_name: dict[str, _FeatureRec] = {}
         self.groups: list[Group | None] = []
         self.constraints: list[CrossTreeConstraint] = []
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "ident" and tok[1] in words
-
-    def expect_name(self, what: str = "feature name") -> Token:
-        tok = self.peek()
-        if tok[0] != "ident":
-            raise self.error(tok, f"expected {what}, got {describe(tok)}")
-        if tok[1] in KEYWORDS:
-            raise self.error(tok, f"'{tok[1]}' is a reserved keyword and cannot be used as a {what}")
-        return self.advance()
+    def expect_name(self, what: str = "feature name") -> int:
+        """Step over a name; return its token index."""
+        at = self.pos
+        tok = self.tokens[at]
+        if tok in _NOT_NAMES:
+            raise self.error(at, f"expected {what}, got {describe(tok)}")
+        if tok in KEYWORDS:
+            raise self.error(at, f"'{tok}' is a reserved keyword and cannot be used as a {what}")
+        self.pos += 1
+        return at
 
     def parse_model(self) -> FeatureModel:
-        tok = self.peek()
-        if not self.at_keyword("feature"):
-            raise self.error(tok, f"expected 'feature', got {describe(tok)}")
-        self.advance()
-        root_tok = self.expect_name()
-        self.add_feature(root_tok, None, Variability.MANDATORY)
-        if self.peek()[0] == "{":
-            self.parse_body(root_tok[1])
-        if self.at_keyword("constraints"):
+        self.expect("feature")
+        root_at = self.expect_name()
+        self.add_feature(root_at, None, Variability.MANDATORY)
+        root = self.tokens[root_at]
+        if self.peek() == "{":
+            self.parse_body(root)
+        if self.peek() == "constraints":
             self.parse_constraints()
         tok = self.peek()
-        if tok[0] != "eof":
-            raise self.error(tok, f"unexpected {describe(tok)} after model")
+        if tok != "":
+            raise self.error(self.pos, f"unexpected {describe(tok)} after model")
 
         features = tuple(
             Feature(r.name, r.parent, r.variability, r.group, tuple(r.attributes))
             for r in self.records)
-        return FeatureModel(root_tok[1], features, tuple(self.groups),
-                            tuple(self.constraints))
+        return FeatureModel(root, features, tuple(self.groups), tuple(self.constraints))
 
-    def add_feature(self, tok: Token, parent: str | None,
-                    variability: Variability, group: int | None = None) -> _FeatureRec:
-        if tok[1] in self.by_name:
-            raise self.error(tok, f"duplicate feature name '{tok[1]}'")
-        rec = _FeatureRec(tok[1], parent, variability, group)
+    def add_feature(self, at: int, parent: str | None,
+                    variability: Variability, group: int | None = None) -> None:
+        name = self.tokens[at]
+        if name in self.by_name:
+            raise self.error(at, f"duplicate feature name '{name}'")
+        rec = _FeatureRec(name, parent, variability, group)
         self.records.append(rec)
-        self.by_name[tok[1]] = rec
-        return rec
+        self.by_name[name] = rec
 
     def parse_body(self, owner: str) -> None:
         """Parse a ``{...}`` body with everything nested in it.
 
         Open bodies and groups sit on an explicit stack, so nesting depth is
         limited by memory, not by the interpreter's recursion limit. A frame
-        is (owner, intro token, group id, members); the last three are None
-        for a body.
+        is (owner, intro token index, group id, members); the last three are
+        None for a body.
         """
         self.expect("{")
+        tokens = self.tokens
         stack: list[tuple] = [(owner, None, None, None)]
         while stack:
             owner, intro, group_id, members = stack[-1]
-            tok = self.peek()
-            if tok[0] == "}":
-                self.advance()
+            tok = tokens[self.pos]
+            if tok == "}":
+                self.pos += 1
                 stack.pop()
                 if intro is not None:
                     self.close_group(owner, intro, group_id, members)
                 continue
-            if tok[0] == "eof":
+            if tok == "":
                 unclosed = "unclosed group" if intro is not None else "unclosed '{'"
-                raise self.error(tok, f"{unclosed}: expected '}}'")
+                raise self.error(self.pos, f"{unclosed}: expected '}}'")
             if intro is not None:
-                name_tok = self.expect_name("group member name")
-                members.append(name_tok[1])
-                self.add_feature(name_tok, owner, Variability.GROUP_MEMBER, group_id)
-            elif self.at_keyword("mandatory", "optional"):
-                kind = Variability.MANDATORY if tok[1] == "mandatory" else Variability.OPTIONAL
-                self.advance()
-                name_tok = self.expect_name()
-                self.add_feature(name_tok, owner, kind)
-            elif self.at_keyword("or", "alternative"):
-                self.advance()
+                name_at = self.expect_name("group member name")
+                members.append(tokens[name_at])
+                self.add_feature(name_at, owner, Variability.GROUP_MEMBER, group_id)
+            elif tok == "mandatory" or tok == "optional":
+                kind = Variability.MANDATORY if tok == "mandatory" else Variability.OPTIONAL
+                self.pos += 1
+                name_at = self.expect_name()
+                self.add_feature(name_at, owner, kind)
+            elif tok == "or" or tok == "alternative":
+                at = self.pos
+                self.pos += 1
                 self.expect("{")
-                stack.append((owner, tok, len(self.groups), []))
+                stack.append((owner, at, len(self.groups), []))
                 self.groups.append(None)  # reserve the id; nested groups claim later ones
                 continue
-            elif self.at_keyword("attribute"):
+            elif tok == "attribute":
                 self.parse_attribute(owner)
                 continue
             else:
                 raise self.error(
-                    tok, "expected 'mandatory', 'optional', 'or', 'alternative', "
+                    self.pos, "expected 'mandatory', 'optional', 'or', 'alternative', "
                     f"'attribute', or '}}', got {describe(tok)}")
-            if self.peek()[0] == "{":
-                self.advance()
-                stack.append((name_tok[1], None, None, None))
+            if tokens[self.pos] == "{":
+                self.pos += 1
+                stack.append((tokens[name_at], None, None, None))
 
-    def close_group(self, owner: str, intro: Token, group_id: int,
+    def close_group(self, owner: str, intro: int, group_id: int,
                     members: list[str]) -> None:
-        kind = GroupKind.OR if intro[1] == "or" else GroupKind.ALTERNATIVE
+        kind = GroupKind.OR if self.tokens[intro] == "or" else GroupKind.ALTERNATIVE
         if len(members) < 2:
             raise self.error(intro, f"{kind.value} group under '{owner}' needs at least 2 members, "
                              f"found {len(members)}")
         self.groups[group_id] = Group(group_id, owner, kind, tuple(members))
 
     def parse_attribute(self, owner: str) -> None:
-        self.advance()
-        name_tok = self.expect_name("attribute name")
+        self.pos += 1
+        name_at = self.expect_name("attribute name")
+        name = self.tokens[name_at]
         self.expect(":")
-        dt_tok = self.peek()
-        if dt_tok[0] != "ident" or dt_tok[1] not in DATATYPES:
+        datatype = self.peek()
+        if datatype not in DATATYPES:
             raise self.error(
-                dt_tok, f"expected attribute datatype (one of {', '.join(DATATYPES)}), "
-                f"got {describe(dt_tok)}")
-        self.advance()
+                self.pos, f"expected attribute datatype (one of {', '.join(DATATYPES)}), "
+                f"got {describe(datatype)}")
+        self.pos += 1
         rec = self.by_name[owner]
-        if any(a.name == name_tok[1] for a in rec.attributes):
-            raise self.error(name_tok, f"duplicate attribute '{name_tok[1]}' on feature '{owner}'")
-        rec.attributes.append(Attribute(name_tok[1], dt_tok[1]))
+        if any(a.name == name for a in rec.attributes):
+            raise self.error(name_at, f"duplicate attribute '{name}' on feature '{owner}'")
+        rec.attributes.append(Attribute(name, datatype))
 
     def parse_constraints(self) -> None:
-        self.advance()
+        self.pos += 1
         self.expect("{")
-        while self.peek()[0] != "}":
-            tok = self.peek()
-            if tok[0] == "eof":
-                raise self.error(tok, "unclosed constraints block: expected '}'")
-            src_tok = self.expect_name()
-            if src_tok[1] not in self.by_name:
-                raise self.error(src_tok, f"unknown feature '{src_tok[1]}' in constraint")
-            kind_tok = self.peek()
-            if not self.at_keyword("requires", "excludes"):
+        tokens = self.tokens
+        while tokens[self.pos] != "}":
+            if tokens[self.pos] == "":
+                raise self.error(self.pos, "unclosed constraints block: expected '}'")
+            source_at = self.expect_name()
+            source = tokens[source_at]
+            if source not in self.by_name:
+                raise self.error(source_at, f"unknown feature '{source}' in constraint")
+            kind_word = self.peek()
+            if kind_word not in ("requires", "excludes"):
                 raise self.error(
-                    kind_tok, f"expected 'requires' or 'excludes', got {describe(kind_tok)}")
-            self.advance()
-            kind = ConstraintKind.REQUIRES if kind_tok[1] == "requires" else ConstraintKind.EXCLUDES
-            tgt_tok = self.expect_name()
-            if tgt_tok[1] not in self.by_name:
-                raise self.error(tgt_tok, f"unknown feature '{tgt_tok[1]}' in constraint")
-            if src_tok[1] == tgt_tok[1]:
+                    self.pos, f"expected 'requires' or 'excludes', got {describe(kind_word)}")
+            self.pos += 1
+            kind = ConstraintKind.REQUIRES if kind_word == "requires" else ConstraintKind.EXCLUDES
+            target_at = self.expect_name()
+            target = tokens[target_at]
+            if target not in self.by_name:
+                raise self.error(target_at, f"unknown feature '{target}' in constraint")
+            if source == target:
                 raise self.error(
-                    tgt_tok, f"constraint source and target are the same feature '{src_tok[1]}'")
-            self.constraints.append(CrossTreeConstraint(kind, src_tok[1], tgt_tok[1]))
-        self.advance()
+                    target_at, f"constraint source and target are the same feature '{source}'")
+            self.constraints.append(CrossTreeConstraint(kind, source, target))
+        self.pos += 1
 
 
 def parse(source: str) -> FeatureModel:

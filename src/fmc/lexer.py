@@ -1,63 +1,86 @@
 """The lexer and token cursor shared by the DSL and OWL functional-syntax parsers.
 
-A language is a token regex with named groups plus an error class taking
-``(message, line, column)``. One ``finditer`` scan yields tokens
-``(kind, value, offset)``: ``ws`` matches are skipped, a ``punct`` token's
-kind is its text, any other kind is its group's name, and a final ``eof``
-token sits at the end of the text or where an ``eof`` group matched. Line
-and column are worked out from the offset only when an error is raised.
+A language is a ``Lexicon``: what it skips before a token (white space,
+and comments in the DSL), the alternatives of a valid token, how the text
+may end, and a one-character catch-all. One C-level ``findall`` of
+``skip(token|end|other)`` gives the token texts, and nothing else: a
+token's kind follows from its text, and ``""`` is the end of input.
+Every position matches one of the alternatives, so ``findall`` never
+skips ahead. A catch-all token is an unexpected character, raised before
+parsing starts. Offsets, and from them line and column, are worked out
+only when an error is raised: by a ``finditer`` over the same regex to
+the token's index.
 """
 
 from __future__ import annotations
 
-Token = tuple[str, str, int]  # (kind, value, offset)
+import re
 
 
-def describe(tok: Token) -> str:
-    return "end of input" if tok[0] == "eof" else f"'{tok[1]}'"
+class Lexicon:
+    """The regexes of one language, from its pattern parts.
+
+    ``end`` matches at the end of the text only, and ``other`` matches
+    one character wherever no other part does, so every position after
+    ``skip`` matches. Use no possessive quantifier or atomic group: they
+    need Python 3.11.
+    """
+
+    def __init__(self, skip: str, token: str, end: str, other: str):
+        self.scan_re = re.compile(f"(?:{skip})({token}|{end}|{other})")
+        self.token_re = re.compile(token)
+        self.end_re = re.compile(end)
+
+
+def describe(token: str) -> str:
+    if not token:
+        return "end of input"
+    if token[0] == "<":  # an IRI, shown without its brackets
+        return f"'{token[1:-1]}'"
+    return f"'{token}'"
 
 
 class Cursor:
-    """A parser's position in the token list of ``text``."""
+    """A parser's position in the token texts of ``text``.
 
-    def __init__(self, text: str, token_re, error_cls: type):
+    A subclass sets ``lexicon`` and ``error_cls``, an exception class
+    taking ``(message, line, column)``. Parsers keep the index of a token
+    they may report an error on later.
+    """
+
+    lexicon: Lexicon
+    error_cls: type
+
+    def __init__(self, text: str):
         self.text = text
-        self.error_cls = error_cls
-        tokens: list[Token] = []
-        pos, end = 0, len(text)
-        for m in token_re.finditer(text):
-            if m.start() != pos:
-                break
-            pos = m.end()
-            kind = m.lastgroup
-            if kind == "eof":
-                end = m.start()
-            elif kind != "ws":
-                value = m.group(kind)
-                tokens.append((value if kind == "punct" else kind, value, m.start()))
-        if pos != len(text):
-            raise self.error(("", "", pos), f"unexpected character {text[pos]!r}")
-        tokens.append(("eof", "", end))
+        lexicon = self.lexicon
+        tokens = lexicon.scan_re.findall(text)
+        # The match that reaches the end of the text is the end of input.
+        # When it is not empty, findall adds one empty match after it.
+        if len(tokens) > 1 and lexicon.end_re.fullmatch(tokens[-2]):
+            tokens.pop()
+        tokens[-1] = ""
         self.tokens = tokens
         self.pos = 0
+        unexpected = {t for t in set(tokens) if t and not lexicon.token_re.fullmatch(t)}
+        if unexpected:
+            at = next(i for i, t in enumerate(tokens) if t in unexpected)
+            raise self.error(at, f"unexpected character {tokens[at]!r}")
 
-    def error(self, tok: Token, message: str, cls: type | None = None) -> Exception:
-        offset = tok[2]
+    def error(self, index: int, message: str, cls: type | None = None) -> Exception:
+        matches = self.lexicon.scan_re.finditer(self.text)
+        for _ in range(index):
+            next(matches)
+        offset = next(matches).start(1)
         line_start = self.text.rfind("\n", 0, offset) + 1
         return (cls or self.error_cls)(
             message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.pos]
+        if tok != text:
+            raise self.error(self.pos, f"expected '{text}', got {describe(tok)}")
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise self.error(tok, f"expected '{kind}', got {describe(tok)}")
-        self.pos += 1
-        return tok

@@ -20,9 +20,11 @@ checked out. ``serialize_functional`` and ``write_functional`` use the
 same renderer on a built ``Ontology``.
 
 The reader shares its lexer and token cursor with the DSL parser
-(``fmc.lexer``): one regex scan, with line and column worked out only
-when an error is raised. Class expressions may nest at most
-``MAX_EXPR_DEPTH`` levels deep.
+(``fmc.lexer``): the token texts come from one ``findall``, and positions
+are worked out only when an error is raised. A token's kind follows from
+its text: ``(``, ``)``, ``:=``, ``<iri>``, ``:Name``, ``prefix:name``, a
+word or a number. Class expressions may nest at most ``MAX_EXPR_DEPTH``
+levels deep.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .lexer import Cursor, Token, describe
+from .lexer import Cursor, Lexicon, describe
 
 
 class OwlError(Exception):
@@ -386,88 +388,98 @@ _EXPR_KEYWORDS = frozenset({
 })
 _ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
 
-# Token kinds: punctuation is its own kind; "iri" (value without the
-# brackets), "pname", "word" and "number".
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<punct>[()]|:=)
-      | <(?P<iri>[^<>\s]*)>
-      | (?P<pname>(?:[A-Za-z][A-Za-z0-9_]*)?:[A-Za-z][A-Za-z0-9_]*)
-      | (?P<word>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<number>[0-9]+)
-    """,
-    re.VERBOSE,
-)
+
+def _is_word(token: str) -> bool:
+    # a valid token starting with a letter is a word or a prefixed name
+    return token[:1].isalpha() and ":" not in token
+
 
 class _OwlParser(Cursor):
+    """Tokens are texts: "(", ")", ":=", "<iri>", ":Name", "prefix:name", a
+    word, a number, or "" for end of input."""
+
+    # "prefix:name" is matched as a word with an optional ":name" after it,
+    # so a word's letters are read once
+    lexicon = Lexicon(
+        skip=r"[ \t\r\n]*",
+        token=r"[()]|:=|:[A-Za-z][A-Za-z0-9_]*"
+              r"|[A-Za-z][A-Za-z0-9_]*(?::[A-Za-z][A-Za-z0-9_]*)?|<[^<>\s]*>|[0-9]+",
+        end=r"\Z",
+        other=r"[^ \t\r\n]",
+    )
+    error_cls = OwlSyntaxError
+
     def __init__(self, text: str):
-        super().__init__(text, _TOKEN_RE, OwlSyntaxError)
+        super().__init__(text)
         self.depth = 0  # class expressions open around the current token
 
-    def expect_word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok[0] != "word" or tok[1] != word:
-            raise self.error(tok, f"expected '{word}', got {describe(tok)}")
-        return self.advance()
+    def expect_iri(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] != "<":
+            raise self.error(self.pos, f"expected 'iri', got {describe(tok)}")
+        self.pos += 1
+        return tok[1:-1]
 
     def local_name(self, what: str) -> str:
         # a name in the default (empty) prefix, e.g. ":AISCO"
-        tok = self.peek()
-        if tok[0] != "pname" or not tok[1].startswith(":"):
-            raise self.error(tok, f"expected {what} (:Name), got {describe(tok)}")
-        self.advance()
-        return tok[1][1:]
+        tok = self.tokens[self.pos]
+        if tok[:1] != ":" or tok == ":=":
+            raise self.error(self.pos, f"expected {what} (:Name), got {describe(tok)}")
+        self.pos += 1
+        return tok[1:]
 
     def parse_ontology(self) -> Ontology:
-        self.expect_word("Prefix")
+        self.expect("Prefix")
         self.expect("(")
         self.expect(":=")
-        self.expect("iri")
+        self.expect_iri()
         self.expect(")")
-        self.expect_word("Ontology")
+        self.expect("Ontology")
         self.expect("(")
-        iri = self.expect("iri")[1]
+        iri = self.expect_iri()
+        tokens = self.tokens
         axioms = []
-        while self.peek()[0] != ")":
-            if self.peek()[0] == "eof":
-                raise self.error(self.peek(), "unclosed 'Ontology(': expected ')'")
+        while tokens[self.pos] != ")":
+            if tokens[self.pos] == "":
+                raise self.error(self.pos, "unclosed 'Ontology(': expected ')'")
             axioms.append(self.parse_axiom())
-        self.advance()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise self.error(tok, f"unexpected {describe(tok)} after ontology")
+        self.pos += 1
+        tok = tokens[self.pos]
+        if tok != "":
+            raise self.error(self.pos, f"unexpected {describe(tok)} after ontology")
         return Ontology(iri, tuple(axioms))
 
     def parse_axiom(self) -> Axiom:
-        tok = self.peek()
-        kind, keyword, _ = tok
-        if kind != "word":
-            raise self.error(tok, f"expected an axiom, got {describe(tok)}")
+        keyword = self.tokens[self.pos]
         if keyword not in _AXIOM_KEYWORDS:
-            raise self.error(tok, f"unsupported construct '{keyword}'", UnsupportedConstructError)
-        self.advance()
-        self.expect("(")
-        if keyword == "Declaration":
-            kind_tok = self.peek()
-            if kind_tok[0] != "word":
-                raise self.error(kind_tok, f"expected entity kind, got {describe(kind_tok)}")
-            if kind_tok[1] not in _ENTITY_KINDS:
-                raise self.error(kind_tok, f"unsupported declaration kind '{kind_tok[1]}'",
+            if _is_word(keyword):
+                raise self.error(self.pos, f"unsupported construct '{keyword}'",
                                  UnsupportedConstructError)
-            self.advance()
+            raise self.error(self.pos, f"expected an axiom, got {describe(keyword)}")
+        self.pos += 1
+        self.expect("(")
+        # DisjointClasses first: a compiled ontology is almost all of them
+        if keyword == "DisjointClasses":
+            axiom: Axiom = DisjointClasses(self.parse_named("disjoint class"),
+                                           self.parse_named("disjoint class"))
+            self.reject_extra_operands("DisjointClasses")
+        elif keyword == "Declaration":
+            kind = self.tokens[self.pos]
+            if kind not in _ENTITY_KINDS:
+                if _is_word(kind):
+                    raise self.error(self.pos, f"unsupported declaration kind '{kind}'",
+                                     UnsupportedConstructError)
+                raise self.error(self.pos, f"expected entity kind, got {describe(kind)}")
+            self.pos += 1
             self.expect("(")
             name = self.local_name("entity name")
             self.expect(")")
-            axiom: Axiom = Declaration(_ENTITY_KINDS[kind_tok[1]], name)
+            axiom = Declaration(_ENTITY_KINDS[kind], name)
         elif keyword == "SubClassOf":
             axiom = SubClassOf(self.parse_expr(), self.parse_expr())
         elif keyword == "EquivalentClasses":
             axiom = EquivalentClasses(self.parse_expr(), self.parse_expr())
             self.reject_extra_operands("EquivalentClasses")
-        elif keyword == "DisjointClasses":
-            axiom = DisjointClasses(self.parse_named("disjoint class"),
-                                    self.parse_named("disjoint class"))
-            self.reject_extra_operands("DisjointClasses")
         elif keyword == "ObjectPropertyRange":
             axiom = ObjectPropertyRange(self.local_name("object property"), self.parse_expr())
         elif keyword == "DataPropertyDomain":
@@ -475,56 +487,55 @@ class _OwlParser(Cursor):
                                        self.parse_named("domain class"))
         else:  # DataPropertyRange
             prop = self.local_name("data property")
-            dt_tok = self.peek()
-            if dt_tok[0] != "pname" or dt_tok[1].startswith(":"):
-                raise self.error(dt_tok, f"expected a datatype, got {describe(dt_tok)}")
-            self.advance()
-            axiom = DataPropertyRange(prop, dt_tok[1])
+            datatype = self.tokens[self.pos]
+            # a prefixed name such as xsd:decimal
+            if not datatype[:1].isalpha() or ":" not in datatype:
+                raise self.error(self.pos, f"expected a datatype, got {describe(datatype)}")
+            self.pos += 1
+            axiom = DataPropertyRange(prop, datatype)
         self.expect(")")
         return axiom
 
     def reject_extra_operands(self, construct: str) -> None:
-        tok = self.peek()
-        if tok[0] != ")":
+        if self.tokens[self.pos] != ")":
             raise self.error(
-                tok, f"n-ary {construct} is not supported (expected exactly 2 operands)",
+                self.pos, f"n-ary {construct} is not supported (expected exactly 2 operands)",
                 UnsupportedConstructError)
 
     def parse_named(self, what: str) -> NamedClass:
         return NamedClass(self.local_name(what))
 
     def parse_expr(self) -> ClassExpression:
-        tok = self.peek()
-        kind, value, _ = tok
-        if kind == "pname":
-            if value.startswith(":"):
-                self.advance()
-                return NamedClass(value[1:])
-            if value == "owl:Thing":
-                self.advance()
-                return THING
-            raise self.error(tok, f"expected a class expression, got {describe(tok)}")
-        if kind != "word":
-            raise self.error(tok, f"expected a class expression, got {describe(tok)}")
-        if value not in _EXPR_KEYWORDS:
-            raise self.error(tok, f"unsupported construct '{value}'", UnsupportedConstructError)
+        tok = self.tokens[self.pos]
+        if tok[:1] == ":" and tok != ":=":
+            self.pos += 1
+            return NamedClass(tok[1:])
+        if tok == "owl:Thing":
+            self.pos += 1
+            return THING
+        if tok not in _EXPR_KEYWORDS:
+            if _is_word(tok):
+                raise self.error(self.pos, f"unsupported construct '{tok}'",
+                                 UnsupportedConstructError)
+            raise self.error(self.pos, f"expected a class expression, got {describe(tok)}")
         if self.depth == MAX_EXPR_DEPTH:
-            raise self.error(tok, f"class expression nested more than {MAX_EXPR_DEPTH} levels deep")
+            raise self.error(self.pos,
+                             f"class expression nested more than {MAX_EXPR_DEPTH} levels deep")
         self.depth += 1
-        self.advance()
+        self.pos += 1
         self.expect("(")
-        if value == "ObjectComplementOf":
+        if tok == "ObjectComplementOf":
             expr: ClassExpression = ComplementOf(self.parse_expr())
-        elif value in ("ObjectIntersectionOf", "ObjectUnionOf"):
+        elif tok in ("ObjectIntersectionOf", "ObjectUnionOf"):
             operands = [self.parse_expr(), self.parse_expr()]
-            while self.peek()[0] != ")":
+            while self.tokens[self.pos] != ")":
                 operands.append(self.parse_expr())
-            ctor = IntersectionOf if value == "ObjectIntersectionOf" else UnionOf
+            ctor = IntersectionOf if tok == "ObjectIntersectionOf" else UnionOf
             expr = ctor(tuple(operands))
         else:  # ObjectSomeValuesFrom / ObjectAllValuesFrom
             prop = self.local_name("object property")
             filler = self.parse_expr()
-            ctor = SomeValuesFrom if value == "ObjectSomeValuesFrom" else AllValuesFrom
+            ctor = SomeValuesFrom if tok == "ObjectSomeValuesFrom" else AllValuesFrom
             expr = ctor(prop, filler)
         self.expect(")")
         self.depth -= 1

@@ -79,6 +79,14 @@ def test_comments_ignored():
     assert model.feature_names == ("A", "B")
 
 
+@pytest.mark.parametrize("source,names", [
+    ("feature A { # a } b\n}\n", ("A",)),
+    ("feature A # end", ("A",)),
+])
+def test_comments_run_to_the_end_of_the_line(source, names):
+    assert parse(source).feature_names == names
+
+
 @pytest.mark.parametrize("source,fragment,line,col", [
     ("mandatory A", "expected 'feature'", 1, 1),
     ("feature A { mandatory }", "expected feature name", 1, 23),
@@ -94,6 +102,11 @@ def test_comments_ignored():
     ("feature A {\n# a comment line\n  weird B\n}", "expected 'mandatory'", 3, 3),
     ("feature A { mandatory B\n", "unclosed '{'", 2, 1),
     ("feature A { # open", "unclosed '{'", 1, 13),
+    ("feature A { mandatory B # c {\n   ", "unclosed '{'", 2, 4),
+    ("feature A {\n# x / y\n", "unclosed '{'", 3, 1),
+    ("feature A { optional B } \xe9", "unexpected character 'é'", 1, 26),
+    ("feature A { optional B }\n#c\n*", "unexpected character '*'", 3, 1),
+    ("# only a comment", "expected 'feature', got end of input", 1, 1),
 ])
 def test_syntax_errors_carry_position(source, fragment, line, col):
     with pytest.raises(ParseError) as info:

@@ -250,6 +250,24 @@ def test_syntax_error_position():
 HEADER = "Prefix(:=<http://x#>)\nOntology(<http://x#>\n"
 
 
+@pytest.mark.parametrize("text,message,line,column", [
+    (HEADER + "Declaration(Class(:A))  \n\n", "unclosed 'Ontology('", 5, 1),
+    ("Prefix(:=<http://x", "unexpected character '<'", 1, 10),
+    (HEADER + "Declaration(Class(:=))\n)", "expected entity name (:Name), got ':='", 3, 19),
+    (HEADER + "SubClassOf(<http://a> :B)\n)", "expected a class expression, got 'http://a'", 3, 12),
+    (HEADER + "Declaration(Class(:A)) \xe9\n)", "unexpected character 'é'", 3, 24),
+])
+def test_syntax_errors_carry_position(text, message, line, column):
+    with pytest.raises(OwlSyntaxError) as info:
+        parse_functional(text)
+    assert message in str(info.value)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_trailing_white_space_after_the_ontology_parses():
+    assert parse_functional(HEADER + ")\n   ") == Ontology("http://x#", ())
+
+
 @pytest.mark.parametrize("axiom", [
     "SubObjectPropertyOf(ObjectPropertyChain(:p :q) :r)",
     "AnnotationAssertion(rdfs:label :A :B)",

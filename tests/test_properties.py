@@ -3,34 +3,41 @@
 ``parse`` returns a model or raises ``ParseError``; ``parse_functional``
 returns an ``Ontology`` or raises ``OwlError``; a syntax error's line and
 column point inside the text; ``fmc check`` exits with a documented code,
-``fmc compile`` writes the ontology ``compile_model`` builds, and
-``fmc scaffold`` writes the site ``generate`` derives from it.
+``fmc compile`` writes the ontology ``compile_model`` builds,
+``fmc scaffold`` writes the site ``generate`` derives from it, and
+``fmc validate`` and ``fmc count`` report what the library computes.
 Mutated inputs start from ``to_source`` and ``serialize_functional`` output
 of the seeded generators in ``helpers``.
 """
 
+import io
+import json
 import os
 import random
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from fmc.analysis import count_configurations
 from fmc.cli import main
 from fmc.compiler import compile_model
-from fmc.dsl import KEYWORDS, ParseError, parse, to_source
-from fmc.model import FeatureModel
+from fmc.dsl import KEYWORDS, ParseError, _Parser, parse, parse_configuration, to_source
+from fmc.model import FeatureModel, ModelError
 from fmc.owl import (
     Ontology,
     OwlError,
     OwlSyntaxError,
+    _OwlParser,
     parse_functional,
     parse_functional_file,
     serialize_functional,
 )
+from fmc.propositional import is_valid_configuration
 from fmc.scaffold import generate, write
 
-from helpers import random_model, random_ontology
+from helpers import oracle_configurations, random_model, random_ontology
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -107,6 +114,19 @@ def test_parse_functional_returns_ontology_or_owl_error(text):
         assert parse_functional(serialize_functional(ontology)) == ontology
 
 
+@PROPERTY
+@given(st.one_of(DSL_INPUTS, OWL_INPUTS))
+def test_the_scan_matches_at_every_position(text):
+    # findall searches: where no alternative matched, it would skip ahead
+    # silently, for example into a comment
+    for lexicon in (_Parser.lexicon, _OwlParser.lexicon):
+        end = 0
+        for match in lexicon.scan_re.finditer(text):
+            assert match.start() == end
+            end = match.end()
+        assert end == len(text)
+
+
 def saved(tmp, text):
     path = os.path.join(tmp, "model.fm")
     with open(path, "w", encoding="utf-8") as fh:
@@ -153,3 +173,75 @@ def test_cli_scaffold_writes_the_generated_site(text):
             expected = os.path.join(tmp, "expected")
             write(generate(compile_model(parse(text))), expected)
             assert files_under(site) == files_under(expected)
+
+
+def run_cli(argv):
+    """main(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# lines of a configuration file: names the seeded models use, names they
+# do not, comments, blank lines, padding and bytes that are not UTF-8
+NOISE_LINES = [b"# F2", b"#", b"", b"\r", b"  \t"]
+CONFIG_LINES = [*(f"F{i}".encode() for i in range(12)), *NOISE_LINES, b"  F1\t", b"Zed",
+                b"feature", b"F1 F2", b"\xc3\xa9", b"\xff"]
+
+
+@st.composite
+def model_and_config(draw):
+    """A CLI model and a configuration file for it: lines drawn from
+    CONFIG_LINES, or, for a model that parses, a valid configuration (by
+    brute force), perhaps with one feature toggled, with noise lines and
+    padding mixed in."""
+    text = draw(CLI_MODELS)
+    try:
+        model = parse(text)
+    except (ParseError, ModelError):
+        model = None
+    if model is None or draw(st.booleans()):
+        lines = draw(st.lists(st.sampled_from(CONFIG_LINES), max_size=12))
+    else:
+        configs = sorted(map(sorted, oracle_configurations(model))) or [[]]  # [[]]: void
+        chosen = set(draw(st.sampled_from(configs)))
+        if draw(st.booleans()):
+            chosen ^= {draw(st.sampled_from(model.feature_names))}
+        pads = st.sampled_from([b"", b" ", b"\t"])
+        lines = [draw(pads) + name.encode() + draw(pads) for name in sorted(chosen)]
+        lines = draw(st.permutations(lines + draw(st.lists(st.sampled_from(NOISE_LINES),
+                                                           max_size=3))))
+    return text, draw(st.sampled_from([b"\n", b"\r\n"])).join(lines)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(model_and_config())
+def test_cli_validate_reports_what_the_library_checks(case):
+    text, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "config.txt")
+        with open(config_path, "wb") as fh:
+            fh.write(config)
+        code, out, err = run_cli(["validate", saved(tmp, text), config_path, "--json"])
+    assert code in (0, 1, 4)
+    assert "Traceback" not in err
+    if code != 1:
+        valid, violations = is_valid_configuration(
+            parse(text), parse_configuration(config.decode("utf-8")))
+        assert code == (0 if valid else 4)
+        assert json.loads(out) == {
+            "valid": valid,
+            "violations": [{"rule": v.rule, "features": list(v.features), "message": v.message}
+                           for v in violations]}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(CLI_MODELS)
+def test_cli_count_prints_the_library_count(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_cli(["count", saved(tmp, text)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out == f"{count_configurations(parse(text))}\n"
