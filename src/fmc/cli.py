@@ -17,7 +17,7 @@ from . import analysis, compiler, scaffold
 from .compiler import CompileError
 from .dsl import ParseError, parse, parse_configuration
 from .model import FeatureModel, ModelError, UnknownFeatureError
-from .owl import _checked_axioms, _write_functional
+from .owl import Ontology, OwlError, _checked_axioms, _write_functional
 from .propositional import is_valid_configuration
 
 TRIGGERS_ENV = "FMC_TRIGGERS"
@@ -48,21 +48,19 @@ def _load_model(path: str) -> FeatureModel:
         raise _Failure(1, f"{path}: {exc}") from exc
 
 
-def _compile(args, **options):
+def _compiled(args, *, disjoint: bool = True):
+    """The IRI and the axiom stream of the input model (see ``compiler._axioms``)."""
     model = _load_model(args.input)
-    try:
-        return compiler._compile(model, args.iri, **options)
-    except CompileError as exc:
-        raise _Failure(2, f"{args.input}: {exc}") from exc
+    return args.iri or compiler.default_iri(model.root), compiler._axioms(model, disjoint=disjoint)
 
 
 def cmd_compile(args) -> int:
-    def write(iri, axioms):
+    iri, axioms = _compiled(args)
+    try:
         # each axiom is checked and written as it is built; none is kept
         _write_functional(iri, _checked_axioms(iri, axioms), args.output)
-
-    try:
-        _compile(args, build=write)
+    except (CompileError, OwlError) as exc:
+        raise _Failure(2, f"{args.input}: {exc}") from exc
     except OSError as exc:
         raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
     print(f"wrote {args.output}", file=sys.stderr)
@@ -122,7 +120,11 @@ def cmd_count(args) -> int:
 
 def cmd_scaffold(args) -> int:
     # the site reads no DisjointClasses axiom, so none is built
-    ontology = _compile(args, disjoint=False)
+    iri, axioms = _compiled(args, disjoint=False)
+    try:
+        ontology = Ontology(iri, tuple(axioms))
+    except (CompileError, OwlError) as exc:
+        raise _Failure(2, f"{args.input}: {exc}") from exc
     registry = None
     triggers_path = os.environ.get(TRIGGERS_ENV)
     if triggers_path:

@@ -22,18 +22,20 @@ a group's axioms at the position of its first member in feature order);
 constraint axioms (declaration order); DisjointClasses for every pair of
 feature names, lexicographic; then the attribute axioms (feature order).
 
-``compile_model`` collects the axioms into an ``Ontology``. ``fmc compile``
-instead streams them from ``_axioms`` through the validator into the
-output file, so no axiom is kept, and ``fmc scaffold`` skips the
-DisjointClasses block, which is nearly all of the axioms and which the
-scaffold does not read.
+Every name is declared before its first use: a feature's classes and
+property in its base axioms, a data property right before its domain
+and range. ``compile_model`` collects the axioms into an ``Ontology``.
+``fmc compile`` instead streams them from ``_axioms`` through the
+declare-before-use checker into the output file, so no axiom is kept,
+and ``fmc scaffold`` skips the DisjointClasses block, which is nearly
+all of the axioms and which the scaffold does not read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from itertools import combinations
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .model import FeatureModel, GroupKind, ConstraintKind, Variability
 from .owl import (
@@ -54,9 +56,6 @@ from .owl import (
     SubClassOf,
     UnionOf,
 )
-
-
-_T = TypeVar("_T")
 
 
 class CompileError(Exception):
@@ -137,25 +136,13 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Axiom]:
 
 
 def compile_model(model: FeatureModel, iri: str | None = None) -> Ontology:
-    """Transform a feature model into its OWL ontology."""
-    return _compile(model, iri)
+    """Transform a feature model into its OWL ontology.
 
-
-def _collect(iri: str, axioms: Iterator[Axiom]) -> Ontology:
-    return Ontology(iri, tuple(axioms))
-
-
-def _compile(model: FeatureModel, iri: str | None, *,
-             build: Callable[[str, Iterator[Axiom]], _T] = _collect,
-             disjoint: bool = True) -> _T:
-    """Return build(iri, axioms) over the model's axioms (see ``_axioms``).
-
-    iri defaults to ``default_iri(model.root)``. An OwlError that build
-    raises, e.g. for feature names A and ARule colliding on the rule
-    class, becomes a CompileError; ``fmc compile`` passes a build that
-    checks and writes each axiom as it comes.
+    iri defaults to ``default_iri(model.root)``. An OwlError from the
+    ontology's validation, e.g. for feature names A and ARule colliding
+    on the rule class, becomes a CompileError.
     """
     try:
-        return build(iri or default_iri(model.root), _axioms(model, disjoint=disjoint))
+        return Ontology(iri or default_iri(model.root), tuple(_axioms(model)))
     except OwlError as exc:
         raise CompileError(str(exc)) from exc

@@ -11,13 +11,17 @@ An ``Ontology`` validates itself when it is built (``validate_ontology``),
 so the serializer and the scaffold need not check again; an axiom that
 uses an undeclared name raises ``UndeclaredNameError``.
 
-Validation is one pass over the axioms (``_checked_axioms``) that yields
-each axiom once it is checked, and rendering (``_lines``) makes one line
-per axiom. ``fmc compile`` chains the two over the compiler's axiom
-stream and writes each line as it comes (``_write_functional``), so no
-axiom is kept; the output is opened only once the whole stream has
-checked out. ``serialize_functional`` and ``write_functional`` use the
-same renderer on a built ``Ontology``.
+Validation is one declare-before-use pass (``_checked_axioms``): it
+yields each axiom once it is checked and raises the first error in
+stream order, so a stream must declare each name before it uses it.
+``validate_ontology`` runs it over an ontology's declarations first and
+its other axioms after, so there a name may be used before it is
+declared. Rendering (``_lines``) makes one line per axiom. ``fmc
+compile`` chains the two over the compiler's axiom stream, which
+declares every name before its first use, and writes each line as it
+comes (``_write_functional``), so no axiom is kept; the output is opened
+only once the whole stream has checked out. ``serialize_functional`` and
+``write_functional`` use the same renderer on a built ``Ontology``.
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
@@ -33,6 +37,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, filterfalse
 
 from .lexer import Cursor, Lexicon, describe
 
@@ -182,6 +187,9 @@ class Ontology:
     axioms: tuple[Axiom, ...]
 
     def __post_init__(self):
+        # validation reads the axioms twice, so an iterator becomes a
+        # tuple first; a tuple is kept as it is, not copied
+        object.__setattr__(self, "axioms", tuple(self.axioms))
         validate_ontology(self)
 
 
@@ -192,34 +200,36 @@ def validate_ontology(ontology: Ontology) -> None:
     name declared, names lexically valid. Raises OwlError subclasses: the
     first declaration error in axiom order if there is one, otherwise the
     first use error in axiom order. A name may be used before it is
-    declared.
+    declared: the declarations are checked first, then the other axioms.
     """
-    for _ in _checked_axioms(ontology.iri, ontology.axioms):
+    axioms = ontology.axioms
+    checked = _checked_axioms(ontology.iri, chain(
+        filter(_is_declaration, axioms), filterfalse(_is_declaration, axioms)))
+    for _ in checked:
         pass
+
+
+def _is_declaration(axiom: Axiom) -> bool:
+    return isinstance(axiom, Declaration)
 
 
 def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
     """Check the axioms in one pass, yielding each one once it is checked.
 
-    Raises the error ``validate_ontology`` states. A declaration error is
-    raised when it is met. A use may come before its declaration, so
-    uses of names not declared yet, and the first other use error after
-    them, are held until the stream ends; a later declaration error
-    still comes first.
+    The stream must declare each name before it uses it, as the
+    compiler's does: the first error in stream order is raised when it is
+    met, and a use of a name not declared yet is an error.
     """
     if not iri or any(ch in iri for ch in "<> \t\n"):
         raise OwlError(f"invalid ontology IRI {iri!r}")
     declared: dict[EntityKind, set[str]] = {kind: set() for kind in EntityKind}
     classes, object_properties, data_properties = declared.values()  # EntityKind order
-    # (kind, name) for each use of a name not declared when it was met,
-    # in use order; then the first other use error, if there is one
-    held: list = []
 
     def check_expr(expr: ClassExpression, depth: int = 0) -> None:
         # depth counts the constructors around expr, as the reader does
         if isinstance(expr, NamedClass):
             if expr.name not in classes:
-                held.append((EntityKind.CLASS, expr.name))
+                raise _undeclared(EntityKind.CLASS, expr.name)
             return
         if isinstance(expr, Thing):
             return
@@ -232,16 +242,23 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
                 check_expr(op, depth + 1)
         elif isinstance(expr, (SomeValuesFrom, AllValuesFrom)):
             if expr.property not in object_properties:
-                held.append((EntityKind.OBJECT_PROPERTY, expr.property))
+                raise _undeclared(EntityKind.OBJECT_PROPERTY, expr.property)
             check_expr(expr.filler, depth + 1)
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
-    def check_uses(axiom: Axiom) -> None:
+    for axiom in axioms:
         # DisjointClasses first: a compiled ontology is almost all of them
         if isinstance(axiom, DisjointClasses):
             check_expr(axiom.a)
             check_expr(axiom.b)
+        elif isinstance(axiom, Declaration):
+            if not _NAME_RE.match(axiom.name):
+                raise OwlError(f"invalid entity name {axiom.name!r}")
+            names = declared[axiom.kind]
+            if axiom.name in names:
+                raise OwlError(f"duplicate {axiom.kind.value} declaration '{axiom.name}'")
+            names.add(axiom.name)
         elif isinstance(axiom, SubClassOf):
             check_expr(axiom.sub)
             check_expr(axiom.sup)
@@ -250,42 +267,20 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
             check_expr(axiom.b)
         elif isinstance(axiom, ObjectPropertyRange):
             if axiom.property not in object_properties:
-                held.append((EntityKind.OBJECT_PROPERTY, axiom.property))
+                raise _undeclared(EntityKind.OBJECT_PROPERTY, axiom.property)
             check_expr(axiom.range)
         elif isinstance(axiom, DataPropertyDomain):
             if axiom.property not in data_properties:
-                held.append((EntityKind.DATA_PROPERTY, axiom.property))
+                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
             check_expr(axiom.domain)
         elif isinstance(axiom, DataPropertyRange):
             if axiom.property not in data_properties:
-                held.append((EntityKind.DATA_PROPERTY, axiom.property))
+                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
             if not _DATATYPE_RE.match(axiom.datatype):
                 raise OwlError(f"unsupported datatype {axiom.datatype!r}")
         else:
             raise OwlError(f"unknown axiom {axiom!r}")
-
-    failed = False  # a use error is held: no later use can be the first
-    for axiom in axioms:
-        if isinstance(axiom, Declaration):
-            if not _NAME_RE.match(axiom.name):
-                raise OwlError(f"invalid entity name {axiom.name!r}")
-            names = declared[axiom.kind]
-            if axiom.name in names:
-                raise OwlError(f"duplicate {axiom.kind.value} declaration '{axiom.name}'")
-            names.add(axiom.name)
-        elif not failed:
-            try:
-                check_uses(axiom)
-            except OwlError as exc:
-                held.append(exc)
-                failed = True
         yield axiom
-    for use in held:
-        if isinstance(use, OwlError):
-            raise use
-        kind, name = use
-        if name not in declared[kind]:
-            raise _undeclared(kind, name)
 
 
 def _undeclared(kind: EntityKind, name: str) -> UndeclaredNameError:

@@ -116,10 +116,12 @@ def load_triggers(path) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScaffoldError(f"invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ScaffoldError(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed text, or an integer over the digit limit;
+        # RecursionError: arrays or objects nested too deeply
+        raise ScaffoldError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScaffoldError("trigger registry must be a JSON object")
     return normalize_triggers(raw)

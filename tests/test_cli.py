@@ -303,7 +303,9 @@ def test_scaffold_bad_triggers_env_exits_2(tmp_path, monkeypatch, capsys):
     assert "unknown trigger kind" in err
     assert err.count(str(registry)) == 1
     for bad, message in (('[]', "trigger registry must be a JSON object"),
-                         ('{nope', "invalid JSON")):
+                         ('{nope', "invalid JSON"),
+                         ("[" * 5000, "invalid JSON"),
+                         ("1" * 5000, "invalid JSON")):
         registry.write_text(bad)
         assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {registry}: {message}")

@@ -187,6 +187,13 @@ def test_a_name_never_declared_comes_before_a_later_error():
     ) == (UndeclaredNameError, "Class 'X' used but not declared")
 
 
+def test_axioms_from_an_iterator_are_all_checked_and_kept():
+    axioms = (*declared((EntityKind.CLASS, "A")), SubClassOf(A, A))
+    assert Ontology(IRI, iter(axioms)).axioms == axioms
+    with pytest.raises(UndeclaredNameError, match="Class 'X'"):
+        Ontology(IRI, iter((*axioms, SubClassOf(A, X))))
+
+
 def test_round_trip_empty_ontology():
     ontology = Ontology(IRI, ())
     assert parse_functional(serialize_functional(ontology)) == ontology

@@ -3,8 +3,9 @@
 ``parse`` returns a model or raises ``ParseError``; ``parse_functional``
 returns an ``Ontology`` or raises ``OwlError``; a syntax error's line and
 column point inside the text; ``fmc check`` exits with a documented code,
-``fmc compile`` writes the ontology ``compile_model`` builds,
-``fmc scaffold`` writes the site ``generate`` derives from it, and
+``fmc compile`` writes the ontology ``compile_model`` builds (or prints
+its ``CompileError``), ``fmc scaffold`` writes the site ``generate``
+derives from it, also under a fuzzed ``FMC_TRIGGERS`` registry, and
 ``fmc validate`` and ``fmc count`` report what the library computes.
 Mutated inputs start from ``to_source`` and ``serialize_functional`` output
 of the seeded generators in ``helpers``.
@@ -22,7 +23,7 @@ import pytest
 
 from fmc.analysis import count_configurations
 from fmc.cli import main
-from fmc.compiler import compile_model
+from fmc.compiler import CompileError, compile_model
 from fmc.dsl import KEYWORDS, ParseError, _Parser, parse, parse_configuration, to_source
 from fmc.model import FeatureModel, ModelError
 from fmc.owl import (
@@ -37,10 +38,11 @@ from fmc.owl import (
 from fmc.propositional import is_valid_configuration
 from fmc.scaffold import generate, write
 
+from conftest import AISCO_PATH
 from helpers import oracle_configurations, random_model, random_ontology
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # deterministic runs, no example database written next to the tests
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -142,19 +144,46 @@ def test_cli_check_exits_with_documented_code(text):
         assert main(["check", saved(tmp, text)]) in (0, 1, 2, 3, 4)
 
 
+def run_cli(argv):
+    """main(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 CLI_MODELS = st.one_of(st.integers(0, 2**32 - 1).map(lambda seed: dsl_source(random.Random(seed))),
                        mutated(dsl_source, DSL_PIECES))
 
 
+# models that parse but do not compile: a rule class clash, a data
+# property declared twice
+COMPILE_ERRORS = ["feature A { optional ARule }\n",
+                  "feature A { optional B { attribute t : string } optional C "
+                  "{ attribute t : decimal } }\n"]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(CLI_MODELS)
+@example(COMPILE_ERRORS[0])
+@example(COMPILE_ERRORS[1])
 def test_cli_compile_writes_the_compiled_ontology(text):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "model.ofn")
-        code = main(["compile", saved(tmp, text), out])
+        path = saved(tmp, text)
+        code, _, err = run_cli(["compile", path, out])
         assert code in (0, 1, 2)
         if code == 0:
             assert parse_functional_file(out) == compile_model(parse(text))
+    if code == 2:
+        assert_compile_error(err, path, text)
+
+
+def assert_compile_error(err, path, text):
+    """err is exactly what the CLI prints for the CompileError of the library."""
+    with pytest.raises(CompileError) as raised:
+        compile_model(parse(text))
+    assert err == f"error: {path}: {raised.value}\n"
 
 
 def files_under(root):
@@ -163,24 +192,91 @@ def files_under(root):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(CLI_MODELS)
+@example(COMPILE_ERRORS[0])
+@example(COMPILE_ERRORS[1])
 def test_cli_scaffold_writes_the_generated_site(text):
     # the CLI leaves the DisjointClasses axioms out; the site must not change
     with tempfile.TemporaryDirectory() as tmp:
         site = os.path.join(tmp, "site")
-        code = main(["scaffold", saved(tmp, text), site])
+        path = saved(tmp, text)
+        code, _, err = run_cli(["scaffold", path, site])
         assert code in (0, 1, 2)
         if code == 0:
             expected = os.path.join(tmp, "expected")
             write(generate(compile_model(parse(text))), expected)
             assert files_under(site) == files_under(expected)
+    if code == 2:
+        assert_compile_error(err, path, text)
 
 
-def run_cli(argv):
-    """main(argv) with its output captured: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+# trigger registries: patterns that attributes use (AISCO's total, the
+# seeded models' a0, a1), the same patterns in other case, and others;
+# valid and invalid kinds
+TRIGGER_PATTERNS = ["total", "Total", "TOTAL", "a0", "A0", "a1", "count", "x y", ""]
+REGISTRY_KINDS = ["Sum", "Count", "Average", "sum", "Max", "", 1, None, ["Sum"], {"Sum": 1}]
+JSON_VALUES = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5)),
+                           lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                                   st.dictionaries(st.text(max_size=3), inner,
+                                                                   max_size=3)),
+                           max_leaves=6)
+
+
+@st.composite
+def trigger_file(draw):
+    """The bytes of an FMC_TRIGGERS file: a registry, any other JSON value,
+    deep nesting, an integer over the digit limit, or cut, padded or
+    non-UTF-8 variants of these."""
+    registry = draw(st.dictionaries(st.sampled_from(TRIGGER_PATTERNS),
+                                    st.sampled_from(REGISTRY_KINDS), max_size=4))
+    depth = draw(st.sampled_from([3, 50, 5000]))
+    text = draw(st.sampled_from([
+        json.dumps(registry),
+        json.dumps(draw(JSON_VALUES)),
+        "[" * depth + "]" * depth,
+        '{"total": ' * depth,
+        "1" * 5000,
+    ]))
+    data = text.encode("utf-8")
+    change = draw(st.sampled_from(["none", "cut", "pad", "bom", "latin-1", "xff"]))
+    if change == "cut":
+        data = data[:draw(st.integers(0, len(data)))]
+    elif change == "pad":
+        data = b" \n\t" + data + b"\n"
+    elif change == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif change == "latin-1":
+        data = text.replace('"', '"\xe9', 1).encode("latin-1", "replace")
+    elif change == "xff":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+TRIGGER_MODELS = st.one_of(
+    st.just(AISCO_PATH.read_text(encoding="utf-8")),
+    st.integers(0, 2**32 - 1).map(lambda seed: dsl_source(random.Random(seed))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(TRIGGER_MODELS, trigger_file())
+def test_cli_scaffold_with_fuzzed_triggers_writes_the_generated_site(text, triggers):
+    with tempfile.TemporaryDirectory() as tmp:
+        registry_path = os.path.join(tmp, "triggers.json")
+        with open(registry_path, "wb") as fh:
+            fh.write(triggers)
+        site = os.path.join(tmp, "site")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("FMC_TRIGGERS", registry_path)
+            code, _, err = run_cli(["scaffold", saved(tmp, text), site])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            expected = os.path.join(tmp, "expected")
+            registry = json.loads(triggers.decode("utf-8"))
+            write(generate(compile_model(parse(text)), registry), expected)
+            assert files_under(site) == files_under(expected)
+        else:
+            assert err.startswith(f"error: {registry_path}: ")
 
 
 # lines of a configuration file: names the seeded models use, names they
