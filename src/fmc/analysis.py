@@ -210,16 +210,16 @@ def check_consistency(model: FeatureModel) -> bool:
 def dead_features(model: FeatureModel) -> set[str]:
     """Features that appear in no valid configuration.
 
-    Raises VoidModelError if the model itself has no valid configuration.
-    One solver answers that base query, then, for each feature no witness
-    has selected yet, whether it can be selected; each witness marks
-    every feature it selects alive.
+    Raises VoidModelError if the model itself has no valid configuration,
+    found by the one ``solve`` of the base formula. One solver then
+    answers, for each feature no witness has selected yet, whether it can
+    be selected; each witness marks every feature it selects alive.
     """
     formula = to_propositional(model)
-    solver = _Solver(formula)
-    base = _checked(formula, solver.solve())
+    base = solve(formula)
     if base is None:
         raise VoidModelError("model has no valid configuration")
+    solver = _Solver(formula)
     alive: set[int] = set()
 
     def mark_alive(witness: dict[int, bool]) -> None:

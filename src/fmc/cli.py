@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import analysis, compiler, scaffold
 from .compiler import CompileError
@@ -48,21 +49,24 @@ def _load_model(path: str) -> FeatureModel:
         raise _Failure(1, f"{path}: {exc}") from exc
 
 
-def _compiled(args, *, disjoint: bool = True):
-    """The IRI and the axiom stream of the input model (see ``compiler._axioms``)."""
+@contextmanager
+def _compiling(args, *, disjoint: bool = True):
+    """The IRI and the axiom stream of the input model (see
+    ``compiler._axioms``); a compile error met in the block exits 2."""
     model = _load_model(args.input)
-    return args.iri or compiler.default_iri(model.root), compiler._axioms(model, disjoint=disjoint)
+    try:
+        yield args.iri or compiler.default_iri(model.root), compiler._axioms(model, disjoint=disjoint)
+    except (CompileError, OwlError) as exc:
+        raise _Failure(2, f"{args.input}: {exc}") from exc
 
 
 def cmd_compile(args) -> int:
-    iri, axioms = _compiled(args)
-    try:
-        # each axiom is checked and written as it is built; none is kept
-        _write_functional(iri, _checked_axioms(iri, axioms), args.output)
-    except (CompileError, OwlError) as exc:
-        raise _Failure(2, f"{args.input}: {exc}") from exc
-    except OSError as exc:
-        raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
+    with _compiling(args) as (iri, axioms):
+        try:
+            # each axiom is checked and written as it is built; none is kept
+            _write_functional(iri, _checked_axioms(iri, axioms), args.output)
+        except OSError as exc:
+            raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
@@ -120,11 +124,8 @@ def cmd_count(args) -> int:
 
 def cmd_scaffold(args) -> int:
     # the site reads no DisjointClasses axiom, so none is built
-    iri, axioms = _compiled(args, disjoint=False)
-    try:
+    with _compiling(args, disjoint=False) as (iri, axioms):
         ontology = Ontology(iri, tuple(axioms))
-    except (CompileError, OwlError) as exc:
-        raise _Failure(2, f"{args.input}: {exc}") from exc
     registry = None
     triggers_path = os.environ.get(TRIGGERS_ENV)
     if triggers_path:

@@ -203,14 +203,11 @@ def validate_ontology(ontology: Ontology) -> None:
     declared: the declarations are checked first, then the other axioms.
     """
     axioms = ontology.axioms
+    is_declaration = Declaration.__instancecheck__  # a C call per axiom
     checked = _checked_axioms(ontology.iri, chain(
-        filter(_is_declaration, axioms), filterfalse(_is_declaration, axioms)))
+        filter(is_declaration, axioms), filterfalse(is_declaration, axioms)))
     for _ in checked:
         pass
-
-
-def _is_declaration(axiom: Axiom) -> bool:
-    return isinstance(axiom, Declaration)
 
 
 def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
