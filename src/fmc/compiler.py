@@ -28,7 +28,10 @@ and range. ``compile_model`` collects the axioms into an ``Ontology``.
 ``fmc compile`` instead streams them from ``_axioms`` through the
 declare-before-use checker into the output file, so no axiom is kept,
 and ``fmc scaffold`` skips the DisjointClasses block, which is nearly
-all of the axioms and which the scaffold does not read.
+all of the axioms and which the scaffold does not read. Each
+DisjointClasses pairs two of the features' shared ``NamedClass`` terms,
+so the checker and the renderer take it on their direct path, and its
+line reaches the output's spool in an encoded batch (``fmc.owl``).
 """
 
 from __future__ import annotations

@@ -7,19 +7,27 @@ expressions built from named classes, owl:Thing, ObjectComplementOf,
 ObjectIntersectionOf, ObjectUnionOf, ObjectSomeValuesFrom and
 ObjectAllValuesFrom. ``parse_functional`` inverts ``serialize_functional``.
 
-An ``Ontology`` validates itself when it is built (``validate_ontology``),
-so the serializer and the scaffold need not check again; an axiom that
-uses an undeclared name raises ``UndeclaredNameError``.
+Every value is a frozen slotted dataclass built by ``_value``, whose
+``__init__`` stores each field through its slot descriptor rather than
+through ``object.__setattr__``; a compiled ontology is hundreds of
+thousands of values. An ``Ontology`` validates itself when it is built
+(``validate_ontology``), so the serializer and the scaffold need not
+check again; an axiom that uses an undeclared name raises
+``UndeclaredNameError``.
 
 Validation is one declare-before-use pass (``_checked_axioms``): it
 yields each axiom once it is checked and raises the first error in
 stream order, so a stream must declare each name before it uses it.
 ``validate_ontology`` runs it over an ontology's declarations first and
 its other axioms after, so there a name may be used before it is
-declared. Rendering (``_lines``) makes one line per axiom. ``fmc
-compile`` chains the two over the compiler's axiom stream, which
-declares every name before its first use, and writes each line as it
-comes (``_write_functional``), so no axiom is kept; the output is opened
+declared. Rendering (``_lines``) makes one line per axiom. The checker
+and the renderer take a ``DisjointClasses`` of two plain ``NamedClass``
+operands, nearly all of a compiled ontology, directly: two set lookups,
+one f-string. Any other operand takes the general path, so errors and
+text are the same either way. ``fmc compile`` chains the two over the
+compiler's axiom stream, which declares every name before its first use,
+and ``_write_functional`` encodes the lines in batches into a binary
+temporary file as they come, so no axiom is kept; the output is opened
 only once the whole stream has checked out. ``serialize_functional`` and
 ``write_functional`` use the same renderer on a built ``Ontology``.
 
@@ -27,17 +35,18 @@ The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
 are worked out only when an error is raised. A token's kind follows from
 its text: ``(``, ``)``, ``:=``, ``<iri>``, ``:Name``, ``prefix:name``, a
-word or a number. Class expressions may nest at most ``MAX_EXPR_DEPTH``
-levels deep.
+word or a number. Each parse builds one ``NamedClass`` per class name and
+shares it among all the axioms that use the name. Class expressions may
+nest at most ``MAX_EXPR_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice
 
 from .lexer import Cursor, Lexicon, describe
 
@@ -65,6 +74,33 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DATATYPE_RE = re.compile(r"xsd:[A-Za-z][A-Za-z0-9]*\Z")
 
 
+def _value(cls):
+    """Make cls a frozen slotted dataclass whose ``__init__`` stores each
+    field through its slot descriptor (``cls.field.__set__``).
+
+    That skips the ``object.__setattr__`` call a frozen dataclass's own
+    ``__init__`` makes per field, about a third of the cost of building a
+    two-field value, and one compile builds several hundred thousand.
+    Fields, ``repr``, equality, hashing and pickling stay the dataclass's
+    own; ``__post_init__`` still runs, and assigning to a field still
+    raises ``FrozenInstanceError``.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    # the parameters are the field names, so keywords and
+    # dataclasses.replace work as before
+    body = [f"set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    scope = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n    "
+         + "\n    ".join(body or ["pass"]), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
 # --- class expressions -----------------------------------------------------
 
 # Class expressions nest at most this deep. The compiler writes at most
@@ -77,7 +113,7 @@ class ClassExpression:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Thing(ClassExpression):
     """owl:Thing, the top concept."""
 
@@ -85,17 +121,17 @@ class Thing(ClassExpression):
 THING = Thing()
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class NamedClass(ClassExpression):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class ComplementOf(ClassExpression):
     operand: ClassExpression
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class IntersectionOf(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
@@ -104,7 +140,7 @@ class IntersectionOf(ClassExpression):
             raise OwlError("ObjectIntersectionOf needs at least 2 operands")
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class UnionOf(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
@@ -113,13 +149,13 @@ class UnionOf(ClassExpression):
             raise OwlError("ObjectUnionOf needs at least 2 operands")
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class SomeValuesFrom(ClassExpression):
     property: str
     filler: ClassExpression
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class AllValuesFrom(ClassExpression):
     property: str
     filler: ClassExpression
@@ -137,49 +173,49 @@ class Axiom:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Declaration(Axiom):
     kind: EntityKind
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class SubClassOf(Axiom):
     sub: ClassExpression
     sup: ClassExpression
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class EquivalentClasses(Axiom):
     a: ClassExpression
     b: ClassExpression
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class DisjointClasses(Axiom):
     a: NamedClass
     b: NamedClass
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class ObjectPropertyRange(Axiom):
     property: str
     range: ClassExpression
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class DataPropertyDomain(Axiom):
     property: str
     domain: NamedClass
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class DataPropertyRange(Axiom):
     property: str
     datatype: str  # prefixed name, e.g. "xsd:decimal"
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Ontology:
     """An ontology whose names are declared: built only if it validates."""
 
@@ -189,7 +225,7 @@ class Ontology:
     def __post_init__(self):
         # validation reads the axioms twice, so an iterator becomes a
         # tuple first; a tuple is kept as it is, not copied
-        object.__setattr__(self, "axioms", tuple(self.axioms))
+        Ontology.axioms.__set__(self, tuple(self.axioms))
         validate_ontology(self)
 
 
@@ -245,10 +281,15 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
             raise OwlError(f"unknown class expression {expr!r}")
 
     for axiom in axioms:
-        # DisjointClasses first: a compiled ontology is almost all of them
+        # DisjointClasses first: a compiled ontology is almost all of them.
+        # Two declared plain NamedClass operands pass at once; anything
+        # else, an error too, takes the general path
         if isinstance(axiom, DisjointClasses):
-            check_expr(axiom.a)
-            check_expr(axiom.b)
+            a, b = axiom.a, axiom.b
+            if not (type(a) is NamedClass and type(b) is NamedClass
+                    and a.name in classes and b.name in classes):
+                check_expr(a)
+                check_expr(b)
         elif isinstance(axiom, Declaration):
             if not _NAME_RE.match(axiom.name):
                 raise OwlError(f"invalid entity name {axiom.name!r}")
@@ -305,9 +346,13 @@ def _render_expr(expr: ClassExpression) -> str:
 
 
 def _render_axiom(axiom: Axiom) -> str:
-    # DisjointClasses first: a compiled ontology is almost all of them
+    # DisjointClasses first: a compiled ontology is almost all of them,
+    # nearly always of two plain NamedClass operands
     if isinstance(axiom, DisjointClasses):
-        return f"DisjointClasses({_render_expr(axiom.a)} {_render_expr(axiom.b)})"
+        a, b = axiom.a, axiom.b
+        if type(a) is NamedClass and type(b) is NamedClass:
+            return f"DisjointClasses(:{a.name} :{b.name})"
+        return f"DisjointClasses({_render_expr(a)} {_render_expr(b)})"
     if isinstance(axiom, Declaration):
         return f"Declaration({axiom.kind.value}(:{axiom.name}))"
     if isinstance(axiom, SubClassOf):
@@ -347,6 +392,9 @@ def write_functional(ontology: Ontology, path) -> None:
     _write_functional(ontology.iri, ontology.axioms, path)
 
 
+_SPOOL_BATCH = 4096  # lines encoded and written at a time
+
+
 def _write_functional(iri: str, axioms: Iterable[Axiom], path) -> None:
     """Write the lines of ``serialize_functional`` as the axioms come.
 
@@ -361,11 +409,15 @@ def _write_functional(iri: str, axioms: Iterable[Axiom], path) -> None:
     import shutil
     import tempfile
 
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
-        spool.writelines(_lines(iri, axioms))
+    # the spool is binary and takes the lines in encoded batches: a text
+    # spool, opened for reading too, resets its decoder on every write
+    lines = _lines(iri, axioms)
+    with tempfile.TemporaryFile() as spool:
+        while batch := "".join(islice(lines, _SPOOL_BATCH)):
+            spool.write(batch.encode("utf-8"))
         spool.seek(0)
         with open(path, "wb") as fh:
-            shutil.copyfileobj(spool.buffer, fh)
+            shutil.copyfileobj(spool, fh)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -386,6 +438,14 @@ def _is_word(token: str) -> bool:
     return token[:1].isalpha() and ":" not in token
 
 
+class _Interned(dict):
+    """NamedClass by name, each built on its first lookup."""
+
+    def __missing__(self, name: str) -> NamedClass:
+        named = self[name] = NamedClass(name)
+        return named
+
+
 class _OwlParser(Cursor):
     """Tokens are texts: "(", ")", ":=", "<iri>", ":Name", "prefix:name", a
     word, a number, or "" for end of input."""
@@ -404,6 +464,7 @@ class _OwlParser(Cursor):
     def __init__(self, text: str):
         super().__init__(text)
         self.depth = 0  # class expressions open around the current token
+        self.named = _Interned()  # one NamedClass per name in this text
 
     def expect_iri(self) -> str:
         tok = self.tokens[self.pos]
@@ -495,13 +556,13 @@ class _OwlParser(Cursor):
                 UnsupportedConstructError)
 
     def parse_named(self, what: str) -> NamedClass:
-        return NamedClass(self.local_name(what))
+        return self.named[self.local_name(what)]
 
     def parse_expr(self) -> ClassExpression:
         tok = self.tokens[self.pos]
         if tok[:1] == ":" and tok != ":=":
             self.pos += 1
-            return NamedClass(tok[1:])
+            return self.named[tok[1:]]
         if tok == "owl:Thing":
             self.pos += 1
             return THING

@@ -93,16 +93,24 @@ class SiteScaffold:
                 raise ScaffoldError(f"duplicate form fields on '{form.category}'")
 
 
+# a pattern or kind quoted in an error is cut to this many characters
+_QUOTE_LIMIT = 40
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
+
+
 def normalize_triggers(registry: dict) -> dict[str, str]:
     """Lowercase the patterns and check the logic kinds."""
     normalized: dict[str, str] = {}
     for pattern, kind in registry.items():
         key = str(pattern).lower()
         if key in normalized:
-            raise ScaffoldError(f"duplicate trigger pattern '{key}' (case-insensitive)")
+            raise ScaffoldError(f"duplicate trigger pattern '{_clip(key)}' (case-insensitive)")
         if kind not in TRIGGER_KINDS:
             raise ScaffoldError(
-                f"unknown trigger kind {kind!r} for '{pattern}' "
+                f"unknown trigger kind {_clip(repr(kind))} for '{_clip(str(pattern))}' "
                 f"(expected one of {', '.join(TRIGGER_KINDS)})")
         normalized[key] = kind
     return normalized

@@ -295,6 +295,7 @@ def test_scaffold_triggers_env_override(tmp_path, monkeypatch):
 
 
 def test_scaffold_bad_triggers_env_exits_2(tmp_path, monkeypatch, capsys):
+    expected = "(expected one of Sum, Count, Average)"
     registry = tmp_path / "triggers.json"
     registry.write_text('{"total": "Max"}')
     monkeypatch.setenv("FMC_TRIGGERS", str(registry))
@@ -305,7 +306,12 @@ def test_scaffold_bad_triggers_env_exits_2(tmp_path, monkeypatch, capsys):
     for bad, message in (('[]', "trigger registry must be a JSON object"),
                          ('{nope', "invalid JSON"),
                          ("[" * 5000, "invalid JSON"),
-                         ("1" * 5000, "invalid JSON")):
+                         ("1" * 5000, "invalid JSON"),
+                         # a long kind or pattern is clipped in the message
+                         ('{"total": ' + "[" * 200 + "]" * 200 + "}",
+                          f"unknown trigger kind {'[' * 40}... for 'total' {expected}\n"),
+                         ('{"' + "x" * 100 + '": "Max"}',
+                          f"unknown trigger kind 'Max' for '{'x' * 40}...' {expected}\n")):
         registry.write_text(bad)
         assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {registry}: {message}")

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
+import fmc.owl
 from fmc.owl import (
     MAX_EXPR_DEPTH,
     THING,
@@ -24,6 +28,8 @@ from fmc.owl import (
     UndeclaredNameError,
     UnionOf,
     UnsupportedConstructError,
+    _checked_axioms,
+    _render_axiom,
     parse_functional,
     serialize_functional,
     validate_ontology,
@@ -34,15 +40,139 @@ from helpers import random_ontology
 IRI = "http://example.org/spl/T#"
 
 
+A, X, Y = NamedClass("A"), NamedClass("X"), NamedClass("Y")
+
+
 def declared(*entries):
     return tuple(Declaration(kind, name) for kind, name in entries)
 
 
 def test_nary_operators_need_two_operands():
-    with pytest.raises(OwlError):
-        IntersectionOf((NamedClass("A"),))
-    with pytest.raises(OwlError):
-        UnionOf((NamedClass("A"),))
+    for ctor, keyword in ((IntersectionOf, "ObjectIntersectionOf"), (UnionOf, "ObjectUnionOf")):
+        for operands in ((), (NamedClass("A"),)):
+            with pytest.raises(OwlError, match=f"^{keyword} needs at least 2 operands$"):
+                ctor(operands)
+            with pytest.raises(OwlError, match="needs at least 2 operands"):
+                ctor(operands=operands)
+            with pytest.raises(OwlError, match="needs at least 2 operands"):
+                dataclasses.replace(ctor((A, X)), operands=operands)
+
+
+# one value of every OWL value class
+VALUES = (
+    THING,
+    NamedClass("A"),
+    ComplementOf(NamedClass("A")),
+    IntersectionOf((NamedClass("A"), THING)),
+    UnionOf((NamedClass("A"), NamedClass("B"), THING)),
+    SomeValuesFrom("hasA", NamedClass("A")),
+    AllValuesFrom("hasA", THING),
+    Declaration(EntityKind.OBJECT_PROPERTY, "hasA"),
+    SubClassOf(NamedClass("A"), ComplementOf(NamedClass("B"))),
+    EquivalentClasses(NamedClass("ARule"), SomeValuesFrom("hasA", NamedClass("A"))),
+    DisjointClasses(NamedClass("A"), NamedClass("B")),
+    ObjectPropertyRange("hasA", NamedClass("A")),
+    DataPropertyDomain("d", NamedClass("A")),
+    DataPropertyRange("d", "xsd:decimal"),
+    Ontology(IRI, (Declaration(EntityKind.CLASS, "A"), SubClassOf(NamedClass("A"), THING))),
+)
+
+
+def test_every_owl_value_class_has_a_sample():
+    classes = {cls for cls in vars(fmc.owl).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    assert {type(value) for value in VALUES} == classes
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+def test_owl_values_are_frozen_hashable_and_copyable(value):
+    cls = type(value)
+    params = dataclasses.fields(value)
+    assert cls.__dataclass_params__.frozen and not hasattr(value, "__dict__")
+    for name in [f.name for f in params]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    args = [getattr(value, f.name) for f in params]
+    shown = ", ".join(f"{f.name}={arg!r}" for f, arg in zip(params, args))
+    assert repr(value) == f"{cls.__name__}({shown})"
+    for fresh in (cls(*args), cls(**{f.name: arg for f, arg in zip(params, args)}),
+                  copy.copy(value), pickle.loads(pickle.dumps(value)),
+                  dataclasses.replace(value)):
+        assert type(fresh) is cls
+        assert fresh == value and hash(fresh) == hash(value) and repr(fresh) == repr(value)
+    with pytest.raises(TypeError):
+        cls(*args, None)
+
+
+class _Named(NamedClass):
+    """A NamedClass subclass: DisjointClasses checks and renders it the
+    general way."""
+
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("a, b, outcome", [
+    (A, NamedClass("B"), "DisjointClasses(:A :B)"),
+    (ComplementOf(A), NamedClass("B"), "DisjointClasses(ObjectComplementOf(:A) :B)"),
+    (A, ComplementOf(X), (UndeclaredNameError, "Class 'X' used but not declared")),
+    (X, NamedClass("B"), (UndeclaredNameError, "Class 'X' used but not declared")),
+    (A, Y, (UndeclaredNameError, "Class 'Y' used but not declared")),
+    (X, Y, (UndeclaredNameError, "Class 'X' used but not declared")),
+    (_Named("A"), NamedClass("B"), "DisjointClasses(:A :B)"),
+    (A, _Named("X"), (UndeclaredNameError, "Class 'X' used but not declared")),
+    (A, "B", (OwlError, "unknown class expression 'B'")),
+])
+def test_disjoint_classes_operands_check_and_render_as_elsewhere(a, b, outcome):
+    decls = declared((EntityKind.CLASS, "A"), (EntityKind.CLASS, "B"))
+
+    def result(axiom):
+        """The rendered line if the axiom checks out, else the error."""
+        try:
+            list(_checked_axioms(IRI, (*decls, axiom)))
+        except OwlError as exc:
+            return type(exc), str(exc)
+        text = serialize_functional(Ontology(IRI, (*decls, axiom)))
+        line = text.splitlines()[-2]
+        assert line == _render_axiom(axiom)
+        return line
+
+    general = result(EquivalentClasses(a, b))
+    if isinstance(general, str):
+        general = general.replace("EquivalentClasses(", "DisjointClasses(", 1)
+    assert result(DisjointClasses(a, b)) == general == outcome
+    if isinstance(outcome, tuple):
+        assert first_error(*decls, DisjointClasses(a, b)) == outcome
+
+
+def named_classes(value, found):
+    """Append every NamedClass inside value to found, in order."""
+    if isinstance(value, NamedClass):
+        found.append(value)
+    elif isinstance(value, tuple):
+        for item in value:
+            named_classes(item, found)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            named_classes(getattr(value, f.name), found)
+    return found
+
+
+def test_a_parse_shares_one_named_class_per_name():
+    from conftest import GOLDEN_PATH
+
+    text = GOLDEN_PATH.read_text(encoding="utf-8")
+    first, second = parse_functional(text), parse_functional(text)
+    uses = named_classes(first.axioms, [])
+    by_name = {}
+    for named in uses:
+        by_name.setdefault(named.name, set()).add(id(named))
+    assert len(uses) > len(by_name) > 1
+    assert all(len(ids) == 1 for ids in by_name.values())
+    assert not {id(named) for named in uses} & {
+        id(named) for named in named_classes(second.axioms, [])}
+    assert first == second
 
 
 def test_serialize_single_declaration():
@@ -119,9 +249,6 @@ def first_error(*axioms):
     with pytest.raises(OwlError) as info:
         Ontology(IRI, axioms)
     return type(info.value), str(info.value)
-
-
-A, X, Y = NamedClass("A"), NamedClass("X"), NamedClass("Y")
 
 
 def test_declaration_errors_come_before_use_errors():

@@ -114,6 +114,27 @@ def test_registry_validation():
     assert normalize_triggers(DEFAULT_TRIGGERS) == DEFAULT_TRIGGERS
 
 
+def test_registry_errors_clip_long_kinds_and_patterns():
+    expected = "(expected one of Sum, Count, Average)"
+    nested = []
+    for _ in range(200):
+        nested = [nested]
+    with pytest.raises(ScaffoldError) as exc:
+        normalize_triggers({"total": nested})
+    assert str(exc.value) == f"unknown trigger kind {'[' * 40}... for 'total' {expected}"
+    with pytest.raises(ScaffoldError) as exc:
+        normalize_triggers({"total": "Max" * 50})
+    assert str(exc.value) == f"unknown trigger kind '{'Max' * 13}... for 'total' {expected}"
+    pattern = "Total" * 20
+    with pytest.raises(ScaffoldError) as exc:
+        normalize_triggers({pattern: "Max"})
+    assert str(exc.value) == f"unknown trigger kind 'Max' for '{pattern[:40]}...' {expected}"
+    with pytest.raises(ScaffoldError) as exc:
+        normalize_triggers({pattern: "Sum", pattern.upper(): "Sum"})
+    assert str(exc.value) == (f"duplicate trigger pattern '{pattern.lower()[:40]}...' "
+                              "(case-insensitive)")
+
+
 def test_load_triggers(tmp_path):
     path = tmp_path / "triggers.json"
     path.write_text('{"Amount": "Sum"}', encoding="utf-8")
