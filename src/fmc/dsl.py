@@ -9,9 +9,11 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     attrDecl    := "attribute" IDENT ":" ("string"|"integer"|"decimal"|"boolean"|"date")
     constraintsBlock := "constraints" "{" (IDENT ("requires"|"excludes") IDENT)* "}"
 
-Identifiers match ``[A-Za-z][A-Za-z0-9_]*``. The structural keywords are
-reserved and cannot name features. ``parse(to_source(m))`` reproduces ``m``
-exactly for any model whose feature order is declaration (preorder) order.
+Identifiers are names (``fmc.lexer.NAME``); the structural keywords
+(``fmc.model.KEYWORDS``) are reserved, in text and in models built in
+code. ``parse(to_source(m)) == m`` when m's features are in declaration
+(preorder) order and its groups are listed and numbered 0, 1, ... in the
+order of their first members; the parser renumbers any other group ids.
 
 The parser shares its lexer and token cursor with the OWL reader
 (``fmc.lexer``): the token texts come from one ``findall``, whose skipped
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import Cursor, Lexicon, describe
+from .lexer import NAME, Cursor, Lexicon, PositionedError, describe
 from .model import (
     DATATYPES,
+    KEYWORDS,
     Attribute,
     ConstraintKind,
     CrossTreeConstraint,
@@ -38,20 +41,11 @@ from .model import (
     Variability,
 )
 
-KEYWORDS = frozenset({
-    "feature", "mandatory", "optional", "or", "alternative",
-    "attribute", "constraints", "requires", "excludes",
-})
 _NOT_NAMES = frozenset({"{", "}", ":", ""})
 
 
-class ParseError(Exception):
+class ParseError(PositionedError):
     """Syntax or model error in DSL source, with 1-based line/column."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 @dataclass
@@ -68,7 +62,7 @@ class _Parser(Cursor):
 
     lexicon = Lexicon(
         skip=r"[ \t\r\n]*(?:\#[^\n]*\n[ \t\r\n]*)*",
-        token=r"[{}:]|[A-Za-z][A-Za-z0-9_]*",
+        token=rf"[{{}}:]|{NAME}",
         # a comment that ends the text is where end of input is reported
         end=r"(?:\#[^\n]*)?\Z",
         other=r"[^ \t\r\n\#]",
@@ -237,7 +231,8 @@ def parse_file(path) -> FeatureModel:
 
 
 def to_source(model: FeatureModel) -> str:
-    """Pretty-print a model in the DSL; parse(to_source(m)) == m."""
+    """Pretty-print a model in the DSL; parse(to_source(m)) == m when m's
+    features and groups are in the order the module docstring states."""
     lines: list[str] = []
     _write_tree(model, lines)
     if model.constraints:

@@ -16,6 +16,26 @@ from __future__ import annotations
 
 import re
 
+# A name: a DSL identifier, a feature or attribute name, an OWL entity
+# name. Names double as OWL names and scaffold identifiers, so they need
+# no escaping anywhere.
+NAME = r"[A-Za-z][A-Za-z0-9_]*"
+is_name = re.compile(NAME).fullmatch
+
+# A character of an IRI, written between angle brackets in OWL text:
+# neither bracket, no white space, and no lone surrogate, which no UTF-8
+# file can hold.
+IRI_CHAR = r"[^<>\s\ud800-\udfff]"
+
+
+class PositionedError(Exception):
+    """An error at a 1-based line and column of a text."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
+
 
 class Lexicon:
     """The regexes of one language, from its pattern parts.
@@ -43,13 +63,13 @@ def describe(token: str) -> str:
 class Cursor:
     """A parser's position in the token texts of ``text``.
 
-    A subclass sets ``lexicon`` and ``error_cls``, an exception class
-    taking ``(message, line, column)``. Parsers keep the index of a token
-    they may report an error on later.
+    A subclass sets ``lexicon`` and ``error_cls``, a ``PositionedError``
+    subclass. Parsers keep the index of a token they may report an error
+    on later.
     """
 
     lexicon: Lexicon
-    error_cls: type
+    error_cls: type[PositionedError]
 
     def __init__(self, text: str):
         self.text = text
@@ -67,7 +87,8 @@ class Cursor:
             at = next(i for i, t in enumerate(tokens) if t in unexpected)
             raise self.error(at, f"unexpected character {tokens[at]!r}")
 
-    def error(self, index: int, message: str, cls: type | None = None) -> Exception:
+    def error(self, index: int, message: str,
+              cls: type[PositionedError] | None = None) -> PositionedError:
         matches = self.lexicon.scan_re.finditer(self.text)
         for _ in range(index):
             next(matches)

@@ -11,9 +11,10 @@ values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
+
+from .lexer import is_name
 
 
 class Variability(Enum):
@@ -35,9 +36,13 @@ class ConstraintKind(Enum):
 # Attribute datatypes; they map one-to-one onto xsd datatypes.
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
 
-# Feature and attribute names double as OWL names and scaffold identifiers,
-# so they are restricted to a form that needs no escaping anywhere.
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# The DSL's reserved words. Feature and attribute names are names
+# (``fmc.lexer.NAME``) and none of these, so every model prints as DSL
+# that reads back.
+KEYWORDS = frozenset({
+    "feature", "mandatory", "optional", "or", "alternative",
+    "attribute", "constraints", "requires", "excludes",
+})
 
 
 class ModelError(ValueError):
@@ -144,8 +149,10 @@ def validate(model: FeatureModel) -> None:
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ModelError(f"duplicate feature name(s): {', '.join(dupes)}")
     for name in names:
-        if not NAME_RE.match(name):
+        if not is_name(name):
             raise ModelError(f"invalid feature name '{name}'")
+        if name in KEYWORDS:
+            raise ModelError(f"feature name '{name}' is a reserved keyword")
 
     roots = [f for f in model.features if f.parent is None]
     if len(roots) != 1:
@@ -165,8 +172,11 @@ def validate(model: FeatureModel) -> None:
         if len(attr_names) != len(set(attr_names)):
             raise ModelError(f"feature '{f.name}' declares duplicate attribute names")
         for a in f.attributes:
-            if not NAME_RE.match(a.name):
+            if not is_name(a.name):
                 raise ModelError(f"invalid attribute name '{a.name}' on feature '{f.name}'")
+            if a.name in KEYWORDS:
+                raise ModelError(
+                    f"attribute name '{a.name}' on feature '{f.name}' is a reserved keyword")
             if a.datatype not in DATATYPES:
                 raise ModelError(f"attribute '{a.name}' has unknown datatype '{a.datatype}'")
 

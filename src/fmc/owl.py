@@ -1,11 +1,14 @@
 """Neutral OWL 2 axiom data model with a functional-style serializer/parser.
 
 Supported subset: class/object-property/data-property declarations,
-SubClassOf, EquivalentClasses (binary), DisjointClasses (binary),
-ObjectPropertyRange, DataPropertyDomain, DataPropertyRange, and class
-expressions built from named classes, owl:Thing, ObjectComplementOf,
-ObjectIntersectionOf, ObjectUnionOf, ObjectSomeValuesFrom and
-ObjectAllValuesFrom. ``parse_functional`` inverts ``serialize_functional``.
+SubClassOf, EquivalentClasses (binary), DisjointClasses (binary, of two
+named classes), ObjectPropertyRange, DataPropertyDomain (of a named
+class), DataPropertyRange, and class expressions built from named
+classes, owl:Thing, ObjectComplementOf, ObjectIntersectionOf,
+ObjectUnionOf, ObjectSomeValuesFrom and ObjectAllValuesFrom. Names are
+``fmc.lexer.NAME``s and the IRI's characters ``fmc.lexer.IRI_CHAR``s.
+``parse_functional`` inverts ``serialize_functional``: the checker takes
+exactly what the reader reads, so every ``Ontology`` reads back.
 
 Every value is a frozen slotted dataclass built by ``_value``, whose
 ``__init__`` stores each field through its slot descriptor rather than
@@ -20,16 +23,17 @@ yields each axiom once it is checked and raises the first error in
 stream order, so a stream must declare each name before it uses it.
 ``validate_ontology`` runs it over an ontology's declarations first and
 its other axioms after, so there a name may be used before it is
-declared. Rendering (``_lines``) makes one line per axiom. The checker
-and the renderer take a ``DisjointClasses`` of two plain ``NamedClass``
-operands, nearly all of a compiled ontology, directly: two set lookups,
-one f-string. Any other operand takes the general path, so errors and
-text are the same either way. ``fmc compile`` chains the two over the
-compiler's axiom stream, which declares every name before its first use,
-and ``_write_functional`` encodes the lines in batches into a binary
-temporary file as they come, so no axiom is kept; the output is opened
-only once the whole stream has checked out. ``serialize_functional`` and
-``write_functional`` use the same renderer on a built ``Ontology``.
+declared. A field of the wrong type is an ``OwlError`` too. Rendering
+(``_lines``) makes one line per axiom. The checker takes a
+``DisjointClasses`` of two plain ``NamedClass`` operands, nearly all of
+a compiled ontology, with two set lookups, and the renderer writes every
+``DisjointClasses`` with one f-string. ``fmc compile`` chains the two
+over the compiler's axiom stream, which declares every name before its
+first use, and ``_write_functional`` encodes the lines in batches into a
+binary temporary file as they come, so no axiom is kept; the output is
+opened only once the whole stream has checked out.
+``serialize_functional`` and ``write_functional`` use the same renderer
+on a built ``Ontology``.
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
@@ -44,11 +48,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from itertools import chain, filterfalse, islice
 
-from .lexer import Cursor, Lexicon, describe
+from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, describe, is_name
 
 
 class OwlError(Exception):
@@ -59,18 +63,15 @@ class UndeclaredNameError(OwlError):
     """An axiom references a name with no declaration in the ontology."""
 
 
-class OwlSyntaxError(OwlError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+class OwlSyntaxError(OwlError, PositionedError):
+    """Malformed functional-syntax text, with 1-based line/column."""
 
 
 class UnsupportedConstructError(OwlSyntaxError):
     """Valid-looking OWL construct outside the supported subset."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IRI_RE = re.compile(f"{IRI_CHAR}+")
 _DATATYPE_RE = re.compile(r"xsd:[A-Za-z][A-Za-z0-9]*\Z")
 
 
@@ -82,8 +83,11 @@ def _value(cls):
     ``__init__`` makes per field, about a third of the cost of building a
     two-field value, and one compile builds several hundred thousand.
     Fields, ``repr``, equality, hashing and pickling stay the dataclass's
-    own; ``__post_init__`` still runs, and assigning to a field still
-    raises ``FrozenInstanceError``.
+    own, and ``__post_init__`` still runs. Assigning or deleting any
+    attribute raises ``FrozenInstanceError``: the dataclass's own
+    ``__setattr__`` and ``__delattr__`` name the class from before
+    ``slots=True`` rebuilt it, and raise ``TypeError`` for a name that is
+    not a field (seen on CPython 3.11).
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     names = [f.name for f in fields(cls)]
@@ -98,7 +102,17 @@ def _value(cls):
     init = scope["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    cls.__setattr__ = _refuse_assign
+    cls.__delattr__ = _refuse_delete
     return cls
+
+
+def _refuse_assign(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # --- class expressions -----------------------------------------------------
@@ -233,10 +247,12 @@ class Ontology:
 
 def validate_ontology(ontology: Ontology) -> None:
     """Check declaration closure: unique declarations per kind, every used
-    name declared, names lexically valid. Raises OwlError subclasses: the
-    first declaration error in axiom order if there is one, otherwise the
-    first use error in axiom order. A name may be used before it is
-    declared: the declarations are checked first, then the other axioms.
+    name declared, names and the IRI lexically valid, every field of its
+    type, a named class where the text holds a name. Raises OwlError
+    subclasses only: the first declaration error in axiom order if there
+    is one, otherwise the first use error in axiom order. A name may be
+    used before it is declared: the declarations are checked first, then
+    the other axioms.
     """
     axioms = ontology.axioms
     is_declaration = Declaration.__instancecheck__  # a C call per axiom
@@ -253,16 +269,29 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
     compiler's does: the first error in stream order is raised when it is
     met, and a use of a name not declared yet is an error.
     """
-    if not iri or any(ch in iri for ch in "<> \t\n"):
+    if not isinstance(iri, str):
+        raise _wrong_type("ontology IRI", "a str", iri)
+    if not _IRI_RE.fullmatch(iri):
         raise OwlError(f"invalid ontology IRI {iri!r}")
     declared: dict[EntityKind, set[str]] = {kind: set() for kind in EntityKind}
     classes, object_properties, data_properties = declared.values()  # EntityKind order
 
+    def check_name(names: set[str], kind: EntityKind, name: str) -> None:
+        if not isinstance(name, str):
+            raise _wrong_type(f"{kind.value} name", "a str", name)
+        if name not in names:
+            raise _undeclared(kind, name)
+
+    def check_class(expr: ClassExpression, slot: str) -> None:
+        # a slot the reader reads as a name
+        if not isinstance(expr, NamedClass):
+            raise _wrong_type(slot, "a named class", expr)
+        check_name(classes, EntityKind.CLASS, expr.name)
+
     def check_expr(expr: ClassExpression, depth: int = 0) -> None:
         # depth counts the constructors around expr, as the reader does
         if isinstance(expr, NamedClass):
-            if expr.name not in classes:
-                raise _undeclared(EntityKind.CLASS, expr.name)
+            check_name(classes, EntityKind.CLASS, expr.name)
             return
         if isinstance(expr, Thing):
             return
@@ -274,29 +303,37 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
             for op in expr.operands:
                 check_expr(op, depth + 1)
         elif isinstance(expr, (SomeValuesFrom, AllValuesFrom)):
-            if expr.property not in object_properties:
-                raise _undeclared(EntityKind.OBJECT_PROPERTY, expr.property)
+            check_name(object_properties, EntityKind.OBJECT_PROPERTY, expr.property)
             check_expr(expr.filler, depth + 1)
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
     for axiom in axioms:
         # DisjointClasses first: a compiled ontology is almost all of them.
-        # Two declared plain NamedClass operands pass at once; anything
-        # else, an error too, takes the general path
+        # Two declared plain NamedClass operands pass at once; otherwise
+        # check_class raises the error, or passes a NamedClass subclass
         if isinstance(axiom, DisjointClasses):
             a, b = axiom.a, axiom.b
-            if not (type(a) is NamedClass and type(b) is NamedClass
-                    and a.name in classes and b.name in classes):
-                check_expr(a)
-                check_expr(b)
+            try:
+                named = (type(a) is NamedClass and type(b) is NamedClass
+                         and a.name in classes and b.name in classes)
+            except TypeError:  # an unhashable name
+                named = False
+            if not named:
+                check_class(a, "DisjointClasses operand")
+                check_class(b, "DisjointClasses operand")
         elif isinstance(axiom, Declaration):
-            if not _NAME_RE.match(axiom.name):
-                raise OwlError(f"invalid entity name {axiom.name!r}")
-            names = declared[axiom.kind]
-            if axiom.name in names:
-                raise OwlError(f"duplicate {axiom.kind.value} declaration '{axiom.name}'")
-            names.add(axiom.name)
+            kind, name = axiom.kind, axiom.name
+            if not isinstance(kind, EntityKind):
+                raise _wrong_type("declaration kind", "an EntityKind", kind)
+            if not isinstance(name, str):
+                raise _wrong_type("entity name", "a str", name)
+            if not is_name(name):
+                raise OwlError(f"invalid entity name {name!r}")
+            names = declared[kind]
+            if name in names:
+                raise OwlError(f"duplicate {kind.value} declaration '{name}'")
+            names.add(name)
         elif isinstance(axiom, SubClassOf):
             check_expr(axiom.sub)
             check_expr(axiom.sup)
@@ -304,16 +341,15 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
             check_expr(axiom.a)
             check_expr(axiom.b)
         elif isinstance(axiom, ObjectPropertyRange):
-            if axiom.property not in object_properties:
-                raise _undeclared(EntityKind.OBJECT_PROPERTY, axiom.property)
+            check_name(object_properties, EntityKind.OBJECT_PROPERTY, axiom.property)
             check_expr(axiom.range)
         elif isinstance(axiom, DataPropertyDomain):
-            if axiom.property not in data_properties:
-                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
-            check_expr(axiom.domain)
+            check_name(data_properties, EntityKind.DATA_PROPERTY, axiom.property)
+            check_class(axiom.domain, "DataPropertyDomain domain")
         elif isinstance(axiom, DataPropertyRange):
-            if axiom.property not in data_properties:
-                raise _undeclared(EntityKind.DATA_PROPERTY, axiom.property)
+            check_name(data_properties, EntityKind.DATA_PROPERTY, axiom.property)
+            if not isinstance(axiom.datatype, str):
+                raise _wrong_type("datatype", "a str", axiom.datatype)
             if not _DATATYPE_RE.match(axiom.datatype):
                 raise OwlError(f"unsupported datatype {axiom.datatype!r}")
         else:
@@ -323,6 +359,10 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
 
 def _undeclared(kind: EntityKind, name: str) -> UndeclaredNameError:
     return UndeclaredNameError(f"{kind.value} '{name}' used but not declared")
+
+
+def _wrong_type(field: str, expected: str, value) -> OwlError:
+    return OwlError(f"{field} must be {expected}, got {type(value).__name__}")
 
 
 # --- serialization ---------------------------------------------------------
@@ -346,13 +386,10 @@ def _render_expr(expr: ClassExpression) -> str:
 
 
 def _render_axiom(axiom: Axiom) -> str:
-    # DisjointClasses first: a compiled ontology is almost all of them,
-    # nearly always of two plain NamedClass operands
+    # DisjointClasses first: a compiled ontology is almost all of them.
+    # The checker let through only named classes where the text holds names
     if isinstance(axiom, DisjointClasses):
-        a, b = axiom.a, axiom.b
-        if type(a) is NamedClass and type(b) is NamedClass:
-            return f"DisjointClasses(:{a.name} :{b.name})"
-        return f"DisjointClasses({_render_expr(a)} {_render_expr(b)})"
+        return f"DisjointClasses(:{axiom.a.name} :{axiom.b.name})"
     if isinstance(axiom, Declaration):
         return f"Declaration({axiom.kind.value}(:{axiom.name}))"
     if isinstance(axiom, SubClassOf):
@@ -362,7 +399,7 @@ def _render_axiom(axiom: Axiom) -> str:
     if isinstance(axiom, ObjectPropertyRange):
         return f"ObjectPropertyRange(:{axiom.property} {_render_expr(axiom.range)})"
     if isinstance(axiom, DataPropertyDomain):
-        return f"DataPropertyDomain(:{axiom.property} {_render_expr(axiom.domain)})"
+        return f"DataPropertyDomain(:{axiom.property} :{axiom.domain.name})"
     if isinstance(axiom, DataPropertyRange):
         return f"DataPropertyRange(:{axiom.property} {axiom.datatype})"
     raise OwlError(f"unknown axiom {axiom!r}")
@@ -454,8 +491,7 @@ class _OwlParser(Cursor):
     # so a word's letters are read once
     lexicon = Lexicon(
         skip=r"[ \t\r\n]*",
-        token=r"[()]|:=|:[A-Za-z][A-Za-z0-9_]*"
-              r"|[A-Za-z][A-Za-z0-9_]*(?::[A-Za-z][A-Za-z0-9_]*)?|<[^<>\s]*>|[0-9]+",
+        token=rf"[()]|:=|:{NAME}|{NAME}(?::{NAME})?|<{IRI_CHAR}*>|[0-9]+",
         end=r"\Z",
         other=r"[^ \t\r\n]",
     )

@@ -43,6 +43,7 @@ from fmc.compiler import compile_model  # noqa: E402
 from fmc.dsl import parse, to_source  # noqa: E402
 from fmc.owl import (  # noqa: E402
     THING,
+    AllValuesFrom,
     ComplementOf,
     DataPropertyDomain,
     DataPropertyRange,
@@ -178,7 +179,7 @@ def _expr(rng: random.Random, classes, properties, depth: int):
         elif roll == 3:
             expr = SomeValuesFrom(rng.choice(properties), expr)
         else:
-            expr = owl.AllValuesFrom(rng.choice(properties), expr)
+            expr = AllValuesFrom(rng.choice(properties), expr)
     return expr
 
 

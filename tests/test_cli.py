@@ -77,6 +77,12 @@ def tree(root):
                  id="rule-class-clash"),
     pytest.param(None, ["--iri", "has space"], "{src}: invalid ontology IRI 'has space'",
                  id="invalid-iri"),
+    # white space the reader does not take in an IRI, and a byte of argv
+    # that is not UTF-8, decoded to a lone surrogate
+    *(pytest.param(None, ["--iri", iri], f"{{src}}: invalid ontology IRI {iri!r}", id=name)
+      for name, iri in [("nbsp-iri", "http://x\xa0#"), ("cr-iri", "http://x\r#"),
+                        ("line-separator-iri", "http://x\u2028#"),
+                        ("surrogate-iri", "http://x\udcff#")]),
     # the model compiles, but the target is a directory
     pytest.param(None, [], "{out}: Is a directory", id="directory-target"),
 ])
@@ -330,6 +336,20 @@ def test_scaffold_non_utf8_triggers_env_exits_2(tmp_path, monkeypatch, capsys):
     assert err.startswith(f"error: {registry}: ") and "can't decode byte 0xff" in err
     assert "Traceback" not in err
     assert not (tmp_path / "site").exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "scaffold"])
+@pytest.mark.parametrize("iri", [b"http://x\xff#", b"http://x\xc2\xa0#", b"http://x\r#"],
+                         ids=["not-utf8", "nbsp", "cr"])
+def test_a_bad_iri_on_the_command_line_exits_2(tmp_path, command, iri):
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "fmc", command, AISCO, str(out), "--iri", iri],
+        capture_output=True, check=False)
+    shown = repr(os.fsdecode(iri)).encode()
+    assert result.returncode == 2
+    assert result.stderr == b"error: " + AISCO.encode() + b": invalid ontology IRI " + shown + b"\n"
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from fmc.analysis import ENUMERATION_CAP
 from fmc.dsl import ParseError, parse, parse_configuration, to_source
+from fmc.lexer import PositionedError
 from fmc.model import ConstraintKind, Feature, FeatureModel, GroupKind, Variability
 
 from helpers import random_model
@@ -114,6 +115,7 @@ def test_syntax_errors_carry_position(source, fragment, line, col):
     assert fragment in str(info.value)
     assert info.value.line == line
     assert info.value.column == col
+    assert isinstance(info.value, PositionedError)  # the base OwlSyntaxError shares
 
 
 def test_duplicate_feature_name_rejected():

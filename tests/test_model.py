@@ -4,6 +4,7 @@ import pytest
 
 from fmc.dsl import parse
 from fmc.model import (
+    KEYWORDS,
     Attribute,
     ConstraintKind,
     CrossTreeConstraint,
@@ -55,6 +56,18 @@ def test_duplicate_names_rejected():
 def test_invalid_name_rejected():
     with pytest.raises(ModelError, match="invalid feature name"):
         FeatureModel("A", (Feature("A", None, M), Feature("9lives", "A", O)))
+
+
+@pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+def test_a_reserved_keyword_names_no_feature_or_attribute(keyword):
+    # the DSL printer would write it where the parser reads a keyword
+    with pytest.raises(ModelError, match=f"^feature name '{keyword}' is a reserved keyword$"):
+        FeatureModel("A", (Feature("A", None, M), Feature(keyword, "A", O)))
+    with pytest.raises(ModelError, match=f"^feature name '{keyword}' is a reserved keyword$"):
+        FeatureModel(keyword, (Feature(keyword, None, M),))
+    with pytest.raises(ModelError, match=f"^attribute name '{keyword}' on feature 'A' "
+                                         "is a reserved keyword$"):
+        FeatureModel("A", (Feature("A", None, M, attributes=(Attribute(keyword, "string"),)),))
 
 
 def test_single_root_required():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import fmc.owl
+from fmc.lexer import PositionedError
 from fmc.owl import (
     MAX_EXPR_DEPTH,
     THING,
@@ -89,7 +90,8 @@ def test_owl_values_are_frozen_hashable_and_copyable(value):
     cls = type(value)
     params = dataclasses.fields(value)
     assert cls.__dataclass_params__.frozen and not hasattr(value, "__dict__")
-    for name in [f.name for f in params]:
+    # a field, or any other name: THING.x = 1, del NamedClass("A").zz
+    for name in [f.name for f in params] + ["x", "zz"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -107,22 +109,25 @@ def test_owl_values_are_frozen_hashable_and_copyable(value):
 
 
 class _Named(NamedClass):
-    """A NamedClass subclass: DisjointClasses checks and renders it the
-    general way."""
+    """A NamedClass subclass: DisjointClasses checks it outside its
+    inline test, as a named class."""
 
     __slots__ = ()
 
 
+NOT_NAMED = "DisjointClasses operand must be a named class, got"
+
+
 @pytest.mark.parametrize("a, b, outcome", [
     (A, NamedClass("B"), "DisjointClasses(:A :B)"),
-    (ComplementOf(A), NamedClass("B"), "DisjointClasses(ObjectComplementOf(:A) :B)"),
-    (A, ComplementOf(X), (UndeclaredNameError, "Class 'X' used but not declared")),
+    (ComplementOf(A), NamedClass("B"), (OwlError, f"{NOT_NAMED} ComplementOf")),
+    (A, ComplementOf(X), (OwlError, f"{NOT_NAMED} ComplementOf")),
     (X, NamedClass("B"), (UndeclaredNameError, "Class 'X' used but not declared")),
     (A, Y, (UndeclaredNameError, "Class 'Y' used but not declared")),
     (X, Y, (UndeclaredNameError, "Class 'X' used but not declared")),
     (_Named("A"), NamedClass("B"), "DisjointClasses(:A :B)"),
     (A, _Named("X"), (UndeclaredNameError, "Class 'X' used but not declared")),
-    (A, "B", (OwlError, "unknown class expression 'B'")),
+    (A, "B", (OwlError, f"{NOT_NAMED} str")),
 ])
 def test_disjoint_classes_operands_check_and_render_as_elsewhere(a, b, outcome):
     decls = declared((EntityKind.CLASS, "A"), (EntityKind.CLASS, "B"))
@@ -138,12 +143,45 @@ def test_disjoint_classes_operands_check_and_render_as_elsewhere(a, b, outcome):
         assert line == _render_axiom(axiom)
         return line
 
-    general = result(EquivalentClasses(a, b))
-    if isinstance(general, str):
-        general = general.replace("EquivalentClasses(", "DisjointClasses(", 1)
-    assert result(DisjointClasses(a, b)) == general == outcome
+    assert result(DisjointClasses(a, b)) == outcome
+    if isinstance(a, NamedClass) and isinstance(b, NamedClass):
+        # named classes check and render as in any other slot
+        general = result(EquivalentClasses(a, b))
+        if isinstance(general, str):
+            general = general.replace("EquivalentClasses(", "DisjointClasses(", 1)
+        assert general == outcome
     if isinstance(outcome, tuple):
         assert first_error(*decls, DisjointClasses(a, b)) == outcome
+
+
+@pytest.mark.parametrize("domain", [THING, ComplementOf(A), SomeValuesFrom("p", A), "A"],
+                         ids=lambda domain: type(domain).__name__)
+def test_a_data_property_domain_is_a_named_class(domain):
+    decls = declared((EntityKind.CLASS, "A"), (EntityKind.OBJECT_PROPERTY, "p"),
+                     (EntityKind.DATA_PROPERTY, "d"))
+    assert first_error(*decls, DataPropertyDomain("d", domain)) == (
+        OwlError, f"DataPropertyDomain domain must be a named class, got {type(domain).__name__}")
+
+
+@pytest.mark.parametrize("iri, axioms, message", [
+    (IRI, [Declaration("Class", "A")], "declaration kind must be an EntityKind, got str"),
+    (IRI, [Declaration(EntityKind.CLASS, None)], "entity name must be a str, got NoneType"),
+    (IRI, [SubClassOf(NamedClass(["A"]), THING)], "Class name must be a str, got list"),
+    (IRI, [DisjointClasses(A, NamedClass(["A"]))], "Class name must be a str, got list"),
+    (IRI, [DisjointClasses(NamedClass(b"A"), A)], "Class name must be a str, got bytes"),
+    (IRI, [SubClassOf(A, SomeValuesFrom(5, A))], "ObjectProperty name must be a str, got int"),
+    (IRI, [ObjectPropertyRange(("p",), A)], "ObjectProperty name must be a str, got tuple"),
+    (IRI, [DataPropertyDomain(None, A)], "DataProperty name must be a str, got NoneType"),
+    (IRI, [DataPropertyRange("d", b"xsd:string")], "datatype must be a str, got bytes"),
+    (5, [], "ontology IRI must be a str, got int"),
+    (("http://x#",), [], "ontology IRI must be a str, got tuple"),
+])
+def test_a_field_of_the_wrong_type_is_an_owl_error(iri, axioms, message):
+    decls = declared((EntityKind.CLASS, "A"), (EntityKind.OBJECT_PROPERTY, "p"),
+                     (EntityKind.DATA_PROPERTY, "d"))
+    with pytest.raises(OwlError) as info:
+        Ontology(iri, (*decls, *axioms))
+    assert type(info.value) is OwlError and str(info.value) == message
 
 
 def named_classes(value, found):
@@ -234,6 +272,22 @@ def test_duplicate_declaration_rejected():
     # same name under different kinds is allowed (punning)
     validate_ontology(Ontology(IRI, declared(
         (EntityKind.CLASS, "A"), (EntityKind.OBJECT_PROPERTY, "A"))))
+
+
+@pytest.mark.parametrize("iri", ["", "has space", "x<y", "x>y", "http://x\t#", "http://x\r#",
+                                 "http://x\x0b#", "http://x\x85#", "http://x\xa0#",
+                                 "http://x\u2028#", "http://x\u3000#", "http://x\udcff#"])
+def test_an_iri_the_reader_rejects_is_rejected(iri):
+    with pytest.raises(OwlError, match="^invalid ontology IRI "):
+        Ontology(iri, ())
+    with pytest.raises(OwlError):
+        parse_functional(f"Prefix(:=<{iri}>)\nOntology(<{iri}>\n)\n")
+
+
+def test_an_iri_of_any_other_characters_reads_back():
+    iri = "urn:x-\xe9\u4e2d\U0001f600/?a=b&c#%20'\"{}"
+    ontology = Ontology(iri, ())
+    assert parse_functional(serialize_functional(ontology)) == ontology
 
 
 def test_bad_iri_and_bad_datatype_rejected():
@@ -396,6 +450,8 @@ def test_syntax_errors_carry_position(text, message, line, column):
         parse_functional(text)
     assert message in str(info.value)
     assert (info.value.line, info.value.column) == (line, column)
+    # the DSL's ParseError shares the base; an OwlSyntaxError is an OwlError
+    assert isinstance(info.value, PositionedError) and isinstance(info.value, OwlError)
 
 
 def test_trailing_white_space_after_the_ontology_parses():

@@ -9,8 +9,13 @@ derives from it, also under a fuzzed ``FMC_TRIGGERS`` registry, and
 ``fmc validate`` and ``fmc count`` report what the library computes.
 Mutated inputs start from ``to_source`` and ``serialize_functional`` output
 of the seeded generators in ``helpers``.
+
+What validates reads back: an ``Ontology`` or ``FeatureModel`` built in
+code, with any value in any field, either fails its own validation or
+renders to text that its reader turns into an equal value.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -24,8 +29,9 @@ import pytest
 from fmc.analysis import count_configurations
 from fmc.cli import main
 from fmc.compiler import CompileError, compile_model
-from fmc.dsl import KEYWORDS, ParseError, _Parser, parse, parse_configuration, to_source
-from fmc.model import FeatureModel, ModelError
+from fmc.dsl import ParseError, _Parser, parse, parse_configuration, to_source
+from fmc.model import DATATYPES, KEYWORDS, FeatureModel, ModelError
+from fmc import owl
 from fmc.owl import (
     Ontology,
     OwlError,
@@ -36,7 +42,7 @@ from fmc.owl import (
     serialize_functional,
 )
 from fmc.propositional import is_valid_configuration
-from fmc.scaffold import generate, write
+from fmc.scaffold import ScaffoldError, generate, write
 
 from conftest import AISCO_PATH
 from helpers import oracle_configurations, random_model, random_ontology
@@ -341,3 +347,111 @@ def test_cli_count_prints_the_library_count(text):
     assert "Traceback" not in err
     if code == 0:
         assert out == f"{count_configurations(parse(text))}\n"
+
+
+# --- what validates reads back ---------------------------------------------------
+
+# names of every kind, valid or not, and values of the wrong type; a
+# valid name is drawn more often, so that many ontologies validate
+NAMES = ["A", "B", "p", "d"] * 4 + ["Class", "owl", "9a", "a b", "", "\xe9"]
+WRONG_TYPES = [None, 5, b"A", ("A",), ["A"]]
+IRI_PIECES = ["http://x", "/", "#", ":", "a", " ", "\t", "\r", "\n", "\x0b", "\x85", "\xa0",
+              "\u2028", "\u3000", "\udcff", "<", ">"]
+
+
+def fields_of(values):
+    """Mostly values, sometimes a value of the wrong type."""
+    return st.one_of(st.sampled_from(values), st.sampled_from(WRONG_TYPES))
+
+
+OWL_NAMES = fields_of(NAMES)
+CLASS_EXPRESSIONS = st.recursive(
+    st.one_of(OWL_NAMES.map(owl.NamedClass), st.just(owl.THING), st.just("A")),
+    lambda inner: st.one_of(
+        inner.map(owl.ComplementOf),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ops: owl.IntersectionOf(tuple(ops))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ops: owl.UnionOf(tuple(ops))),
+        st.builds(owl.SomeValuesFrom, OWL_NAMES, inner),
+        st.builds(owl.AllValuesFrom, OWL_NAMES, inner)),
+    max_leaves=5)
+AXIOMS = st.one_of(
+    st.builds(owl.Declaration, fields_of([*owl.EntityKind, "Class"]), OWL_NAMES),
+    st.builds(owl.SubClassOf, CLASS_EXPRESSIONS, CLASS_EXPRESSIONS),
+    st.builds(owl.EquivalentClasses, CLASS_EXPRESSIONS, CLASS_EXPRESSIONS),
+    st.builds(owl.DisjointClasses, CLASS_EXPRESSIONS, CLASS_EXPRESSIONS),
+    st.builds(owl.ObjectPropertyRange, OWL_NAMES, CLASS_EXPRESSIONS),
+    st.builds(owl.DataPropertyDomain, OWL_NAMES, CLASS_EXPRESSIONS),
+    st.builds(owl.DataPropertyRange, OWL_NAMES,
+              fields_of(["xsd:decimal", "xsd:string", "xsd:a_b", "decimal"])),
+    st.just(owl.THING))
+DECLARED = (owl.Declaration(owl.EntityKind.CLASS, "A"), owl.Declaration(owl.EntityKind.CLASS, "B"),
+            owl.Declaration(owl.EntityKind.OBJECT_PROPERTY, "p"),
+            owl.Declaration(owl.EntityKind.DATA_PROPERTY, "d"))
+
+
+@st.composite
+def built_ontologies(draw):
+    """(iri, axioms): every name of NAMES' four valid ones declared, and
+    drawn axioms put in anywhere."""
+    iri = draw(st.one_of(st.lists(st.sampled_from(IRI_PIECES), max_size=6).map("".join),
+                         st.sampled_from(WRONG_TYPES)))
+    axioms = list(DECLARED)
+    for axiom in draw(st.lists(AXIOMS, max_size=4)):
+        axioms.insert(draw(st.integers(0, len(axioms))), axiom)
+    return iri, tuple(axioms)
+
+
+@PROPERTY
+@given(built_ontologies())
+def test_an_ontology_that_validates_reads_back(case):
+    iri, axioms = case
+    try:
+        ontology = Ontology(iri, axioms)
+    except OwlError:
+        return
+    text = serialize_functional(ontology)
+    text.encode("utf-8")  # a file holds it
+    assert parse_functional(text) == ontology
+    try:
+        generate(ontology)
+    except ScaffoldError:
+        pass
+
+
+# every DSL keyword and datatype, names of the seeded models, and bad names
+MODEL_NAMES = [*sorted(KEYWORDS), *DATATYPES, "F0", "F1", "a0", "Zed", "9", "a b"]
+
+
+@st.composite
+def renamed_models(draw):
+    """A seeded model of ``helpers.random_model`` with some feature and
+    attribute names replaced by names from MODEL_NAMES: (root, features,
+    groups, constraints) to build a FeatureModel from."""
+    model = random_model(random.Random(draw(st.integers(0, 2**32 - 1))), max_features=8,
+                         allow_attributes=True)
+    new = {}
+
+    def name(old):
+        if old not in new:
+            new[old] = draw(st.one_of(st.just(old), st.sampled_from(MODEL_NAMES)))
+        return new[old]
+
+    features = tuple(dataclasses.replace(
+        f, name=name(f.name), parent=f.parent and name(f.parent),
+        attributes=tuple(dataclasses.replace(a, name=name(a.name)) for a in f.attributes))
+        for f in model.features)
+    groups = tuple(dataclasses.replace(g, owner=name(g.owner), members=tuple(map(name, g.members)))
+                   for g in model.groups)
+    constraints = tuple(dataclasses.replace(c, source=name(c.source), target=name(c.target))
+                        for c in model.constraints)
+    return name(model.root), features, groups, constraints
+
+
+@PROPERTY
+@given(renamed_models())
+def test_a_model_that_validates_reads_back(parts):
+    try:
+        model = FeatureModel(*parts)
+    except ModelError:
+        return
+    assert parse(to_source(model)) == model
