@@ -351,54 +351,55 @@ def test_cli_count_prints_the_library_count(text):
 
 # --- what validates reads back ---------------------------------------------------
 
-# names of every kind, valid or not, and values of the wrong type; a
-# valid name is drawn more often, so that many ontologies validate
-NAMES = ["A", "B", "p", "d"] * 4 + ["Class", "owl", "9a", "a b", "", "\xe9"]
-WRONG_TYPES = [None, 5, b"A", ("A",), ["A"]]
-IRI_PIECES = ["http://x", "/", "#", ":", "a", " ", "\t", "\r", "\n", "\x0b", "\x85", "\xa0",
-              "\u2028", "\u3000", "\udcff", "<", ">"]
+# bad names and values of the wrong type, listed once against many
+# copies of the valid values, so that many drawn ontologies validate
+BAD_FIELDS = ["Class", "9a", "a b", "", "\xe9", None, 5, b"A", ("A",), ["A"]]
+# an IRI, mostly valid; else with a character the reader rejects (white
+# space, a bracket, a lone surrogate), or a bad field
+IRIS = st.sampled_from(
+    ["http://example.org/t#"] * 60 + ["urn:x:\xe9?a=b&c#", ""]
+    + [f"http://x{ch}#" for ch in " \t\r\n\x0b\x1c\x85\xa0\u2028\u3000\udcff<>"] + BAD_FIELDS)
 
 
-def fields_of(values):
-    """Mostly values, sometimes a value of the wrong type."""
-    return st.one_of(st.sampled_from(values), st.sampled_from(WRONG_TYPES))
+def fields_of(*values):
+    """One of values, or now and then one of BAD_FIELDS."""
+    return st.sampled_from([*values] * (100 // len(values)) + BAD_FIELDS)
 
 
-OWL_NAMES = fields_of(NAMES)
+# every helpers.random_ontology declares C0, C1, p0 and d0; C9 is
+# declared only by a drawn declaration
+CLASS_NAMES = fields_of("C0", "C1", "C9")
+OBJECT_PROPERTIES = fields_of("p0")
+DATA_PROPERTIES = fields_of("d0")
 CLASS_EXPRESSIONS = st.recursive(
-    st.one_of(OWL_NAMES.map(owl.NamedClass), st.just(owl.THING), st.just("A")),
+    st.one_of(CLASS_NAMES.map(owl.NamedClass), st.sampled_from([owl.THING] * 9 + ["A"])),
     lambda inner: st.one_of(
         inner.map(owl.ComplementOf),
         st.lists(inner, min_size=2, max_size=3).map(lambda ops: owl.IntersectionOf(tuple(ops))),
         st.lists(inner, min_size=2, max_size=3).map(lambda ops: owl.UnionOf(tuple(ops))),
-        st.builds(owl.SomeValuesFrom, OWL_NAMES, inner),
-        st.builds(owl.AllValuesFrom, OWL_NAMES, inner)),
+        st.builds(owl.SomeValuesFrom, OBJECT_PROPERTIES, inner),
+        st.builds(owl.AllValuesFrom, OBJECT_PROPERTIES, inner)),
     max_leaves=5)
 AXIOMS = st.one_of(
-    st.builds(owl.Declaration, fields_of([*owl.EntityKind, "Class"]), OWL_NAMES),
+    st.builds(owl.Declaration, fields_of(*owl.EntityKind), fields_of("C9", "q9", "e9")),
     st.builds(owl.SubClassOf, CLASS_EXPRESSIONS, CLASS_EXPRESSIONS),
     st.builds(owl.EquivalentClasses, CLASS_EXPRESSIONS, CLASS_EXPRESSIONS),
     st.builds(owl.DisjointClasses, CLASS_EXPRESSIONS, CLASS_EXPRESSIONS),
-    st.builds(owl.ObjectPropertyRange, OWL_NAMES, CLASS_EXPRESSIONS),
-    st.builds(owl.DataPropertyDomain, OWL_NAMES, CLASS_EXPRESSIONS),
-    st.builds(owl.DataPropertyRange, OWL_NAMES,
-              fields_of(["xsd:decimal", "xsd:string", "xsd:a_b", "decimal"])),
-    st.just(owl.THING))
-DECLARED = (owl.Declaration(owl.EntityKind.CLASS, "A"), owl.Declaration(owl.EntityKind.CLASS, "B"),
-            owl.Declaration(owl.EntityKind.OBJECT_PROPERTY, "p"),
-            owl.Declaration(owl.EntityKind.DATA_PROPERTY, "d"))
+    st.builds(owl.ObjectPropertyRange, OBJECT_PROPERTIES, CLASS_EXPRESSIONS),
+    st.builds(owl.DataPropertyDomain, DATA_PROPERTIES, CLASS_EXPRESSIONS),
+    st.builds(owl.DataPropertyRange, DATA_PROPERTIES,
+              fields_of("xsd:decimal", "xsd:string", "xsd:a_b", "decimal")))
 
 
 @st.composite
 def built_ontologies(draw):
-    """(iri, axioms): every name of NAMES' four valid ones declared, and
-    drawn axioms put in anywhere."""
-    iri = draw(st.one_of(st.lists(st.sampled_from(IRI_PIECES), max_size=6).map("".join),
-                         st.sampled_from(WRONG_TYPES)))
-    axioms = list(DECLARED)
-    for axiom in draw(st.lists(AXIOMS, max_size=4)):
+    """(iri, axioms): the axioms of a seeded helpers.random_ontology with
+    drawn axioms put in anywhere, and a drawn IRI."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    axioms = list(random_ontology(random.Random(seed), max_axioms=8).axioms)
+    for axiom in draw(st.lists(AXIOMS, max_size=3)):
         axioms.insert(draw(st.integers(0, len(axioms))), axiom)
-    return iri, tuple(axioms)
+    return draw(IRIS), tuple(axioms)
 
 
 @PROPERTY
