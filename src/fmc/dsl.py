@@ -25,9 +25,9 @@ name, a constraint's endpoints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 
-from .lexer import NAME, Cursor, Lexicon, PositionedError, describe
+from .lexer import NAME, Cursor, Lexicon, PositionedError
 from .model import (
     DATATYPES,
     KEYWORDS,
@@ -48,15 +48,6 @@ class ParseError(PositionedError):
     """Syntax or model error in DSL source, with 1-based line/column."""
 
 
-@dataclass
-class _FeatureRec:
-    name: str
-    parent: str | None
-    variability: Variability
-    group: int | None = None
-    attributes: list[Attribute] = field(default_factory=list)
-
-
 class _Parser(Cursor):
     """Tokens are texts: an identifier, "{", "}", ":", or "" for end of input."""
 
@@ -71,8 +62,8 @@ class _Parser(Cursor):
 
     def __init__(self, source: str):
         super().__init__(source)
-        self.records: list[_FeatureRec] = []
-        self.by_name: dict[str, _FeatureRec] = {}
+        self.by_name: dict[str, Feature] = {}  # in declaration order
+        self.attributes: dict[str, dict[str, Attribute]] = {}  # by owner, then name
         self.groups: list[Group | None] = []
         self.constraints: list[CrossTreeConstraint] = []
 
@@ -81,7 +72,7 @@ class _Parser(Cursor):
         at = self.pos
         tok = self.tokens[at]
         if tok in _NOT_NAMES:
-            raise self.error(at, f"expected {what}, got {describe(tok)}")
+            raise self.expected(what)
         if tok in KEYWORDS:
             raise self.error(at, f"'{tok}' is a reserved keyword and cannot be used as a {what}")
         self.pos += 1
@@ -92,27 +83,23 @@ class _Parser(Cursor):
         root_at = self.expect_name()
         self.add_feature(root_at, None, Variability.MANDATORY)
         root = self.tokens[root_at]
-        if self.peek() == "{":
+        if self.tokens[self.pos] == "{":
             self.parse_body(root)
-        if self.peek() == "constraints":
+        if self.tokens[self.pos] == "constraints":
             self.parse_constraints()
-        tok = self.peek()
-        if tok != "":
-            raise self.error(self.pos, f"unexpected {describe(tok)} after model")
-
-        features = tuple(
-            Feature(r.name, r.parent, r.variability, r.group, tuple(r.attributes))
-            for r in self.records)
-        return FeatureModel(root, features, tuple(self.groups), tuple(self.constraints))
+        self.expect_end("model")
+        features = self.by_name
+        for owner, attributes in self.attributes.items():  # completed once, at the end
+            features[owner] = replace(features[owner], attributes=tuple(attributes.values()))
+        return FeatureModel(root, tuple(features.values()), tuple(self.groups),
+                            tuple(self.constraints))
 
     def add_feature(self, at: int, parent: str | None,
                     variability: Variability, group: int | None = None) -> None:
         name = self.tokens[at]
         if name in self.by_name:
             raise self.error(at, f"duplicate feature name '{name}'")
-        rec = _FeatureRec(name, parent, variability, group)
-        self.records.append(rec)
-        self.by_name[name] = rec
+        self.by_name[name] = Feature(name, parent, variability, group)
 
     def parse_body(self, owner: str) -> None:
         """Parse a ``{...}`` body with everything nested in it.
@@ -157,9 +144,8 @@ class _Parser(Cursor):
                 self.parse_attribute(owner)
                 continue
             else:
-                raise self.error(
-                    self.pos, "expected 'mandatory', 'optional', 'or', 'alternative', "
-                    f"'attribute', or '}}', got {describe(tok)}")
+                raise self.expected(
+                    "'mandatory', 'optional', 'or', 'alternative', 'attribute', or '}'")
             if tokens[self.pos] == "{":
                 self.pos += 1
                 stack.append((tokens[name_at], None, None, None))
@@ -177,16 +163,14 @@ class _Parser(Cursor):
         name_at = self.expect_name("attribute name")
         name = self.tokens[name_at]
         self.expect(":")
-        datatype = self.peek()
+        datatype = self.tokens[self.pos]
         if datatype not in DATATYPES:
-            raise self.error(
-                self.pos, f"expected attribute datatype (one of {', '.join(DATATYPES)}), "
-                f"got {describe(datatype)}")
+            raise self.expected(f"attribute datatype (one of {', '.join(DATATYPES)})")
         self.pos += 1
-        rec = self.by_name[owner]
-        if any(a.name == name for a in rec.attributes):
+        attributes = self.attributes.setdefault(owner, {})
+        if name in attributes:
             raise self.error(name_at, f"duplicate attribute '{name}' on feature '{owner}'")
-        rec.attributes.append(Attribute(name, datatype))
+        attributes[name] = Attribute(name, datatype)
 
     def parse_constraints(self) -> None:
         self.pos += 1
@@ -195,25 +179,26 @@ class _Parser(Cursor):
         while tokens[self.pos] != "}":
             if tokens[self.pos] == "":
                 raise self.error(self.pos, "unclosed constraints block: expected '}'")
-            source_at = self.expect_name()
-            source = tokens[source_at]
-            if source not in self.by_name:
-                raise self.error(source_at, f"unknown feature '{source}' in constraint")
-            kind_word = self.peek()
+            source = tokens[self.endpoint()]
+            kind_word = tokens[self.pos]
             if kind_word not in ("requires", "excludes"):
-                raise self.error(
-                    self.pos, f"expected 'requires' or 'excludes', got {describe(kind_word)}")
+                raise self.expected("'requires' or 'excludes'")
             self.pos += 1
             kind = ConstraintKind.REQUIRES if kind_word == "requires" else ConstraintKind.EXCLUDES
-            target_at = self.expect_name()
+            target_at = self.endpoint()
             target = tokens[target_at]
-            if target not in self.by_name:
-                raise self.error(target_at, f"unknown feature '{target}' in constraint")
             if source == target:
                 raise self.error(
                     target_at, f"constraint source and target are the same feature '{source}'")
             self.constraints.append(CrossTreeConstraint(kind, source, target))
         self.pos += 1
+
+    def endpoint(self) -> int:
+        """Step over a constraint's endpoint, a declared feature; return its index."""
+        at = self.expect_name()
+        if self.tokens[at] not in self.by_name:
+            raise self.error(at, f"unknown feature '{self.tokens[at]}' in constraint")
+        return at
 
 
 def parse(source: str) -> FeatureModel:

@@ -65,7 +65,8 @@ class Cursor:
 
     A subclass sets ``lexicon`` and ``error_cls``, a ``PositionedError``
     subclass. Parsers keep the index of a token they may report an error
-    on later.
+    on later; ``expected`` and ``expect_end`` word the errors on the
+    current one.
     """
 
     lexicon: Lexicon
@@ -97,11 +98,16 @@ class Cursor:
         return (cls or self.error_cls)(
             message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
+    def expected(self, what: str) -> PositionedError:
+        """The error for the current token, where ``what`` should be."""
+        return self.error(self.pos, f"expected {what}, got {describe(self.tokens[self.pos])}")
 
     def expect(self, text: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok != text:
-            raise self.error(self.pos, f"expected '{text}', got {describe(tok)}")
+        if self.tokens[self.pos] != text:
+            raise self.expected(f"'{text}'")
         self.pos += 1
+
+    def expect_end(self, after: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(self.pos, f"unexpected {describe(tok)} after {after}")

@@ -52,7 +52,7 @@ from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from itertools import chain, filterfalse, islice
 
-from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, describe, is_name
+from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name
 
 
 class OwlError(Exception):
@@ -150,7 +150,9 @@ class IntersectionOf(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
     def __post_init__(self):
-        if len(self.operands) < 2:
+        operands = tuple(self.operands)  # a list or an iterator becomes a tuple
+        IntersectionOf.operands.__set__(self, operands)
+        if len(operands) < 2:
             raise OwlError("ObjectIntersectionOf needs at least 2 operands")
 
 
@@ -159,7 +161,9 @@ class UnionOf(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
     def __post_init__(self):
-        if len(self.operands) < 2:
+        operands = tuple(self.operands)  # a list or an iterator becomes a tuple
+        UnionOf.operands.__set__(self, operands)
+        if len(operands) < 2:
             raise OwlError("ObjectUnionOf needs at least 2 operands")
 
 
@@ -470,11 +474,6 @@ _EXPR_KEYWORDS = frozenset({
 _ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
 
 
-def _is_word(token: str) -> bool:
-    # a valid token starting with a letter is a word or a prefixed name
-    return token[:1].isalpha() and ":" not in token
-
-
 class _Interned(dict):
     """NamedClass by name, each built on its first lookup."""
 
@@ -505,7 +504,7 @@ class _OwlParser(Cursor):
     def expect_iri(self) -> str:
         tok = self.tokens[self.pos]
         if tok[:1] != "<":
-            raise self.error(self.pos, f"expected 'iri', got {describe(tok)}")
+            raise self.expected("'iri'")
         self.pos += 1
         return tok[1:-1]
 
@@ -513,7 +512,7 @@ class _OwlParser(Cursor):
         # a name in the default (empty) prefix, e.g. ":AISCO"
         tok = self.tokens[self.pos]
         if tok[:1] != ":" or tok == ":=":
-            raise self.error(self.pos, f"expected {what} (:Name), got {describe(tok)}")
+            raise self.expected(f"{what} (:Name)")
         self.pos += 1
         return tok[1:]
 
@@ -533,18 +532,13 @@ class _OwlParser(Cursor):
                 raise self.error(self.pos, "unclosed 'Ontology(': expected ')'")
             axioms.append(self.parse_axiom())
         self.pos += 1
-        tok = tokens[self.pos]
-        if tok != "":
-            raise self.error(self.pos, f"unexpected {describe(tok)} after ontology")
+        self.expect_end("ontology")
         return Ontology(iri, tuple(axioms))
 
     def parse_axiom(self) -> Axiom:
         keyword = self.tokens[self.pos]
         if keyword not in _AXIOM_KEYWORDS:
-            if _is_word(keyword):
-                raise self.error(self.pos, f"unsupported construct '{keyword}'",
-                                 UnsupportedConstructError)
-            raise self.error(self.pos, f"expected an axiom, got {describe(keyword)}")
+            raise self.unsupported("construct", "an axiom")
         self.pos += 1
         self.expect("(")
         # DisjointClasses first: a compiled ontology is almost all of them
@@ -555,10 +549,7 @@ class _OwlParser(Cursor):
         elif keyword == "Declaration":
             kind = self.tokens[self.pos]
             if kind not in _ENTITY_KINDS:
-                if _is_word(kind):
-                    raise self.error(self.pos, f"unsupported declaration kind '{kind}'",
-                                     UnsupportedConstructError)
-                raise self.error(self.pos, f"expected entity kind, got {describe(kind)}")
+                raise self.unsupported("declaration kind", "entity kind")
             self.pos += 1
             self.expect("(")
             name = self.local_name("entity name")
@@ -579,11 +570,20 @@ class _OwlParser(Cursor):
             datatype = self.tokens[self.pos]
             # a prefixed name such as xsd:decimal
             if not datatype[:1].isalpha() or ":" not in datatype:
-                raise self.error(self.pos, f"expected a datatype, got {describe(datatype)}")
+                raise self.expected("a datatype")
             self.pos += 1
             axiom = DataPropertyRange(prop, datatype)
         self.expect(")")
         return axiom
+
+    def unsupported(self, construct: str, expected: str) -> OwlSyntaxError:
+        """The error for a current token outside the keywords read here:
+        unsupported if it is a word, else a syntax error."""
+        tok = self.tokens[self.pos]
+        if tok[:1].isalpha() and ":" not in tok:  # a word, not a prefixed name
+            return self.error(self.pos, f"unsupported {construct} '{tok}'",
+                              UnsupportedConstructError)
+        return self.expected(expected)
 
     def reject_extra_operands(self, construct: str) -> None:
         if self.tokens[self.pos] != ")":
@@ -603,10 +603,7 @@ class _OwlParser(Cursor):
             self.pos += 1
             return THING
         if tok not in _EXPR_KEYWORDS:
-            if _is_word(tok):
-                raise self.error(self.pos, f"unsupported construct '{tok}'",
-                                 UnsupportedConstructError)
-            raise self.error(self.pos, f"expected a class expression, got {describe(tok)}")
+            raise self.unsupported("construct", "a class expression")
         if self.depth == MAX_EXPR_DEPTH:
             raise self.error(self.pos,
                              f"class expression nested more than {MAX_EXPR_DEPTH} levels deep")
@@ -620,7 +617,7 @@ class _OwlParser(Cursor):
             while self.tokens[self.pos] != ")":
                 operands.append(self.parse_expr())
             ctor = IntersectionOf if tok == "ObjectIntersectionOf" else UnionOf
-            expr = ctor(tuple(operands))
+            expr = ctor(operands)
         else:  # ObjectSomeValuesFrom / ObjectAllValuesFrom
             prop = self.local_name("object property")
             filler = self.parse_expr()

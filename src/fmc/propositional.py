@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .model import ConstraintKind, FeatureModel, GroupKind, Variability
+from .model import ConstraintKind, FeatureModel, GroupKind, UnknownFeatureError, Variability
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,13 @@ def is_valid_configuration(model: FeatureModel,
     """Check a set of selected feature names against the model's rules.
 
     Returns (valid, violations); violations list every broken rule. Raises
-    UnknownFeatureError if config names a feature not in the model.
+    UnknownFeatureError if config names features not in the model; it
+    lists them all, sorted, so no set order shows in the message.
     """
-    selected = set()
-    for name in config:
-        model.feature(name)  # raises UnknownFeatureError
-        selected.add(name)
+    selected = set(config)
+    unknown = sorted(name for name in selected if not model.has_feature(name))
+    if unknown:
+        raise UnknownFeatureError(unknown)
 
     true = {i if name in selected else -i for i, name in enumerate(model.feature_names, 1)}
     violations: list[Violation] = []

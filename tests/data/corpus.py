@@ -17,10 +17,17 @@ never from Hypothesis, whose draws change with its version. The cases:
 - ``owl-built/*``: seeded ontologies built in code with one fault put
   in, checked by building an ``Ontology``;
 - ``owl-stream/*``: the same kind of axioms fed in stream order to the
-  declare-before-use checker that ``fmc compile`` runs.
+  declare-before-use checker that ``fmc compile`` runs;
+- ``config-text/*``: valid and invalid configuration files of AISCO and
+  seeded models, with a line deleted or duplicated, a name changed, a
+  comment, a blank line, white space or ``\r`` injected, or the text
+  truncated; read by ``parse_configuration`` and checked by
+  ``is_valid_configuration``.
 
-An outcome is ``ok`` with a digest of what was read (rendered again), or
-the exception's type, message and, for a syntax error, line and column.
+An outcome is ``ok`` with a digest of what was read (rendered again), the
+valid flag and each violation's rule and features for a configuration,
+or the exception's type, message and, for a syntax error, line and
+column.
 ``input`` is a digest of the case's input, so ``--check`` also fails
 where ``random`` draws differently. A change to an outcome on purpose
 regenerates the file, and its diff shows each case it touched.
@@ -40,7 +47,8 @@ sys.path.insert(0, str(DATA.parent))  # for helpers
 
 from fmc import owl  # noqa: E402
 from fmc.compiler import compile_model  # noqa: E402
-from fmc.dsl import parse, to_source  # noqa: E402
+from fmc.dsl import parse, parse_configuration, to_source  # noqa: E402
+from fmc.model import KEYWORDS  # noqa: E402
 from fmc.owl import (  # noqa: E402
     THING,
     AllValuesFrom,
@@ -61,8 +69,9 @@ from fmc.owl import (  # noqa: E402
     parse_functional,
     serialize_functional,
 )
+from fmc.propositional import is_valid_configuration  # noqa: E402
 
-from helpers import random_model, random_ontology  # noqa: E402
+from helpers import oracle_configurations, random_model, random_ontology  # noqa: E402
 
 CORPUS_PATH = DATA / "corpus.json"
 AISCO_OFN = (DATA / "aisco.ofn").read_text(encoding="utf-8")
@@ -83,15 +92,16 @@ def _digest(text: str) -> str:
 
 
 def _outcome(run) -> dict:
-    """ok and the digest of the text run returns, or the error it raises."""
+    """ok and the digest of the text run returns, the outcome it returns
+    as a dict, or the error it raises."""
     try:
-        text = run()
+        result = run()
     except Exception as exc:  # every exception type is an outcome to pin
         outcome = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "line"):
             outcome.update(line=exc.line, column=exc.column)
         return outcome
-    return {"ok": _digest(text)}
+    return result if isinstance(result, dict) else {"ok": _digest(result)}
 
 
 # --- text mutations -----------------------------------------------------------
@@ -268,11 +278,75 @@ def _built_cases():
                    iri, owl._checked_axioms(iri, axioms))))
 
 
+# --- configuration files --------------------------------------------------------
+
+CONFIG_MUTATIONS = ("delete", "duplicate", "rename", "inject", "truncate")
+UNKNOWN_NAMES = ("Fresh", "X9", "_x", "a-b", "9", "A B", "\xe9")
+# a comment or a blank line goes in at a line start, the rest anywhere
+CONFIG_LINES = ("# a comment\n", "#\n", "\n", "  \n")
+CONFIG_INJECTED = ("#", " ", "\t", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+                   "\u2028", "\ufeff")
+
+
+def configuration_text(rng: random.Random, model) -> str:
+    """A seeded configuration file of model, one name a line: a valid
+    configuration, or one with a feature toggled."""
+    valid = sorted(sorted(c) for c in oracle_configurations(model))
+    chosen = set(rng.choice(valid)) if valid else {model.root}
+    if rng.randrange(2):
+        chosen = chosen ^ {rng.choice(model.feature_names)} or chosen
+    names = sorted(chosen)
+    rng.shuffle(names)
+    return "".join(f"{name}\n" for name in names)
+
+
+def mutate_configuration(rng: random.Random, text: str, model, mutation: str) -> str:
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    if mutation == "delete":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "rename":
+        name = lines[i].rstrip("\n")
+        lines[i] = rng.choice([
+            rng.choice(model.feature_names), rng.choice(UNKNOWN_NAMES),
+            rng.choice(sorted(KEYWORDS)),
+            rng.choice((str.upper, str.lower, str.swapcase))(name)]) + "\n"
+    elif mutation == "inject":
+        if rng.randrange(2):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(CONFIG_LINES))
+        else:
+            at = rng.randint(0, len(text))
+            return text[:at] + rng.choice(CONFIG_INJECTED) + text[at:]
+    else:  # truncate
+        return text[:rng.randint(0, len(text) - 1)]
+    return "".join(lines)
+
+
+def _checked_configuration(model, text: str) -> dict:
+    valid, violations = is_valid_configuration(model, parse_configuration(text))
+    return {"valid": valid, "violations": [[v.rule, list(v.features)] for v in violations]}
+
+
+def _config_cases():
+    for mutation in CONFIG_MUTATIONS:
+        category = f"config-text/{mutation}"
+        rng = random.Random(category)
+        models = [parse(AISCO_FM), *(random_model(rng, max_features=10) for _ in range(3))]
+        for n in range(CASES_PER_CATEGORY):
+            model = rng.choice(models)
+            text = mutate_configuration(rng, configuration_text(rng, model), model, mutation)
+            yield (f"{category}/{n}", (text, to_source(model)),
+                   lambda model=model, text=text: _checked_configuration(model, text))
+
+
 def cases():
     """(id, input, run) of every case, in corpus order."""
     yield from _text_cases("owl", _owl_sources, parse_functional, serialize_functional)
     yield from _text_cases("dsl", _dsl_sources, parse, to_source)
     yield from _built_cases()
+    yield from _config_cases()
 
 
 def describe_input(value) -> str:

@@ -59,6 +59,21 @@ def test_nary_operators_need_two_operands():
                 dataclasses.replace(ctor((A, X)), operands=operands)
 
 
+@pytest.mark.parametrize("ctor", [IntersectionOf, UnionOf], ids=lambda ctor: ctor.__name__)
+@pytest.mark.parametrize("operands", [lambda: [A, A], lambda: iter((A, THING, A))],
+                         ids=["list", "iterator"])
+def test_nary_operands_are_kept_as_a_tuple(ctor, operands):
+    expr = ctor(operands())
+    assert type(expr.operands) is tuple and len(expr.operands) >= 2
+    ontology = Ontology(IRI, (Declaration(EntityKind.CLASS, "A"), SubClassOf(A, expr)))
+    assert hash(ontology) == hash(Ontology(IRI, ontology.axioms))
+    assert parse_functional(serialize_functional(ontology)) == ontology
+    with pytest.raises(OwlError, match="needs at least 2 operands"):
+        ctor([A])
+    with pytest.raises(OwlError, match="needs at least 2 operands"):
+        ctor(iter((A,)))
+
+
 # one value of every OWL value class
 VALUES = (
     THING,
@@ -368,6 +383,22 @@ def test_a_name_never_declared_comes_before_a_later_error():
     ) == (UndeclaredNameError, "Class 'X' used but not declared")
 
 
+@pytest.mark.parametrize("axiom, message", [
+    (NamedClass("A"), "unknown axiom NamedClass(name='A')"),
+    (SubClassOf(A, Declaration(EntityKind.CLASS, "A")),
+     "unknown class expression Declaration(kind=<EntityKind.CLASS: 'Class'>, name='A')"),
+    (EquivalentClasses(ComplementOf(SubClassOf(A, A)), A),
+     "unknown class expression SubClassOf(sub=NamedClass(name='A'), sup=NamedClass(name='A'))"),
+], ids=["class-as-axiom", "axiom-as-expression", "axiom-as-operand"])
+def test_a_value_out_of_place_is_an_owl_error(axiom, message):
+    decl = Declaration(EntityKind.CLASS, "A")
+    assert first_error(decl, axiom) == (OwlError, message)
+    # the stream checker that fmc compile runs says the same
+    with pytest.raises(OwlError) as info:
+        list(_checked_axioms(IRI, (decl, axiom)))
+    assert type(info.value) is OwlError and str(info.value) == message
+
+
 def test_axioms_from_an_iterator_are_all_checked_and_kept():
     axioms = (*declared((EntityKind.CLASS, "A")), SubClassOf(A, A))
     assert Ontology(IRI, iter(axioms)).axioms == axioms
@@ -444,6 +475,11 @@ HEADER = "Prefix(:=<http://x#>)\nOntology(<http://x#>\n"
     (HEADER + "Declaration(Class(:=))\n)", "expected entity name (:Name), got ':='", 3, 19),
     (HEADER + "SubClassOf(<http://a> :B)\n)", "expected a class expression, got 'http://a'", 3, 12),
     (HEADER + "Declaration(Class(:A)) \xe9\n)", "unexpected character 'é'", 3, 24),
+    # a header slot without an IRI
+    ("Prefix(:=:A)\nOntology(<http://x#>\n)", "expected 'iri', got ':A'", 1, 10),
+    ("Prefix(:=)\nOntology(<http://x#>\n)", "expected 'iri', got ')'", 1, 10),
+    ("Prefix(:=<http://x#>)\nOntology(Foo\n)", "expected 'iri', got 'Foo'", 2, 10),
+    ("Prefix(:=<http://x#>)\nOntology(", "expected 'iri', got end of input", 2, 10),
 ])
 def test_syntax_errors_carry_position(text, message, line, column):
     with pytest.raises(OwlSyntaxError) as info:

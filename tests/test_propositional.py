@@ -103,6 +103,16 @@ def test_unknown_feature_in_configuration():
         is_valid_configuration(model, {"A", "Ghost"})
 
 
+def test_unknown_features_in_a_configuration_are_named_in_sorted_order():
+    # a set's order follows the string hash, which changes per process
+    model = parse("feature A")
+    for config in (["Ghost", "A", "Boo"], ["Boo", "Ghost"], {"Ghost", "Boo", "A"}):
+        with pytest.raises(UnknownFeatureError) as info:
+            is_valid_configuration(model, config)
+        assert info.value.names == ("Boo", "Ghost")
+        assert str(info.value) == "unknown feature(s): 'Boo', 'Ghost'"
+
+
 def test_formula_agrees_with_checker_exhaustively():
     rng = random.Random(99)
     for _ in range(40):
