@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from . import analysis, compiler, scaffold
 from .compiler import CompileError
 from .dsl import ParseError, parse, parse_configuration
+from .lexer import read_source
 from .model import FeatureModel, ModelError, UnknownFeatureError
 from .owl import Ontology, OwlError, _checked_axioms, _write_functional
 from .propositional import is_valid_configuration
@@ -33,8 +34,7 @@ class _Failure(Exception):
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        return read_source(path)
     except OSError as exc:
         raise _Failure(1, f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .lexer import NAME, Cursor, Lexicon, PositionedError
+from .lexer import NAME, Cursor, Lexicon, PositionedError, read_source
 from .model import (
     DATATYPES,
     KEYWORDS,
@@ -211,8 +211,7 @@ def parse(source: str) -> FeatureModel:
 
 
 def parse_file(path) -> FeatureModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_source(path))
 
 
 def to_source(model: FeatureModel) -> str:

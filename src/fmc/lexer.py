@@ -9,7 +9,8 @@ Every position matches one of the alternatives, so ``findall`` never
 skips ahead. A catch-all token is an unexpected character, raised before
 parsing starts. Offsets, and from them line and column, are worked out
 only when an error is raised: by a ``finditer`` over the same regex to
-the token's index.
+the token's index. ``read_source`` reads a model, configuration or OWL
+file and drops one leading byte order mark.
 """
 
 from __future__ import annotations
@@ -26,6 +27,17 @@ is_name = re.compile(NAME).fullmatch
 # neither bracket, no white space, and no lone surrogate, which no UTF-8
 # file can hold.
 IRI_CHAR = r"[^<>\s\ud800-\udfff]"
+
+
+def read_source(path) -> str:
+    """The text of a UTF-8 file, without one leading byte order mark.
+
+    Not ``encoding="utf-8-sig"``: its decoder reads a file of only the
+    first one or two bytes of the mark as empty text, and counts the
+    offset in a ``UnicodeDecodeError`` from after the mark.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().removeprefix("\ufeff")
 
 
 class PositionedError(Exception):

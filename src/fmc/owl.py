@@ -52,7 +52,7 @@ from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from itertools import chain, filterfalse, islice
 
-from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name
+from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
 
 
 class OwlError(Exception):
@@ -641,5 +641,4 @@ def parse_functional(text: str) -> Ontology:
 
 
 def parse_functional_file(path) -> Ontology:
-    with open(path, encoding="utf-8") as fh:
-        return parse_functional(fh.read())
+    return parse_functional(read_source(path))

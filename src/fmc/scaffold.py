@@ -150,44 +150,40 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
     """
     triggers = normalize_triggers(DEFAULT_TRIGGERS if registry is None else registry)
 
-    classes: list[str] = []
-    properties: list[str] = []
-    data_properties: list[str] = []
+    declared: dict[EntityKind, list[str]] = {kind: [] for kind in EntityKind}
+    feature_of: dict[str, str] = {}  # C ≡ ∃P.F marks C as the rule class for F
+    ranges: dict[str, str] = {}
+    uses: list[tuple[str, str]] = []  # (C, P) per SubClassOf(C, ∃P.X)
+    field_domain: dict[str, str] = {}
+    field_type: dict[str, str] = {}
     for axiom in ontology.axioms:
         if isinstance(axiom, Declaration):
-            if axiom.kind is EntityKind.CLASS:
-                classes.append(axiom.name)
-            elif axiom.kind is EntityKind.OBJECT_PROPERTY:
-                properties.append(axiom.name)
-            else:
-                data_properties.append(axiom.name)
-
-    # C ≡ ∃P.F marks C as the rule class for feature class F
-    feature_of: dict[str, str] = {}
-    for axiom in ontology.axioms:
-        if not isinstance(axiom, EquivalentClasses):
-            continue
-        for named, expr in ((axiom.a, axiom.b), (axiom.b, axiom.a)):
-            if (isinstance(named, NamedClass) and isinstance(expr, SomeValuesFrom)
-                    and isinstance(expr.filler, NamedClass)
-                    and named.name not in feature_of):
-                feature_of[named.name] = expr.filler.name
-
-    ranges: dict[str, str] = {}
-    domains: dict[str, list[str]] = {p: [] for p in properties}
-    for axiom in ontology.axioms:
-        if isinstance(axiom, ObjectPropertyRange):
+            declared[axiom.kind].append(axiom.name)
+        elif isinstance(axiom, SubClassOf):
+            # unions/complements never pin a domain, only direct existentials
+            if isinstance(axiom.sub, NamedClass) and isinstance(axiom.sup, SomeValuesFrom):
+                uses.append((axiom.sub.name, axiom.sup.property))
+        elif isinstance(axiom, EquivalentClasses):
+            for named, expr in ((axiom.a, axiom.b), (axiom.b, axiom.a)):
+                if (isinstance(named, NamedClass) and isinstance(expr, SomeValuesFrom)
+                        and isinstance(expr.filler, NamedClass)):
+                    feature_of.setdefault(named.name, expr.filler.name)
+        elif isinstance(axiom, ObjectPropertyRange):
             if not isinstance(axiom.range, NamedClass):
                 raise ScaffoldError(
                     f"range of '{axiom.property}' must be a named class")
             ranges.setdefault(axiom.property, axiom.range.name)
-        elif (isinstance(axiom, SubClassOf) and isinstance(axiom.sub, NamedClass)
-              and isinstance(axiom.sup, SomeValuesFrom)):
-            # unions/complements never pin a domain, only direct existentials
-            domain = feature_of.get(axiom.sub.name, axiom.sub.name)
-            bucket = domains[axiom.sup.property]
-            if domain not in bucket:
-                bucket.append(domain)
+        elif isinstance(axiom, DataPropertyDomain):
+            field_domain.setdefault(axiom.property, axiom.domain.name)
+        elif isinstance(axiom, DataPropertyRange):
+            field_type.setdefault(axiom.property, axiom.datatype.removeprefix("xsd:"))
+
+    classes = declared[EntityKind.CLASS]
+    properties = declared[EntityKind.OBJECT_PROPERTY]
+    # dicts as ordered sets: axiom order, no duplicates
+    domains: dict[str, dict[str, None]] = {p: {} for p in properties}
+    for cls, prop in uses:
+        domains[prop][feature_of.get(cls, cls)] = None
 
     categories = tuple(
         Category(name, name in feature_of)
@@ -198,16 +194,8 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
                   (ranges[p],) if p in ranges else ())
         for p in properties)
 
-    field_domain: dict[str, str] = {}
-    field_type: dict[str, str] = {}
-    for axiom in ontology.axioms:
-        if isinstance(axiom, DataPropertyDomain):
-            field_domain.setdefault(axiom.property, axiom.domain.name)
-        elif isinstance(axiom, DataPropertyRange):
-            field_type.setdefault(axiom.property, axiom.datatype.removeprefix("xsd:"))
-
     fields_of: dict[str | None, list[FormField]] = {}
-    for name in data_properties:
+    for name in declared[EntityKind.DATA_PROPERTY]:
         fields_of.setdefault(field_domain.get(name), []).append(
             FormField(name, field_type.get(name, "string"), triggers.get(name.lower())))
     forms = tuple(FormSpec(c.name, tuple(fields_of.get(c.name, ()))) for c in categories)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from fmc import analysis
 from fmc.analysis import (
     ENUMERATION_CAP,
     EnumerationCapError,
@@ -189,3 +190,22 @@ def test_analysis_matches_oracle_on_random_models_up_to_14_features():
         assert count_configurations(model) == oracle_count(model)
         if oracle_consistent(model):
             assert dead_features(model) == oracle_dead(model)
+
+
+def test_a_witness_that_breaks_a_clause_is_refused(monkeypatch, aisco_model):
+    real_solve = analysis._Solver.solve
+
+    def all_false(self, assumptions=()):
+        # breaks the root's unit clause
+        return {v: False for v in range(1, self.num_vars + 1)}
+
+    monkeypatch.setattr(analysis._Solver, "solve", all_false)
+    with pytest.raises(AssertionError, match="non-satisfying assignment"):
+        solve(to_propositional(aisco_model))
+    with pytest.raises(AssertionError, match="non-satisfying assignment"):
+        dead_features(aisco_model)  # its base solve
+    # a sound base witness, then a broken one for a feature it left out
+    monkeypatch.setattr(analysis._Solver, "solve", lambda self, assumptions=(): (
+        all_false(self) if assumptions else real_solve(self, assumptions)))
+    with pytest.raises(AssertionError, match="non-satisfying assignment"):
+        dead_features(aisco_model)

@@ -368,6 +368,38 @@ def test_non_utf8_model_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err
 
 
+def with_bom(tmp_path, path, marks=1):
+    marked = tmp_path / f"bom{marks}-{os.path.basename(path)}"
+    with open(path, "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" * marks + fh.read())
+    return str(marked)
+
+
+@pytest.mark.parametrize("names", [
+    ("AISCO", "FinancialReport", "ProgramData", "PublicationSystem"),  # valid
+    ("AISCO", "ProgramData"),  # two mandatory children missing
+])
+def test_validate_skips_one_leading_byte_order_mark(tmp_path, capsys, names):
+    config = write_config(tmp_path, *names)
+    runs = []
+    for path in (config, with_bom(tmp_path, config)):
+        code = main(["validate", AISCO, path])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert main(["validate", AISCO, with_bom(tmp_path, config, marks=2)]) == 1
+    assert "unknown feature(s): '\ufeffAISCO'" in capsys.readouterr().err
+
+
+def test_check_skips_one_leading_byte_order_mark(tmp_path, capsys):
+    runs = []
+    for path in (AISCO, with_bom(tmp_path, AISCO)):
+        code = main(["check", path])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert main(["check", with_bom(tmp_path, AISCO, marks=2)]) == 1
+    assert "line 1, column 1: unexpected character" in capsys.readouterr().err
+
+
 def test_non_utf8_config_exits_1(tmp_path, capsys):
     config = tmp_path / "config.txt"
     config.write_bytes(b"AISCO\n\xff\n")

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from fmc.analysis import ENUMERATION_CAP
-from fmc.dsl import ParseError, parse, parse_configuration, to_source
+from fmc.dsl import ParseError, parse, parse_configuration, parse_file, to_source
 from fmc.lexer import PositionedError
 from fmc.model import ConstraintKind, Feature, FeatureModel, GroupKind, Variability
 
@@ -207,3 +207,18 @@ def test_parse_configuration():
     text = "# chosen\nAISCO\n\n  ProgramData  \n# skip\nDonor\n"
     assert parse_configuration(text) == {"AISCO", "ProgramData", "Donor"}
     assert parse_configuration("") == set()
+
+
+def test_parse_file_skips_one_leading_byte_order_mark(tmp_path, aisco_source):
+    path = tmp_path / "model.fm"
+    data = aisco_source.encode("utf-8")
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + data)
+        assert parse_file(path) == parse(aisco_source)
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + data)
+    with pytest.raises(ParseError, match="line 1, column 1: unexpected character"):
+        parse_file(path)
+    # the first bytes of a mark alone are not text
+    path.write_bytes(b"\xef\xbb")
+    with pytest.raises(UnicodeDecodeError):
+        parse_file(path)

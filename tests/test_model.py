@@ -187,8 +187,14 @@ def with_unknown_group_member(model):
     return dataclasses.replace(model, groups=(group,))
 
 
+def with_unknown_group_owner(model):
+    group = dataclasses.replace(model.groups[0], owner="Ghost")
+    return dataclasses.replace(model, groups=(group,))
+
+
 @pytest.mark.parametrize("fault, message", [
     (with_unknown_group_id, "group 0 members must be exactly"),
+    (with_unknown_group_owner, "group 0 has unknown owner 'Ghost'"),
     (with_unknown_constraint_endpoint, "unknown feature 'Z'"),
     (with_unknown_group_member, "group 0 members must be exactly"),
 ])

@@ -32,8 +32,10 @@ from fmc.owl import (
     _checked_axioms,
     _render_axiom,
     parse_functional,
+    parse_functional_file,
     serialize_functional,
     validate_ontology,
+    write_functional,
 )
 
 from helpers import random_ontology
@@ -441,6 +443,27 @@ def test_parse_golden_file_matches_compile(aisco_ontology):
 
     text = GOLDEN_PATH.read_text(encoding="utf-8")
     assert parse_functional(text) == aisco_ontology
+
+
+def test_parse_functional_file_skips_one_leading_byte_order_mark(tmp_path):
+    from conftest import GOLDEN_PATH
+
+    data = GOLDEN_PATH.read_bytes()
+    path = tmp_path / "aisco.ofn"
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + data)
+        assert parse_functional_file(path) == parse_functional(data.decode("utf-8"))
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + data)
+    with pytest.raises(OwlSyntaxError, match="line 1, column 1: unexpected character"):
+        parse_functional_file(path)
+
+
+def test_write_functional_writes_the_golden_bytes(tmp_path, aisco_ontology):
+    from conftest import GOLDEN_PATH
+
+    path = tmp_path / "aisco.ofn"
+    write_functional(aisco_ontology, path)
+    assert path.read_bytes() == GOLDEN_PATH.read_bytes()
 
 
 @pytest.mark.parametrize("text,fragment", [

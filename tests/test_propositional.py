@@ -40,6 +40,8 @@ def test_formula_invariants_enforced():
         PropositionalFormula(1, ((),), ("A",))
     with pytest.raises(ValueError, match="unique"):
         PropositionalFormula(2, (), ("A", "A"))
+    with pytest.raises(ValueError, match="must cover exactly 1..num_vars"):
+        PropositionalFormula(2, (), ("A",))
 
 
 def test_variable_map_is_bijective():

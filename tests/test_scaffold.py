@@ -214,6 +214,9 @@ def test_scaffold_invariants_enforced():
                      (Predicate("p", (), ()), Predicate("p", (), ())), ())
     with pytest.raises(ScaffoldError, match="form for unknown category"):
         SiteScaffold("s", (), (), (FormSpec("Ghost", ()),))
+    with pytest.raises(ScaffoldError, match="duplicate form fields on 'A'"):
+        SiteScaffold("s", (Category("A", False),), (), (FormSpec(
+            "A", (FormField("x", "string"), FormField("x", "integer"))),))
 
 
 def test_write_phase1_schema(tmp_path, aisco_ontology):
