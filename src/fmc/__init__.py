@@ -3,7 +3,12 @@
 Parse textual feature models, emit OWL 2 ontologies, analyze consistency
 with a built-in satisfiability procedure, and generate framework-neutral
 web-application scaffolds.
+
+The OWL side (``compiler``, ``owl``, ``scaffold``) loads on first use of
+one of its names, so analysis alone does not pay for importing it.
 """
+
+from importlib import import_module
 
 from .analysis import (
     ENUMERATION_CAP,
@@ -15,7 +20,6 @@ from .analysis import (
     dead_features,
     solve,
 )
-from .compiler import CompileError, compile_model, default_iri
 from .dsl import ParseError, parse, parse_configuration, parse_file, to_source
 from .model import (
     Attribute,
@@ -27,18 +31,6 @@ from .model import (
     UnknownFeatureError,
     validate,
 )
-from .owl import (
-    Ontology,
-    OwlError,
-    OwlSyntaxError,
-    UndeclaredNameError,
-    UnsupportedConstructError,
-    parse_functional,
-    parse_functional_file,
-    serialize_functional,
-    validate_ontology,
-    write_functional,
-)
 from .propositional import (
     PropositionalFormula,
     Violation,
@@ -46,21 +38,55 @@ from .propositional import (
     satisfies,
     to_propositional,
 )
-from .scaffold import (
-    DEFAULT_TRIGGERS,
-    Category,
-    FormField,
-    FormSpec,
-    Predicate,
-    ScaffoldError,
-    SiteScaffold,
-    generate,
-    load_triggers,
-    write_phase1,
-    write_phase2,
-)
 
 __version__ = "0.1.0"
+
+# Submodule -> the names it exports, resolved by __getattr__ (PEP 562).
+_LAZY = {
+    "compiler": ("CompileError", "compile_model", "default_iri"),
+    "owl": (
+        "Ontology",
+        "OwlError",
+        "OwlSyntaxError",
+        "UndeclaredNameError",
+        "UnsupportedConstructError",
+        "parse_functional",
+        "parse_functional_file",
+        "serialize_functional",
+        "validate_ontology",
+        "write_functional",
+    ),
+    "scaffold": (
+        "DEFAULT_TRIGGERS",
+        "Category",
+        "FormField",
+        "FormSpec",
+        "Predicate",
+        "ScaffoldError",
+        "SiteScaffold",
+        "generate",
+        "load_triggers",
+        "write_phase1",
+        "write_phase2",
+    ),
+}
+_LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _LAZY_SOURCE:
+        value = getattr(import_module(f"{__name__}.{_LAZY_SOURCE[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_SOURCE})
+
 
 __all__ = [
     "ENUMERATION_CAP",

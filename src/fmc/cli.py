@@ -1,25 +1,28 @@
 """Command-line driver: parse, compile, analyze, validate, scaffold.
 
 Exit codes: 0 success; 1 input/parse errors (missing file, DSL syntax,
-unknown feature in a configuration); 2 compile, write, or cap errors;
+unknown feature in a configuration); 2 compile, write, or cap errors,
+and a stdout closed before the report is written;
 3 void model from `check`; 4 invalid configuration from `validate`.
 Reports go to stdout (JSON with --json), logs and errors to stderr.
+
+Only `compile` and `scaffold` import the OWL side (`compiler`, `owl`,
+`scaffold`); `check`, `count` and `validate` never load it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from contextlib import contextmanager
 
-from . import analysis, compiler, scaffold
-from .compiler import CompileError
+from . import analysis
 from .dsl import ParseError, parse, parse_configuration
 from .lexer import read_source
 from .model import FeatureModel, ModelError, UnknownFeatureError
-from .owl import Ontology, OwlError, _checked_axioms, _write_functional
 from .propositional import is_valid_configuration
 
 TRIGGERS_ENV = "FMC_TRIGGERS"
@@ -53,18 +56,20 @@ def _load_model(path: str) -> FeatureModel:
 def _compiling(args, *, disjoint: bool = True):
     """The IRI and the axiom stream of the input model (see
     ``compiler._axioms``); a compile error met in the block exits 2."""
+    from . import compiler, owl
     model = _load_model(args.input)
     try:
         yield args.iri or compiler.default_iri(model.root), compiler._axioms(model, disjoint=disjoint)
-    except (CompileError, OwlError) as exc:
+    except (compiler.CompileError, owl.OwlError) as exc:
         raise _Failure(2, f"{args.input}: {exc}") from exc
 
 
 def cmd_compile(args) -> int:
+    from . import owl
     with _compiling(args) as (iri, axioms):
         try:
             # each axiom is checked and written as it is built; none is kept
-            _write_functional(iri, _checked_axioms(iri, axioms), args.output)
+            owl._write_functional(iri, owl._checked_axioms(iri, axioms), args.output)
         except OSError as exc:
             raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
     print(f"wrote {args.output}", file=sys.stderr)
@@ -123,9 +128,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_scaffold(args) -> int:
+    from . import owl, scaffold
     # the site reads no DisjointClasses axiom, so none is built
     with _compiling(args, disjoint=False) as (iri, axioms):
-        ontology = Ontology(iri, tuple(axioms))
+        ontology = owl.Ontology(iri, tuple(axioms))
     registry = None
     triggers_path = os.environ.get(TRIGGERS_ENV)
     if triggers_path:
@@ -140,13 +146,16 @@ def cmd_scaffold(args) -> int:
         site = scaffold.generate(ontology, registry,
                                  include_rule_classes=not args.skip_rule_classes)
         written = scaffold.write(site, args.outdir, args.overwrite, zotonic_notes)
-    except (OSError, scaffold.ScaffoldError) as exc:
+    except OSError as exc:
+        raise _Failure(2, f"{exc.filename or args.outdir}: {exc.strerror or exc}") from exc
+    except scaffold.ScaffoldError as exc:
         raise _Failure(2, str(exc)) from exc
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
+@functools.cache  # built once per process, however many commands main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fmc",
@@ -193,10 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except _Failure as failure:
         print(f"error: {failure.message}", file=sys.stderr)
         return failure.code
+    except BrokenPipeError:
+        # the reader left early (`fmc ... | head`): what is still buffered
+        # goes to the null device, so the flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
 
 
 if __name__ == "__main__":

@@ -144,15 +144,19 @@ def validate(model: FeatureModel) -> None:
     This runs when a ``FeatureModel`` is built, so every model, parsed or
     built in code, has passed it.
     """
+    by_name = model._by_name
+    group_member = Variability.GROUP_MEMBER  # one enum lookup, not one per feature
     names = [f.name for f in model.features]
-    if len(names) != len(set(names)):
+    if len(names) != len(by_name):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ModelError(f"duplicate feature name(s): {', '.join(dupes)}")
-    for name in names:
-        if not is_name(name):
-            raise ModelError(f"invalid feature name '{name}'")
-        if name in KEYWORDS:
-            raise ModelError(f"feature name '{name}' is a reserved keyword")
+    # all names at once; the loop runs only to name the first bad one
+    if not (all(map(is_name, names)) and KEYWORDS.isdisjoint(names)):
+        for name in names:
+            if not is_name(name):
+                raise ModelError(f"invalid feature name '{name}'")
+            if name in KEYWORDS:
+                raise ModelError(f"feature name '{name}' is a reserved keyword")
 
     roots = [f for f in model.features if f.parent is None]
     if len(roots) != 1:
@@ -164,10 +168,12 @@ def validate(model: FeatureModel) -> None:
         raise ModelError("the root feature must be mandatory")
 
     for f in model.features:
-        if f.parent is not None and not model.has_feature(f.parent):
+        if f.parent is not None and f.parent not in by_name:
             raise ModelError(f"feature '{f.name}' has unknown parent '{f.parent}'")
-        if (f.variability is Variability.GROUP_MEMBER) != (f.group is not None):
+        if (f.variability is group_member) != (f.group is not None):
             raise ModelError(f"feature '{f.name}': group id and group-member variability must occur together")
+        if not f.attributes:
+            continue
         attr_names = [a.name for a in f.attributes]
         if len(attr_names) != len(set(attr_names)):
             raise ModelError(f"feature '{f.name}' declares duplicate attribute names")
@@ -183,10 +189,11 @@ def validate(model: FeatureModel) -> None:
     # Parent links must form a tree rooted at the single root: one walk
     # down from the root reaches every feature unless some lie on or below
     # a cycle. The walk up from the first one left names the cycle's entry.
+    children = model._children
     reached = {root.name}
     stack = [root.name]
     while stack:
-        for child in model.children(stack.pop()):
+        for child in children[stack.pop()]:
             reached.add(child.name)
             stack.append(child.name)
     if len(reached) != len(names):
@@ -194,7 +201,7 @@ def validate(model: FeatureModel) -> None:
         seen = set()
         while cur.name not in seen:
             seen.add(cur.name)
-            cur = model.feature(cur.parent)
+            cur = by_name[cur.parent]
         raise ModelError(f"cycle in parent references involving '{cur.name}'")
 
     group_ids = [g.id for g in model.groups]
@@ -202,15 +209,16 @@ def validate(model: FeatureModel) -> None:
         raise ModelError("duplicate group ids")
     members_by_group: dict[tuple[str, int], set[str]] = {}
     for f in model.features:
-        if f.variability is Variability.GROUP_MEMBER:
+        if f.variability is group_member:
             members_by_group.setdefault((f.parent, f.group), set()).add(f.name)
     for g in model.groups:
-        if not model.has_feature(g.owner):
+        if g.owner not in by_name:
             raise ModelError(f"group {g.id} has unknown owner '{g.owner}'")
         if len(g.members) < 2:
             raise ModelError(f"group {g.id} under '{g.owner}' needs at least 2 members")
         expected = members_by_group.get((g.owner, g.id), set())
-        if set(g.members) != expected or len(set(g.members)) != len(g.members):
+        members = set(g.members)
+        if members != expected or len(members) != len(g.members):
             raise ModelError(
                 f"group {g.id} members must be exactly the group-member children of '{g.owner}'")
     for f in model.features:
@@ -219,7 +227,7 @@ def validate(model: FeatureModel) -> None:
 
     for c in model.constraints:
         for endpoint in (c.source, c.target):
-            if not model.has_feature(endpoint):
+            if endpoint not in by_name:
                 raise ModelError(f"constraint references unknown feature '{endpoint}'")
         if c.source == c.target:
             raise ModelError(f"constraint source and target are the same feature '{c.source}'")

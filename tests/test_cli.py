@@ -406,3 +406,108 @@ def test_non_utf8_config_exits_1(tmp_path, capsys):
     assert main(["validate", AISCO, str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ") and "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("blocked", [
+    pytest.param("site", id="outdir-is-a-file"),
+    pytest.param("site/templates", id="templates-is-a-file"),
+])
+def test_scaffold_write_error_names_the_path(tmp_path, capsys, blocked):
+    blocked = tmp_path / blocked
+    blocked.parent.mkdir(exist_ok=True)
+    blocked.touch()
+    assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
+    assert capsys.readouterr().err == f"error: {blocked}: File exists\n"
+
+
+def fresh(argv):
+    """(exit code, stdout, stderr) of ``python -m fmc`` in a new process."""
+    result = subprocess.run([sys.executable, "-m", "fmc", *argv],
+                            capture_output=True, text=True, check=False)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_one_process_answers_each_command_as_a_fresh_one(tmp_path, capsys):
+    # main builds its argument parser once per process; no call may see
+    # what an earlier one left, usage errors included
+    config = write_config(tmp_path, "AISCO", "ProgramData")
+    calls = [["check", AISCO, "--json"], ["check", AISCO], ["validate", AISCO, config],
+             ["check", AISCO, "--bogus"], ["validate", AISCO], ["check", AISCO]]
+    runs = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        runs.append((code, *capsys.readouterr()))
+    assert runs == [fresh(argv) for argv in calls]
+    assert [code for code, _, _ in runs] == [0, 0, 4, 2, 2, 0]
+    assert all(err.startswith("usage: fmc ") for _, _, err in runs[3:5])
+
+
+OWL_SIDE = ("fmc.compiler", "fmc.owl", "fmc.scaffold")
+
+
+def run_python(script, *args):
+    result = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    return result.stdout
+
+
+def test_only_compile_and_scaffold_load_the_owl_side(tmp_path):
+    script = f"""
+import contextlib, io, sys
+from fmc.cli import main
+model, config, out = sys.argv[1:]
+for argv in (["check", model], ["count", model], ["validate", model, config],
+             ["compile", model, out + ".ofn"], ["scaffold", model, out]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    print(argv[0], *[name in sys.modules for name in {OWL_SIDE!r}])
+"""
+    config = write_config(tmp_path, "AISCO")
+    assert run_python(script, AISCO, config, tmp_path / "out").splitlines() == [
+        "check False False False", "count False False False",
+        "validate False False False", "compile True True False",
+        "scaffold True True True"]
+
+
+def test_every_export_resolves_on_first_use():
+    script = f"""
+import sys
+import fmc
+names = set(fmc.__all__) | {{name.split(".")[1] for name in {OWL_SIDE!r}}}
+assert names <= set(dir(fmc)), names - set(dir(fmc))
+assert not any(name in sys.modules for name in {OWL_SIDE!r})
+assert fmc.owl is sys.modules["fmc.owl"]
+star = {{}}
+exec("from fmc import *", star)
+assert all(star[name] is getattr(fmc, name) for name in fmc.__all__)
+assert fmc.compiler.compile_model is fmc.compile_model
+assert fmc.scaffold.generate is fmc.generate
+try:
+    fmc.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert run_python(script) == "module 'fmc' has no attribute 'no_such_name'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", AISCO], id="short-report"),
+    # longer than stdout's buffer, so print itself fails, not the flush
+    pytest.param(["validate", "{wide}", "{config}", "--json"], id="long-report"),
+])
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv):
+    wide = tmp_path / "wide.fm"
+    wide.write_text("feature R {\n" + "".join(f"  mandatory F{i}\n" for i in range(600)) + "}\n")
+    paths = {"wide": wide, "config": write_config(tmp_path, "R")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "fmc", *(a.format(**paths) for a in argv)],
+                                stdout=write_end, stderr=subprocess.PIPE, check=False)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (2, b"")
