@@ -16,11 +16,11 @@ subclass restrictions:
 All feature classes are pairwise disjoint, and each attribute becomes a
 datatype property with the feature class as domain and an xsd range.
 
-Axiom order: the base axioms of each feature (feature order); relation
-axioms (feature order: a mandatory child's axiom at the child's position,
-a group's axioms at the position of its first member in feature order);
-constraint axioms (declaration order); DisjointClasses for every pair of
-feature names, lexicographic; then the attribute axioms (feature order).
+Axiom order: the base axioms of each feature (feature order); the relation
+axioms of ``propositional._rules``, each at its first non-owner feature in
+feature order (a group's at its first member); constraint axioms
+(declaration order); DisjointClasses for every pair of feature names,
+lexicographic; then the attribute axioms (feature order).
 
 Every name is declared before its first use: a feature's classes and
 property in its base axioms, a data property right before its domain
@@ -40,7 +40,7 @@ from collections.abc import Iterator
 from itertools import combinations
 from typing import NamedTuple
 
-from .model import FeatureModel, GroupKind, ConstraintKind, Variability
+from .model import FeatureModel
 from .owl import (
     Axiom,
     ComplementOf,
@@ -59,6 +59,7 @@ from .owl import (
     SubClassOf,
     UnionOf,
 )
+from .propositional import _rules
 
 
 class CompileError(Exception):
@@ -95,30 +96,25 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Axiom]:
         yield ObjectPropertyRange(t.exists.property, cls)
         yield EquivalentClasses(t.rule, t.exists)
 
-    # a group's axioms sit at its first member in feature order
-    first_member = {f.group: f for f in reversed(model.features)
-                    if f.variability is Variability.GROUP_MEMBER}
-    for feature in model.features:
-        if feature.parent is None:
-            continue
-        rule = terms[feature.parent].rule
-        if feature.variability is Variability.MANDATORY:
-            yield SubClassOf(rule, terms[feature.name].exists)
-        elif first_member.get(feature.group) is feature:
-            group = model.group(feature.group)
-            members = [terms[m].exists for m in group.members]
-            yield SubClassOf(rule, UnionOf(tuple(members)))
-            if group.kind is GroupKind.ALTERNATIVE:
-                for pair in combinations(members, 2):
-                    yield SubClassOf(rule, ComplementOf(IntersectionOf(pair)))
-
-    for constraint in model.constraints:
-        # the restriction attaches to the feature class itself, not its rule class
-        source, target = terms[constraint.source].cls, terms[constraint.target].exists
-        if constraint.kind is ConstraintKind.REQUIRES:
-            yield SubClassOf(source, target)
+    # each relation at its first non-owner feature; constraints last, as declared
+    position = {name: i for i, name in enumerate(model.feature_names)}
+    relations = sorted((rule for rule in _rules(model) if rule[0] not in ("root", "parent")),
+                       key=lambda rule: len(position) if rule[0] in ("requires", "excludes")
+                       else min(map(position.__getitem__, rule[1][1:])))
+    for kind, (owner, *others), _ in relations:
+        exists = [terms[name].exists for name in others]
+        if kind == "mandatory":
+            yield SubClassOf(terms[owner].rule, exists[0])
+        elif kind == "requires":  # a constraint restricts the feature class, not its rule class
+            yield SubClassOf(terms[owner].cls, exists[0])
+        elif kind == "excludes":
+            yield SubClassOf(terms[owner].cls, ComplementOf(exists[0]))
         else:
-            yield SubClassOf(source, ComplementOf(target))
+            rule = terms[owner].rule
+            yield SubClassOf(rule, UnionOf(tuple(exists)))
+            if kind == "alternative":
+                for pair in combinations(exists, 2):
+                    yield SubClassOf(rule, ComplementOf(IntersectionOf(pair)))
 
     if disjoint:
         classes = [terms[name].cls for name in sorted(model.feature_names)]

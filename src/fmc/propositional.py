@@ -7,9 +7,10 @@ alternative-group owner has exactly one selected member; requires/excludes
 constraints hold. Attributes never affect validity.
 
 These rules are stated once, as a list of clauses over 1-based variables
-(variable ``i`` stands for ``model.features[i - 1]``). ``to_propositional``
-is that list as CNF; ``is_valid_configuration`` evaluates the same clauses
-on a selection and reports each broken rule.
+(variable ``i`` stands for ``model.features[i - 1]``). Three readers share
+it: ``cnf`` joins the clauses into the CNF, ``is_valid_configuration``
+evaluates them on a selection and reports each broken rule, and
+``fmc.compiler`` turns each relation and constraint into OWL axioms.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def to_propositional(model: FeatureModel) -> PropositionalFormula:
 def _rules(model: FeatureModel):
     """Yield (rule, features, clauses) for every configuration rule.
 
-    This is the one statement of the rules: ``cnf`` and
-    ``is_valid_configuration`` both read it. The order is the order in
-    which the checker reports violations: root; per feature (feature
-    order) its parent rule, then its mandatory rule; groups (group order);
-    cross-tree constraints (declaration order).
+    This is the one statement of the rules: ``cnf``,
+    ``is_valid_configuration`` and the compiler (``compiler._axioms``) read
+    it. The order is the order in which the checker reports violations:
+    root; per feature (feature order) its parent rule, then its mandatory
+    rule; groups (group order); cross-tree constraints (declaration order).
     """
     var = {name: i + 1 for i, name in enumerate(model.feature_names)}
     yield "root", (model.root,), ((var[model.root],),)

@@ -224,9 +224,11 @@ def _phase2_targets(scaffold: SiteScaffold, outdir) -> list[Path]:
 
 def write(scaffold: SiteScaffold, outdir, overwrite: bool = False,
           zotonic_notes: bool = False) -> list[Path]:
-    """Write both phases. Every target is checked before any file is
-    written, so a refusal leaves the directory as it was."""
+    """Write both phases. Every target is checked, and both directories
+    made, before any file is written, so a refusal writes no file."""
     _prepare([_phase1_target(outdir), *_phase2_targets(scaffold, outdir)], overwrite)
+    for directory in (Path(outdir), Path(outdir) / "templates"):
+        directory.mkdir(parents=True, exist_ok=True)
     return (write_phase1(scaffold, outdir, True, zotonic_notes)
             + write_phase2(scaffold, outdir, True, zotonic_notes))
 

@@ -418,6 +418,8 @@ def test_scaffold_write_error_names_the_path(tmp_path, capsys, blocked):
     blocked.touch()
     assert main(["scaffold", AISCO, str(tmp_path / "site")]) == 2
     assert capsys.readouterr().err == f"error: {blocked}: File exists\n"
+    # a refusal writes nothing beside the file that blocks it
+    assert list(blocked.parent.iterdir()) == [blocked]
 
 
 def fresh(argv):

@@ -5,7 +5,15 @@ import pytest
 
 from fmc.compiler import CompileError, compile_model, default_iri
 from fmc.dsl import parse
-from fmc.model import Variability
+from fmc.model import (
+    ConstraintKind,
+    CrossTreeConstraint,
+    Feature,
+    FeatureModel,
+    Group,
+    GroupKind,
+    Variability,
+)
 from fmc.owl import (
     ComplementOf,
     DataPropertyDomain,
@@ -180,6 +188,28 @@ def test_group_axioms_sit_at_first_member_in_feature_order():
         SubClassOf(NamedClass("ARule"), UnionOf((exists("C"), exists("B")))),
         SubClassOf(NamedClass("BRule"), exists("D")),
         SubClassOf(NamedClass("ARule"), exists("E")),
+    ]
+    # groups listed against their first-member order, their members
+    # interleaved, a mandatory child between them, and two constraints whose
+    # sources are out of feature order
+    member = Variability.GROUP_MEMBER
+    model = FeatureModel(
+        root="R",
+        features=(Feature("R", None, Variability.MANDATORY), Feature("A1", "R", member, 1),
+                  Feature("M", "R", Variability.MANDATORY), Feature("B1", "R", member, 2),
+                  Feature("A2", "R", member, 1), Feature("B2", "R", member, 2)),
+        groups=(Group(2, "R", GroupKind.OR, ("B1", "B2")),
+                Group(1, "R", GroupKind.ALTERNATIVE, ("A1", "A2"))),
+        constraints=(CrossTreeConstraint(ConstraintKind.REQUIRES, "B2", "M"),
+                     CrossTreeConstraint(ConstraintKind.EXCLUDES, "A1", "B1")))
+    rule = NamedClass("RRule")
+    assert [a for a in compile_model(model).axioms if isinstance(a, SubClassOf)] == [
+        SubClassOf(rule, UnionOf((exists("A1"), exists("A2")))),
+        SubClassOf(rule, ComplementOf(IntersectionOf((exists("A1"), exists("A2"))))),
+        SubClassOf(rule, exists("M")),
+        SubClassOf(rule, UnionOf((exists("B1"), exists("B2")))),
+        SubClassOf(NamedClass("B2"), exists("M")),
+        SubClassOf(NamedClass("A1"), ComplementOf(exists("B1"))),
     ]
 
 
