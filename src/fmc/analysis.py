@@ -5,8 +5,11 @@ DPLL solver. It is iterative: a trail of assigned literals, unit
 propagation over two watched literals per clause, and chronological
 backtracking to the last decision not yet flipped. Dead features reuse one
 solver per formula, asking "can this feature be selected?" as an
-assumption, and only for features no earlier witness selected. Every model
-the solver returns, and every witness, is re-checked against the clauses.
+assumption, and only for features no earlier witness selected. A query's
+witness sets every variable left free True once all clauses are satisfied,
+so it selects as many features as it can; the public ``solve`` still
+returns False for don't-cares. Every model the solver returns, and every
+witness, is re-checked against the clauses.
 
 Counting works on the same CNF: unit propagation, a factor of two per free
 variable, independent components counted once each and cached by their
@@ -52,6 +55,9 @@ class _Solver:
         self.head = 0  # trail[:head] has been propagated
         # variables to try True first when deciding (all of them by default)
         self.prefer = bytearray([1]) * (formula.num_vars + 1)
+        # once every clause is satisfied, report variables still unassigned
+        # as True (any completion is then a model) rather than False
+        self.complete = False
         self.void = False
         for clause in formula.clauses:
             lits = list(dict.fromkeys(clause))
@@ -132,7 +138,8 @@ class _Solver:
 
     def solve(self, assumptions: tuple[int, ...] = ()) -> dict[int, bool] | None:
         """A total assignment satisfying the formula and the assumption
-        literals, or None. Variables in no open clause come out False."""
+        literals, or None. Variables left unassigned once every clause is
+        satisfied come out False, or True when ``complete`` is set."""
         if self.void:
             return None
         value, clauses, trail = self.value, self.clauses, self.trail
@@ -163,7 +170,9 @@ class _Solver:
                         break
                     pointer += 1
                 if pointer == len(clauses):
-                    result = {v: value[v] == 1 for v in range(1, self.num_vars + 1)}
+                    # values above floor read True; unassigned (0) does only when completing
+                    floor = -1 if self.complete else 0
+                    result = {v: value[v] > floor for v in range(1, self.num_vars + 1)}
                     break
                 lit = self._decision(clauses[pointer])
                 levels.append((len(trail), lit, pointer, True))
@@ -213,13 +222,17 @@ def dead_features(model: FeatureModel) -> set[str]:
     Raises VoidModelError if the model itself has no valid configuration,
     found by the one ``solve`` of the base formula. One solver then
     answers, for each feature no witness has selected yet, whether it can
-    be selected; each witness marks every feature it selects alive.
+    be selected; each witness marks every feature it selects alive. That
+    solver completes its witnesses: once every clause is satisfied, each
+    variable still free is set True (any completion is then a model), so
+    on a flat model one query marks every feature alive.
     """
     formula = to_propositional(model)
     base = solve(formula)
     if base is None:
         raise VoidModelError("model has no valid configuration")
     solver = _Solver(formula)
+    solver.complete = True
     alive: set[int] = set()
 
     def mark_alive(witness: dict[int, bool]) -> None:

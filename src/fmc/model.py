@@ -11,6 +11,7 @@ values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -148,7 +149,7 @@ def validate(model: FeatureModel) -> None:
     group_member = Variability.GROUP_MEMBER  # one enum lookup, not one per feature
     names = [f.name for f in model.features]
     if len(names) != len(by_name):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = sorted(n for n, count in Counter(names).items() if count > 1)
         raise ModelError(f"duplicate feature name(s): {', '.join(dupes)}")
     # all names at once; the loop runs only to name the first bad one
     if not (all(map(is_name, names)) and KEYWORDS.isdisjoint(names)):

@@ -163,6 +163,31 @@ def random_model(rng: random.Random, max_features: int = 12,
     return model
 
 
+def random_tree(rng: random.Random, n: int, constraints: int = 0) -> FeatureModel:
+    """A random model of at least ``n`` features built in code: each new
+    feature, or group of three, hangs under a feature drawn uniformly from
+    those made so far, and ``constraints`` random requires/excludes follow.
+    It may be void."""
+    features = [Feature("F0", None, Variability.MANDATORY)]
+    groups: list[Group] = []
+    while len(features) < n:
+        parent = rng.choice(features).name
+        if rng.random() < 0.2:
+            members = tuple(f"F{len(features) + i}" for i in range(3))
+            groups.append(Group(len(groups), parent,
+                                rng.choice((GroupKind.OR, GroupKind.ALTERNATIVE)), members))
+            features.extend(Feature(name, parent, Variability.GROUP_MEMBER, len(groups) - 1)
+                            for name in members)
+        else:
+            variability = rng.choice((Variability.MANDATORY, Variability.OPTIONAL))
+            features.append(Feature(f"F{len(features)}", parent, variability))
+    names = [f.name for f in features]
+    kinds = (ConstraintKind.REQUIRES, ConstraintKind.EXCLUDES)
+    cross = tuple(CrossTreeConstraint(rng.choice(kinds), *rng.sample(names, 2))
+                  for _ in range(constraints))
+    return FeatureModel("F0", tuple(features), tuple(groups), cross)
+
+
 def model_relation_kinds(model: FeatureModel) -> set[str]:
     """Which relation/constraint kinds a model exercises."""
     kinds = set()

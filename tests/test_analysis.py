@@ -25,6 +25,7 @@ from helpers import (
     oracle_count,
     oracle_dead,
     random_model,
+    random_tree,
     truth_table_satisfiable,
 )
 
@@ -209,3 +210,44 @@ def test_a_witness_that_breaks_a_clause_is_refused(monkeypatch, aisco_model):
         all_false(self) if assumptions else real_solve(self, assumptions)))
     with pytest.raises(AssertionError, match="non-satisfying assignment"):
         dead_features(aisco_model)
+
+
+def count_solver_calls(monkeypatch) -> list[int]:
+    """Wrap ``_Solver.solve`` so every call, the base solve included, is
+    counted in the returned one-item list."""
+    real_solve = analysis._Solver.solve
+    calls = [0]
+
+    def counted(self, assumptions=()):
+        calls[0] += 1
+        return real_solve(self, assumptions)
+
+    monkeypatch.setattr(analysis._Solver, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [250, 500, 1000, 2000])
+def test_dead_features_on_a_flat_model_takes_two_solver_calls(monkeypatch, n):
+    # the base witness selects only the root; the first query's witness,
+    # completed with True, selects every optional child at once
+    model = parse("feature Root {\n" + "\n".join(f"  optional F{i}" for i in range(n)) + "\n}\n")
+    calls = count_solver_calls(monkeypatch)
+    assert dead_features(model) == set()
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("n", [250, 500, 1000, 2000])
+def test_dead_features_queries_on_trees_stay_under_a_sixth_of_the_features(monkeypatch, n):
+    # every dead feature costs one unsatisfiable query of its own; over ten
+    # seeds per n, the queries that found a witness were at most 0.132 n
+    # with completed witnesses, and 0.21 n to 0.24 n without
+    calls = count_solver_calls(monkeypatch)
+    for seed in range(2):
+        rng = random.Random(f"{n}:{seed}")
+        while True:
+            model = random_tree(rng, n, n // 20)
+            if check_consistency(model):
+                break
+        calls[0] = 0
+        dead = dead_features(model)
+        assert calls[0] - 1 - len(dead) <= n // 6, (seed, calls[0], len(dead))

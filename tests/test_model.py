@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -51,6 +52,17 @@ def test_duplicate_names_rejected():
     with pytest.raises(ModelError, match="duplicate feature name"):
         FeatureModel("A", (Feature("A", None, M), Feature("B", "A", M),
                            Feature("B", "A", O)))
+
+
+def test_duplicate_names_in_a_large_model_are_named_in_sorted_order():
+    # names are counted in one pass; a count per name takes minutes here
+    features = [Feature("A", None, M)] + [Feature(f"F{i}", "A", O) for i in range(100_000)]
+    features += [Feature("F7", "A", O), Feature("F12", "A", O)]
+    started = time.perf_counter()
+    with pytest.raises(ModelError, match=r"^duplicate feature name\(s\): F12, F7$"):
+        FeatureModel("A", tuple(features))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"validate took {elapsed:.1f}s (limit 5s)"
 
 
 def test_invalid_name_rejected():
