@@ -5,11 +5,12 @@ DPLL solver. It is iterative: a trail of assigned literals, unit
 propagation over two watched literals per clause, and chronological
 backtracking to the last decision not yet flipped. Dead features reuse one
 solver per formula, asking "can this feature be selected?" as an
-assumption, and only for features no earlier witness selected. A query's
-witness sets every variable left free True once all clauses are satisfied,
-so it selects as many features as it can; the public ``solve`` still
-returns False for don't-cares. Every model the solver returns, and every
-witness, is re-checked against the clauses.
+assumption, and only for features no earlier witness selected and whose
+parent is not already found dead. A query's witness sets every variable
+left free True once all clauses are satisfied, so it selects as many
+features as it can; the public ``solve`` still returns False for
+don't-cares. Every model the solver returns, and every witness, is
+re-checked against the clauses.
 
 Counting works on the same CNF: unit propagation, a factor of two per free
 variable, independent components counted once each and cached by their
@@ -225,7 +226,10 @@ def dead_features(model: FeatureModel) -> set[str]:
     be selected; each witness marks every feature it selects alive. That
     solver completes its witnesses: once every clause is satisfied, each
     variable still free is set True (any completion is then a model), so
-    on a flat model one query marks every feature alive.
+    on a flat model one query marks every feature alive. A feature whose
+    parent is already found dead is dead with no query (child implies
+    parent); the features are taken in model order, so in a parsed model
+    every parent is decided before its children.
     """
     formula = to_propositional(model)
     base = solve(formula)
@@ -243,12 +247,15 @@ def dead_features(model: FeatureModel) -> set[str]:
 
     mark_alive(base)
     dead = set()
-    for var in range(1, formula.num_vars + 1):
+    for var, feature in enumerate(model.features, 1):
         if var in alive:
+            continue
+        if feature.parent in dead:  # the child-implies-parent clause: dead with no query
+            dead.add(feature.name)
             continue
         witness = _checked(formula, solver.solve((var,)))
         if witness is None:
-            dead.add(formula.feature(var))
+            dead.add(feature.name)
         else:
             mark_alive(witness)
     return dead

@@ -59,7 +59,7 @@ from .owl import (
     SubClassOf,
     UnionOf,
 )
-from .propositional import _rules
+from .propositional import _rules, _variables
 
 
 class CompileError(Exception):
@@ -97,9 +97,10 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Axiom]:
         yield EquivalentClasses(t.rule, t.exists)
 
     # each relation at its first non-owner feature; constraints last, as declared
-    position = {name: i for i, name in enumerate(model.feature_names)}
-    relations = sorted((rule for rule in _rules(model) if rule[0] not in ("root", "parent")),
-                       key=lambda rule: len(position) if rule[0] in ("requires", "excludes")
+    position = _variables(model)
+    relations = sorted((rule for rule in _rules(model, position)
+                        if rule[0] not in ("root", "parent")),
+                       key=lambda rule: len(position) + 1 if rule[0] in ("requires", "excludes")
                        else min(map(position.__getitem__, rule[1][1:])))
     for kind, (owner, *others), _ in relations:
         exists = [terms[name].exists for name in others]

@@ -20,7 +20,11 @@ The parser shares its lexer and token cursor with the OWL reader
 prefix takes white space and comments, and positions are worked out only
 when an error is raised. The parser compares token texts, and keeps the
 index of a token it may report later (a group's keyword, a duplicate
-name, a constraint's endpoints).
+name, a constraint's endpoints). A child or group member is read in
+place: a name that is neither a keyword nor taken becomes its ``Feature``
+at once. Any other token there falls back to ``expect_name`` and
+``add_feature``, which word every error, so messages, lines and columns
+are the same on either path.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .model import (
 )
 
 _NOT_NAMES = frozenset({"{", "}", ":", ""})
+_RESERVED = _NOT_NAMES | KEYWORDS  # no token here names a feature
+_CHILD_KINDS = {"mandatory": Variability.MANDATORY, "optional": Variability.OPTIONAL}
 
 
 class ParseError(PositionedError):
@@ -105,50 +111,72 @@ class _Parser(Cursor):
         """Parse a ``{...}`` body with everything nested in it.
 
         Open bodies and groups sit on an explicit stack, so nesting depth is
-        limited by memory, not by the interpreter's recursion limit. A frame
-        is (owner, intro token index, group id, members); the last three are
-        None for a body.
+        limited by memory, not by the interpreter's recursion limit. The
+        frame being read is (owner, intro token index, group id, members),
+        the last three None for a body; the stack holds the frames around it.
+        A child or group member with a new name is read in place; any other
+        token after ``mandatory`` or ``optional``, or in a group, goes to
+        ``expect_name`` and ``add_feature``, which raise its error.
         """
         self.expect("{")
-        tokens = self.tokens
-        stack: list[tuple] = [(owner, None, None, None)]
-        while stack:
-            owner, intro, group_id, members = stack[-1]
-            tok = tokens[self.pos]
+        tokens, by_name, groups = self.tokens, self.by_name, self.groups
+        member = Variability.GROUP_MEMBER
+        stack: list[tuple] = []
+        intro = group_id = members = None
+        pos = self.pos
+        while True:
+            tok = tokens[pos]
             if tok == "}":
-                self.pos += 1
-                stack.pop()
+                pos += 1
                 if intro is not None:
                     self.close_group(owner, intro, group_id, members)
+                if not stack:
+                    break
+                owner, intro, group_id, members = stack.pop()
                 continue
-            if tok == "":
-                unclosed = "unclosed group" if intro is not None else "unclosed '{'"
-                raise self.error(self.pos, f"{unclosed}: expected '}}'")
             if intro is not None:
-                name_at = self.expect_name("group member name")
-                members.append(tokens[name_at])
-                self.add_feature(name_at, owner, Variability.GROUP_MEMBER, group_id)
+                name = tok
+                if name in _RESERVED or name in by_name:
+                    if name == "":
+                        raise self.error(pos, "unclosed group: expected '}'")
+                    self.pos = pos
+                    # raises: a name that is no name, a keyword or a duplicate
+                    self.add_feature(self.expect_name("group member name"), owner, member, group_id)
+                by_name[name] = Feature(name, owner, member, group_id)
+                members.append(name)
+                pos += 1
             elif tok == "mandatory" or tok == "optional":
-                kind = Variability.MANDATORY if tok == "mandatory" else Variability.OPTIONAL
-                self.pos += 1
-                name_at = self.expect_name()
-                self.add_feature(name_at, owner, kind)
+                kind = _CHILD_KINDS[tok]
+                name = tokens[pos + 1]
+                if name in _RESERVED or name in by_name:
+                    self.pos = pos + 1
+                    self.add_feature(self.expect_name(), owner, kind)  # raises, as above
+                by_name[name] = Feature(name, owner, kind)
+                pos += 2
             elif tok == "or" or tok == "alternative":
-                at = self.pos
-                self.pos += 1
+                self.pos = pos + 1
                 self.expect("{")
-                stack.append((owner, at, len(self.groups), []))
-                self.groups.append(None)  # reserve the id; nested groups claim later ones
+                stack.append((owner, intro, group_id, members))
+                intro, group_id, members = pos, len(groups), []
+                groups.append(None)  # reserve the id; nested groups claim later ones
+                pos = self.pos
                 continue
             elif tok == "attribute":
+                self.pos = pos
                 self.parse_attribute(owner)
+                pos = self.pos
                 continue
+            elif tok == "":
+                raise self.error(pos, "unclosed '{': expected '}'")
             else:
+                self.pos = pos
                 raise self.expected(
                     "'mandatory', 'optional', 'or', 'alternative', 'attribute', or '}'")
-            if tokens[self.pos] == "{":
-                self.pos += 1
-                stack.append((tokens[name_at], None, None, None))
+            if tokens[pos] == "{":
+                pos += 1
+                stack.append((owner, intro, group_id, members))
+                owner, intro, group_id, members = name, None, None, None
+        self.pos = pos
 
     def close_group(self, owner: str, intro: int, group_id: int,
                     members: list[str]) -> None:

@@ -53,8 +53,9 @@ class Lexicon:
     """The regexes of one language, from its pattern parts.
 
     ``end`` matches at the end of the text only, and ``other`` matches
-    one character wherever no other part does, so every position after
-    ``skip`` matches. Use no possessive quantifier or atomic group: they
+    exactly one character wherever no other part does, so every position
+    after ``skip`` matches, and a token of any other length is no
+    catch-all. Use no possessive quantifier or atomic group: they
     need Python 3.11.
     """
 
@@ -95,7 +96,8 @@ class Cursor:
         tokens[-1] = ""
         self.tokens = tokens
         self.pos = 0
-        unexpected = {t for t in set(tokens) if t and not lexicon.token_re.fullmatch(t)}
+        # a catch-all token is one character, so only those need a look
+        unexpected = {t for t in set(tokens) if len(t) == 1 and not lexicon.token_re.fullmatch(t)}
         if unexpected:
             at = next(i for i, t in enumerate(tokens) if t in unexpected)
             raise self.error(at, f"unexpected character {tokens[at]!r}")

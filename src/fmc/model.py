@@ -7,15 +7,75 @@ feature; they never influence which configurations are valid.
 
 A ``FeatureModel`` validates itself when it is built (``validate``). All
 values are immutable after construction and safe to share.
+
+``Feature``, ``Attribute``, ``Group`` and ``CrossTreeConstraint`` are
+frozen slotted dataclasses built by ``_value``, as the OWL values are
+(``fmc.owl``): a parse builds one ``Feature`` per feature. ``validate``
+checks every feature in one pass. A parent listed before its child, as
+every parsed model lists it, links the child to the root with one set
+lookup; a feature listed before its parent falls back to a walk up its
+parent links after that pass, which also finds a cycle. The children of
+each feature are indexed only when first asked for.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 from .lexer import is_name
+
+
+def _value(cls):
+    """Make cls a frozen slotted dataclass whose ``__init__`` stores each
+    field through its slot descriptor (``cls.field.__set__``).
+
+    That skips the ``object.__setattr__`` call a frozen dataclass's own
+    ``__init__`` makes per field, about a third of the cost of building a
+    two-field value; a parse builds one ``Feature`` per feature, and an
+    OWL compile several hundred thousand values. A field may have a
+    default value, not a default factory. Fields, defaults, ``repr``,
+    equality, hashing and pickling stay the dataclass's own, and
+    ``__post_init__`` still runs. Assigning or deleting any attribute
+    raises ``FrozenInstanceError``: the dataclass's own ``__setattr__``
+    and ``__delattr__`` name the class from before ``slots=True`` rebuilt
+    it, and raise ``TypeError`` for a name that is not a field (seen on
+    CPython 3.11).
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    params, body, scope = [], [], {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a default factory is not supported")
+        # the parameters are the field names, so keywords and
+        # dataclasses.replace work as before
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            params.append(f"{f.name}=default_{f.name}")
+            scope[f"default_{f.name}"] = f.default
+        body.append(f"set_{f.name}(self, {f.name})")
+        scope[f"set_{f.name}"] = getattr(cls, f.name).__set__
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    "
+         + "\n    ".join(body or ["pass"]), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__setattr__ = _refuse_assign
+    cls.__delattr__ = _refuse_delete
+    return cls
+
+
+def _refuse_assign(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Variability(Enum):
@@ -59,20 +119,20 @@ class UnknownFeatureError(ModelError):
         super().__init__(f"unknown feature(s): {listed}")
 
 
-@dataclass(frozen=True)
+@_value
 class Attribute:
     name: str
     datatype: str
 
 
-@dataclass(frozen=True)
+@_value
 class CrossTreeConstraint:
     kind: ConstraintKind
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@_value
 class Group:
     """An or/alternative group; members are children of the owner feature."""
 
@@ -82,7 +142,7 @@ class Group:
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_value
 class Feature:
     name: str
     parent: str | None
@@ -109,13 +169,7 @@ class FeatureModel:
     _groups_by_id: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        by_name = {f.name: f for f in self.features}
-        children: dict[str, list[Feature]] = {f.name: [] for f in self.features}
-        for f in self.features:
-            if f.parent is not None and f.parent in children:
-                children[f.parent].append(f)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
+        object.__setattr__(self, "_by_name", {f.name: f for f in self.features})
         object.__setattr__(self, "_groups_by_id", {g.id: g for g in self.groups})
         validate(self)
 
@@ -129,14 +183,22 @@ class FeatureModel:
         return name in self._by_name
 
     def children(self, name: str) -> tuple[Feature, ...]:
-        return self._children.get(name, ())
+        children = self._children
+        if children is None:  # indexed on first use: validation and analysis need none
+            lists: dict[str, list[Feature]] = {}
+            for f in self.features:
+                if f.parent is not None:
+                    lists.setdefault(f.parent, []).append(f)
+            children = {parent: tuple(kids) for parent, kids in lists.items()}
+            object.__setattr__(self, "_children", children)
+        return children.get(name, ())
 
     def group(self, group_id: int) -> Group:
         return self._groups_by_id[group_id]
 
     @property
     def feature_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features)
+        return tuple(self._by_name)  # in feature order: the names are unique
 
 
 def validate(model: FeatureModel) -> None:
@@ -145,73 +207,70 @@ def validate(model: FeatureModel) -> None:
     This runs when a ``FeatureModel`` is built, so every model, parsed or
     built in code, has passed it.
     """
-    by_name = model._by_name
-    group_member = Variability.GROUP_MEMBER  # one enum lookup, not one per feature
-    names = [f.name for f in model.features]
-    if len(names) != len(by_name):
-        dupes = sorted(n for n, count in Counter(names).items() if count > 1)
+    features, by_name = model.features, model._by_name
+    if len(by_name) != len(features):
+        names = Counter(f.name for f in features)
+        dupes = sorted(n for n, count in names.items() if count > 1)
         raise ModelError(f"duplicate feature name(s): {', '.join(dupes)}")
     # all names at once; the loop runs only to name the first bad one
-    if not (all(map(is_name, names)) and KEYWORDS.isdisjoint(names)):
-        for name in names:
+    if not (all(map(is_name, by_name)) and KEYWORDS.isdisjoint(by_name)):
+        for name in by_name:
             if not is_name(name):
                 raise ModelError(f"invalid feature name '{name}'")
             if name in KEYWORDS:
                 raise ModelError(f"feature name '{name}' is a reserved keyword")
 
-    roots = [f for f in model.features if f.parent is None]
-    if len(roots) != 1:
-        raise ModelError(f"expected exactly one root feature, found {len(roots)}")
-    root = roots[0]
+    parents = list(map(attrgetter("parent"), features))
+    if parents.count(None) != 1:
+        raise ModelError(f"expected exactly one root feature, found {parents.count(None)}")
+    root = features[parents.index(None)]
     if root.name != model.root:
         raise ModelError(f"root field is '{model.root}' but the parentless feature is '{root.name}'")
     if root.variability is not Variability.MANDATORY:
         raise ModelError("the root feature must be mandatory")
 
-    for f in model.features:
-        if f.parent is not None and f.parent not in by_name:
-            raise ModelError(f"feature '{f.name}' has unknown parent '{f.parent}'")
-        if (f.variability is group_member) != (f.group is not None):
-            raise ModelError(f"feature '{f.name}': group id and group-member variability must occur together")
-        if not f.attributes:
-            continue
-        attr_names = [a.name for a in f.attributes]
-        if len(attr_names) != len(set(attr_names)):
-            raise ModelError(f"feature '{f.name}' declares duplicate attribute names")
-        for a in f.attributes:
-            if not is_name(a.name):
-                raise ModelError(f"invalid attribute name '{a.name}' on feature '{f.name}'")
-            if a.name in KEYWORDS:
-                raise ModelError(
-                    f"attribute name '{a.name}' on feature '{f.name}' is a reserved keyword")
-            if a.datatype not in DATATYPES:
-                raise ModelError(f"attribute '{a.name}' has unknown datatype '{a.datatype}'")
-
-    # Parent links must form a tree rooted at the single root: one walk
-    # down from the root reaches every feature unless some lie on or below
-    # a cycle. The walk up from the first one left names the cycle's entry.
-    children = model._children
+    # One pass over the features. Parent links must form a tree rooted at
+    # the root: a feature whose parent is already reached is reached too;
+    # the others are decided after the pass, in feature order.
+    group_member = Variability.GROUP_MEMBER  # one enum lookup, not one per feature
+    groups_by_id = model._groups_by_id
     reached = {root.name}
-    stack = [root.name]
-    while stack:
-        for child in children[stack.pop()]:
-            reached.add(child.name)
-            stack.append(child.name)
-    if len(reached) != len(names):
-        cur = next(f for f in model.features if f.name not in reached)
-        seen = set()
-        while cur.name not in seen:
-            seen.add(cur.name)
+    later: list[Feature] = []
+    members_by_group: dict[tuple[str, int], set[str]] = {}
+    unknown_group = None  # the first feature naming a group id no group has
+    for f in features:
+        parent, group = f.parent, f.group
+        if parent in reached:
+            reached.add(f.name)
+        elif parent is not None:
+            if parent not in by_name:
+                raise ModelError(f"feature '{f.name}' has unknown parent '{parent}'")
+            later.append(f)
+        if (f.variability is group_member) != (group is not None):
+            raise ModelError(f"feature '{f.name}': group id and group-member variability "
+                             "must occur together")
+        if group is not None:
+            members_by_group.setdefault((parent, group), set()).add(f.name)
+            if unknown_group is None and group not in groups_by_id:
+                unknown_group = f
+        if f.attributes:
+            _validate_attributes(f)
+
+    # A feature listed before its parent: walk up until a reached feature.
+    # The first one that never gets there lies on or below a cycle, and the
+    # walk up from it names the cycle's entry.
+    for f in later:
+        path, cur = {}, f  # the names walked, in order
+        while cur.name not in reached:
+            if cur.name in path:
+                raise ModelError(f"cycle in parent references involving '{cur.name}'")
+            path[cur.name] = None
             cur = by_name[cur.parent]
-        raise ModelError(f"cycle in parent references involving '{cur.name}'")
+        reached.update(path)
 
     group_ids = [g.id for g in model.groups]
     if len(group_ids) != len(set(group_ids)):
         raise ModelError("duplicate group ids")
-    members_by_group: dict[tuple[str, int], set[str]] = {}
-    for f in model.features:
-        if f.variability is group_member:
-            members_by_group.setdefault((f.parent, f.group), set()).add(f.name)
     for g in model.groups:
         if g.owner not in by_name:
             raise ModelError(f"group {g.id} has unknown owner '{g.owner}'")
@@ -222,9 +281,9 @@ def validate(model: FeatureModel) -> None:
         if members != expected or len(members) != len(g.members):
             raise ModelError(
                 f"group {g.id} members must be exactly the group-member children of '{g.owner}'")
-    for f in model.features:
-        if f.group is not None and f.group not in model._groups_by_id:
-            raise ModelError(f"feature '{f.name}' references unknown group {f.group}")
+    if unknown_group is not None:
+        raise ModelError(
+            f"feature '{unknown_group.name}' references unknown group {unknown_group.group}")
 
     for c in model.constraints:
         for endpoint in (c.source, c.target):
@@ -232,3 +291,18 @@ def validate(model: FeatureModel) -> None:
                 raise ModelError(f"constraint references unknown feature '{endpoint}'")
         if c.source == c.target:
             raise ModelError(f"constraint source and target are the same feature '{c.source}'")
+
+
+
+def _validate_attributes(f: Feature) -> None:
+    attr_names = [a.name for a in f.attributes]
+    if len(attr_names) != len(set(attr_names)):
+        raise ModelError(f"feature '{f.name}' declares duplicate attribute names")
+    for a in f.attributes:
+        if not is_name(a.name):
+            raise ModelError(f"invalid attribute name '{a.name}' on feature '{f.name}'")
+        if a.name in KEYWORDS:
+            raise ModelError(
+                f"attribute name '{a.name}' on feature '{f.name}' is a reserved keyword")
+        if a.datatype not in DATATYPES:
+            raise ModelError(f"attribute '{a.name}' has unknown datatype '{a.datatype}'")

@@ -10,9 +10,9 @@ ObjectUnionOf, ObjectSomeValuesFrom and ObjectAllValuesFrom. Names are
 ``parse_functional`` inverts ``serialize_functional``: the checker takes
 exactly what the reader reads, so every ``Ontology`` reads back.
 
-Every value is a frozen slotted dataclass built by ``_value``, whose
-``__init__`` stores each field through its slot descriptor rather than
-through ``object.__setattr__``; a compiled ontology is hundreds of
+Every value is a frozen slotted dataclass built by ``fmc.model._value``,
+whose ``__init__`` stores each field through its slot descriptor rather
+than through ``object.__setattr__``; a compiled ontology is hundreds of
 thousands of values. An ``Ontology`` validates itself when it is built
 (``validate_ontology``), so the serializer and the scaffold need not
 check again; an axiom that uses an undeclared name raises
@@ -21,17 +21,19 @@ check again; an axiom that uses an undeclared name raises
 Validation is one declare-before-use pass (``_checked_axioms``): it
 yields each axiom once it is checked and raises the first error in
 stream order, so a stream must declare each name before it uses it.
-``validate_ontology`` runs it over an ontology's declarations first and
-its other axioms after, so there a name may be used before it is
-declared. A field of the wrong type is an ``OwlError`` too. Rendering
-(``_lines``) makes one line per axiom. The checker takes a
-``DisjointClasses`` of two plain ``NamedClass`` operands, nearly all of
-a compiled ontology, with two set lookups, and the renderer writes every
-``DisjointClasses`` with one f-string. ``fmc compile`` chains the two
-over the compiler's axiom stream, which declares every name before its
-first use, and ``_write_functional`` encodes the lines in batches into a
-binary temporary file as they come, so no axiom is kept; the output is
-opened only once the whole stream has checked out.
+``validate_ontology`` runs it over an ontology's axioms as they come,
+and only if that raises, again over its declarations first and its
+other axioms after: there a name may be used before it is declared, and
+the error reported is the first in that order. A field of the wrong
+type is an ``OwlError`` too. Rendering (``_lines``) makes one line per
+axiom. The checker takes a ``DisjointClasses`` of two plain
+``NamedClass`` operands, nearly all of a compiled ontology, with two set
+lookups, and the renderer writes every ``DisjointClasses`` with one
+f-string. ``fmc compile`` chains the two over the compiler's axiom
+stream, which declares every name before its first use, and
+``_write_functional`` encodes the lines in batches into a binary
+temporary file as they come, so no axiom is kept; the output is opened
+only once the whole stream has checked out.
 ``serialize_functional`` and ``write_functional`` use the same renderer
 on a built ``Ontology``.
 
@@ -40,19 +42,22 @@ The reader shares its lexer and token cursor with the DSL parser
 are worked out only when an error is raised. A token's kind follows from
 its text: ``(``, ``)``, ``:=``, ``<iri>``, ``:Name``, ``prefix:name``, a
 word or a number. Each parse builds one ``NamedClass`` per class name and
-shares it among all the axioms that use the name. Class expressions may
-nest at most ``MAX_EXPR_DEPTH`` levels deep.
+shares it among all the axioms that use the name. A ``DisjointClasses``
+line, nearly all of a compiled ontology, is read with one look at its
+five tokens; on any other token there the line falls back to
+``parse_axiom``, which words every error. Class expressions may nest at
+most ``MAX_EXPR_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from itertools import chain, filterfalse, islice
 
 from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
+from .model import _value
 
 
 class OwlError(Exception):
@@ -73,46 +78,6 @@ class UnsupportedConstructError(OwlSyntaxError):
 
 _IRI_RE = re.compile(f"{IRI_CHAR}+")
 _DATATYPE_RE = re.compile(r"xsd:[A-Za-z][A-Za-z0-9]*\Z")
-
-
-def _value(cls):
-    """Make cls a frozen slotted dataclass whose ``__init__`` stores each
-    field through its slot descriptor (``cls.field.__set__``).
-
-    That skips the ``object.__setattr__`` call a frozen dataclass's own
-    ``__init__`` makes per field, about a third of the cost of building a
-    two-field value, and one compile builds several hundred thousand.
-    Fields, ``repr``, equality, hashing and pickling stay the dataclass's
-    own, and ``__post_init__`` still runs. Assigning or deleting any
-    attribute raises ``FrozenInstanceError``: the dataclass's own
-    ``__setattr__`` and ``__delattr__`` name the class from before
-    ``slots=True`` rebuilt it, and raise ``TypeError`` for a name that is
-    not a field (seen on CPython 3.11).
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    names = [f.name for f in fields(cls)]
-    # the parameters are the field names, so keywords and
-    # dataclasses.replace work as before
-    body = [f"set_{name}(self, {name})" for name in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    scope = {f"set_{name}": getattr(cls, name).__set__ for name in names}
-    exec(f"def __init__(self, {', '.join(names)}):\n    "
-         + "\n    ".join(body or ["pass"]), scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    cls.__setattr__ = _refuse_assign
-    cls.__delattr__ = _refuse_delete
-    return cls
-
-
-def _refuse_assign(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delete(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # --- class expressions -----------------------------------------------------
@@ -257,10 +222,22 @@ def validate_ontology(ontology: Ontology) -> None:
     is one, otherwise the first use error in axiom order. A name may be
     used before it is declared: the declarations are checked first, then
     the other axioms.
+
+    The axioms are checked in the order they come first, which is the
+    declarations-first order's verdict whenever it passes: a compiled or
+    written ontology declares each name before its first use. Only if
+    that raises are they checked again, declarations first, for the error
+    to report, or to find that every name was declared after all.
     """
-    axioms = ontology.axioms
+    iri, axioms = ontology.iri, ontology.axioms
+    try:
+        for _ in _checked_axioms(iri, axioms):
+            pass
+        return
+    except OwlError:
+        pass
     is_declaration = Declaration.__instancecheck__  # a C call per axiom
-    checked = _checked_axioms(ontology.iri, chain(
+    checked = _checked_axioms(iri, chain(
         filter(is_declaration, axioms), filterfalse(is_declaration, axioms)))
     for _ in checked:
         pass
@@ -525,13 +502,30 @@ class _OwlParser(Cursor):
         self.expect("Ontology")
         self.expect("(")
         iri = self.expect_iri()
-        tokens = self.tokens
+        tokens, named = self.tokens, self.named
         axioms = []
-        while tokens[self.pos] != ")":
-            if tokens[self.pos] == "":
-                raise self.error(self.pos, "unclosed 'Ontology(': expected ')'")
-            axioms.append(self.parse_axiom())
-        self.pos += 1
+        append = axioms.append
+        pos = self.pos
+        last = len(tokens) - 5  # the last index a line of five tokens can start at
+        while True:
+            tok = tokens[pos]
+            # DisjointClasses(:A :B) in one look at its five tokens: nearly
+            # all of a compiled ontology. Anything else is read by parse_axiom
+            if tok == "DisjointClasses" and pos <= last and tokens[pos + 4] == ")":
+                a, b = tokens[pos + 2], tokens[pos + 3]
+                if (tokens[pos + 1] == "(" and a[:1] == ":" and b[:1] == ":"
+                        and a != ":=" and b != ":="):
+                    append(DisjointClasses(named[a[1:]], named[b[1:]]))
+                    pos += 5
+                    continue
+            if tok == ")":
+                break
+            if tok == "":
+                raise self.error(pos, "unclosed 'Ontology(': expected ')'")
+            self.pos = pos
+            append(self.parse_axiom())
+            pos = self.pos
+        self.pos = pos + 1
         self.expect_end("ontology")
         return Ontology(iri, tuple(axioms))
 

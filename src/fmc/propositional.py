@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import neg
 from typing import Iterable, Mapping
 
 from .model import ConstraintKind, FeatureModel, GroupKind, UnknownFeatureError, Variability
@@ -62,8 +63,14 @@ def to_propositional(model: FeatureModel) -> PropositionalFormula:
     return PropositionalFormula(len(model.features), cnf(model), model.feature_names)
 
 
-def _rules(model: FeatureModel):
-    """Yield (rule, features, clauses) for every configuration rule.
+def _variables(model: FeatureModel) -> dict[str, int]:
+    """Feature name -> its variable, 1-based in feature order."""
+    return dict(zip(model.feature_names, range(1, len(model.features) + 1)))
+
+
+def _rules(model: FeatureModel, var: dict[str, int]):
+    """Yield (rule, features, clauses) for every configuration rule, over
+    the variables ``var`` (``_variables(model)``).
 
     This is the one statement of the rules: ``cnf``,
     ``is_valid_configuration`` and the compiler (``compiler._axioms``) read
@@ -71,7 +78,6 @@ def _rules(model: FeatureModel):
     root; per feature (feature order) its parent rule, then its mandatory
     rule; groups (group order); cross-tree constraints (declaration order).
     """
-    var = {name: i + 1 for i, name in enumerate(model.feature_names)}
     yield "root", (model.root,), ((var[model.root],),)
     for f in model.features:
         if f.parent is None:
@@ -105,7 +111,7 @@ def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
     order: at-least-one, then pairwise at-most-one for alternatives);
     cross-tree constraints (declaration order).
     """
-    rules = sorted(_rules(model), key=lambda rule: _CNF_ORDER[rule[0]])
+    rules = sorted(_rules(model, _variables(model)), key=lambda rule: _CNF_ORDER[rule[0]])
     return tuple(clause for _, _, clauses in rules for clause in clauses)
 
 
@@ -153,13 +159,17 @@ def is_valid_configuration(model: FeatureModel,
     lists them all, sorted, so no set order shows in the message.
     """
     selected = set(config)
-    unknown = sorted(name for name in selected if not model.has_feature(name))
+    var = _variables(model)
+    unknown = sorted(selected.difference(var))
     if unknown:
         raise UnknownFeatureError(unknown)
 
-    true = {i if name in selected else -i for i, name in enumerate(model.feature_names, 1)}
+    # the true literals: the selected variables, and the others negated
+    chosen = set(map(var.__getitem__, selected))
+    true = set(range(-len(var), 0)).difference(map(neg, chosen))
+    true |= chosen
     violations: list[Violation] = []
-    for rule, features, clauses in _rules(model):
+    for rule, features, clauses in _rules(model, var):
         if rule in ("or", "alternative") and features[0] not in selected:
             continue  # a group constrains its members only under a selected owner
         if not any(map(true.isdisjoint, clauses)):

@@ -17,6 +17,7 @@ from fmc.analysis import (
     solve,
 )
 from fmc.dsl import parse
+from fmc.model import ConstraintKind, CrossTreeConstraint, Feature, FeatureModel, Variability
 from fmc.propositional import PropositionalFormula, satisfies, to_propositional
 
 from helpers import (
@@ -251,3 +252,34 @@ def test_dead_features_queries_on_trees_stay_under_a_sixth_of_the_features(monke
         calls[0] = 0
         dead = dead_features(model)
         assert calls[0] - 1 - len(dead) <= n // 6, (seed, calls[0], len(dead))
+
+
+def dead_subtree(k: int, child_first: bool = False) -> FeatureModel:
+    """Root R with a mandatory B and an optional A that excludes B, and k
+    features D0..D(k-1) below A, each under D((i - 1) // 2) or A: A and
+    its whole subtree are dead. With child_first, every feature but the
+    root is listed after its children, as a model built in code may be."""
+    others = [Feature("B", "R", Variability.MANDATORY), Feature("A", "R", Variability.OPTIONAL)]
+    others += [Feature(f"D{i}", f"D{(i - 1) // 2}" if i else "A", Variability.OPTIONAL)
+               for i in range(k)]
+    if child_first:
+        others.reverse()
+    return FeatureModel("R", (Feature("R", None, Variability.MANDATORY), *others),
+                        constraints=(CrossTreeConstraint(ConstraintKind.EXCLUDES, "A", "B"),))
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_a_dead_subtree_takes_one_query_whatever_its_size(monkeypatch, k):
+    # the base solve, then one unsatisfiable query for A; every feature
+    # below A has a parent already found dead
+    model = dead_subtree(k)
+    calls = count_solver_calls(monkeypatch)
+    dead = dead_features(model)
+    assert dead == {"A", *(f"D{i}" for i in range(k))} == oracle_dead(model)
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_a_dead_subtree_listed_child_first_is_still_found(k):
+    model = dead_subtree(k, child_first=True)
+    assert dead_features(model) == {"A", *(f"D{i}" for i in range(k))} == oracle_dead(model)

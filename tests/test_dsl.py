@@ -108,6 +108,31 @@ def test_comments_run_to_the_end_of_the_line(source, names):
     ("feature A { optional B } \xe9", "unexpected character 'é'", 1, 26),
     ("feature A { optional B }\n#c\n*", "unexpected character '*'", 3, 1),
     ("# only a comment", "expected 'feature', got end of input", 1, 1),
+    # where a child or group member is read in place, anything unusual
+    # takes the general path, which words the error
+    ("feature A { or { B optional } }",
+     "'optional' is a reserved keyword and cannot be used as a group member name", 1, 20),
+    ("feature A { or { optional B } }",
+     "'optional' is a reserved keyword and cannot be used as a group member name", 1, 18),
+    ("feature A { or { B B } }", "duplicate feature name 'B'", 1, 20),
+    ("feature A { or { A B } }", "duplicate feature name 'A'", 1, 18),
+    ("feature A { optional B or { C B } }", "duplicate feature name 'B'", 1, 31),
+    ("feature A { optional B { optional B } }", "duplicate feature name 'B'", 1, 35),
+    ("feature A { optional }", "expected feature name, got '}'", 1, 22),
+    ("feature A { optional", "expected feature name, got end of input", 1, 21),
+    ("feature A { mandatory", "expected feature name, got end of input", 1, 22),
+    ("feature A { optional : }", "expected feature name, got ':'", 1, 22),
+    ("feature A { optional { }", "expected feature name, got '{'", 1, 22),
+    ("feature A { or { B C", "unclosed group: expected '}'", 1, 21),
+    ("feature A { or { B C }", "unclosed '{': expected '}'", 1, 23),
+    ("feature A { or { B { optional C } D", "unclosed group: expected '}'", 1, 36),
+    ("feature A { or { B attribute x : string } }",
+     "'attribute' is a reserved keyword and cannot be used as a group member name", 1, 20),
+    ("feature A { or { B C attribute x : string } }",
+     "'attribute' is a reserved keyword and cannot be used as a group member name", 1, 22),
+    ("feature A { or { B { } : } }", "expected group member name, got ':'", 1, 24),
+    ("feature A { or { { } }", "expected group member name, got '{'", 1, 18),
+    ("feature A { or { B { } } }", "or group under 'A' needs at least 2 members, found 1", 1, 13),
 ])
 def test_syntax_errors_carry_position(source, fragment, line, col):
     with pytest.raises(ParseError) as info:

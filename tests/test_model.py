@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+import pickle
 import time
 
 import pytest
 
+import fmc.model
 from fmc.dsl import parse
 from fmc.model import (
     KEYWORDS,
@@ -214,3 +217,62 @@ def test_model_built_in_code_is_checked_when_built(fault, message):
     # not first by a consumer such as compile_model
     with pytest.raises(ModelError, match=message):
         fault(parse("feature A { or { B C } }"))
+
+
+# one value of every model value class, with the repr a frozen dataclass gives it
+MODEL_VALUES = [
+    (Attribute("size", "integer"), "Attribute(name='size', datatype='integer')"),
+    (CrossTreeConstraint(ConstraintKind.REQUIRES, "B", "C"),
+     "CrossTreeConstraint(kind=<ConstraintKind.REQUIRES: 'requires'>, source='B', target='C')"),
+    (Group(0, "A", GroupKind.OR, ("B", "C")),
+     "Group(id=0, owner='A', kind=<GroupKind.OR: 'or'>, members=('B', 'C'))"),
+    (Feature("A", None, M),
+     "Feature(name='A', parent=None, variability=<Variability.MANDATORY: 'mandatory'>, "
+     "group=None, attributes=())"),
+    (Feature("B", "A", G, 0, (Attribute("size", "integer"),)),
+     "Feature(name='B', parent='A', variability=<Variability.GROUP_MEMBER: 'group-member'>, "
+     "group=0, attributes=(Attribute(name='size', datatype='integer'),))"),
+]
+
+
+def test_every_model_value_class_has_a_sample():
+    classes = {cls for cls in vars(fmc.model).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    assert {type(value) for value, _ in MODEL_VALUES} == classes - {FeatureModel}
+
+
+@pytest.mark.parametrize("value, shown", MODEL_VALUES,
+                         ids=[f"{type(v).__name__}-{i}" for i, (v, _) in enumerate(MODEL_VALUES)])
+def test_model_values_are_frozen_slotted_hashable_and_copyable(value, shown):
+    cls = type(value)
+    params = dataclasses.fields(value)
+    assert cls.__dataclass_params__.frozen and not hasattr(value, "__dict__")
+    for name in [f.name for f in params] + ["x"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert repr(value) == shown
+    args = tuple(getattr(value, f.name) for f in params)
+    assert hash(value) == hash(args)  # a frozen dataclass's hash: its fields as a tuple
+    for fresh in (cls(*args), cls(**{f.name: arg for f, arg in zip(params, args)}),
+                  copy.copy(value), pickle.loads(pickle.dumps(value)),
+                  dataclasses.replace(value)):
+        assert type(fresh) is cls
+        assert fresh == value and hash(fresh) == hash(value) and repr(fresh) == shown
+    with pytest.raises(TypeError):
+        cls(*args, None)
+
+
+def test_feature_defaults_and_replace():
+    feature = Feature("B", "A", O)
+    assert (feature.group, feature.attributes) == (None, ())
+    assert feature == Feature(name="B", parent="A", variability=O, group=None, attributes=())
+    member = dataclasses.replace(feature, variability=G, group=3)
+    assert member == Feature("B", "A", G, 3) and feature.group is None
+    with pytest.raises(TypeError):
+        Feature("B", "A")
+    with pytest.raises(TypeError):
+        Feature("B", "A", O, nickname="b")
+    model = FeatureModel("A", (Feature("A", None, M), feature))
+    assert pickle.loads(pickle.dumps(model)) == model

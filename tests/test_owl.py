@@ -370,6 +370,58 @@ def test_a_use_may_come_before_its_declaration():
     assert parse_functional(serialize_functional(ontology)) == ontology
 
 
+def deep_complement(depth):
+    expr = A
+    for _ in range(depth):
+        expr = ComplementOf(expr)
+    return expr
+
+
+# one axiom of every kind of error the checker raises
+ERRORS = [
+    (Declaration(EntityKind.CLASS, "A"), OwlError, "duplicate Class declaration 'A'"),
+    (Declaration(EntityKind.CLASS, "1A"), OwlError, "invalid entity name '1A'"),
+    (Declaration("Class", "Q"), OwlError, "declaration kind must be an EntityKind, got str"),
+    (SubClassOf(A, Y), UndeclaredNameError, "Class 'Y' used but not declared"),
+    (DisjointClasses(A, Y), UndeclaredNameError, "Class 'Y' used but not declared"),
+    (DisjointClasses(A, ComplementOf(X)), OwlError, f"{NOT_NAMED} ComplementOf"),
+    (DataPropertyDomain("d", THING), OwlError,
+     "DataPropertyDomain domain must be a named class, got Thing"),
+    (DataPropertyRange("d", "unprefixed"), OwlError, "unsupported datatype 'unprefixed'"),
+    (SubClassOf(A, SomeValuesFrom(5, A)), OwlError, "ObjectProperty name must be a str, got int"),
+    (NamedClass("A"), OwlError, "unknown axiom NamedClass(name='A')"),
+    (SubClassOf(A, Declaration(EntityKind.CLASS, "A")), OwlError,
+     "unknown class expression Declaration(kind=<EntityKind.CLASS: 'Class'>, name='A')"),
+    (SubClassOf(A, deep_complement(MAX_EXPR_DEPTH + 1)), OwlError,
+     f"class expression nested more than {MAX_EXPR_DEPTH} levels deep"),
+]
+
+
+@pytest.mark.parametrize("bad, error, message", ERRORS,
+                         ids=[f"{i}-{type(bad).__name__}" for i, (bad, _, _) in enumerate(ERRORS)])
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "early-use-first"])
+def test_an_early_use_of_a_name_does_not_change_the_first_error(bad, error, message, bad_first):
+    # X and hasX are used before they are declared, which a valid ontology
+    # may do; the error reported is the one the declarations-first order meets
+    early = (SubClassOf(X, SomeValuesFrom("hasX", A)), DisjointClasses(X, A))
+    body = (bad, *early) if bad_first else (*early, bad)
+    decls = declared((EntityKind.CLASS, "A"), (EntityKind.DATA_PROPERTY, "d"))
+    late = declared((EntityKind.CLASS, "X"), (EntityKind.OBJECT_PROPERTY, "hasX"))
+    assert first_error(*decls, *body, *late) == (error, message)
+    assert first_error(*decls, bad) == (error, message)
+    valid = Ontology(IRI, (*decls, *early, *late))
+    assert parse_functional(serialize_functional(valid)) == valid
+
+
+def test_a_text_may_use_a_name_before_its_declaration():
+    text = (HEADER + "SubClassOf(:A ObjectSomeValuesFrom(:hasB :B))\nDisjointClasses(:A :B)\n"
+            "Declaration(Class(:A))\nDeclaration(Class(:B))\n"
+            "Declaration(ObjectProperty(:hasB))\n)\n")
+    ontology = parse_functional(text)
+    assert serialize_functional(ontology) == text
+    assert ontology.axioms[1] == DisjointClasses(A, NamedClass("B"))
+
+
 def test_a_name_declared_after_its_use_does_not_hide_a_later_error():
     assert first_error(
         Declaration(EntityKind.DATA_PROPERTY, "d"), SubClassOf(A, X),
@@ -511,6 +563,58 @@ def test_syntax_errors_carry_position(text, message, line, column):
     assert (info.value.line, info.value.column) == (line, column)
     # the DSL's ParseError shares the base; an OwlSyntaxError is an OwlError
     assert isinstance(info.value, PositionedError) and isinstance(info.value, OwlError)
+
+
+DECLARED = HEADER + "".join(f"Declaration(Class(:{name}))\n" for name in "ABC")
+
+
+# where a DisjointClasses line is read in one look, anything unusual takes
+# the general path: each case keeps the type, message, line and column it had
+@pytest.mark.parametrize("axiom,error,message,line,column", [
+    ("DisjointClasses(:A)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got ')'", 6, 19),
+    ("DisjointClasses()\n)", OwlSyntaxError, "expected disjoint class (:Name), got ')'", 6, 17),
+    ("DisjointClasses(:A :B :C)\n)", UnsupportedConstructError,
+     "n-ary DisjointClasses is not supported (expected exactly 2 operands)", 6, 23),
+    ("DisjointClasses(:A :B :C\n)", UnsupportedConstructError,
+     "n-ary DisjointClasses is not supported (expected exactly 2 operands)", 6, 23),
+    ("DisjointClasses(:= :B)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got ':='", 6, 17),
+    ("DisjointClasses(:A :=)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got ':='", 6, 20),
+    ("DisjointClasses(owl:Thing :B)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got 'owl:Thing'", 6, 17),
+    ("DisjointClasses(:A owl:Thing)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got 'owl:Thing'", 6, 20),
+    ("DisjointClasses(:A ObjectComplementOf(:B))\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got 'ObjectComplementOf'", 6, 20),
+    ("DisjointClasses(:A <http://b>)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got 'http://b'", 6, 20),
+    ("DisjointClasses :A :B)\n)", OwlSyntaxError, "expected '(', got ':A'", 6, 17),
+    ("DisjointClasses(:A :B))\n)", OwlSyntaxError, "unexpected ')' after ontology", 7, 1),
+    # cut off at the end of the text
+    ("DisjointClasses", OwlSyntaxError, "expected '(', got end of input", 6, 16),
+    ("DisjointClasses(", OwlSyntaxError,
+     "expected disjoint class (:Name), got end of input", 6, 17),
+    ("DisjointClasses(:A", OwlSyntaxError,
+     "expected disjoint class (:Name), got end of input", 6, 19),
+    ("DisjointClasses(:A :B", UnsupportedConstructError,
+     "n-ary DisjointClasses is not supported (expected exactly 2 operands)", 6, 22),
+    ("DisjointClasses(:A :B)", OwlSyntaxError, "unclosed 'Ontology(': expected ')'", 6, 23),
+    ("DisjointClasses(:A :B)\n", OwlSyntaxError, "unclosed 'Ontology(': expected ')'", 7, 1),
+])
+def test_disjoint_classes_errors_keep_their_position(axiom, error, message, line, column):
+    with pytest.raises(OwlSyntaxError) as info:
+        parse_functional(DECLARED + axiom)
+    assert type(info.value) is error
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_disjoint_classes_of_an_undeclared_name_is_refused_after_reading():
+    with pytest.raises(UndeclaredNameError) as info:
+        parse_functional(DECLARED + "DisjointClasses(:A :Z)\n)")
+    assert str(info.value) == "Class 'Z' used but not declared"
 
 
 def test_trailing_white_space_after_the_ontology_parses():
