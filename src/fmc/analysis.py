@@ -2,15 +2,18 @@
 
 Consistency is decided on the propositional semantics with a built-in
 DPLL solver. It is iterative: a trail of assigned literals, unit
-propagation over two watched literals per clause, and chronological
-backtracking to the last decision not yet flipped. Dead features reuse one
-solver per formula, asking "can this feature be selected?" as an
-assumption, and only for features no earlier witness selected and whose
-parent is not already found dead. A query's witness sets every variable
-left free True once all clauses are satisfied, so it selects as many
-features as it can; the public ``solve`` still returns False for
-don't-cares. Every model the solver returns, and every witness, is
-re-checked against the clauses.
+propagation, and chronological backtracking to the last decision not yet
+flipped. Its clauses sit in one store per formula, built once and only
+read: a binary clause, the common kind in a feature-model CNF, is two
+entries in per-literal implication lists, and only clauses of three or
+more literals have two watched literals. Dead features reuse one solver
+per formula, asking "can this feature be selected?" as an assumption,
+and only for features no earlier witness selected and whose parent is
+not already found dead. A query's witness sets every variable left free
+True once all clauses are satisfied, so it selects as many features as it
+can; the public ``solve`` still returns False for don't-cares. Every
+model the solver returns, and every witness, is re-checked against the
+formula's clauses by ``satisfies``, which shares no code with the store.
 
 Counting works on the same CNF: unit propagation, a factor of two per free
 variable, independent components counted once each and cached by their
@@ -21,6 +24,7 @@ ENUMERATION_CAP features.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from .model import FeatureModel
 from .propositional import PropositionalFormula, cnf, satisfies, to_propositional
@@ -36,22 +40,86 @@ class EnumerationCapError(Exception):
     """Model too large for exhaustive configuration counting."""
 
 
-class _Solver:
-    """Two-watched-literal DPLL over one formula, queried under assumptions.
+class _Store:
+    """The clauses of one formula as its solvers read them; built once.
 
-    ``value`` and ``watches`` are indexed by literal; a negative literal
-    ``-v`` uses Python's negative indexing, so both signs of every variable
-    have their own slot. ``value[lit]`` is 1 when lit is true, -1 when false
-    and 0 when unassigned. The assignments forced by unit clauses stay on
-    the trail between queries; everything else is undone after each one.
+    A binary clause ``(a ∨ b)`` is two implications, ``-a → b`` and
+    ``-b → a``: ``implied[lit]`` lists the literals that ``lit`` being true
+    makes true. It is indexed by literal; a negative literal ``-v`` uses
+    Python's negative indexing, so both signs of every variable have their
+    own slot. ``long`` holds the clauses of three or more literals,
+    ``units`` the literals of the unit clauses, and ``scan`` every clause of
+    two or more literals in formula order, for the decision rule. A
+    repeated literal counts once, so ``(1, 1)`` is a unit clause. Solvers
+    only read the store, so the solvers of one formula share it.
+    """
+
+    __slots__ = ("units", "implied", "long", "scan")
+
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        self.units: list[int] = []
+        # a literal that implies nothing shares one empty tuple
+        self.implied: list = [()] * (2 * num_vars + 1)
+        self.long: list[tuple[int, ...]] = []
+        self.scan: list[tuple[int, ...]] = []
+        units, implied, long, scan = self.units, self.implied, self.long, self.scan
+        for clause in clauses:
+            if len(clause) != 2 or clause[0] == clause[1]:
+                # not two distinct literals: drop repeats, then file by size
+                if len(set(clause)) < len(clause):
+                    clause = tuple(dict.fromkeys(clause))
+                if len(clause) == 1:
+                    units.append(clause[0])
+                    continue
+                if len(clause) > 2:
+                    long.append(clause)
+                    scan.append(clause)
+                    continue
+            a, b = clause
+            if implied[-a]:
+                implied[-a].append(b)
+            else:
+                implied[-a] = [b]
+            if implied[-b]:
+                implied[-b].append(a)
+            else:
+                implied[-b] = [a]
+            scan.append(clause)
+
+
+def _store(formula: PropositionalFormula) -> _Store:
+    """The formula's clause store, built on first use and kept on the formula."""
+    store = formula._solver_store
+    if store is None:
+        store = _Store(formula.num_vars, formula.clauses)
+        object.__setattr__(formula, "_solver_store", store)
+    return store
+
+
+class _Solver:
+    """DPLL over one formula's clause store, queried under assumptions.
+
+    Binary clauses propagate through the store's implication lists, which
+    are never rewritten. Only the long clauses (three or more literals)
+    have two watched literals: the solver keeps its own copy of each,
+    whose first two literals are watched, and ``watches`` maps a literal to
+    the long clauses watching it. ``value`` is indexed by literal as
+    ``implied`` is; ``value[lit]`` is 1 when lit is true, -1 when false and
+    0 when unassigned. The assignments forced by unit clauses stay on the
+    trail between queries; everything else is undone after each one.
     """
 
     def __init__(self, formula: PropositionalFormula):
-        size = 2 * formula.num_vars + 1
+        store = _store(formula)
         self.num_vars = formula.num_vars
-        self.value = [0] * size
-        self.watches: list[list[int]] = [[] for _ in range(size)]
-        self.clauses: list[list[int]] = []
+        self.implied = store.implied
+        self.scan = store.scan
+        self.value = [0] * (2 * formula.num_vars + 1)
+        self.clauses = [list(clause) for clause in store.long]
+        self.watches: dict[int, list[int]] = {}
+        for index, clause in enumerate(self.clauses):
+            self.watches.setdefault(clause[0], []).append(index)
+            self.watches.setdefault(clause[1], []).append(index)
         self.trail: list[int] = []
         self.head = 0  # trail[:head] has been propagated
         # variables to try True first when deciding (all of them by default)
@@ -60,17 +128,11 @@ class _Solver:
         # as True (any completion is then a model) rather than False
         self.complete = False
         self.void = False
-        for clause in formula.clauses:
-            lits = list(dict.fromkeys(clause))
-            if len(lits) == 1:
-                if self.value[lits[0]] == -1:
-                    self.void = True
-                elif self.value[lits[0]] == 0:
-                    self._assign(lits[0])
-            else:
-                self.watches[lits[0]].append(len(self.clauses))
-                self.watches[lits[1]].append(len(self.clauses))
-                self.clauses.append(lits)
+        for lit in store.units:
+            if self.value[lit] == -1:
+                self.void = True
+            elif self.value[lit] == 0:
+                self._assign(lit)
         self.void = self.void or not self._propagate()
         self.base = len(self.trail)
 
@@ -87,12 +149,24 @@ class _Solver:
         self.head = size
 
     def _propagate(self) -> bool:
-        """Unit propagation to fixpoint; False on a conflict."""
-        value, watches, clauses, trail = self.value, self.watches, self.clauses, self.trail
+        """Unit propagation to fixpoint; False on a conflict. On a conflict
+        the caller backtracks, which also resets ``head``."""
+        value, implied, watches, clauses, trail = (
+            self.value, self.implied, self.watches, self.clauses, self.trail)
         head = self.head
         while head < len(trail):
-            false_lit = -trail[head]
+            lit = trail[head]
             head += 1
+            for other in implied[lit]:
+                if value[other] == 0:
+                    value[other] = 1
+                    value[-other] = -1
+                    trail.append(other)
+                elif value[other] == -1:
+                    return False
+            false_lit = -lit
+            if false_lit not in watches:
+                continue
             watching = watches[false_lit]
             kept = []
             for i, index in enumerate(watching):
@@ -104,15 +178,14 @@ class _Solver:
                     kept.append(index)
                     continue
                 for k in range(2, len(clause)):
-                    lit = clause[k]
-                    if value[lit] != -1:
-                        clause[1], clause[k] = lit, false_lit
-                        watches[lit].append(index)
+                    candidate = clause[k]
+                    if value[candidate] != -1:
+                        clause[1], clause[k] = candidate, false_lit
+                        watches.setdefault(candidate, []).append(index)
                         break
                 else:
                     kept.append(index)
                     if value[other] == -1:
-                        # the caller backtracks, which also resets head
                         kept.extend(watching[i + 1:])
                         watches[false_lit] = kept
                         return False
@@ -123,7 +196,7 @@ class _Solver:
         self.head = head
         return True
 
-    def _decision(self, clause: list[int]) -> int:
+    def _decision(self, clause: tuple[int, ...]) -> int:
         """The literal to assign first on an open clause: a preferred
         variable set True, else the first negative literal, else the first
         unassigned literal."""
@@ -143,7 +216,7 @@ class _Solver:
         satisfied come out False, or True when ``complete`` is set."""
         if self.void:
             return None
-        value, clauses, trail = self.value, self.clauses, self.trail
+        value, clauses, trail = self.value, self.scan, self.trail
         # decision levels: (trail size before, literal, clause index, flippable);
         # assumptions are levels that are never flipped
         levels: list[tuple[int, int, int, bool]] = []
@@ -159,21 +232,23 @@ class _Solver:
             ok = self._propagate()
             if not ok:
                 break
+        count = len(clauses)
         pointer = 0  # clauses before it are satisfied on this branch
         result = None
         while True:
             if ok:
-                while pointer < len(clauses):
+                while pointer < count:
                     for lit in clauses[pointer]:
                         if value[lit] == 1:
                             break
                     else:
                         break
                     pointer += 1
-                if pointer == len(clauses):
+                if pointer == count:
                     # values above floor read True; unassigned (0) does only when completing
                     floor = -1 if self.complete else 0
-                    result = {v: value[v] > floor for v in range(1, self.num_vars + 1)}
+                    n = self.num_vars
+                    result = dict(zip(range(1, n + 1), map(floor.__lt__, value[1:n + 1])))
                     break
                 lit = self._decision(clauses[pointer])
                 levels.append((len(trail), lit, pointer, True))
@@ -187,7 +262,9 @@ class _Solver:
                         break
                 else:
                     break
-            self._assign(lit)
+            value[lit] = 1
+            value[-lit] = -1
+            trail.append(lit)
             ok = self._propagate()
         self._undo(self.base)
         return result
@@ -240,12 +317,14 @@ def dead_features(model: FeatureModel) -> set[str]:
     alive: set[int] = set()
 
     def mark_alive(witness: dict[int, bool]) -> None:
-        for v, value in witness.items():
-            if value:
-                alive.add(v)
-                solver.prefer[v] = 0  # later witnesses try features not yet seen first
+        selected = set(compress(witness, witness.values()))
+        selected -= alive
+        alive.update(selected)
+        for v in selected:
+            solver.prefer[v] = 0  # later witnesses try features not yet seen first
 
     mark_alive(base)
+    del base  # as large as the model, and not read again
     dead = set()
     for var, feature in enumerate(model.features, 1):
         if var in alive:

@@ -16,7 +16,7 @@ evaluates them on a selection and reports each broken rule, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import neg
 from typing import Iterable, Mapping
 
@@ -31,31 +31,49 @@ class PropositionalFormula:
     clauses: tuple[tuple[int, ...], ...]
     variables: tuple[str, ...]  # variables[i - 1] is the feature for var i
 
+    # built on first use: the name -> variable map, and fmc.analysis's clause store
     _index: dict = field(init=False, repr=False, compare=False, default=None)
+    _solver_store: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        n = self.num_vars
+        if n < 1:
             raise ValueError("formula needs at least one variable")
-        if len(self.variables) != self.num_vars:
+        if len(self.variables) != n:
             raise ValueError("variable name list must cover exactly 1..num_vars")
-        if len(set(self.variables)) != self.num_vars:
+        if len(set(self.variables)) != n:
             raise ValueError("variable names must be unique")
+        # one pass in C over the literals; then a binary clause in range
+        # needs only a look at its two literals
+        literals = set(chain.from_iterable(self.clauses))
+        in_range = 0 not in literals and -n <= min(literals, default=1) and max(literals, default=1) <= n
         for clause in self.clauses:
-            if not clause:
-                raise ValueError("empty clause")
-            lits = set(clause)
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
-                if -lit in lits:
-                    raise ValueError(f"clause {clause} contains both a literal and its negation")
-        object.__setattr__(self, "_index", {name: i + 1 for i, name in enumerate(self.variables)})
+            if in_range and len(clause) == 2 and clause[0] != -clause[1]:
+                continue
+            error = _clause_error(clause, n)
+            if error:
+                raise ValueError(error)
 
     def variable(self, feature_name: str) -> int:
+        if self._index is None:
+            object.__setattr__(self, "_index", dict(zip(self.variables, range(1, self.num_vars + 1))))
         return self._index[feature_name]
 
     def feature(self, var: int) -> str:
         return self.variables[var - 1]
+
+
+def _clause_error(clause: tuple[int, ...], num_vars: int) -> str | None:
+    """What makes the clause invalid over variables 1..num_vars, or None."""
+    if not clause:
+        return "empty clause"
+    lits = set(clause)
+    for lit in clause:
+        if lit == 0 or abs(lit) > num_vars:
+            return f"literal {lit} out of range 1..{num_vars}"
+        if -lit in lits:
+            return f"clause {clause} contains both a literal and its negation"
+    return None
 
 
 def to_propositional(model: FeatureModel) -> PropositionalFormula:
@@ -111,8 +129,10 @@ def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
     order: at-least-one, then pairwise at-most-one for alternatives);
     cross-tree constraints (declaration order).
     """
-    rules = sorted(_rules(model, _variables(model)), key=lambda rule: _CNF_ORDER[rule[0]])
-    return tuple(clause for _, _, clauses in rules for clause in clauses)
+    parts: tuple[list, ...] = ([], [], [], [], [])
+    for rule, _, clauses in _rules(model, _variables(model)):
+        parts[_CNF_ORDER[rule]].extend(clauses)
+    return tuple(chain.from_iterable(parts))
 
 
 def satisfies(formula: PropositionalFormula, assignment: Mapping[int, bool]) -> bool:

@@ -82,13 +82,17 @@ def oracle_dead(model: FeatureModel) -> set[str]:
     return set(model.feature_names) - alive
 
 
-def truth_table_satisfiable(num_vars: int, clauses) -> bool:
+def truth_table_models(num_vars: int, clauses):
+    """Yield every satisfying assignment of the CNF, as its set of true variables."""
     for bits in itertools.product((False, True), repeat=num_vars):
         assignment = {i + 1: b for i, b in enumerate(bits)}
         if all(any(assignment[abs(lit)] == (lit > 0) for lit in clause)
                for clause in clauses):
-            return True
-    return False
+            yield frozenset(v for v, b in assignment.items() if b)
+
+
+def truth_table_satisfiable(num_vars: int, clauses) -> bool:
+    return next(truth_table_models(num_vars, clauses), None) is not None
 
 
 # --- random model generator --------------------------------------------------

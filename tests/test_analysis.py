@@ -27,6 +27,7 @@ from helpers import (
     oracle_dead,
     random_model,
     random_tree,
+    truth_table_models,
     truth_table_satisfiable,
 )
 
@@ -65,6 +66,53 @@ def test_solver_matches_truth_table_on_random_cnf():
             assert assignment is not None and satisfies(formula, assignment)
         else:
             assert assignment is None
+
+
+def test_repeated_literals_count_once():
+    # (1, 1) is the unit clause (1), (-1, 2, 2) the binary clause (-1, 2),
+    # and (2, -3, 2) the binary clause (2, -3)
+    formula = PropositionalFormula(3, ((1, 1), (-1, 2, 2), (2, -3, 2)), ("A", "B", "C"))
+    store = analysis._Store(formula.num_vars, formula.clauses)
+    assert (store.units, store.long, store.scan) == ([1], [], [(-1, 2), (2, -3)])
+    assert solve(formula) == {1: True, 2: True, 3: False}
+    formula = PropositionalFormula(3, ((1, 1), (-1, 2, 2), (-2, -1, -2)), ("A", "B", "C"))
+    assert solve(formula) is None
+
+
+def repeated_literal_clauses(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """A few clauses over 1..n, each drawn with replacement from literals
+    of distinct variables, so most repeat a literal and none holds a
+    literal and its negation."""
+    clauses = []
+    for _ in range(rng.randint(1, 5)):
+        pool = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 2)]
+        clauses.append(tuple(rng.choices(pool, k=rng.randint(1, 4))))
+    return clauses
+
+
+def test_solve_and_dead_features_match_the_truth_table_with_repeated_literals(monkeypatch):
+    # the model's clauses, so a child still implies its parent, plus
+    # clauses with repeated literals that no model's CNF contains
+    model = parse("feature R { optional A { optional B } optional C or { D E } }")
+    own = to_propositional(model)
+    n = own.num_vars
+    rng = random.Random(1717)
+    extras = [[(1, 1), (-2, 3, 3), (3, -4, 3)]]
+    extras += [repeated_literal_clauses(rng, n) for _ in range(300)]
+    for extra in extras:
+        formula = PropositionalFormula(n, own.clauses + tuple(extra), own.variables)
+        models = list(truth_table_models(n, formula.clauses))
+        assignment = solve(formula)
+        assert (assignment is None) == (not models), extra
+        monkeypatch.setattr(analysis, "to_propositional", lambda model, formula=formula: formula)
+        if not models:
+            with pytest.raises(VoidModelError):
+                dead_features(model)
+            continue
+        assert frozenset(v for v, value in assignment.items() if value) in models
+        alive = frozenset().union(*models)
+        assert dead_features(model) == {own.feature(v) for v in range(1, n + 1)
+                                        if v not in alive}, extra
 
 
 def test_consistency_examples():
@@ -211,6 +259,21 @@ def test_a_witness_that_breaks_a_clause_is_refused(monkeypatch, aisco_model):
         all_false(self) if assumptions else real_solve(self, assumptions)))
     with pytest.raises(AssertionError, match="non-satisfying assignment"):
         dead_features(aisco_model)
+
+
+def test_a_store_missing_a_clause_is_caught_by_the_recheck(monkeypatch):
+    # the solvers read a store without B's child-implies-parent clause, so
+    # they may select B without A; every witness is still checked against
+    # the formula's own clauses, which refuse it
+    model = parse("feature R { optional A { optional B } }\nconstraints { B excludes A }")
+    assert dead_features(model) == {"B"}
+    dropped = (-3, 2)  # R=1, A=2, B=3: B implies A
+    assert dropped in to_propositional(model).clauses
+    real_store = analysis._Store
+    monkeypatch.setattr(analysis, "_Store", lambda num_vars, clauses: real_store(
+        num_vars, tuple(clause for clause in clauses if clause != dropped)))
+    with pytest.raises(AssertionError, match="^solver returned a non-satisfying assignment$"):
+        dead_features(model)
 
 
 def count_solver_calls(monkeypatch) -> list[int]:

@@ -44,6 +44,39 @@ def test_formula_invariants_enforced():
         PropositionalFormula(2, (), ("A",))
 
 
+def formula_error(num_vars, clauses, variables=None) -> str:
+    variables = variables or tuple(f"V{i}" for i in range(num_vars))
+    with pytest.raises(ValueError) as info:
+        PropositionalFormula(num_vars, clauses, variables)
+    return str(info.value)
+
+
+def test_formula_errors_are_worded_in_full():
+    assert formula_error(3, (), ("A", "B", "A")) == "variable names must be unique"
+    assert formula_error(2, ((1, 2), (2, -2))) == (
+        "clause (2, -2) contains both a literal and its negation")
+    assert formula_error(3, ((1, 2, 3), (2, 1, -2), (-1, 3))) == (
+        "clause (2, 1, -2) contains both a literal and its negation")
+    # a repeated literal is allowed; its negation beside it is not
+    assert formula_error(2, ((2, 2), (1, 1, -1))) == (
+        "clause (1, 1, -1) contains both a literal and its negation")
+
+
+def test_formula_errors_name_the_first_fault_in_clause_order():
+    # the first bad clause wins, and in it the first bad literal, whether
+    # that literal is out of range or the negation of a later one
+    assert formula_error(2, ((1, -1), (3,))) == (
+        "clause (1, -1) contains both a literal and its negation")
+    assert formula_error(2, ((3,), (1, -1))) == "literal 3 out of range 1..2"
+    assert formula_error(2, ((1, -1, 3),)) == (
+        "clause (1, -1, 3) contains both a literal and its negation")
+    assert formula_error(2, ((-3, 1, -1),)) == "literal -3 out of range 1..2"
+    assert formula_error(2, ((1, 2), (0, 1))) == "literal 0 out of range 1..2"
+    assert formula_error(2, ((1, 2), (), (5,))) == "empty clause"
+    assert formula_error(2, ((1, -1), ())) == (
+        "clause (1, -1) contains both a literal and its negation")
+
+
 def test_variable_map_is_bijective():
     model = parse("feature A { mandatory B optional C }")
     formula = to_propositional(model)
