@@ -4,16 +4,19 @@ Consistency is decided on the propositional semantics with a built-in
 DPLL solver. It is iterative: a trail of assigned literals, unit
 propagation, and chronological backtracking to the last decision not yet
 flipped. Its clauses sit in one store per formula, built once and only
-read: a binary clause, the common kind in a feature-model CNF, is two
-entries in per-literal implication lists, and only clauses of three or
-more literals have two watched literals. Dead features reuse one solver
-per formula, asking "can this feature be selected?" as an assumption,
-and only for features no earlier witness selected and whose parent is
-not already found dead. A query's witness sets every variable left free
-True once all clauses are satisfied, so it selects as many features as it
-can; the public ``solve`` still returns False for don't-cares. Every
-model the solver returns, and every witness, is re-checked against the
-formula's clauses by ``satisfies``, which shares no code with the store.
+read, so a solver holds nothing but its assignment. A binary clause, the
+common kind in a feature-model CNF, is two entries in per-literal
+implication lists. A clause of three or more literals is listed under
+each of its literals; when a literal becomes false, each clause listing
+it is scanned for a true literal or a last unassigned one. Dead features
+reuse one solver per formula, asking "can this feature be selected?" as
+an assumption, and only for features no earlier witness selected and
+whose parent is not already found dead. A query's witness sets every
+variable left free True once all clauses are satisfied, so it selects as
+many features as it can; the public ``solve`` still returns False for
+don't-cares. Every model the solver returns, and every witness, is
+re-checked against the formula's clauses by ``satisfies``, which shares
+no code with the store.
 
 Counting works on the same CNF: unit propagation, a factor of two per free
 variable, independent components counted once each and cached by their
@@ -47,22 +50,23 @@ class _Store:
     ``-b → a``: ``implied[lit]`` lists the literals that ``lit`` being true
     makes true. It is indexed by literal; a negative literal ``-v`` uses
     Python's negative indexing, so both signs of every variable have their
-    own slot. ``long`` holds the clauses of three or more literals,
-    ``units`` the literals of the unit clauses, and ``scan`` every clause of
-    two or more literals in formula order, for the decision rule. A
-    repeated literal counts once, so ``(1, 1)`` is a unit clause. Solvers
-    only read the store, so the solvers of one formula share it.
+    own slot. ``occurs[lit]`` lists the clauses of three or more literals
+    that hold ``lit``; a literal in none has no key. ``units`` holds the
+    literals of the unit clauses, and ``scan`` every clause of two or more
+    literals in formula order, for the decision rule. A repeated literal
+    counts once, so ``(1, 1)`` is a unit clause. Nothing writes to a store
+    once it is built, so the solvers of one formula share it.
     """
 
-    __slots__ = ("units", "implied", "long", "scan")
+    __slots__ = ("units", "implied", "occurs", "scan")
 
     def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
         self.units: list[int] = []
         # a literal that implies nothing shares one empty tuple
         self.implied: list = [()] * (2 * num_vars + 1)
-        self.long: list[tuple[int, ...]] = []
+        self.occurs: dict[int, list[tuple[int, ...]]] = {}
         self.scan: list[tuple[int, ...]] = []
-        units, implied, long, scan = self.units, self.implied, self.long, self.scan
+        units, implied, occurs, scan = self.units, self.implied, self.occurs, self.scan
         for clause in clauses:
             if len(clause) != 2 or clause[0] == clause[1]:
                 # not two distinct literals: drop repeats, then file by size
@@ -72,7 +76,8 @@ class _Store:
                     units.append(clause[0])
                     continue
                 if len(clause) > 2:
-                    long.append(clause)
+                    for lit in clause:
+                        occurs.setdefault(lit, []).append(clause)
                     scan.append(clause)
                     continue
             a, b = clause
@@ -99,27 +104,21 @@ def _store(formula: PropositionalFormula) -> _Store:
 class _Solver:
     """DPLL over one formula's clause store, queried under assumptions.
 
-    Binary clauses propagate through the store's implication lists, which
-    are never rewritten. Only the long clauses (three or more literals)
-    have two watched literals: the solver keeps its own copy of each,
-    whose first two literals are watched, and ``watches`` maps a literal to
-    the long clauses watching it. ``value`` is indexed by literal as
-    ``implied`` is; ``value[lit]`` is 1 when lit is true, -1 when false and
-    0 when unassigned. The assignments forced by unit clauses stay on the
-    trail between queries; everything else is undone after each one.
+    The solver only reads the store's lists, and holds no clause of its
+    own: its state is the assignment. ``value`` is indexed by literal as
+    ``implied`` is; ``value[lit]`` is 1 when lit is true, -1 when false
+    and 0 when unassigned. ``trail`` lists the assigned literals in order.
+    The assignments forced by unit clauses stay on the trail between
+    queries; everything else is undone after each one.
     """
 
     def __init__(self, formula: PropositionalFormula):
         store = _store(formula)
         self.num_vars = formula.num_vars
         self.implied = store.implied
+        self.occurs = store.occurs
         self.scan = store.scan
         self.value = [0] * (2 * formula.num_vars + 1)
-        self.clauses = [list(clause) for clause in store.long]
-        self.watches: dict[int, list[int]] = {}
-        for index, clause in enumerate(self.clauses):
-            self.watches.setdefault(clause[0], []).append(index)
-            self.watches.setdefault(clause[1], []).append(index)
         self.trail: list[int] = []
         self.head = 0  # trail[:head] has been propagated
         # variables to try True first when deciding (all of them by default)
@@ -151,8 +150,7 @@ class _Solver:
     def _propagate(self) -> bool:
         """Unit propagation to fixpoint; False on a conflict. On a conflict
         the caller backtracks, which also resets ``head``."""
-        value, implied, watches, clauses, trail = (
-            self.value, self.implied, self.watches, self.clauses, self.trail)
+        value, implied, occurs, trail = self.value, self.implied, self.occurs, self.trail
         head = self.head
         while head < len(trail):
             lit = trail[head]
@@ -164,35 +162,24 @@ class _Solver:
                     trail.append(other)
                 elif value[other] == -1:
                     return False
-            false_lit = -lit
-            if false_lit not in watches:
+            if -lit not in occurs:
                 continue
-            watching = watches[false_lit]
-            kept = []
-            for i, index in enumerate(watching):
-                clause = clauses[index]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], false_lit
-                other = clause[0]
-                if value[other] == 1:
-                    kept.append(index)
-                    continue
-                for k in range(2, len(clause)):
-                    candidate = clause[k]
-                    if value[candidate] != -1:
-                        clause[1], clause[k] = candidate, false_lit
-                        watches.setdefault(candidate, []).append(index)
+            for clause in occurs[-lit]:
+                # the clause's one unassigned literal, if it has no true one
+                unit = 0
+                for other in clause:
+                    state = value[other]
+                    if state == -1:
+                        continue
+                    if state == 1 or unit:
                         break
+                    unit = other
                 else:
-                    kept.append(index)
-                    if value[other] == -1:
-                        kept.extend(watching[i + 1:])
-                        watches[false_lit] = kept
+                    if unit == 0:
                         return False
-                    value[other] = 1
-                    value[-other] = -1
-                    trail.append(other)
-            watches[false_lit] = kept
+                    value[unit] = 1
+                    value[-unit] = -1
+                    trail.append(unit)
         self.head = head
         return True
 

@@ -11,11 +11,12 @@ values are immutable after construction and safe to share.
 ``Feature``, ``Attribute``, ``Group`` and ``CrossTreeConstraint`` are
 frozen slotted dataclasses built by ``_value``, as the OWL values are
 (``fmc.owl``): a parse builds one ``Feature`` per feature. ``validate``
-checks every feature in one pass. A parent listed before its child, as
-every parsed model lists it, links the child to the root with one set
-lookup; a feature listed before its parent falls back to a walk up its
-parent links after that pass, which also finds a cycle. The children of
-each feature are indexed only when first asked for.
+first compares the types of the names and enum fields for all values at
+once, then checks every feature in one pass. A parent listed before its
+child, as every parsed model lists it, links the child to the root with
+one set lookup; a feature listed before its parent falls back to a walk
+up its parent links after that pass, which also finds a cycle. The
+children of each feature are indexed only when first asked for.
 """
 
 from __future__ import annotations
@@ -208,6 +209,12 @@ def validate(model: FeatureModel) -> None:
     built in code, has passed it.
     """
     features, by_name = model.features, model._by_name
+    # each field's types are compared for all values at once, as the names
+    # below are; a loop runs only to name the first value of a wrong type
+    if set(map(type, by_name)) - {str}:
+        for name in by_name:
+            if not isinstance(name, str):
+                raise _wrong_type("feature name", "a str", name)
     if len(by_name) != len(features):
         names = Counter(f.name for f in features)
         dupes = sorted(n for n, count in names.items() if count > 1)
@@ -219,6 +226,15 @@ def validate(model: FeatureModel) -> None:
                 raise ModelError(f"invalid feature name '{name}'")
             if name in KEYWORDS:
                 raise ModelError(f"feature name '{name}' is a reserved keyword")
+    if set(map(type, map(attrgetter("variability"), features))) - {Variability}:
+        f = next(f for f in features if type(f.variability) is not Variability)
+        raise _wrong_type(f"feature '{f.name}' variability", "a Variability", f.variability)
+    if set(map(type, map(attrgetter("kind"), model.groups))) - {GroupKind}:
+        g = next(g for g in model.groups if type(g.kind) is not GroupKind)
+        raise _wrong_type(f"group {g.id} kind", "a GroupKind", g.kind)
+    if set(map(type, map(attrgetter("kind"), model.constraints))) - {ConstraintKind}:
+        c = next(c for c in model.constraints if type(c.kind) is not ConstraintKind)
+        raise _wrong_type("constraint kind", "a ConstraintKind", c.kind)
 
     parents = list(map(attrgetter("parent"), features))
     if parents.count(None) != 1:
@@ -293,12 +309,17 @@ def validate(model: FeatureModel) -> None:
             raise ModelError(f"constraint source and target are the same feature '{c.source}'")
 
 
+def _wrong_type(field: str, expected: str, value) -> ModelError:
+    return ModelError(f"{field} must be {expected}, got {type(value).__name__}")
+
 
 def _validate_attributes(f: Feature) -> None:
     attr_names = [a.name for a in f.attributes]
     if len(attr_names) != len(set(attr_names)):
         raise ModelError(f"feature '{f.name}' declares duplicate attribute names")
     for a in f.attributes:
+        if not isinstance(a.name, str):
+            raise _wrong_type(f"attribute name on feature '{f.name}'", "a str", a.name)
         if not is_name(a.name):
             raise ModelError(f"invalid attribute name '{a.name}' on feature '{f.name}'")
         if a.name in KEYWORDS:

@@ -73,10 +73,44 @@ def test_repeated_literals_count_once():
     # and (2, -3, 2) the binary clause (2, -3)
     formula = PropositionalFormula(3, ((1, 1), (-1, 2, 2), (2, -3, 2)), ("A", "B", "C"))
     store = analysis._Store(formula.num_vars, formula.clauses)
-    assert (store.units, store.long, store.scan) == ([1], [], [(-1, 2), (2, -3)])
+    assert (store.units, store.occurs, store.scan) == ([1], {}, [(-1, 2), (2, -3)])
     assert solve(formula) == {1: True, 2: True, 3: False}
     formula = PropositionalFormula(3, ((1, 1), (-1, 2, 2), (-2, -1, -2)), ("A", "B", "C"))
     assert solve(formula) is None
+    # (-1, 2, 3, 2) is the long clause (-1, 2, 3), listed once under each literal
+    formula = PropositionalFormula(3, ((-1, 2, 3, 2), (1,)), ("A", "B", "C"))
+    store = analysis._Store(formula.num_vars, formula.clauses)
+    clause = (-1, 2, 3)
+    assert (store.units, store.occurs, store.scan) == (
+        [1], {-1: [clause], 2: [clause], 3: [clause]}, [clause])
+    assert solve(formula) == {1: True, 2: True, 3: False}
+
+
+def test_one_solver_answers_every_literal_over_long_clauses():
+    # one solver per formula is asked for each literal in turn, as the
+    # dead-feature queries ask; the store it reads is the same afterwards
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        clauses = []
+        for _ in range(rng.randint(1, 3 * n)):
+            size = min(rng.choice((1, 2, 3, 3, 4, 5, 6)), n)
+            clauses.append(tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, n + 1), size)))
+        formula = PropositionalFormula(n, tuple(clauses), tuple(f"V{i}" for i in range(n)))
+        models = list(truth_table_models(n, clauses))
+        solver = analysis._Solver(formula)
+        solver.complete = rng.random() < 0.5
+        for lit in [s * v for v in range(1, n + 1) for s in (1, -1)]:
+            witness = solver.solve((lit,))
+            possible = any((abs(lit) in m) == (lit > 0) for m in models)
+            assert (witness is not None) == possible, (clauses, lit)
+            if witness is not None:
+                assert witness[abs(lit)] == (lit > 0) and satisfies(formula, witness)
+        fresh = analysis._Store(n, formula.clauses)
+        store = analysis._store(formula)
+        assert (store.implied, store.occurs, store.scan) == (
+            fresh.implied, fresh.occurs, fresh.scan)
 
 
 def repeated_literal_clauses(rng: random.Random, n: int) -> list[tuple[int, ...]]:

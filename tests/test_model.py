@@ -187,6 +187,29 @@ def test_constraint_validation():
             CrossTreeConstraint(ConstraintKind.EXCLUDES, "B", "B"),))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature(5, "A", O))),
+     "feature name must be a str, got int"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", "optional"))),
+     "feature 'B' variability must be a Variability, got str"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          (Group(0, "A", "alternative", ("B", "C")),)),
+     "group 0 kind must be a GroupKind, got str"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                                Feature("C", "A", O)),
+                          constraints=(CrossTreeConstraint("requires", "B", "C"),)),
+     "constraint kind must be a ConstraintKind, got str"),
+    (lambda: FeatureModel("A", (Feature("A", None, M, attributes=(Attribute(5, "string"),)),)),
+     "attribute name on feature 'A' must be a str, got int"),
+])
+def test_a_field_of_the_wrong_type_is_refused(build, message):
+    # refused when built: analysis, compile_model and to_source read these
+    # fields as their declared types
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        build()
+
+
 def with_unknown_group_id(model):
     return dataclasses.replace(model, features=tuple(
         dataclasses.replace(f, group=7) if f.name == "B" else f for f in model.features))

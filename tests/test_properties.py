@@ -419,15 +419,17 @@ def test_an_ontology_that_validates_reads_back(case):
         pass
 
 
-# every DSL keyword and datatype, names of the seeded models, and bad names
-MODEL_NAMES = [*sorted(KEYWORDS), *DATATYPES, "F0", "F1", "a0", "Zed", "9", "a b"]
+# every DSL keyword and datatype, names of the seeded models, and bad
+# names, one of them not a str
+MODEL_NAMES = [*sorted(KEYWORDS), *DATATYPES, "F0", "F1", "a0", "Zed", "9", "a b", 9]
 
 
 @st.composite
 def renamed_models(draw):
     """A seeded model of ``helpers.random_model`` with some feature and
-    attribute names replaced by names from MODEL_NAMES: (root, features,
-    groups, constraints) to build a FeatureModel from."""
+    attribute names replaced by names from MODEL_NAMES, and some enum
+    fields by their enum's string value: (root, features, groups,
+    constraints) to build a FeatureModel from."""
     model = random_model(random.Random(draw(st.integers(0, 2**32 - 1))), max_features=8,
                          allow_attributes=True)
     new = {}
@@ -437,13 +439,18 @@ def renamed_models(draw):
             new[old] = draw(st.one_of(st.just(old), st.sampled_from(MODEL_NAMES)))
         return new[old]
 
+    def kind(member):
+        return draw(st.sampled_from((member, member, member, member.value)))
+
     features = tuple(dataclasses.replace(
-        f, name=name(f.name), parent=f.parent and name(f.parent),
+        f, name=name(f.name), parent=f.parent and name(f.parent), variability=kind(f.variability),
         attributes=tuple(dataclasses.replace(a, name=name(a.name)) for a in f.attributes))
         for f in model.features)
-    groups = tuple(dataclasses.replace(g, owner=name(g.owner), members=tuple(map(name, g.members)))
+    groups = tuple(dataclasses.replace(g, owner=name(g.owner), members=tuple(map(name, g.members)),
+                                       kind=kind(g.kind))
                    for g in model.groups)
-    constraints = tuple(dataclasses.replace(c, source=name(c.source), target=name(c.target))
+    constraints = tuple(dataclasses.replace(c, source=name(c.source), target=name(c.target),
+                                            kind=kind(c.kind))
                         for c in model.constraints)
     return name(model.root), features, groups, constraints
 
