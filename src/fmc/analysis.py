@@ -8,15 +8,20 @@ read, so a solver holds nothing but its assignment. A binary clause, the
 common kind in a feature-model CNF, is two entries in per-literal
 implication lists. A clause of three or more literals is listed under
 each of its literals; when a literal becomes false, each clause listing
-it is scanned for a true literal or a last unassigned one. Dead features
-reuse one solver per formula, asking "can this feature be selected?" as
-an assumption, and only for features no earlier witness selected and
-whose parent is not already found dead. A query's witness sets every
-variable left free True once all clauses are satisfied, so it selects as
-many features as it can; the public ``solve`` still returns False for
-don't-cares. Every model the solver returns, and every witness, is
-re-checked against the formula's clauses by ``satisfies``, which shares
-no code with the store.
+it is scanned for a true literal or a last unassigned one.
+
+Dead features come from a feature cover: witnesses that together select
+every alive feature (1-wise coverage, as in product-line sampling; the
+dead features are the negative literals of the backbone). One solver per
+formula asks "can this feature be selected?" as an assumption, only for
+features no earlier witness selected and whose parent is not already
+found dead. Its decisions take a variable True first while the feature's
+subtree still holds a feature not yet found alive or dead, and its
+witness sets every variable left free True once all clauses are
+satisfied, so each witness selects as many unseen features as it can;
+the public ``solve`` still returns False for don't-cares. Every model the
+solver returns, and every witness, is re-checked against the formula's
+clauses by ``satisfies``, which shares no code with the store.
 
 Counting works on the same CNF: unit propagation, a factor of two per free
 variable, independent components counted once each and cached by their
@@ -26,6 +31,7 @@ ENUMERATION_CAP features.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import compress
 
@@ -285,12 +291,17 @@ def dead_features(model: FeatureModel) -> set[str]:
     """Features that appear in no valid configuration.
 
     Raises VoidModelError if the model itself has no valid configuration,
-    found by the one ``solve`` of the base formula. One solver then
-    answers, for each feature no witness has selected yet, whether it can
-    be selected; each witness marks every feature it selects alive. That
-    solver completes its witnesses: once every clause is satisfied, each
-    variable still free is set True (any completion is then a model), so
-    on a flat model one query marks every feature alive. A feature whose
+    found by the one ``solve`` of the base formula. The witnesses then
+    build a feature cover: configurations that together select every
+    alive feature. One solver answers, for each feature no witness has
+    selected yet, whether it can be selected; each witness marks every
+    feature it selects alive. A feature is decided once it is found alive
+    or dead. The query solver's decisions take a variable True first
+    while its feature's subtree still holds an undecided feature, and it
+    completes its witnesses (once every clause is satisfied, each variable
+    still free is set True). So a witness keeps open every subtree where
+    an unseen feature may still be selected: a flat model takes one query,
+    and a tree about one per configuration of its cover. A feature whose
     parent is already found dead is dead with no query (child implies
     parent); the features are taken in model order, so in a parsed model
     every parent is decided before its children.
@@ -299,32 +310,62 @@ def dead_features(model: FeatureModel) -> set[str]:
     base = solve(formula)
     if base is None:
         raise VoidModelError("model has no valid configuration")
+    n = formula.num_vars
+    alive = bytearray(n + 1)
+    for v in compress(base, base.values()):
+        alive[v] = 1
+    del base  # as large as the model, and not read again
     solver = _Solver(formula)
     solver.complete = True
-    alive: set[int] = set()
+    prefer = solver.prefer
+    # parent[v]: the variable of v's parent, 0 for the root. The name map
+    # is built only once the base witness is freed, so the two, each as
+    # large as the model, are never held at once.
+    var = dict(zip(formula.variables, range(1, n + 1)))
+    parent = _ints(0, n + 1)
+    for v, feature in enumerate(model.features, 1):
+        parent[v] = var.get(feature.parent, 0)
+    del var
+    # pending[v]: 1 while v is undecided, plus 1 for each child whose
+    # subtree still holds an undecided feature; v is preferred while it is
+    # above 0. Deciding a feature walks up only while a count reaches 0,
+    # and each count reaches 0 once, so all the walks take O(n).
+    pending = _ints(1, n + 1)
+    for p in parent:
+        pending[p] += 1
 
-    def mark_alive(witness: dict[int, bool]) -> None:
-        selected = set(compress(witness, witness.values()))
-        selected -= alive
-        alive.update(selected)
-        for v in selected:
-            solver.prefer[v] = 0  # later witnesses try features not yet seen first
+    def decide(features) -> None:
+        for v in features:
+            while v:
+                pending[v] -= 1
+                if pending[v]:
+                    break
+                prefer[v] = 0
+                v = parent[v]
 
-    mark_alive(base)
-    del base  # as large as the model, and not read again
-    dead = set()
-    for var, feature in enumerate(model.features, 1):
-        if var in alive:
+    decide(compress(range(1, n + 1), alive[1:]))
+    dead = bytearray(n + 1)
+    for v in range(1, n + 1):
+        if alive[v]:
             continue
-        if feature.parent in dead:  # the child-implies-parent clause: dead with no query
-            dead.add(feature.name)
-            continue
-        witness = _checked(formula, solver.solve((var,)))
+        # under a dead parent, dead with no query: the child implies its parent
+        witness = None if dead[parent[v]] else _checked(formula, solver.solve((v,)))
         if witness is None:
-            dead.add(feature.name)
-        else:
-            mark_alive(witness)
-    return dead
+            dead[v] = 1
+            decide((v,))
+            continue
+        fresh = [u for u in compress(witness, witness.values()) if not alive[u]]
+        for u in fresh:
+            alive[u] = 1
+        decide(fresh)
+    return set(compress(formula.variables, dead[1:]))
+
+
+def _ints(value: int, size: int) -> memoryview:
+    """``size`` C ints, each ``value``, as a writable memoryview of a
+    bytearray: as compact as an ``array.array``, whose extension module
+    would add about 0.1 MB to every process that imports fmc."""
+    return memoryview(bytearray(value.to_bytes(4, sys.byteorder)) * size).cast("i")
 
 
 def count_configurations(model: FeatureModel) -> int:

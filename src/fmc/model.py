@@ -12,11 +12,13 @@ values are immutable after construction and safe to share.
 frozen slotted dataclasses built by ``_value``, as the OWL values are
 (``fmc.owl``): a parse builds one ``Feature`` per feature. ``validate``
 first compares the types of the names and enum fields for all values at
-once, then checks every feature in one pass. A parent listed before its
-child, as every parsed model lists it, links the child to the root with
-one set lookup; a feature listed before its parent falls back to a walk
-up its parent links after that pass, which also finds a cycle. The
-children of each feature are indexed only when first asked for.
+once, then checks every feature in one pass; a list where a tuple is
+declared, or a group id that is not an int, is refused. A parent listed
+before its child, as every parsed model lists it, links the child to the
+root with one set lookup; a feature listed before its parent falls back
+to a walk up its parent links after that pass, which also finds a
+cycle. The children of each feature are indexed only when first asked
+for.
 """
 
 from __future__ import annotations
@@ -209,6 +211,12 @@ def validate(model: FeatureModel) -> None:
     built in code, has passed it.
     """
     features, by_name = model.features, model._by_name
+    # a list where a tuple is declared would leave the model unhashable,
+    # and unequal to the model its DSL text reads back as
+    for name in ("features", "groups", "constraints"):
+        value = getattr(model, name)
+        if type(value) is not tuple:
+            raise _wrong_type(f"model {name}", "a tuple", value)
     # each field's types are compared for all values at once, as the names
     # below are; a loop runs only to name the first value of a wrong type
     if set(map(type, by_name)) - {str}:
@@ -266,10 +274,12 @@ def validate(model: FeatureModel) -> None:
             raise ModelError(f"feature '{f.name}': group id and group-member variability "
                              "must occur together")
         if group is not None:
+            if type(group) is not int:
+                raise _wrong_type(f"feature '{f.name}' group", "an int", group)
             members_by_group.setdefault((parent, group), set()).add(f.name)
             if unknown_group is None and group not in groups_by_id:
                 unknown_group = f
-        if f.attributes:
+        if f.attributes != ():  # a list, even an empty one, is refused there
             _validate_attributes(f)
 
     # A feature listed before its parent: walk up until a reached feature.
@@ -288,6 +298,10 @@ def validate(model: FeatureModel) -> None:
     if len(group_ids) != len(set(group_ids)):
         raise ModelError("duplicate group ids")
     for g in model.groups:
+        if type(g.id) is not int:
+            raise _wrong_type("group id", "an int", g.id)
+        if type(g.members) is not tuple:
+            raise _wrong_type(f"group {g.id} members", "a tuple", g.members)
         if g.owner not in by_name:
             raise ModelError(f"group {g.id} has unknown owner '{g.owner}'")
         if len(g.members) < 2:
@@ -314,6 +328,8 @@ def _wrong_type(field: str, expected: str, value) -> ModelError:
 
 
 def _validate_attributes(f: Feature) -> None:
+    if type(f.attributes) is not tuple:
+        raise _wrong_type(f"feature '{f.name}' attributes", "a tuple", f.attributes)
     attr_names = [a.name for a in f.attributes]
     if len(attr_names) != len(set(attr_names)):
         raise ModelError(f"feature '{f.name}' declares duplicate attribute names")

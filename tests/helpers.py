@@ -192,6 +192,13 @@ def random_tree(rng: random.Random, n: int, constraints: int = 0) -> FeatureMode
     return FeatureModel("F0", tuple(features), tuple(groups), cross)
 
 
+def optional_chain(length: int) -> FeatureModel:
+    """F0 { optional F1 { optional F2 { ... } } }: nesting depth length - 1."""
+    features = [Feature("F0", None, Variability.MANDATORY)] + [
+        Feature(f"F{i}", f"F{i - 1}", Variability.OPTIONAL) for i in range(1, length)]
+    return FeatureModel("F0", tuple(features))
+
+
 def model_relation_kinds(model: FeatureModel) -> set[str]:
     """Which relation/constraint kinds a model exercises."""
     kinds = set()

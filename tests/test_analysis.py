@@ -25,6 +25,7 @@ from helpers import (
     oracle_consistent,
     oracle_count,
     oracle_dead,
+    optional_chain,
     random_model,
     random_tree,
     truth_table_models,
@@ -335,10 +336,12 @@ def test_dead_features_on_a_flat_model_takes_two_solver_calls(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [250, 500, 1000, 2000])
-def test_dead_features_queries_on_trees_stay_under_a_sixth_of_the_features(monkeypatch, n):
+def test_dead_features_queries_on_trees_stay_under_a_twelfth_of_the_features(monkeypatch, n):
     # every dead feature costs one unsatisfiable query of its own; over ten
-    # seeds per n, the queries that found a witness were at most 0.132 n
-    # with completed witnesses, and 0.21 n to 0.24 n without
+    # seeds per n, the queries that found a witness were at most 0.064 n
+    # with a variable preferred while its subtree holds an undecided
+    # feature, 0.132 n when preferred only while itself undecided, and
+    # 0.21 n to 0.24 n without completed witnesses
     calls = count_solver_calls(monkeypatch)
     for seed in range(2):
         rng = random.Random(f"{n}:{seed}")
@@ -348,7 +351,18 @@ def test_dead_features_queries_on_trees_stay_under_a_sixth_of_the_features(monke
                 break
         calls[0] = 0
         dead = dead_features(model)
-        assert calls[0] - 1 - len(dead) <= n // 6, (seed, calls[0], len(dead))
+        assert calls[0] - 1 - len(dead) <= n // 12, (seed, calls[0], len(dead))
+
+
+def test_dead_features_on_a_deep_chain_takes_two_solver_calls(monkeypatch):
+    # the base witness selects every feature but the leaf, a don't-care it
+    # leaves False, and one query selects the leaf; deciding the leaf walks
+    # up the whole chain once, where a walk to the root from every feature
+    # would be quadratic in the depth
+    model = optional_chain(9600)
+    calls = count_solver_calls(monkeypatch)
+    assert dead_features(model) == set()
+    assert calls[0] == 2
 
 
 def dead_subtree(k: int, child_first: bool = False) -> FeatureModel:

@@ -7,9 +7,9 @@ import pytest
 from fmc.analysis import ENUMERATION_CAP
 from fmc.dsl import ParseError, parse, parse_configuration, parse_file, to_source
 from fmc.lexer import PositionedError
-from fmc.model import ConstraintKind, Feature, FeatureModel, GroupKind, Variability
+from fmc.model import ConstraintKind, GroupKind, Variability
 
-from helpers import random_model
+from helpers import optional_chain, random_model
 
 
 def test_minimal_two_node_model():
@@ -202,13 +202,6 @@ def test_round_trip_random_models():
     for _ in range(60):
         model = random_model(rng, max_features=14, allow_attributes=True)
         assert parse(to_source(model)) == model
-
-
-def optional_chain(length):
-    """F0 { optional F1 { optional F2 { ... } } }: nesting depth length - 1."""
-    features = [Feature("F0", None, Variability.MANDATORY)] + [
-        Feature(f"F{i}", f"F{i - 1}", Variability.OPTIONAL) for i in range(1, length)]
-    return FeatureModel("F0", tuple(features))
 
 
 def test_round_trip_deep_nesting():

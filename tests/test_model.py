@@ -202,6 +202,34 @@ def test_constraint_validation():
      "constraint kind must be a ConstraintKind, got str"),
     (lambda: FeatureModel("A", (Feature("A", None, M, attributes=(Attribute(5, "string"),)),)),
      "attribute name on feature 'A' must be a str, got int"),
+    # a list where a tuple is declared, and a str group id: such a model
+    # would be unhashable, or unequal to the model its DSL text reads back as
+    (lambda: FeatureModel("A", [Feature("A", None, M), Feature("B", "A", O)]),
+     "model features must be a tuple, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          [Group(0, "A", GroupKind.OR, ("B", "C"))]),
+     "model groups must be a tuple, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                                Feature("C", "A", O)),
+                          constraints=[CrossTreeConstraint(ConstraintKind.REQUIRES, "B", "C")]),
+     "model constraints must be a tuple, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M, attributes=[Attribute("n", "string")]),)),
+     "feature 'A' attributes must be a tuple, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O, attributes=[]))),
+     "feature 'B' attributes must be a tuple, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          (Group(0, "A", GroupKind.OR, ["B", "C"]),)),
+     "group 0 members must be a tuple, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, "0"),
+                                Feature("C", "A", G, "0")),
+                          (Group("0", "A", GroupKind.OR, ("B", "C")),)),
+     "feature 'B' group must be an int, got str"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          (Group("0", "A", GroupKind.OR, ("B", "C")),)),
+     "group id must be an int, got str"),
 ])
 def test_a_field_of_the_wrong_type_is_refused(build, message):
     # refused when built: analysis, compile_model and to_source read these
