@@ -12,12 +12,14 @@ it is scanned for a true literal or a last unassigned one.
 
 Dead features come from a feature cover: witnesses that together select
 every alive feature (1-wise coverage, as in product-line sampling; the
-dead features are the negative literals of the backbone). One solver per
-formula asks "can this feature be selected?" as an assumption, only for
-features no earlier witness selected and whose parent is not already
-found dead. Its decisions take a variable True first while the feature's
-subtree still holds a feature not yet found alive or dead, and its
-witness sets every variable left free True once all clauses are
+dead features are the negative literals of the backbone). They need no
+feature names: the tree is read from the CNF's child-implies-parent
+clauses. One solver per formula asks "can this feature be selected?" as
+an assumption, only for features no earlier witness selected and whose
+parent is not already found dead. Its preference is a counter per
+variable, above 0 while the feature's subtree still holds a feature not
+yet found alive or dead; its decisions take such a variable True first,
+and its witness sets every variable left free True once all clauses are
 satisfied, so each witness selects as many unseen features as it can;
 the public ``solve`` still returns False for don't-cares. Every model the
 solver returns, and every witness, is re-checked against the formula's
@@ -115,7 +117,9 @@ class _Solver:
     ``implied`` is; ``value[lit]`` is 1 when lit is true, -1 when false
     and 0 when unassigned. ``trail`` lists the assigned literals in order.
     The assignments forced by unit clauses stay on the trail between
-    queries; everything else is undone after each one.
+    queries; everything else is undone after each one. Decisions take v
+    True first while ``prefer[v]`` is true: every v by default, and in
+    ``dead_features`` while its cover counter is above 0.
     """
 
     def __init__(self, formula: PropositionalFormula):
@@ -127,7 +131,6 @@ class _Solver:
         self.value = [0] * (2 * formula.num_vars + 1)
         self.trail: list[int] = []
         self.head = 0  # trail[:head] has been propagated
-        # variables to try True first when deciding (all of them by default)
         self.prefer = bytearray([1]) * (formula.num_vars + 1)
         # once every clause is satisfied, report variables still unassigned
         # as True (any completion is then a model) rather than False
@@ -296,15 +299,16 @@ def dead_features(model: FeatureModel) -> set[str]:
     alive feature. One solver answers, for each feature no witness has
     selected yet, whether it can be selected; each witness marks every
     feature it selects alive. A feature is decided once it is found alive
-    or dead. The query solver's decisions take a variable True first
-    while its feature's subtree still holds an undecided feature, and it
-    completes its witnesses (once every clause is satisfied, each variable
-    still free is set True). So a witness keeps open every subtree where
-    an unseen feature may still be selected: a flat model takes one query,
-    and a tree about one per configuration of its cover. A feature whose
-    parent is already found dead is dead with no query (child implies
-    parent); the features are taken in model order, so in a parsed model
-    every parent is decided before its children.
+    or dead. The tree is read from the formula: its clauses 1 to n-1 are
+    ``(-v, parent)`` (see ``cnf``). The query solver's preference is a
+    counter, above 0 while its feature's subtree still holds an undecided
+    feature, and it completes its witnesses (once every clause is
+    satisfied, each variable still free is set True). So a witness keeps
+    open every subtree where an unseen feature may still be selected: a
+    flat model takes one query, and a tree about one per configuration of
+    its cover. A feature whose parent is already found dead is dead with
+    no query (child implies parent); the features are taken in model
+    order, so in a parsed model every parent is decided before its children.
     """
     formula = to_propositional(model)
     base = solve(formula)
@@ -317,21 +321,14 @@ def dead_features(model: FeatureModel) -> set[str]:
     del base  # as large as the model, and not read again
     solver = _Solver(formula)
     solver.complete = True
-    prefer = solver.prefer
-    # parent[v]: the variable of v's parent, 0 for the root. The name map
-    # is built only once the base witness is freed, so the two, each as
-    # large as the model, are never held at once.
-    var = dict(zip(formula.variables, range(1, n + 1)))
+    # parent[v] from the clauses (-v, parent), 0 for the root. pending[v]:
+    # 1 while v is undecided, plus 1 for each child whose subtree still
+    # holds an undecided feature. Deciding a feature walks up only while a
+    # count reaches 0, and each count reaches 0 once, so all walks take O(n).
     parent = _ints(0, n + 1)
-    for v, feature in enumerate(model.features, 1):
-        parent[v] = var.get(feature.parent, 0)
-    del var
-    # pending[v]: 1 while v is undecided, plus 1 for each child whose
-    # subtree still holds an undecided feature; v is preferred while it is
-    # above 0. Deciding a feature walks up only while a count reaches 0,
-    # and each count reaches 0 once, so all the walks take O(n).
-    pending = _ints(1, n + 1)
-    for p in parent:
+    pending = solver.prefer = _ints(1, n + 1)
+    for child, p in formula.clauses[1:n]:
+        parent[-child] = p
         pending[p] += 1
 
     def decide(features) -> None:
@@ -340,7 +337,6 @@ def dead_features(model: FeatureModel) -> set[str]:
                 pending[v] -= 1
                 if pending[v]:
                     break
-                prefer[v] = 0
                 v = parent[v]
 
     decide(compress(range(1, n + 1), alive[1:]))

@@ -13,12 +13,15 @@ frozen slotted dataclasses built by ``_value``, as the OWL values are
 (``fmc.owl``): a parse builds one ``Feature`` per feature. ``validate``
 first compares the types of the names and enum fields for all values at
 once, then checks every feature in one pass; a list where a tuple is
-declared, or a group id that is not an int, is refused. A parent listed
-before its child, as every parsed model lists it, links the child to the
-root with one set lookup; a feature listed before its parent falls back
-to a walk up its parent links after that pass, which also finds a
-cycle. The children of each feature are indexed only when first asked
-for.
+declared, or a group id that is not an int, is refused. A field that
+building the indexes or a lookup cannot hash or read (a list as a name,
+a str where a ``Feature`` belongs) is named by a walk over every field,
+run only once that has raised, so it too ends in ``ModelError``. A
+parent listed before its child, as every parsed model lists it, links
+the child to the root with one set lookup; a feature listed before its
+parent falls back to a walk up its parent links after that pass, which
+also finds a cycle. The children of each feature are indexed only when
+first asked for.
 """
 
 from __future__ import annotations
@@ -172,9 +175,16 @@ class FeatureModel:
     _groups_by_id: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_name", {f.name: f for f in self.features})
-        object.__setattr__(self, "_groups_by_id", {g.id: g for g in self.groups})
-        validate(self)
+        try:
+            object.__setattr__(self, "_by_name", {f.name: f for f in self.features})
+            object.__setattr__(self, "_groups_by_id", {g.id: g for g in self.groups})
+            validate(self)
+        except (TypeError, AttributeError):
+            # an index or a lookup met a field of the wrong type: name it
+            error = _wrong_field(self)
+            if error is None:
+                raise
+            raise error from None
 
     def feature(self, name: str) -> Feature:
         try:
@@ -325,6 +335,51 @@ def validate(model: FeatureModel) -> None:
 
 def _wrong_type(field: str, expected: str, value) -> ModelError:
     return ModelError(f"{field} must be {expected}, got {type(value).__name__}")
+
+
+def _wrong_field(model: FeatureModel) -> ModelError | None:
+    """The error naming the model's first field of the wrong type, or None.
+
+    A walk over every field, run only once building the model's indexes or
+    ``validate`` has raised TypeError or AttributeError, so a valid model
+    never pays for it.
+    """
+    for name, cls, expected in (("features", Feature, "a Feature"),
+                                ("groups", Group, "a Group"),
+                                ("constraints", CrossTreeConstraint, "a CrossTreeConstraint")):
+        values = getattr(model, name)
+        if type(values) is not tuple:
+            return _wrong_type(f"model {name}", "a tuple", values)
+        for i, value in enumerate(values):
+            if not isinstance(value, cls):
+                return _wrong_type(f"model {name}[{i}]", expected, value)
+    for f in model.features:
+        if not isinstance(f.name, str):
+            return _wrong_type("feature name", "a str", f.name)
+        if not isinstance(f.parent, (str, type(None))):
+            return _wrong_type(f"feature '{f.name}' parent", "a str", f.parent)
+        if type(f.attributes) is not tuple:
+            return _wrong_type(f"feature '{f.name}' attributes", "a tuple", f.attributes)
+        for i, a in enumerate(f.attributes):
+            if not isinstance(a, Attribute):
+                return _wrong_type(f"feature '{f.name}' attributes[{i}]", "an Attribute", a)
+            if not isinstance(a.name, str):
+                return _wrong_type(f"attribute name on feature '{f.name}'", "a str", a.name)
+    for g in model.groups:
+        if type(g.id) is not int:
+            return _wrong_type("group id", "an int", g.id)
+        if not isinstance(g.owner, str):
+            return _wrong_type(f"group {g.id} owner", "a str", g.owner)
+        if type(g.members) is not tuple:
+            return _wrong_type(f"group {g.id} members", "a tuple", g.members)
+        for i, member in enumerate(g.members):
+            if not isinstance(member, str):
+                return _wrong_type(f"group {g.id} members[{i}]", "a str", member)
+    for c in model.constraints:
+        for end, value in (("source", c.source), ("target", c.target)):
+            if not isinstance(value, str):
+                return _wrong_type(f"constraint {end}", "a str", value)
+    return None
 
 
 def _validate_attributes(f: Feature) -> None:

@@ -26,6 +26,8 @@ REQUIRES, EXCLUDES = ConstraintKind.REQUIRES, ConstraintKind.EXCLUDES
 # (n, seed) of each model; n // 10 constraints leave most models
 # consistent with some dead features, and a few void
 CASES = [(n, seed) for n in (30, 100, 300, 1000) for seed in range(3)]
+# models within the count cap, so the count is compared too
+COUNTED = [(20, seed) for seed in range(4)]
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +90,12 @@ def renamed_and_reordered(model: FeatureModel,
     return FeatureModel(rename[model.root], features, tuple(groups), tuple(constraints)), rename
 
 
+def shuffled(model: FeatureModel, rng: random.Random) -> FeatureModel:
+    """The model with its features listed in a random order: the root
+    anywhere, and a child before or after its parent."""
+    return replace(model, features=tuple(rng.sample(model.features, len(model.features))))
+
+
 def sample(rng: random.Random, names, k: int) -> list[str]:
     names = sorted(names)
     return rng.sample(names, min(k, len(names)))
@@ -98,6 +106,22 @@ def test_the_cases_hold_void_models_and_dead_features():
     reports = [drawn(n, seed)[1] for n, seed in CASES]
     assert None in reports
     assert sum(1 for dead in reports if dead) >= len(CASES) // 2
+    assert any(drawn(n, seed)[1] for n, seed in COUNTED)
+
+
+@pytest.mark.parametrize("n, seed", COUNTED + CASES)
+def test_listing_the_features_in_any_order_keeps_the_report(n, seed):
+    # variables follow the feature order, so this moves the root and puts
+    # children before their parents in the CNF the analysis reads
+    model, dead = drawn(n, seed)
+    expected = analyze(model)
+    assert (expected["configuration_count"] is not None) == (len(model.features) <= 24)
+    rng = random.Random(f"order:{n}:{seed}")
+    for _ in range(2):
+        got = analyze(shuffled(model, rng))
+        assert got["consistent"] == expected["consistent"]
+        assert set(got["dead_features"]) == set(expected["dead_features"])
+        assert got["configuration_count"] == expected["configuration_count"]
 
 
 @pytest.mark.parametrize("n, seed", CASES)
@@ -136,6 +160,17 @@ def test_a_feature_excluding_a_dead_one_leaves_the_report_unchanged(n, seed):
     for name in sample(rng, dead, 3):
         other = rng.choice([f for f in model.feature_names if f != name])
         assert analyze(with_constraint(model, EXCLUDES, other, name)) == expected, (other, name)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_a_feature_requiring_a_dead_one_is_dead_too(n, seed):
+    model, dead = consistent(n, seed)
+    rng = random.Random(f"requires:{n}:{seed}")
+    for name in sample(rng, dead, 3):
+        other = rng.choice([f for f in model.feature_names if f != name])
+        after = report(with_constraint(model, REQUIRES, other, name))
+        # no configuration is added, so every dead feature stays dead
+        assert after is None or after >= dead | {other}, (other, name)
 
 
 @pytest.mark.parametrize("n, seed", CASES)

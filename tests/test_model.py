@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import time
 
 import pytest
@@ -230,11 +231,47 @@ def test_constraint_validation():
                                 Feature("C", "A", G, 0)),
                           (Group("0", "A", GroupKind.OR, ("B", "C")),)),
      "group id must be an int, got str"),
+    # fields an index or a lookup would hash or read: an unhashable value,
+    # a str where a model value belongs, or no tuple at all
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature(["B"], "A", O))),
+     "feature name must be a str, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          (Group([0], "A", GroupKind.OR, ("B", "C")),)),
+     "group id must be an int, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", ["A"], O))),
+     "feature 'B' parent must be a str, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          (Group(0, ["A"], GroupKind.OR, ("B", "C")),)),
+     "group 0 owner must be a str, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          (Group(0, "A", GroupKind.OR, (["B"], "C")),)),
+     "group 0 members[0] must be a str, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                                Feature("C", "A", O)),
+                          constraints=(CrossTreeConstraint(ConstraintKind.REQUIRES, "B", ["C"]),)),
+     "constraint target must be a str, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M, attributes=(Attribute(["n"], "string"),)),)),
+     "attribute name on feature 'A' must be a str, got list"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), "B")),
+     "model features[1] must be a Feature, got str"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)), ("or { B C }",)),
+     "model groups[0] must be a Group, got str"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                                Feature("C", "A", O)), constraints=("B requires C",)),
+     "model constraints[0] must be a CrossTreeConstraint, got str"),
+    (lambda: FeatureModel("A", (Feature("A", None, M, attributes=("size",)),)),
+     "feature 'A' attributes[0] must be an Attribute, got str"),
+    (lambda: FeatureModel("A", None),
+     "model features must be a tuple, got NoneType"),
 ])
 def test_a_field_of_the_wrong_type_is_refused(build, message):
     # refused when built: analysis, compile_model and to_source read these
     # fields as their declared types
-    with pytest.raises(ModelError, match=f"^{message}$"):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -4,7 +4,16 @@ import random
 import pytest
 
 from fmc.dsl import parse
-from fmc.model import UnknownFeatureError
+from fmc.model import (
+    ConstraintKind,
+    CrossTreeConstraint,
+    Feature,
+    FeatureModel,
+    Group,
+    GroupKind,
+    UnknownFeatureError,
+    Variability,
+)
 from fmc.propositional import (
     PropositionalFormula,
     cnf,
@@ -165,8 +174,6 @@ def test_formula_agrees_with_checker_exhaustively():
 def test_full_selection_valid_without_groups_or_excludes():
     from dataclasses import replace
 
-    from fmc.model import ConstraintKind
-
     rng = random.Random(7)
     for _ in range(30):
         model = random_model(rng, allow_groups=False)
@@ -198,6 +205,23 @@ def test_cnf_clause_order_is_pinned():
         (-1, 7, 8, 9), (-7, -8), (-7, -9), (-8, -9),
         (-3, 4),
         (-2, -5),
+    )
+    # built in code, children listed before their parents and the root
+    # last: clauses 1 to n-1 are still (-v, parent), in feature order, as
+    # analysis.dead_features reads them. E=1 D=2 C=3 F=4 B=5 A=6
+    M, O, G = Variability.MANDATORY, Variability.OPTIONAL, Variability.GROUP_MEMBER
+    child_first = FeatureModel(
+        "A",
+        (Feature("E", "A", G, 0), Feature("D", "C", O), Feature("C", "A", O),
+         Feature("F", "A", G, 0), Feature("B", "A", M), Feature("A", None, M)),
+        (Group(0, "A", GroupKind.OR, ("E", "F")),),
+        (CrossTreeConstraint(ConstraintKind.REQUIRES, "D", "B"),))
+    assert cnf(child_first) == (
+        (6,),
+        (-1, 6), (-2, 3), (-3, 6), (-4, 6), (-5, 6),
+        (-6, 5),
+        (-6, 1, 4),
+        (-2, 5),
     )
 
 
