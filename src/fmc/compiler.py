@@ -37,7 +37,7 @@ line reaches the output's spool in an encoded batch (``fmc.owl``).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 from .model import FeatureModel
@@ -85,40 +85,44 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Axiom]:
     shared, immutable objects. With disjoint=False the DisjointClasses
     block, which only a reasoner reads, is left out.
     """
-    terms: dict[str, _Terms] = {}
+    var = _variables(model)
+    terms = [None]  # terms[v]: the terms of variable v's feature
     for feature in model.features:
         name = feature.name
         cls = NamedClass(name)
-        t = terms[name] = _Terms(cls, NamedClass(name + "Rule"), SomeValuesFrom("has" + name, cls))
+        t = _Terms(cls, NamedClass(name + "Rule"), SomeValuesFrom("has" + name, cls))
+        terms.append(t)
         yield Declaration(EntityKind.CLASS, name)
         yield Declaration(EntityKind.CLASS, t.rule.name)
         yield Declaration(EntityKind.OBJECT_PROPERTY, t.exists.property)
         yield ObjectPropertyRange(t.exists.property, cls)
         yield EquivalentClasses(t.rule, t.exists)
 
-    # each relation at its first non-owner feature; constraints last, as declared
-    position = _variables(model)
-    relations = sorted((rule for rule in _rules(model, position)
-                        if rule[0] not in ("root", "parent")),
-                       key=lambda rule: len(position) + 1 if rule[0] in ("requires", "excludes")
-                       else min(map(position.__getitem__, rule[1][1:])))
-    for kind, (owner, *others), _ in relations:
-        exists = [terms[name].exists for name in others]
+    # each relation at its first non-owner feature (distinct features, so the
+    # sort compares nothing else); constraints last, as declared. A rule
+    # names the variables of its clause, the owner first
+    _, _, mandatory, group, constraint = _rules(model, var)
+    relations = sorted((min(map(abs, clause[1:])), kind, clause)
+                       for batch in (mandatory, group)
+                       for kind, clause in zip(batch.rules, batch.clauses()))
+    relations += zip(repeat(None), constraint.rules, constraint.clauses())
+    for _, kind, clause in relations:
+        owner, *others = map(terms.__getitem__, map(abs, clause))
+        exists = [t.exists for t in others]
         if kind == "mandatory":
-            yield SubClassOf(terms[owner].rule, exists[0])
+            yield SubClassOf(owner.rule, exists[0])
         elif kind == "requires":  # a constraint restricts the feature class, not its rule class
-            yield SubClassOf(terms[owner].cls, exists[0])
+            yield SubClassOf(owner.cls, exists[0])
         elif kind == "excludes":
-            yield SubClassOf(terms[owner].cls, ComplementOf(exists[0]))
+            yield SubClassOf(owner.cls, ComplementOf(exists[0]))
         else:
-            rule = terms[owner].rule
-            yield SubClassOf(rule, UnionOf(tuple(exists)))
+            yield SubClassOf(owner.rule, UnionOf(tuple(exists)))
             if kind == "alternative":
                 for pair in combinations(exists, 2):
-                    yield SubClassOf(rule, ComplementOf(IntersectionOf(pair)))
+                    yield SubClassOf(owner.rule, ComplementOf(IntersectionOf(pair)))
 
     if disjoint:
-        classes = [terms[name].cls for name in sorted(model.feature_names)]
+        classes = [terms[var[name]].cls for name in sorted(var)]
         for a, b in combinations(classes, 2):
             yield DisjointClasses(a, b)
 
@@ -131,7 +135,7 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Axiom]:
                     f"duplicate data property '{attr.name}' (attribute names are global)")
             declared.add(attr.name)
             yield Declaration(EntityKind.DATA_PROPERTY, attr.name)
-            yield DataPropertyDomain(attr.name, terms[feature.name].cls)
+            yield DataPropertyDomain(attr.name, terms[var[feature.name]].cls)
             yield DataPropertyRange(attr.name, "xsd:" + attr.datatype)
 
 

@@ -22,6 +22,8 @@ import re
 # no escaping anywhere.
 NAME = r"[A-Za-z][A-Za-z0-9_]*"
 is_name = re.compile(NAME).fullmatch
+# names one a line: many names checked in one call
+is_name_lines = re.compile(rf"{NAME}(?:\n{NAME})*").fullmatch
 
 # A character of an IRI, written between angle brackets in OWL text:
 # neither bracket, no white space, and no lone surrogate, which no UTF-8

@@ -31,7 +31,7 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
 
-from .lexer import is_name
+from .lexer import is_name, is_name_lines
 
 
 def _value(cls):
@@ -228,17 +228,23 @@ def validate(model: FeatureModel) -> None:
         if type(value) is not tuple:
             raise _wrong_type(f"model {name}", "a tuple", value)
     # each field's types are compared for all values at once, as the names
-    # below are; a loop runs only to name the first value of a wrong type
-    if set(map(type, by_name)) - {str}:
+    # below are; a loop runs only to name the first value of a wrong type.
+    # Joining the names, for the name check below, is their str check
+    try:
+        lines = "\n".join(by_name)
+    except TypeError:
         for name in by_name:
             if not isinstance(name, str):
-                raise _wrong_type("feature name", "a str", name)
+                raise _wrong_type("feature name", "a str", name) from None
+        raise
     if len(by_name) != len(features):
         names = Counter(f.name for f in features)
         dupes = sorted(n for n, count in names.items() if count > 1)
         raise ModelError(f"duplicate feature name(s): {', '.join(dupes)}")
-    # all names at once; the loop runs only to name the first bad one
-    if not (all(map(is_name, by_name)) and KEYWORDS.isdisjoint(by_name)):
+    # all names in one match; the loop runs only to name the first bad one.
+    # A name holding the separator adds one, so it never passes as two
+    if not (lines.count("\n") == len(by_name) - 1 and is_name_lines(lines)
+            and KEYWORDS.isdisjoint(by_name)):
         for name in by_name:
             if not is_name(name):
                 raise ModelError(f"invalid feature name '{name}'")

@@ -6,21 +6,30 @@ a selected or-group owner has at least one selected member; a selected
 alternative-group owner has exactly one selected member; requires/excludes
 constraints hold. Attributes never affect validity.
 
-These rules are stated once, as a list of clauses over 1-based variables
-(variable ``i`` stands for ``model.features[i - 1]``). Three readers share
-it: ``cnf`` joins the clauses into the CNF, ``is_valid_configuration``
-evaluates them on a selection and reports each broken rule, and
-``fmc.compiler`` turns each relation and constraint into OWL axioms.
+These rules are stated once, in ``_rules``, over 1-based variables
+(variable ``i`` stands for ``model.features[i - 1]``): one batch per kind
+of rule (root, parent, mandatory, group, constraint), each a few parallel
+columns of variables built with C-level ``map`` and ``zip``. Each kind's
+clause shape (``_implications``, ``_at_least_one``, ``_pairs``) is
+written once and turns the columns into clauses as they are read. Three
+readers share the batches: ``cnf`` joins their clauses in its pinned
+order; ``is_valid_configuration`` tests each batch's clauses against the
+selection's true literals with ``map(true.isdisjoint, ...)`` and reports
+each broken rule; and ``fmc.compiler`` places an OWL axiom for each
+relation and constraint. The checker applies an alternative group's
+pairwise shape only to the group's selected members, so a check takes
+time linear in the model and the selection, while the CNF, like the
+paper's OWL encoding, holds every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from operator import neg
-from typing import Iterable, Mapping
+from itertools import chain, combinations, compress, repeat
+from operator import add, attrgetter, is_, itemgetter, mul, neg
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .model import ConstraintKind, FeatureModel, GroupKind, UnknownFeatureError, Variability
+from .model import FeatureModel, UnknownFeatureError, Variability
 
 
 @dataclass(frozen=True)
@@ -86,39 +95,100 @@ def _variables(model: FeatureModel) -> dict[str, int]:
     return dict(zip(model.feature_names, range(1, len(model.features) + 1)))
 
 
-def _rules(model: FeatureModel, var: dict[str, int]):
-    """Yield (rule, features, clauses) for every configuration rule, over
-    the variables ``var`` (``_variables(model)``).
+class _Batch:
+    """The rules of one kind, as parallel columns: entry i of each is rule i's.
+
+    The clauses come from the variable columns through the kind's clause
+    shape, one clause per entry; they are built as they are read, so a
+    reader that only tests them keeps none.
+    """
+
+    __slots__ = ("rules", "columns", "shape")
+
+    def __init__(self, rules: Sequence[str], columns: tuple[Sequence, ...],
+                 shape: Callable[..., Iterator[tuple[int, ...]]]):
+        self.rules = rules  # the rule's name, as a Violation reports it
+        self.columns = columns  # the variables the shape takes, one column each
+        self.shape = shape
+
+    def clauses(self) -> Iterator[tuple[int, ...]]:
+        return self.shape(*self.columns)
+
+    def clause(self, i: int) -> tuple[int, ...]:
+        """Entry i's clause: the shape of entry i's columns alone."""
+        return next(self.shape(*[column[i:i + 1] for column in self.columns]))
+
+
+# Each kind's clause shape, from columns of variables.
+
+def _selected(variables) -> Iterator[tuple[int]]:
+    """The root rule: the variable is true."""
+    return zip(variables)
+
+
+def _implications(sources, targets) -> Iterator[tuple[int, int]]:
+    """Parent, mandatory and constraint rules: each source variable implies
+    its target literal."""
+    return zip(map(neg, sources), targets)
+
+
+def _at_least_one(owners, members) -> Iterator[tuple[int, ...]]:
+    """Group rules: each owner implies one of its members (a tuple each)."""
+    return map(add, zip(map(neg, owners)), members)
+
+
+def _pairs(members) -> Iterator[tuple[int, int]]:
+    """What an alternative group adds to its group rule: no two of the
+    members together. Child-implies-parent already forces members off when
+    the owner is off, so these clauses need no owner guard."""
+    return combinations(map(neg, members), 2)
+
+
+# a constraint's target literal is its target's variable times its sign
+_SIGN = {"requires": 1, "excludes": -1}
+
+
+def _rules(model: FeatureModel, var: dict[str, int]) -> tuple[_Batch, ...]:
+    """Every configuration rule over the variables ``var``
+    (``_variables(model)``), as the batches root, parent, mandatory, group
+    and constraint.
 
     This is the one statement of the rules: ``cnf``,
     ``is_valid_configuration`` and the compiler (``compiler._axioms``) read
-    it. The order is the order in which the checker reports violations:
-    root; per feature (feature order) its parent rule, then its mandatory
-    rule; groups (group order); cross-tree constraints (declaration order).
+    it. The columns are (root,), (child, parent), (parent, child),
+    (owner, members) and (source, target literal), and a rule names the
+    variables of its clause in that order: (owner, *members) for a group.
+    An alternative group's rule also holds the ``_pairs`` of its members.
+    A batch lists its rules in feature order (a parent or mandatory rule
+    by its child), group order or declaration order.
     """
-    yield "root", (model.root,), ((var[model.root],),)
-    for f in model.features:
-        if f.parent is None:
-            continue
-        child, parent = var[f.name], var[f.parent]
-        yield "parent", (f.name, f.parent), ((-child, parent),)
-        if f.variability is Variability.MANDATORY:
-            yield "mandatory", (f.parent, f.name), ((-parent, child),)
-    for group in model.groups:
-        members = [var[m] for m in group.members]
-        clauses = [(-var[group.owner], *members)]
-        if group.kind is GroupKind.ALTERNATIVE:
-            # child-implies-parent already forces members off when the owner
-            # is off, so the pair clauses need no owner guard
-            clauses += [(-a, -b) for a, b in combinations(members, 2)]
-        yield group.kind.value, (group.owner, *group.members), tuple(clauses)
-    for c in model.constraints:
-        target = var[c.target] if c.kind is ConstraintKind.REQUIRES else -var[c.target]
-        yield c.kind.value, (c.source, c.target), ((-var[c.source], target),)
-
-
-_CNF_ORDER = {"root": 0, "parent": 1, "mandatory": 2, "or": 3, "alternative": 3,
-              "requires": 4, "excludes": 4}
+    features, n = model.features, len(var)
+    root = var[model.root]
+    below = features[:root - 1] + features[root:]  # every feature but the root
+    children = [*range(1, root), *range(root + 1, n + 1)]
+    parents = list(map(var.__getitem__, map(attrgetter("parent"), below)))
+    is_mandatory = list(map(is_, map(attrgetter("variability"), below),
+                            repeat(Variability.MANDATORY)))
+    groups, constraints = model.groups, model.constraints
+    # a group has at least two members, so its itemgetter returns a tuple
+    members = [itemgetter(*g.members)(var) for g in groups]
+    # a kind's ``_value_`` is its value, without the ``value`` property's getter
+    constraint_kinds = list(map(attrgetter("kind._value_"), constraints))
+    return (
+        _Batch(("root",), ((root,),), _selected),
+        _Batch(("parent",) * (n - 1), (children, parents), _implications),
+        _Batch(("mandatory",) * is_mandatory.count(True),
+               (list(compress(parents, is_mandatory)), list(compress(children, is_mandatory))),
+               _implications),
+        _Batch(list(map(attrgetter("kind._value_"), groups)),
+               (list(map(var.__getitem__, map(attrgetter("owner"), groups))), members),
+               _at_least_one),
+        _Batch(constraint_kinds,
+               (list(map(var.__getitem__, map(attrgetter("source"), constraints))),
+                list(map(mul, map(_SIGN.__getitem__, constraint_kinds),
+                         map(var.__getitem__, map(attrgetter("target"), constraints))))),
+               _implications),
+    )
 
 
 def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
@@ -129,10 +199,11 @@ def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
     order: at-least-one, then pairwise at-most-one for alternatives);
     cross-tree constraints (declaration order).
     """
-    parts: tuple[list, ...] = ([], [], [], [], [])
-    for rule, _, clauses in _rules(model, _variables(model)):
-        parts[_CNF_ORDER[rule]].extend(clauses)
-    return tuple(chain.from_iterable(parts))
+    root, parent, mandatory, group, constraint = _rules(model, _variables(model))
+    groups = (chain((clause,), _pairs(members) if rule == "alternative" else ())
+              for rule, clause, members in zip(group.rules, group.clauses(), group.columns[1]))
+    return tuple(chain(root.clauses(), parent.clauses(), mandatory.clauses(),
+                       chain.from_iterable(groups), constraint.clauses()))
 
 
 def satisfies(formula: PropositionalFormula, assignment: Mapping[int, bool]) -> bool:
@@ -188,15 +259,39 @@ def is_valid_configuration(model: FeatureModel,
     chosen = set(map(var.__getitem__, selected))
     true = set(range(-len(var), 0)).difference(map(neg, chosen))
     true |= chosen
-    violations: list[Violation] = []
-    for rule, features, clauses in _rules(model, var):
-        if rule in ("or", "alternative") and features[0] not in selected:
-            continue  # a group constrains its members only under a selected owner
-        if not any(map(true.isdisjoint, clauses)):
-            continue  # every clause has a true literal
-        chosen = [m for m in features[1:] if m in selected]
-        detail = f"{', '.join(chosen)} all selected" if chosen else "none selected"
-        message = _MESSAGES[rule].format(*features, members=", ".join(features[1:]),
-                                         detail=detail)
-        violations.append(Violation(rule, features, message))
-    return (not violations, tuple(violations))
+    root, parent, mandatory, group, constraint = _rules(model, var)
+    # a group constrains its members only under a selected owner, where its
+    # at-least-one clause has no true literal to spare; an alternative
+    # group's pairs there can break only among its selected members
+    groups = set(_broken(group, true))
+    owners, members = group.columns
+    for i in compress(range(len(owners)), map(chosen.__contains__, owners)):
+        if group.rules[i] == "alternative" and any(
+                map(true.isdisjoint, _pairs(filter(chosen.__contains__, members[i])))):
+            groups.add(i)
+    # per feature, its parent rule before its mandatory rule; the feature is
+    # the child column of each, (child, parent) and (parent, child)
+    tree = sorted([(parent.columns[0][i], 0, i) for i in _broken(parent, true)]
+                  + [(mandatory.columns[1][i], 1, i) for i in _broken(mandatory, true)])
+    found = [(root, i) for i in _broken(root, true)]
+    found += [((parent, mandatory)[kind], i) for _, kind, i in tree]
+    found += [(group, i) for i in sorted(groups)]
+    found += [(constraint, i) for i in _broken(constraint, true)]
+    if not found:
+        return (True, ())
+    names = ("", *var)  # names[v]: the feature of variable v
+    return (False, tuple(
+        _violation(batch.rules[i], tuple(map(names.__getitem__, map(abs, batch.clause(i)))), selected)
+        for batch, i in found))
+
+
+def _broken(batch: _Batch, true: set[int]) -> Iterator[int]:
+    """The entries of the batch whose clause has no true literal."""
+    return compress(range(len(batch.rules)), map(true.isdisjoint, batch.clauses()))
+
+
+def _violation(rule: str, features: tuple[str, ...], selected: set[str]) -> Violation:
+    chosen = [m for m in features[1:] if m in selected]
+    detail = f"{', '.join(chosen)} all selected" if chosen else "none selected"
+    message = _MESSAGES[rule].format(*features, members=", ".join(features[1:]), detail=detail)
+    return Violation(rule, features, message)

@@ -56,6 +56,34 @@ def oracle_valid(model: FeatureModel, subset: frozenset) -> bool:
     return True
 
 
+def oracle_violations(model: FeatureModel, selected) -> list[tuple[str, tuple[str, ...]]]:
+    """The (rule, features) of every rule the selection breaks, rule by rule
+    from the model's fields, in the checker's documented order: root; per
+    feature its parent rule, then its mandatory rule; groups; constraints."""
+    selected = set(selected)
+    found = []
+    if model.root not in selected:
+        found.append(("root", (model.root,)))
+    for f in model.features:
+        if f.parent is None:
+            continue
+        if f.name in selected and f.parent not in selected:
+            found.append(("parent", (f.name, f.parent)))
+        if (f.variability is Variability.MANDATORY
+                and f.parent in selected and f.name not in selected):
+            found.append(("mandatory", (f.parent, f.name)))
+    for g in model.groups:
+        if g.owner not in selected:
+            continue
+        chosen = sum(1 for m in g.members if m in selected)
+        if chosen == 0 or (g.kind is GroupKind.ALTERNATIVE and chosen > 1):
+            found.append((g.kind.value, (g.owner, *g.members)))
+    for c in model.constraints:
+        if c.source in selected and (c.target in selected) != (c.kind is ConstraintKind.REQUIRES):
+            found.append((c.kind.value, (c.source, c.target)))
+    return found
+
+
 def oracle_configurations(model: FeatureModel) -> set[frozenset]:
     """All valid configurations, by enumerating every subset (2^n)."""
     names = model.feature_names

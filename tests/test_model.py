@@ -74,6 +74,24 @@ def test_invalid_name_rejected():
         FeatureModel("A", (Feature("A", None, M), Feature("9lives", "A", O)))
 
 
+@pytest.mark.parametrize("name", ["A\nB", "B\n", "\nB", "", "A B", "B-1"])
+def test_a_name_is_refused_by_its_own_text(name):
+    # the names are matched in one call, joined by newlines: a name holding
+    # a newline must not pass as two names
+    with pytest.raises(ModelError) as info:
+        FeatureModel("A", (Feature("A", None, M), Feature(name, "A", O)))
+    assert str(info.value) == f"invalid feature name '{name}'"
+
+
+def test_the_first_bad_name_in_feature_order_is_named():
+    bad, keyword = Feature("A\nB", "A", O), Feature("or", "A", O)
+    for features, message in (((bad, keyword), "invalid feature name 'A\nB'"),
+                              ((keyword, bad), "feature name 'or' is a reserved keyword")):
+        with pytest.raises(ModelError) as info:
+            FeatureModel("A", (Feature("A", None, M), *features))
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("keyword", sorted(KEYWORDS))
 def test_a_reserved_keyword_names_no_feature_or_attribute(keyword):
     # the DSL printer would write it where the parser reads a keyword

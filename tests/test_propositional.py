@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from fmc.propositional import (
     to_propositional,
 )
 
-from helpers import oracle_configurations, random_model
+from helpers import oracle_configurations, oracle_valid, oracle_violations, random_model, random_tree
 
 
 def all_satisfying_subsets(model):
@@ -257,3 +258,87 @@ def test_violation_messages_are_pinned():
         ("parent", ("H", "A"), "'H' is selected but its parent 'A' is not"),
     ]
     assert check("A", "B", "F", "I") == []
+
+
+def tree_configuration(rng, model):
+    """A selection that keeps the rules of the feature tree, though not
+    always the constraints: the root, each mandatory child of a selected
+    feature, some optional ones, and one or some members of each group."""
+    groups = {}
+    for g in model.groups:
+        groups.setdefault(g.owner, []).append(g)
+    selected, stack = {model.root}, [model.root]
+    while stack:
+        name = stack.pop()
+        picked = [c.name for c in model.children(name)
+                  if c.variability is Variability.MANDATORY
+                  or (c.variability is Variability.OPTIONAL and rng.random() < 0.5)]
+        for g in groups.get(name, ()):
+            k = 1 if g.kind is GroupKind.ALTERNATIVE else rng.randint(1, len(g.members))
+            picked += rng.sample(g.members, k)
+        selected.update(picked)
+        stack += picked
+    return selected
+
+
+def selections(rng, model):
+    names = model.feature_names
+    yield set()
+    yield set(names)
+    for p in (0.05, 0.5, 0.95):
+        yield {name for name in names if rng.random() < p}
+    for _ in range(4):
+        config = tree_configuration(rng, model)
+        yield config
+        yield config ^ set(rng.sample(names, rng.randint(1, 3)))
+
+
+def reordered(model, features):
+    return FeatureModel(model.root, tuple(features), model.groups, model.constraints)
+
+
+@pytest.mark.parametrize("n", [30, 100, 300, 2000])
+def test_checker_matches_the_oracle_violation_by_violation(n):
+    # seeded random trees as built, and the same trees with the features
+    # listed child first (the root last) and shuffled (the root anywhere)
+    rng = random.Random(f"violations:{n}")
+    for seed in range(4 if n < 2000 else 1):
+        model = random_tree(random.Random(f"{n}:{seed}"), n, n // 20)
+        shuffled = list(model.features)
+        rng.shuffle(shuffled)
+        for m in (model, reordered(model, reversed(model.features)), reordered(model, shuffled)):
+            for config in selections(rng, m):
+                valid, violations = is_valid_configuration(m, config)
+                expected = oracle_violations(m, config)
+                assert [(v.rule, v.features) for v in violations] == expected
+                assert valid == oracle_valid(m, frozenset(config)) == (not expected)
+
+
+def test_an_alternative_group_is_checked_in_linear_size():
+    # a check that built every pair clause of this group would build about
+    # 12.5M of them; the check tests pairs only among selected members
+    members = tuple(f"M{i}" for i in range(5000))
+    model = FeatureModel(
+        "Root",
+        (Feature("Root", None, Variability.MANDATORY),
+         *(Feature(m, "Root", Variability.GROUP_MEMBER, 0) for m in members)),
+        (Group(0, "Root", GroupKind.ALTERNATIVE, members),))
+    listed = ", ".join(members)
+    tracemalloc.start()
+    try:
+        for chosen, detail in (((), "none selected"), (members[:1], None),
+                               (members[:2], "M0, M1 all selected"),
+                               (members, f"{listed} all selected")):
+            valid, violations = is_valid_configuration(model, {"Root", *chosen})
+            assert valid == (detail is None)
+            assert [(v.rule, v.features, v.message) for v in violations] == (
+                [] if detail is None else
+                [("alternative", ("Root", *members),
+                  f"alternative group under 'Root' needs exactly one of {{{listed}}} "
+                  f"selected ({detail})")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.6 MB on CPython 3.11, most of it the sets and the message of the
+    # all-selected case; the pair clauses alone would take about 1 GB
+    assert peak < 4_000_000, f"the checks peaked at {peak / 1e6:.1f} MB"
