@@ -68,11 +68,15 @@ class Lexicon:
 
 
 def describe(token: str) -> str:
+    """How an error names a token: its text in quotes, an IRI without its
+    brackets, and a compound token such as OWL's ``DisjointClasses(:A :B)``
+    by its text up to ``(``, the word it starts with. ``(`` itself is
+    shown as it is."""
     if not token:
         return "end of input"
     if token[0] == "<":  # an IRI, shown without its brackets
         return f"'{token[1:-1]}'"
-    return f"'{token}'"
+    return f"'{token.partition('(')[0] or token}'"
 
 
 class Cursor:

@@ -41,12 +41,15 @@ The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
 are worked out only when an error is raised. A token's kind follows from
 its text: ``(``, ``)``, ``:=``, ``<iri>``, ``:Name``, ``prefix:name``, a
-word or a number. Each parse builds one ``NamedClass`` per class name and
-shares it among all the axioms that use the name. A ``DisjointClasses``
-line, nearly all of a compiled ontology, is read with one look at its
-five tokens; on any other token there the line falls back to
-``parse_axiom``, which words every error. Class expressions may nest at
-most ``MAX_EXPR_DEPTH`` levels deep.
+word, a number, or a ``DisjointClasses(:A :B)`` line as the serializer
+writes it. Each parse builds one ``NamedClass`` per class name and shares
+it among all the axioms that use the name. That compound token, nearly all
+of a compiled ontology, is read with one look and one split; a
+``DisjointClasses`` line of any other spacing or shape is five tokens,
+read by ``parse_axiom``, which words every error. Where no axiom may
+start, the compound reads as the word ``DisjointClasses`` would, and an
+error there names that word at the same position. Class expressions may
+nest at most ``MAX_EXPR_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
@@ -449,6 +452,7 @@ _EXPR_KEYWORDS = frozenset({
     "ObjectSomeValuesFrom", "ObjectAllValuesFrom",
 })
 _ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
+_is_prefixed_name = re.compile(f"{NAME}:{NAME}").fullmatch
 
 
 class _Interned(dict):
@@ -461,13 +465,15 @@ class _Interned(dict):
 
 class _OwlParser(Cursor):
     """Tokens are texts: "(", ")", ":=", "<iri>", ":Name", "prefix:name", a
-    word, a number, or "" for end of input."""
+    word, a number, "DisjointClasses(:A :B)", or "" for end of input."""
 
     # "prefix:name" is matched as a word with an optional ":name" after it,
-    # so a word's letters are read once
+    # so a word's letters are read once. A DisjointClasses line as the
+    # serializer writes it is one compound token, tried before the word
     lexicon = Lexicon(
         skip=r"[ \t\r\n]*",
-        token=rf"[()]|:=|:{NAME}|{NAME}(?::{NAME})?|<{IRI_CHAR}*>|[0-9]+",
+        token=(rf"[()]|:=|:{NAME}|DisjointClasses\(:{NAME} :{NAME}\)|{NAME}(?::{NAME})?"
+               rf"|<{IRI_CHAR}*>|[0-9]+"),
         end=r"\Z",
         other=r"[^ \t\r\n]",
     )
@@ -506,18 +512,16 @@ class _OwlParser(Cursor):
         axioms = []
         append = axioms.append
         pos = self.pos
-        last = len(tokens) - 5  # the last index a line of five tokens can start at
         while True:
             tok = tokens[pos]
-            # DisjointClasses(:A :B) in one look at its five tokens: nearly
-            # all of a compiled ontology. Anything else is read by parse_axiom
-            if tok == "DisjointClasses" and pos <= last and tokens[pos + 4] == ")":
-                a, b = tokens[pos + 2], tokens[pos + 3]
-                if (tokens[pos + 1] == "(" and a[:1] == ":" and b[:1] == ":"
-                        and a != ":=" and b != ":="):
-                    append(DisjointClasses(named[a[1:]], named[b[1:]]))
-                    pos += 5
-                    continue
+            # DisjointClasses(:A :B), nearly all of a compiled ontology, is
+            # one token: its two names come from one split. Any other
+            # spacing or shape is five tokens, read by parse_axiom
+            if tok[:16] == "DisjointClasses(":
+                a, b = tok[17:-1].split(" :")
+                append(DisjointClasses(named[a], named[b]))
+                pos += 1
+                continue
             if tok == ")":
                 break
             if tok == "":
@@ -563,7 +567,7 @@ class _OwlParser(Cursor):
             prop = self.local_name("data property")
             datatype = self.tokens[self.pos]
             # a prefixed name such as xsd:decimal
-            if not datatype[:1].isalpha() or ":" not in datatype:
+            if not _is_prefixed_name(datatype):
                 raise self.expected("a datatype")
             self.pos += 1
             axiom = DataPropertyRange(prop, datatype)
@@ -573,9 +577,10 @@ class _OwlParser(Cursor):
     def unsupported(self, construct: str, expected: str) -> OwlSyntaxError:
         """The error for a current token outside the keywords read here:
         unsupported if it is a word, else a syntax error."""
-        tok = self.tokens[self.pos]
-        if tok[:1].isalpha() and ":" not in tok:  # a word, not a prefixed name
-            return self.error(self.pos, f"unsupported {construct} '{tok}'",
+        # a compound token reads as the word it starts with
+        word = self.tokens[self.pos].partition("(")[0]
+        if word[:1].isalpha() and ":" not in word:  # a word, not a prefixed name
+            return self.error(self.pos, f"unsupported {construct} '{word}'",
                               UnsupportedConstructError)
         return self.expected(expected)
 

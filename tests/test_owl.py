@@ -30,6 +30,7 @@ from fmc.owl import (
     UnionOf,
     UnsupportedConstructError,
     _checked_axioms,
+    _OwlParser,
     _render_axiom,
     parse_functional,
     parse_functional_file,
@@ -497,6 +498,15 @@ def test_parse_golden_file_matches_compile(aisco_ontology):
     assert parse_functional(text) == aisco_ontology
 
 
+def test_each_disjoint_classes_line_of_the_golden_file_is_one_token():
+    # a work count, not a timer: the golden file has 154 lines, 78 of them
+    # DisjointClasses lines; read as five tokens each they made 917 tokens
+    from conftest import GOLDEN_PATH
+
+    text = GOLDEN_PATH.read_text(encoding="utf-8")
+    assert len(_OwlParser(text).tokens) == 917 - 4 * 78 == 605
+
+
 def test_parse_functional_file_skips_one_leading_byte_order_mark(tmp_path):
     from conftest import GOLDEN_PATH
 
@@ -555,10 +565,21 @@ HEADER = "Prefix(:=<http://x#>)\nOntology(<http://x#>\n"
     ("Prefix(:=)\nOntology(<http://x#>\n)", "expected 'iri', got ')'", 1, 10),
     ("Prefix(:=<http://x#>)\nOntology(Foo\n)", "expected 'iri', got 'Foo'", 2, 10),
     ("Prefix(:=<http://x#>)\nOntology(", "expected 'iri', got end of input", 2, 10),
+    # a DisjointClasses line, one token as the serializer writes it, reads
+    # in the header as the word DisjointClasses
+    ("Prefix(:=<http://x#>)\nOntology(DisjointClasses(:A :B)\n)",
+     "expected 'iri', got 'DisjointClasses'", 2, 10),
+    ("Prefix(:=DisjointClasses(:A :B))\nOntology(<http://x#>\n)",
+     "expected 'iri', got 'DisjointClasses'", 1, 10),
+    ("DisjointClasses(:A :B)\n" + HEADER + ")", "expected 'Prefix', got 'DisjointClasses'", 1, 1),
+    ("Prefix(DisjointClasses(:A :B)", "expected ':=', got 'DisjointClasses'", 1, 8),
+    ("Prefix(:=<http://x#>)DisjointClasses(:A :B)",
+     "expected 'Ontology', got 'DisjointClasses'", 1, 22),
 ])
 def test_syntax_errors_carry_position(text, message, line, column):
     with pytest.raises(OwlSyntaxError) as info:
         parse_functional(text)
+    assert type(info.value) is OwlSyntaxError
     assert message in str(info.value)
     assert (info.value.line, info.value.column) == (line, column)
     # the DSL's ParseError shares the base; an OwlSyntaxError is an OwlError
@@ -602,6 +623,45 @@ DECLARED = HEADER + "".join(f"Declaration(Class(:{name}))\n" for name in "ABC")
      "n-ary DisjointClasses is not supported (expected exactly 2 operands)", 6, 22),
     ("DisjointClasses(:A :B)", OwlSyntaxError, "unclosed 'Ontology(': expected ')'", 6, 23),
     ("DisjointClasses(:A :B)\n", OwlSyntaxError, "unclosed 'Ontology(': expected ')'", 7, 1),
+    # the line as the serializer writes it is one token; where no axiom may
+    # start it reads exactly as the word DisjointClasses, at its start
+    ("SubClassOf(DisjointClasses(:A :B) :C)\n)", UnsupportedConstructError,
+     "unsupported construct 'DisjointClasses'", 6, 12),
+    ("SubClassOf(:C DisjointClasses(:A :B))\n)", UnsupportedConstructError,
+     "unsupported construct 'DisjointClasses'", 6, 15),
+    ("SubClassOf(:C ObjectComplementOf(DisjointClasses(:A :B)))\n)", UnsupportedConstructError,
+     "unsupported construct 'DisjointClasses'", 6, 34),
+    ("SubClassOf(:C ObjectIntersectionOf(:A :B DisjointClasses(:A :B)))\n)",
+     UnsupportedConstructError, "unsupported construct 'DisjointClasses'", 6, 42),
+    ("SubClassOf(:C ObjectSomeValuesFrom(DisjointClasses(:A :B) :A))\n)", OwlSyntaxError,
+     "expected object property (:Name), got 'DisjointClasses'", 6, 36),
+    ("SubClassOf(:A :B DisjointClasses(:A :B))\n)", OwlSyntaxError,
+     "expected ')', got 'DisjointClasses'", 6, 18),
+    ("EquivalentClasses(:A :B DisjointClasses(:A :B))\n)", UnsupportedConstructError,
+     "n-ary EquivalentClasses is not supported (expected exactly 2 operands)", 6, 25),
+    ("DisjointClasses(:A :B DisjointClasses(:A :B))\n)", UnsupportedConstructError,
+     "n-ary DisjointClasses is not supported (expected exactly 2 operands)", 6, 23),
+    ("DisjointClasses(DisjointClasses(:A :B) :C)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got 'DisjointClasses'", 6, 17),
+    ("Declaration(DisjointClasses(:A :B))\n)", UnsupportedConstructError,
+     "unsupported declaration kind 'DisjointClasses'", 6, 13),
+    ("Declaration(Class(DisjointClasses(:A :B)))\n)", OwlSyntaxError,
+     "expected entity name (:Name), got 'DisjointClasses'", 6, 19),
+    ("DataPropertyRange(:d DisjointClasses(:A :B))\n)", OwlSyntaxError,
+     "expected a datatype, got 'DisjointClasses'", 6, 22),
+    ("DataPropertyRange(DisjointClasses(:A :B) xsd:string)\n)", OwlSyntaxError,
+     "expected data property (:Name), got 'DisjointClasses'", 6, 19),
+    ("DataPropertyDomain(:d DisjointClasses(:A :B))\n)", OwlSyntaxError,
+     "expected domain class (:Name), got 'DisjointClasses'", 6, 23),
+    ("ObjectPropertyRange(DisjointClasses(:A :B) :A)\n)", OwlSyntaxError,
+     "expected object property (:Name), got 'DisjointClasses'", 6, 21),
+    # after the closing parenthesis
+    (")\nDisjointClasses(:A :B)", OwlSyntaxError,
+     "unexpected 'DisjointClasses' after ontology", 7, 1),
+    (")\nDisjointClasses(:A :B)\n", OwlSyntaxError,
+     "unexpected 'DisjointClasses' after ontology", 7, 1),
+    (")DisjointClasses(:A :B)", OwlSyntaxError,
+     "unexpected 'DisjointClasses' after ontology", 6, 2),
 ])
 def test_disjoint_classes_errors_keep_their_position(axiom, error, message, line, column):
     with pytest.raises(OwlSyntaxError) as info:

@@ -55,10 +55,12 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=
 
 DSL_PIECES = ["{", "}", ":", "#", " ", "\t", "\n", "\r\n", "F1", "Zed", "9", "*", "\xff",
               *sorted(KEYWORDS), "string", "decimal"]
+# "DisjointClasses(:C0 :C0)" is one token, put by mutation where no axiom may start
 OWL_PIECES = ["(", ")", ":", ":=", "<", ">", "<http://x#>", " ", "\n", "5", "owl:Thing",
               "xsd:string", ":C0", ":p0", ":d0", "Declaration", "Class", "SubClassOf",
-              "EquivalentClasses", "DisjointClasses", "ObjectComplementOf",
-              "ObjectIntersectionOf", "ObjectSomeValuesFrom", "DataPropertyRange", "\xff"]
+              "EquivalentClasses", "DisjointClasses", "DisjointClasses(:C0 :C0)",
+              "ObjectComplementOf", "ObjectIntersectionOf", "ObjectSomeValuesFrom",
+              "DataPropertyRange", "\xff"]
 
 
 def pieces_text(pieces):
