@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 from . import analysis
 from .dsl import ParseError, parse, parse_configuration
@@ -54,7 +55,7 @@ def _load_model(path: str) -> FeatureModel:
 
 @contextmanager
 def _compiling(args, *, disjoint: bool = True):
-    """The IRI and the axiom stream of the input model (see
+    """The IRI and the axiom batches of the input model (see
     ``compiler._axioms``); a compile error met in the block exits 2."""
     from . import compiler, owl
     model = _load_model(args.input)
@@ -68,7 +69,7 @@ def cmd_compile(args) -> int:
     from . import owl
     with _compiling(args) as (iri, axioms):
         try:
-            # each axiom is checked and written as it is built; none is kept
+            # each batch is checked and written as it is built; none is kept
             owl._write_functional(iri, owl._checked_axioms(iri, axioms), args.output)
         except OSError as exc:
             raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
@@ -131,7 +132,7 @@ def cmd_scaffold(args) -> int:
     from . import owl, scaffold
     # the site reads no DisjointClasses axiom, so none is built
     with _compiling(args, disjoint=False) as (iri, axioms):
-        ontology = owl.Ontology(iri, tuple(axioms))
+        ontology = owl.Ontology(iri, tuple(chain.from_iterable(axioms)))
     registry = None
     triggers_path = os.environ.get(TRIGGERS_ENV)
     if triggers_path:

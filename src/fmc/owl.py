@@ -18,24 +18,27 @@ thousands of values. An ``Ontology`` validates itself when it is built
 check again; an axiom that uses an undeclared name raises
 ``UndeclaredNameError``.
 
-Validation is one declare-before-use pass (``_checked_axioms``): it
-yields each axiom once it is checked and raises the first error in
-stream order, so a stream must declare each name before it uses it.
-``validate_ontology`` runs it over an ontology's axioms as they come,
-and only if that raises, again over its declarations first and its
-other axioms after: there a name may be used before it is declared, and
-the error reported is the first in that order. A field of the wrong
-type is an ``OwlError`` too. Rendering (``_lines``) makes one line per
-axiom. The checker takes a ``DisjointClasses`` of two plain
-``NamedClass`` operands, nearly all of a compiled ontology, with two set
-lookups, and the renderer writes every ``DisjointClasses`` with one
-f-string. ``fmc compile`` chains the two over the compiler's axiom
-stream, which declares every name before its first use, and
-``_write_functional`` encodes the lines in batches into a binary
-temporary file as they come, so no axiom is kept; the output is opened
-only once the whole stream has checked out.
-``serialize_functional`` and ``write_functional`` use the same renderer
-on a built ``Ontology``.
+Validation is one declare-before-use pass (``_checked_axioms``) over
+batches of axioms: it checks the IRI at the call, then each axiom of a
+batch in one loop, yields the batch once it is checked, and raises the
+first error in stream order, so a stream must declare each name before
+it uses it. ``validate_ontology`` runs it over an ontology's axioms as
+one batch, and only if that raises, again as two batches, its
+declarations and then its other axioms: there a name may be used before
+it is declared, and the error reported is the first in that order. A
+field of the wrong type is an ``OwlError`` too. Rendering
+(``_render_axiom``) makes one line per axiom, and ``_lines`` joins the
+lines of a batch into one string. The checker takes a
+``DisjointClasses`` of two plain ``NamedClass`` operands, nearly all of
+a compiled ontology, with two set lookups, and the renderer writes
+every ``DisjointClasses`` with one f-string. ``fmc compile`` chains the
+two over the compiler's batches, which declare every name before its
+first use, and ``_write_functional`` encodes each batch's text into a
+binary temporary file in one write as it comes, so no batch is kept;
+the output is opened only once the whole stream has checked out. The
+header is rendered first, which is safe because the IRI was checked at
+the call. ``serialize_functional`` and ``write_functional`` use the same
+renderer on a built ``Ontology``.
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
@@ -55,9 +58,9 @@ nest at most ``MAX_EXPR_DEPTH`` levels deep.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse
 
 from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
 from .model import _value
@@ -226,37 +229,45 @@ def validate_ontology(ontology: Ontology) -> None:
     used before it is declared: the declarations are checked first, then
     the other axioms.
 
-    The axioms are checked in the order they come first, which is the
-    declarations-first order's verdict whenever it passes: a compiled or
-    written ontology declares each name before its first use. Only if
-    that raises are they checked again, declarations first, for the error
-    to report, or to find that every name was declared after all.
+    The axioms are checked in the order they come first, as one batch,
+    which is the declarations-first order's verdict whenever it passes: a
+    compiled or written ontology declares each name before its first use.
+    Only if that raises are they checked again, declarations first, as a
+    batch of the declarations and a batch of the rest, for the error to
+    report, or to find that every name was declared after all.
     """
     iri, axioms = ontology.iri, ontology.axioms
     try:
-        for _ in _checked_axioms(iri, axioms):
+        for _ in _checked_axioms(iri, (axioms,)):
             pass
         return
     except OwlError:
         pass
     is_declaration = Declaration.__instancecheck__  # a C call per axiom
-    checked = _checked_axioms(iri, chain(
-        filter(is_declaration, axioms), filterfalse(is_declaration, axioms)))
-    for _ in checked:
+    # the second batch is built only once the first has checked out
+    batches = (tuple(split(is_declaration, axioms)) for split in (filter, filterfalse))
+    for _ in _checked_axioms(iri, batches):
         pass
 
 
-def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
-    """Check the axioms in one pass, yielding each one once it is checked.
+def _checked_axioms(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Axiom]]:
+    """Check batches of axioms in one pass, yielding each batch once every
+    axiom in it is checked.
 
-    The stream must declare each name before it uses it, as the
-    compiler's does: the first error in stream order is raised when it is
-    met, and a use of a name not declared yet is an error.
+    The IRI is checked at the call, before any batch is pulled, so a
+    writer may render the header at once. The stream must declare each
+    name before it uses it, as the compiler's does: the first error in
+    stream order is raised when it is met, and a use of a name not
+    declared yet is an error.
     """
     if not isinstance(iri, str):
         raise _wrong_type("ontology IRI", "a str", iri)
     if not _IRI_RE.fullmatch(iri):
         raise OwlError(f"invalid ontology IRI {iri!r}")
+    return _checked_batches(batches)
+
+
+def _checked_batches(batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Axiom]]:
     declared: dict[EntityKind, set[str]] = {kind: set() for kind in EntityKind}
     classes, object_properties, data_properties = declared.values()  # EntityKind order
 
@@ -292,53 +303,54 @@ def _checked_axioms(iri: str, axioms: Iterable[Axiom]) -> Iterator[Axiom]:
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
-    for axiom in axioms:
-        # DisjointClasses first: a compiled ontology is almost all of them.
-        # Two declared plain NamedClass operands pass at once; otherwise
-        # check_class raises the error, or passes a NamedClass subclass
-        if isinstance(axiom, DisjointClasses):
-            a, b = axiom.a, axiom.b
-            try:
-                named = (type(a) is NamedClass and type(b) is NamedClass
-                         and a.name in classes and b.name in classes)
-            except TypeError:  # an unhashable name
-                named = False
-            if not named:
-                check_class(a, "DisjointClasses operand")
-                check_class(b, "DisjointClasses operand")
-        elif isinstance(axiom, Declaration):
-            kind, name = axiom.kind, axiom.name
-            if not isinstance(kind, EntityKind):
-                raise _wrong_type("declaration kind", "an EntityKind", kind)
-            if not isinstance(name, str):
-                raise _wrong_type("entity name", "a str", name)
-            if not is_name(name):
-                raise OwlError(f"invalid entity name {name!r}")
-            names = declared[kind]
-            if name in names:
-                raise OwlError(f"duplicate {kind.value} declaration '{name}'")
-            names.add(name)
-        elif isinstance(axiom, SubClassOf):
-            check_expr(axiom.sub)
-            check_expr(axiom.sup)
-        elif isinstance(axiom, EquivalentClasses):
-            check_expr(axiom.a)
-            check_expr(axiom.b)
-        elif isinstance(axiom, ObjectPropertyRange):
-            check_name(object_properties, EntityKind.OBJECT_PROPERTY, axiom.property)
-            check_expr(axiom.range)
-        elif isinstance(axiom, DataPropertyDomain):
-            check_name(data_properties, EntityKind.DATA_PROPERTY, axiom.property)
-            check_class(axiom.domain, "DataPropertyDomain domain")
-        elif isinstance(axiom, DataPropertyRange):
-            check_name(data_properties, EntityKind.DATA_PROPERTY, axiom.property)
-            if not isinstance(axiom.datatype, str):
-                raise _wrong_type("datatype", "a str", axiom.datatype)
-            if not _DATATYPE_RE.match(axiom.datatype):
-                raise OwlError(f"unsupported datatype {axiom.datatype!r}")
-        else:
-            raise OwlError(f"unknown axiom {axiom!r}")
-        yield axiom
+    for batch in batches:
+        for axiom in batch:
+            # DisjointClasses first: a compiled ontology is almost all of them.
+            # Two declared plain NamedClass operands pass at once; otherwise
+            # check_class raises the error, or passes a NamedClass subclass
+            if isinstance(axiom, DisjointClasses):
+                a, b = axiom.a, axiom.b
+                try:
+                    named = (type(a) is NamedClass and type(b) is NamedClass
+                             and a.name in classes and b.name in classes)
+                except TypeError:  # an unhashable name
+                    named = False
+                if not named:
+                    check_class(a, "DisjointClasses operand")
+                    check_class(b, "DisjointClasses operand")
+            elif isinstance(axiom, Declaration):
+                kind, name = axiom.kind, axiom.name
+                if not isinstance(kind, EntityKind):
+                    raise _wrong_type("declaration kind", "an EntityKind", kind)
+                if not isinstance(name, str):
+                    raise _wrong_type("entity name", "a str", name)
+                if not is_name(name):
+                    raise OwlError(f"invalid entity name {name!r}")
+                names = declared[kind]
+                if name in names:
+                    raise OwlError(f"duplicate {kind.value} declaration '{name}'")
+                names.add(name)
+            elif isinstance(axiom, SubClassOf):
+                check_expr(axiom.sub)
+                check_expr(axiom.sup)
+            elif isinstance(axiom, EquivalentClasses):
+                check_expr(axiom.a)
+                check_expr(axiom.b)
+            elif isinstance(axiom, ObjectPropertyRange):
+                check_name(object_properties, EntityKind.OBJECT_PROPERTY, axiom.property)
+                check_expr(axiom.range)
+            elif isinstance(axiom, DataPropertyDomain):
+                check_name(data_properties, EntityKind.DATA_PROPERTY, axiom.property)
+                check_class(axiom.domain, "DataPropertyDomain domain")
+            elif isinstance(axiom, DataPropertyRange):
+                check_name(data_properties, EntityKind.DATA_PROPERTY, axiom.property)
+                if not isinstance(axiom.datatype, str):
+                    raise _wrong_type("datatype", "a str", axiom.datatype)
+                if not _DATATYPE_RE.match(axiom.datatype):
+                    raise OwlError(f"unsupported datatype {axiom.datatype!r}")
+            else:
+                raise OwlError(f"unknown axiom {axiom!r}")
+        yield batch
 
 
 def _undeclared(kind: EntityKind, name: str) -> UndeclaredNameError:
@@ -389,12 +401,18 @@ def _render_axiom(axiom: Axiom) -> str:
     raise OwlError(f"unknown axiom {axiom!r}")
 
 
-def _lines(iri: str, axioms: Iterable[Axiom]) -> Iterator[str]:
-    """The functional-syntax text, one line (with its newline) at a time."""
-    yield f"Prefix(:=<{iri}>)\n"
-    yield f"Ontology(<{iri}>\n"
-    for axiom in axioms:
-        yield _render_axiom(axiom) + "\n"
+def _header(iri: str) -> str:
+    """The text's first two lines, without the last newline."""
+    return f"Prefix(:=<{iri}>)\nOntology(<{iri}>"
+
+
+def _lines(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[str]:
+    """The functional-syntax text in pieces: the header, the lines of each
+    batch of axioms as one string, the closing parenthesis."""
+    yield _header(iri) + "\n"
+    for batch in batches:
+        if batch:
+            yield "\n".join(map(_render_axiom, batch)) + "\n"
     yield ")\n"
 
 
@@ -405,23 +423,28 @@ def serialize_functional(ontology: Ontology) -> str:
     so the output has exactly len(axioms) + 3 lines. The owl: and xsd:
     prefixes are treated as built-ins and not declared.
     """
-    return "".join(_lines(ontology.iri, ontology.axioms))
+    # the lines of all the axioms in one join, the text's only full copy
+    return "\n".join(chain((_header(ontology.iri),), map(_render_axiom, ontology.axioms),
+                           (")", "")))
+
+
+# a built ontology is written this many axioms at a time
+_WRITE_SLICE = 4096
 
 
 def write_functional(ontology: Ontology, path) -> None:
     """Write ``serialize_functional(ontology)`` to path."""
-    _write_functional(ontology.iri, ontology.axioms, path)
+    axioms = ontology.axioms
+    _write_functional(ontology.iri, (axioms[i:i + _WRITE_SLICE]
+                                     for i in range(0, len(axioms), _WRITE_SLICE)), path)
 
 
-_SPOOL_BATCH = 4096  # lines encoded and written at a time
-
-
-def _write_functional(iri: str, axioms: Iterable[Axiom], path) -> None:
-    """Write the lines of ``serialize_functional`` as the axioms come.
+def _write_functional(iri: str, batches: Iterable[Sequence[Axiom]], path) -> None:
+    """Write the lines of ``serialize_functional`` as the batches come.
 
     The lines go to an anonymous temporary file first, and path is opened
-    for writing only once the last axiom is rendered. So an error raised
-    by the axioms leaves path as it was, or absent, and path is opened
+    for writing only once the last batch is rendered. So an error raised
+    by the batches leaves path as it was, or absent, and path is opened
     just as ``open(path, "w")`` would: links, owner and mode stay, and
     it may be a device or a pipe.
     """
@@ -430,12 +453,12 @@ def _write_functional(iri: str, axioms: Iterable[Axiom], path) -> None:
     import shutil
     import tempfile
 
-    # the spool is binary and takes the lines in encoded batches: a text
-    # spool, opened for reading too, resets its decoder on every write
-    lines = _lines(iri, axioms)
+    # the spool is binary and takes each batch's lines in one encoded
+    # write: a text spool, opened for reading too, resets its decoder on
+    # every write
     with tempfile.TemporaryFile() as spool:
-        while batch := "".join(islice(lines, _SPOOL_BATCH)):
-            spool.write(batch.encode("utf-8"))
+        for text in _lines(iri, batches):
+            spool.write(text.encode("utf-8"))
         spool.seek(0)
         with open(path, "wb") as fh:
             shutil.copyfileobj(spool, fh)

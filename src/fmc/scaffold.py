@@ -204,12 +204,19 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
     return SiteScaffold(site, categories, predicates, forms)
 
 
+# a refusal names at most this many of the existing files, and counts the rest
+_NAMED_FILES = 3
+
+
 def _prepare(paths: list[Path], overwrite: bool) -> None:
     if not overwrite:
         existing = [str(p) for p in paths if p.exists()]
         if existing:
+            named = ", ".join(existing[:_NAMED_FILES])
+            if len(existing) > _NAMED_FILES:
+                named += f" and {len(existing) - _NAMED_FILES} more"
             raise ScaffoldError(
-                f"refusing to overwrite existing file(s): {', '.join(existing)} "
+                f"refusing to overwrite {len(existing)} existing file(s): {named} "
                 "(pass overwrite to replace)")
 
 
@@ -225,12 +232,19 @@ def _phase2_targets(scaffold: SiteScaffold, outdir) -> list[Path]:
 def write(scaffold: SiteScaffold, outdir, overwrite: bool = False,
           zotonic_notes: bool = False) -> list[Path]:
     """Write both phases. Every target is checked, and both directories
-    made, before any file is written, so a refusal writes no file."""
-    _prepare([_phase1_target(outdir), *_phase2_targets(scaffold, outdir)], overwrite)
+    made, before any file is written, so a refusal writes no file.
+
+    Phase 2 is written first: it checks all its targets before it writes
+    any, so they are built once, there. Phase 1's one target is checked
+    here; a refusal counts the existing targets of both phases.
+    """
+    install = _phase1_target(outdir)
+    if not overwrite and install.exists():
+        _prepare([install, *_phase2_targets(scaffold, outdir)], overwrite)
     for directory in (Path(outdir), Path(outdir) / "templates"):
         directory.mkdir(parents=True, exist_ok=True)
-    return (write_phase1(scaffold, outdir, True, zotonic_notes)
-            + write_phase2(scaffold, outdir, True, zotonic_notes))
+    templates = write_phase2(scaffold, outdir, overwrite, zotonic_notes)
+    return write_phase1(scaffold, outdir, True, zotonic_notes) + templates
 
 
 def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
@@ -270,5 +284,6 @@ def write_phase2(scaffold: SiteScaffold, outdir, overwrite: bool = False,
             if f.business_logic is not None:
                 line += f" [read-only, computed: {f.business_logic}]"
             lines.append(line)
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
     return targets

@@ -275,7 +275,7 @@ def _built_cases():
         iri, axioms = _fault(rng, "use-before-declaration")
         yield (f"{category}/{n}", (iri, axioms),
                lambda iri=iri, axioms=axioms: "".join(owl._lines(
-                   iri, owl._checked_axioms(iri, axioms))))
+                   iri, owl._checked_axioms(iri, (axioms,)))))
 
 
 # --- configuration files --------------------------------------------------------

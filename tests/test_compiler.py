@@ -1,11 +1,16 @@
 import dataclasses
+import gc
 import random
+import tracemalloc
+from itertools import chain
 
 import pytest
 
-from fmc.compiler import CompileError, compile_model, default_iri
+from fmc import owl
+from fmc.compiler import _ROW_CHUNK, CompileError, _axioms, compile_model, default_iri
 from fmc.dsl import parse
 from fmc.model import (
+    Attribute,
     ConstraintKind,
     CrossTreeConstraint,
     Feature,
@@ -31,7 +36,7 @@ from fmc.owl import (
     serialize_functional,
 )
 
-from helpers import random_model
+from helpers import random_model, random_tree
 
 
 def exists(name):
@@ -305,3 +310,86 @@ DataPropertyRange(:total xsd:decimal)
 def test_every_construct_serializes_to_pinned_text():
     ontology = compile_model(parse(EVERY_CONSTRUCT), "http://example.org/shop#")
     assert serialize_functional(ontology) == EVERY_CONSTRUCT_OFN
+
+
+# --- axiom batches ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def batched_model():
+    """A seeded 300-feature tree with attributes, and alternative groups."""
+    model = random_tree(random.Random("batches"), 300, 15)
+    features = tuple(
+        dataclasses.replace(f, attributes=(Attribute(f"a{i}", "decimal"),)) if i % 10 == 0 else f
+        for i, f in enumerate(model.features))
+    model = FeatureModel(model.root, features, model.groups, model.constraints)
+    assert GroupKind.ALTERNATIVE in {g.kind for g in model.groups}
+    return model
+
+
+def test_the_batches_flatten_to_the_compiled_axioms(batched_model):
+    assert tuple(chain.from_iterable(_axioms(batched_model))) == compile_model(batched_model).axioms
+
+
+def test_the_disjointness_block_comes_a_row_at_a_time(batched_model):
+    # each batch pairs one class with at most _ROW_CHUNK of the later ones:
+    # no batch may hold the whole block, nor a whole long row
+    classes = sorted(f.name for f in batched_model.features)
+    batches = list(_axioms(batched_model))
+    rows = [b for b in batches if isinstance(b[0], DisjointClasses)]
+    later = {a: len(classes) - i - 1 for i, a in enumerate(classes)}
+    assert [(row[0].a.name, len(row)) for row in rows] == [
+        (a, min(_ROW_CHUNK, n - j)) for a, n in later.items() for j in range(0, n, _ROW_CHUNK)]
+    assert all(type(x) is DisjointClasses and x.a is row[0].a for row in rows for x in row)
+    assert max(map(len, batches)) == _ROW_CHUNK < len(classes) - 1
+    assert all(batches)
+
+
+def test_a_compile_lets_its_batches_die_young(tmp_path):
+    # the batch being built and the one before it stay under the
+    # collector's first threshold (700 new objects), so they die before any
+    # collection: with a batch per whole row, this compile ran about 100
+    model = FeatureModel("Root", (Feature("Root", None, Variability.MANDATORY), *(
+        Feature(f"F{i}", "Root", Variability.OPTIONAL) for i in range(800))))
+    iri = default_iri("Root")
+    before = gc.get_stats()[0]["collections"]
+    owl._write_functional(iri, owl._checked_axioms(iri, _axioms(model)), tmp_path / "o.ofn")
+    assert gc.get_stats()[0]["collections"] - before < 20
+
+
+def test_an_error_inside_a_batch_stops_its_rendering(batched_model, monkeypatch):
+    iri = default_iri(batched_model.root)
+    batches = list(_axioms(batched_model))
+    first_row = next(i for i, b in enumerate(batches) if isinstance(b[0], DisjointClasses))
+    row = batches[first_row]
+    middle = len(row) // 2
+    faulty = [*row[:middle], DisjointClasses(row[0].a, NamedClass("Undeclared")), *row[middle:]]
+    batches[first_row] = faulty
+    # the same error as for the axioms one at a time, and as a built ontology's
+    expected = (owl.UndeclaredNameError, "Class 'Undeclared' used but not declared")
+    with pytest.raises(owl.OwlError) as info:
+        owl.Ontology(iri, tuple(chain.from_iterable(batches)))
+    assert (type(info.value), str(info.value)) == expected
+    rendered = []
+    render = owl._render_axiom
+    monkeypatch.setattr(owl, "_render_axiom", lambda axiom: rendered.append(axiom) or render(axiom))
+    with pytest.raises(owl.OwlError) as info:
+        for _ in owl._lines(iri, owl._checked_axioms(iri, batches)):
+            pass
+    assert (type(info.value), str(info.value)) == expected
+    assert rendered == list(chain.from_iterable(batches[:first_row]))
+
+
+def test_serializing_holds_the_text_about_once(batched_model):
+    ontology = compile_model(batched_model)
+    size = len(serialize_functional(ontology))
+    tracemalloc.start()
+    try:
+        serialize_functional(ontology)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text is 1.36 MB, and one join over the line of every axiom peaks
+    # at 5.41 MB (CPython 3.11). The bound is that plus 10%, which one more
+    # copy of the text, held beside the lines, would break
+    assert size == 1_358_340
+    assert peak < 5_950_000, f"serialize_functional peaked at {peak / 1e6:.2f} MB"

@@ -153,7 +153,7 @@ def test_disjoint_classes_operands_check_and_render_as_elsewhere(a, b, outcome):
     def result(axiom):
         """The rendered line if the axiom checks out, else the error."""
         try:
-            list(_checked_axioms(IRI, (*decls, axiom)))
+            list(_checked_axioms(IRI, [(*decls, axiom)]))
         except OwlError as exc:
             return type(exc), str(exc)
         text = serialize_functional(Ontology(IRI, (*decls, axiom)))
@@ -450,7 +450,7 @@ def test_a_value_out_of_place_is_an_owl_error(axiom, message):
     assert first_error(decl, axiom) == (OwlError, message)
     # the stream checker that fmc compile runs says the same
     with pytest.raises(OwlError) as info:
-        list(_checked_axioms(IRI, (decl, axiom)))
+        list(_checked_axioms(IRI, [(decl, axiom)]))
     assert type(info.value) is OwlError and str(info.value) == message
 
 

@@ -17,6 +17,7 @@ from fmc.scaffold import (
     generate,
     load_triggers,
     normalize_triggers,
+    write,
     write_phase1,
     write_phase2,
 )
@@ -251,6 +252,37 @@ def test_write_refuses_overwrite_without_flag(tmp_path, aisco_ontology):
     with pytest.raises(ScaffoldError, match="refusing to overwrite"):
         write_phase2(scaffold, tmp_path)
     write_phase2(scaffold, tmp_path, overwrite=True)
+
+
+def test_a_refusal_names_three_files_and_counts_the_rest(tmp_path, aisco_ontology):
+    scaffold = generate(aisco_ontology)
+    written = write(scaffold, tmp_path)
+    assert len(written) == 27
+    shown = ", ".join(map(str, written[:3]))
+    with pytest.raises(ScaffoldError) as info:
+        write(scaffold, tmp_path)
+    assert str(info.value) == (f"refusing to overwrite 27 existing file(s): {shown} and 24 more "
+                               "(pass overwrite to replace)")
+    with pytest.raises(ScaffoldError) as info:
+        write_phase1(scaffold, tmp_path)
+    assert str(info.value) == (f"refusing to overwrite 1 existing file(s): {written[0]} "
+                               "(pass overwrite to replace)")
+
+
+@pytest.mark.parametrize("clash", [0, 1, 26], ids=["install-data", "first-template", "last-template"])
+def test_a_refused_write_writes_nothing(tmp_path, aisco_ontology, clash):
+    scaffold = generate(aisco_ontology)
+    target = write(scaffold, tmp_path / "model")[clash].relative_to(tmp_path / "model")
+    site = tmp_path / "site"
+    (site / target).parent.mkdir(parents=True, exist_ok=True)
+    (site / target).write_text("kept")
+    with pytest.raises(ScaffoldError) as info:
+        write(scaffold, site)
+    assert str(info.value) == (f"refusing to overwrite 1 existing file(s): {site / target} "
+                               "(pass overwrite to replace)")
+    assert [p for p in site.rglob("*") if p.is_file()] == [site / target]
+    assert (site / target).read_text() == "kept"
+    assert len(write(scaffold, site, overwrite=True)) == 27
 
 
 def test_writes_are_deterministic(tmp_path, aisco_ontology):
