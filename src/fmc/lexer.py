@@ -102,8 +102,10 @@ class Cursor:
         tokens[-1] = ""
         self.tokens = tokens
         self.pos = 0
-        # a catch-all token is one character, so only those need a look
-        unexpected = {t for t in set(tokens) if len(t) == 1 and not lexicon.token_re.fullmatch(t)}
+        # a catch-all token is one character: only the distinct ones of
+        # those need a look, picked out without a set of every token
+        one_character = {t for t in tokens if len(t) == 1}
+        unexpected = {t for t in one_character if not lexicon.token_re.fullmatch(t)}
         if unexpected:
             at = next(i for i, t in enumerate(tokens) if t in unexpected)
             raise self.error(at, f"unexpected character {tokens[at]!r}")

@@ -10,13 +10,15 @@ values are immutable after construction and safe to share.
 
 ``Feature``, ``Attribute``, ``Group`` and ``CrossTreeConstraint`` are
 frozen slotted dataclasses built by ``_value``, as the OWL values are
-(``fmc.owl``): a parse builds one ``Feature`` per feature. ``validate``
-first compares the types of the names and enum fields for all values at
-once, then checks every feature in one pass; a list where a tuple is
-declared, or a group id that is not an int, is refused. A field that
-building the indexes or a lookup cannot hash or read (a list as a name,
-a str where a ``Feature`` belongs) is named by a walk over every field,
-run only once that has raised, so it too ends in ``ModelError``. A
+(``fmc.owl``): a parse builds one ``Feature`` per feature. The type of
+every field, and how an error names it, is one row of ``_FIELDS``.
+``validate`` only detects a value of the wrong type: the class of every
+value in a model column, and the types of the names and enum fields,
+are compared for all values at once; a list where a tuple is declared,
+a group id that is not an int, and a field that building the indexes or
+a lookup cannot hash or read (a list as a name) are hits too. Only on a
+hit does ``_wrong_field`` walk the table, to name the first field of the
+wrong type in a ``ModelError``. Features are checked in one pass: a
 parent listed before its child, as every parsed model lists it, links
 the child to the root with one set lookup; a feature listed before its
 parent falls back to a walk up its parent links after that pass, which
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
+from types import NoneType
 
 from .lexer import is_name, is_name_lines
 
@@ -214,29 +216,52 @@ class FeatureModel:
         return tuple(self._by_name)  # in feature order: the names are unique
 
 
+# The type of every field of the model values, one row a field in the
+# order ``_wrong_field`` looks at them: the field, its allowed exact types,
+# how an error names it, and for a tuple, the class of its items. The
+# wording reads the value as ``v`` and the value holding it as ``owner``;
+# a field it reads comes earlier, so it is already a str or an int.
+_FIELDS = {
+    FeatureModel: (("features", (tuple,), "model features", Feature),
+                   ("groups", (tuple,), "model groups", Group),
+                   ("constraints", (tuple,), "model constraints", CrossTreeConstraint)),
+    Feature: (("name", (str,), "feature name", None),
+              ("parent", (str, NoneType), "feature '{v.name}' parent", None),
+              ("variability", (Variability,), "feature '{v.name}' variability", None),
+              ("group", (int, NoneType), "feature '{v.name}' group", None),
+              ("attributes", (tuple,), "feature '{v.name}' attributes", Attribute)),
+    Attribute: (("name", (str,), "attribute name on feature '{owner.name}'", None),
+                ("datatype", (str,), "attribute datatype on feature '{owner.name}'", None)),
+    Group: (("id", (int,), "group id", None),
+            ("owner", (str,), "group {v.id} owner", None),
+            ("kind", (GroupKind,), "group {v.id} kind", None),
+            ("members", (tuple,), "group {v.id} members", str)),
+    CrossTreeConstraint: (("kind", (ConstraintKind,), "constraint kind", None),
+                          ("source", (str,), "constraint source", None),
+                          ("target", (str,), "constraint target", None)),
+}
+
+
 def validate(model: FeatureModel) -> None:
     """Check every structural invariant; raise ModelError on the first failure.
 
     This runs when a ``FeatureModel`` is built, so every model, parsed or
-    built in code, has passed it.
+    built in code, has passed it. A field of the wrong type is only
+    detected here; ``_wrong_field`` names it.
     """
-    features, by_name = model.features, model._by_name
-    # a list where a tuple is declared would leave the model unhashable,
-    # and unequal to the model its DSL text reads back as
-    for name in ("features", "groups", "constraints"):
-        value = getattr(model, name)
-        if type(value) is not tuple:
-            raise _wrong_type(f"model {name}", "a tuple", value)
-    # each field's types are compared for all values at once, as the names
-    # below are; a loop runs only to name the first value of a wrong type.
+    features, groups, by_name = model.features, model.groups, model._by_name
+    # a list where a tuple is declared, or a value of another class (a
+    # namedtuple for a Feature), would leave the model unhashable, or
+    # unequal to the model its DSL text reads back as
+    for values, cls in ((features, Feature), (groups, Group),
+                        (model.constraints, CrossTreeConstraint)):
+        if type(values) is not tuple or set(map(type, values)) - {cls}:
+            raise _wrong_field(model)
     # Joining the names, for the name check below, is their str check
     try:
         lines = "\n".join(by_name)
     except TypeError:
-        for name in by_name:
-            if not isinstance(name, str):
-                raise _wrong_type("feature name", "a str", name) from None
-        raise
+        raise _wrong_field(model) from None
     if len(by_name) != len(features):
         names = Counter(f.name for f in features)
         dupes = sorted(n for n, count in names.items() if count > 1)
@@ -250,17 +275,13 @@ def validate(model: FeatureModel) -> None:
                 raise ModelError(f"invalid feature name '{name}'")
             if name in KEYWORDS:
                 raise ModelError(f"feature name '{name}' is a reserved keyword")
-    if set(map(type, map(attrgetter("variability"), features))) - {Variability}:
-        f = next(f for f in features if type(f.variability) is not Variability)
-        raise _wrong_type(f"feature '{f.name}' variability", "a Variability", f.variability)
-    if set(map(type, map(attrgetter("kind"), model.groups))) - {GroupKind}:
-        g = next(g for g in model.groups if type(g.kind) is not GroupKind)
-        raise _wrong_type(f"group {g.id} kind", "a GroupKind", g.kind)
-    if set(map(type, map(attrgetter("kind"), model.constraints))) - {ConstraintKind}:
-        c = next(c for c in model.constraints if type(c.kind) is not ConstraintKind)
-        raise _wrong_type("constraint kind", "a ConstraintKind", c.kind)
+    # a comprehension reads a slot at about half the cost of an attrgetter
+    if ({type(f.variability) for f in features} - {Variability}
+            or {type(g.kind) for g in groups} - {GroupKind}
+            or {type(c.kind) for c in model.constraints} - {ConstraintKind}):
+        raise _wrong_field(model)
 
-    parents = list(map(attrgetter("parent"), features))
+    parents = [f.parent for f in features]
     if parents.count(None) != 1:
         raise ModelError(f"expected exactly one root feature, found {parents.count(None)}")
     root = features[parents.index(None)]
@@ -291,12 +312,12 @@ def validate(model: FeatureModel) -> None:
                              "must occur together")
         if group is not None:
             if type(group) is not int:
-                raise _wrong_type(f"feature '{f.name}' group", "an int", group)
+                raise _wrong_field(model)
             members_by_group.setdefault((parent, group), set()).add(f.name)
             if unknown_group is None and group not in groups_by_id:
                 unknown_group = f
         if f.attributes != ():  # a list, even an empty one, is refused there
-            _validate_attributes(f)
+            _validate_attributes(model, f)
 
     # A feature listed before its parent: walk up until a reached feature.
     # The first one that never gets there lies on or below a cycle, and the
@@ -310,14 +331,12 @@ def validate(model: FeatureModel) -> None:
             cur = by_name[cur.parent]
         reached.update(path)
 
-    group_ids = [g.id for g in model.groups]
+    group_ids = [g.id for g in groups]
     if len(group_ids) != len(set(group_ids)):
         raise ModelError("duplicate group ids")
-    for g in model.groups:
-        if type(g.id) is not int:
-            raise _wrong_type("group id", "an int", g.id)
-        if type(g.members) is not tuple:
-            raise _wrong_type(f"group {g.id} members", "a tuple", g.members)
+    for g in groups:
+        if type(g.id) is not int or type(g.members) is not tuple:
+            raise _wrong_field(model)
         if g.owner not in by_name:
             raise ModelError(f"group {g.id} has unknown owner '{g.owner}'")
         if len(g.members) < 2:
@@ -339,68 +358,46 @@ def validate(model: FeatureModel) -> None:
             raise ModelError(f"constraint source and target are the same feature '{c.source}'")
 
 
-def _wrong_type(field: str, expected: str, value) -> ModelError:
-    return ModelError(f"{field} must be {expected}, got {type(value).__name__}")
-
-
-def _wrong_field(model: FeatureModel) -> ModelError | None:
-    """The error naming the model's first field of the wrong type, or None.
-
-    A walk over every field, run only once building the model's indexes or
-    ``validate`` has raised TypeError or AttributeError, so a valid model
-    never pays for it.
-    """
-    for name, cls, expected in (("features", Feature, "a Feature"),
-                                ("groups", Group, "a Group"),
-                                ("constraints", CrossTreeConstraint, "a CrossTreeConstraint")):
-        values = getattr(model, name)
-        if type(values) is not tuple:
-            return _wrong_type(f"model {name}", "a tuple", values)
-        for i, value in enumerate(values):
-            if not isinstance(value, cls):
-                return _wrong_type(f"model {name}[{i}]", expected, value)
-    for f in model.features:
-        if not isinstance(f.name, str):
-            return _wrong_type("feature name", "a str", f.name)
-        if not isinstance(f.parent, (str, type(None))):
-            return _wrong_type(f"feature '{f.name}' parent", "a str", f.parent)
-        if type(f.attributes) is not tuple:
-            return _wrong_type(f"feature '{f.name}' attributes", "a tuple", f.attributes)
-        for i, a in enumerate(f.attributes):
-            if not isinstance(a, Attribute):
-                return _wrong_type(f"feature '{f.name}' attributes[{i}]", "an Attribute", a)
-            if not isinstance(a.name, str):
-                return _wrong_type(f"attribute name on feature '{f.name}'", "a str", a.name)
-    for g in model.groups:
-        if type(g.id) is not int:
-            return _wrong_type("group id", "an int", g.id)
-        if not isinstance(g.owner, str):
-            return _wrong_type(f"group {g.id} owner", "a str", g.owner)
-        if type(g.members) is not tuple:
-            return _wrong_type(f"group {g.id} members", "a tuple", g.members)
-        for i, member in enumerate(g.members):
-            if not isinstance(member, str):
-                return _wrong_type(f"group {g.id} members[{i}]", "a str", member)
-    for c in model.constraints:
-        for end, value in (("source", c.source), ("target", c.target)):
-            if not isinstance(value, str):
-                return _wrong_type(f"constraint {end}", "a str", value)
-    return None
-
-
-def _validate_attributes(f: Feature) -> None:
-    if type(f.attributes) is not tuple:
-        raise _wrong_type(f"feature '{f.name}' attributes", "a tuple", f.attributes)
-    attr_names = [a.name for a in f.attributes]
+def _validate_attributes(model: FeatureModel, f: Feature) -> None:
+    attributes = f.attributes
+    if type(attributes) is not tuple or set(map(type, attributes)) - {Attribute}:
+        raise _wrong_field(model)
+    attr_names = [a.name for a in attributes]
     if len(attr_names) != len(set(attr_names)):
         raise ModelError(f"feature '{f.name}' declares duplicate attribute names")
-    for a in f.attributes:
-        if not isinstance(a.name, str):
-            raise _wrong_type(f"attribute name on feature '{f.name}'", "a str", a.name)
-        if not is_name(a.name):
+    for a in attributes:
+        if not is_name(a.name):  # a TypeError on a non-str name: __post_init__ names it
             raise ModelError(f"invalid attribute name '{a.name}' on feature '{f.name}'")
         if a.name in KEYWORDS:
             raise ModelError(
                 f"attribute name '{a.name}' on feature '{f.name}' is a reserved keyword")
         if a.datatype not in DATATYPES:
             raise ModelError(f"attribute '{a.name}' has unknown datatype '{a.datatype}'")
+
+
+def _wrong_field(value, owner=None) -> ModelError | None:
+    """The error naming the first field of the wrong type, in ``_FIELDS``
+    order, of value (a ``FeatureModel``) or of a value it holds; or None.
+
+    Run only once ``validate`` has detected a value of the wrong type, or
+    building the model's indexes or ``validate`` has raised TypeError or
+    AttributeError, so a valid model never pays for it.
+    """
+    for name, types, subject, item in _FIELDS[type(value)]:
+        got = getattr(value, name)
+        if type(got) not in types:
+            return _wrong_type(subject.format(v=value, owner=owner), types[0], got)
+        if item is None:
+            continue
+        for i, each in enumerate(got):
+            if type(each) is not item:
+                return _wrong_type(f"{subject}[{i}]".format(v=value, owner=owner), item, each)
+            error = item in _FIELDS and _wrong_field(each, value)
+            if error:
+                return error
+    return None
+
+
+def _wrong_type(subject: str, cls: type, value) -> ModelError:
+    article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
+    return ModelError(f"{subject} must be {article} {cls.__name__}, got {type(value).__name__}")

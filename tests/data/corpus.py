@@ -18,6 +18,11 @@ never from Hypothesis, whose draws change with its version. The cases:
   in, checked by building an ``Ontology``;
 - ``owl-stream/*``: the same kind of axioms fed in stream order to the
   declare-before-use checker that ``fmc compile`` runs;
+- ``model-built/wrong-type/*``: seeded models built in code with one
+  field replaced by a hashable value of the wrong type or an unhashable
+  one, or with one value replaced by a stand-in of another class with
+  equal fields (a namedtuple or a ``SimpleNamespace``); built as a
+  ``FeatureModel``, hashed and printed by ``to_source``;
 - ``config-text/*``: valid and invalid configuration files of AISCO and
   seeded models, with a line deleted or duplicated, a name changed, a
   comment, a blank line, white space or ``\r`` injected, or the text
@@ -35,6 +40,7 @@ regenerates the file, and its diff shows each case it touched.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -48,7 +54,7 @@ sys.path.insert(0, str(DATA.parent))  # for helpers
 from fmc import owl  # noqa: E402
 from fmc.compiler import compile_model  # noqa: E402
 from fmc.dsl import parse, parse_configuration, to_source  # noqa: E402
-from fmc.model import KEYWORDS  # noqa: E402
+from fmc.model import KEYWORDS, FeatureModel  # noqa: E402
 from fmc.owl import (  # noqa: E402
     THING,
     AllValuesFrom,
@@ -71,7 +77,8 @@ from fmc.owl import (  # noqa: E402
 )
 from fmc.propositional import is_valid_configuration  # noqa: E402
 
-from helpers import oracle_configurations, random_model, random_ontology  # noqa: E402
+from helpers import (  # noqa: E402
+    oracle_configurations, random_model, random_ontology, stand_in)
 
 CORPUS_PATH = DATA / "corpus.json"
 AISCO_OFN = (DATA / "aisco.ofn").read_text(encoding="utf-8")
@@ -278,6 +285,71 @@ def _built_cases():
                    iri, owl._checked_axioms(iri, (axioms,)))))
 
 
+# --- models built in code with a field of the wrong type ------------------------
+
+# wrong for every model field; a set's repr would follow the string hash
+HASHABLE = (1.5, 2j, True, b"A", frozenset({"A"}))
+UNHASHABLE = (["A"], {"A": 1}, bytearray(b"A"))
+WRONG_VALUES = ("hashable", "unhashable", "stand-in")
+
+
+def _wrong_value(rng: random.Random, wrong: str, value):
+    """A hashable value of another type, or an unhashable one: a tuple as a list."""
+    if wrong == "hashable":
+        return rng.choice(HASHABLE)
+    return list(value) if type(value) is tuple else rng.choice(UNHASHABLE)
+
+
+def _replaced(rng: random.Random, value, wrong: str):
+    """A model value with one field of the wrong type, or a stand-in for it."""
+    if wrong == "stand-in":
+        return stand_in(value, rng.randrange(2))
+    name = rng.choice([f.name for f in dataclasses.fields(value)])
+    return dataclasses.replace(value, **{name: _wrong_value(rng, wrong, getattr(value, name))})
+
+
+def _wrong_model(rng: random.Random, wrong: str) -> tuple:
+    """(root, features, groups, constraints) of a seeded model with one
+    field of the wrong type, a model field or one of a value's fields, or
+    with one value, an attribute too, replaced by a stand-in."""
+    model = random_model(rng, max_features=12, allow_attributes=True)
+    parts = {"features": model.features, "groups": model.groups,
+             "constraints": model.constraints}
+    if wrong != "stand-in" and rng.randrange(8) == 0:
+        name = rng.choice(list(parts))
+        parts[name] = _wrong_value(rng, wrong, parts[name])
+        return (model.root, *parts.values())
+    # a value by its column and index, and an attribute by its feature's too
+    places = [(name, i, None) for name, values in parts.items() for i in range(len(values))]
+    places += [("features", i, j) for i, f in enumerate(model.features)
+               for j in range(len(f.attributes))]
+    name, i, j = rng.choice(places)
+    values = list(parts[name])
+    if j is None:
+        values[i] = _replaced(rng, values[i], wrong)
+    else:
+        attributes = list(values[i].attributes)
+        attributes[j] = _replaced(rng, attributes[j], wrong)
+        values[i] = dataclasses.replace(values[i], attributes=tuple(attributes))
+    parts[name] = tuple(values)
+    return (model.root, *parts.values())
+
+
+def _built_model(parts: tuple) -> str:
+    model = FeatureModel(*parts)
+    hash(model)  # a stand-in that validates may still leave it unhashable
+    return to_source(model)
+
+
+def _model_cases():
+    for wrong in WRONG_VALUES:
+        category = f"model-built/wrong-type/{wrong}"
+        rng = random.Random(category)
+        for n in range(CASES_PER_CATEGORY):
+            parts = _wrong_model(rng, wrong)
+            yield f"{category}/{n}", parts, lambda parts=parts: _built_model(parts)
+
+
 # --- configuration files --------------------------------------------------------
 
 CONFIG_MUTATIONS = ("delete", "duplicate", "rename", "inject", "truncate")
@@ -346,6 +418,7 @@ def cases():
     yield from _text_cases("owl", _owl_sources, parse_functional, serialize_functional)
     yield from _text_cases("dsl", _dsl_sources, parse, to_source)
     yield from _built_cases()
+    yield from _model_cases()
     yield from _config_cases()
 
 

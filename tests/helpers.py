@@ -7,8 +7,11 @@ counter, or clause encoding, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+from collections import namedtuple
+from types import SimpleNamespace
 
 from fmc.model import (
     Attribute,
@@ -225,6 +228,15 @@ def optional_chain(length: int) -> FeatureModel:
     features = [Feature("F0", None, Variability.MANDATORY)] + [
         Feature(f"F{i}", f"F{i - 1}", Variability.OPTIONAL) for i in range(1, length)]
     return FeatureModel("F0", tuple(features))
+
+
+def stand_in(value, namespace: bool):
+    """A value of another class with the fields of the model value: a
+    ``SimpleNamespace``, or a namedtuple. The model must refuse it."""
+    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if namespace:
+        return SimpleNamespace(**fields)
+    return namedtuple(f"{type(value).__name__}Tuple", fields)(**fields)
 
 
 def model_relation_kinds(model: FeatureModel) -> set[str]:

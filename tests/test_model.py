@@ -3,6 +3,8 @@ import dataclasses
 import pickle
 import re
 import time
+from collections import namedtuple
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +28,8 @@ from fmc.model import (
 M = Variability.MANDATORY
 O = Variability.OPTIONAL
 G = Variability.GROUP_MEMBER
+# a stand-in with a Feature's fields, which reads like one
+FeatureTuple = namedtuple("FeatureTuple", [f.name for f in dataclasses.fields(Feature)])
 
 
 def two_node():
@@ -285,6 +289,26 @@ def test_constraint_validation():
      "feature 'A' attributes[0] must be an Attribute, got str"),
     (lambda: FeatureModel("A", None),
      "model features must be a tuple, got NoneType"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                                Feature("C", "A", O)),
+                          constraints=(CrossTreeConstraint(ConstraintKind.REQUIRES, ["B"], "C"),)),
+     "constraint source must be a str, got list"),
+    # a value of another class with the same fields: equal to no value the
+    # model's DSL text reads back as, and a SimpleNamespace is unhashable
+    (lambda: FeatureModel("A", (Feature("A", None, M), FeatureTuple("B", "A", O, None, ()))),
+     "model features[1] must be a Feature, got FeatureTuple"),
+    (lambda: FeatureModel("A", (Feature("A", None, M, attributes=(
+        SimpleNamespace(name="size", datatype="integer"),)),)),
+     "feature 'A' attributes[0] must be an Attribute, got SimpleNamespace"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", G, 0),
+                                Feature("C", "A", G, 0)),
+                          (SimpleNamespace(id=0, owner="A", kind=GroupKind.OR,
+                                           members=("B", "C")),)),
+     "model groups[0] must be a Group, got SimpleNamespace"),
+    (lambda: FeatureModel("A", (Feature("A", None, M), Feature("B", "A", O),
+                                Feature("C", "A", O)), constraints=(SimpleNamespace(
+                                    kind=ConstraintKind.REQUIRES, source="B", target="C"),)),
+     "model constraints[0] must be a CrossTreeConstraint, got SimpleNamespace"),
 ])
 def test_a_field_of_the_wrong_type_is_refused(build, message):
     # refused when built: analysis, compile_model and to_source read these
@@ -345,6 +369,13 @@ def test_every_model_value_class_has_a_sample():
     classes = {cls for cls in vars(fmc.model).values()
                if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
     assert {type(value) for value, _ in MODEL_VALUES} == classes - {FeatureModel}
+
+
+def test_every_field_of_a_model_value_class_has_a_type_row():
+    # a field added later cannot skip the type check
+    for cls in {type(value) for value, _ in MODEL_VALUES}:
+        rows = [row[0] for row in fmc.model._FIELDS[cls]]
+        assert sorted(rows) == sorted(f.name for f in dataclasses.fields(cls)), cls
 
 
 @pytest.mark.parametrize("value, shown", MODEL_VALUES,

@@ -45,7 +45,7 @@ from fmc.propositional import is_valid_configuration
 from fmc.scaffold import ScaffoldError, generate, write
 
 from conftest import AISCO_PATH
-from helpers import oracle_configurations, random_model, random_ontology
+from helpers import oracle_configurations, random_model, random_ontology, stand_in
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -429,8 +429,9 @@ MODEL_NAMES = [*sorted(KEYWORDS), *DATATYPES, "F0", "F1", "a0", "Zed", "9", "a b
 @st.composite
 def renamed_models(draw):
     """A seeded model of ``helpers.random_model`` with some feature and
-    attribute names replaced by names from MODEL_NAMES, and some enum
-    fields by their enum's string value: (root, features, groups,
+    attribute names replaced by names from MODEL_NAMES, some enum fields
+    by their enum's string value, and in about one model in four one
+    value by a stand-in with equal fields: (root, features, groups,
     constraints) to build a FeatureModel from."""
     model = random_model(random.Random(draw(st.integers(0, 2**32 - 1))), max_features=8,
                          allow_attributes=True)
@@ -444,16 +445,23 @@ def renamed_models(draw):
     def kind(member):
         return draw(st.sampled_from((member, member, member, member.value)))
 
-    features = tuple(dataclasses.replace(
+    values = len(model.features) + len(model.groups) + len(model.constraints) + sum(
+        len(f.attributes) for f in model.features)
+    swapped, seen = draw(st.integers(0, 4 * values - 1)), iter(range(values))
+
+    def value(built):
+        return stand_in(built, draw(st.booleans())) if next(seen) == swapped else built
+
+    features = tuple(value(dataclasses.replace(
         f, name=name(f.name), parent=f.parent and name(f.parent), variability=kind(f.variability),
-        attributes=tuple(dataclasses.replace(a, name=name(a.name)) for a in f.attributes))
+        attributes=tuple(value(dataclasses.replace(a, name=name(a.name))) for a in f.attributes)))
         for f in model.features)
-    groups = tuple(dataclasses.replace(g, owner=name(g.owner), members=tuple(map(name, g.members)),
-                                       kind=kind(g.kind))
-                   for g in model.groups)
-    constraints = tuple(dataclasses.replace(c, source=name(c.source), target=name(c.target),
-                                            kind=kind(c.kind))
-                        for c in model.constraints)
+    groups = tuple(value(dataclasses.replace(
+        g, owner=name(g.owner), members=tuple(map(name, g.members)), kind=kind(g.kind)))
+        for g in model.groups)
+    constraints = tuple(value(dataclasses.replace(
+        c, source=name(c.source), target=name(c.target), kind=kind(c.kind)))
+        for c in model.constraints)
     return name(model.root), features, groups, constraints
 
 
