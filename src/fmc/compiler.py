@@ -34,15 +34,16 @@ compile error is raised between batches, where it was met.
 checker into the output file a batch at a time, so no batch is kept
 once it is written, and ``fmc scaffold`` skips the DisjointClasses
 block, which is nearly all of the axioms and which the scaffold does
-not read. Each DisjointClasses pairs two of the features' shared
-``NamedClass`` terms, so the checker and the renderer take it on their
-direct path, and each batch reaches the output's spool in one encoded
-write (``fmc.owl``).
+not read. A piece of a DisjointClasses row is a ``fmc.owl._DisjointRow``
+of the features' shared ``NamedClass`` terms, which builds no axiom
+value unless it is iterated: the streaming checker passes it in one
+step and the renderer writes it with one join, and each batch reaches
+the output's spool in one encoded write (``fmc.owl``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -53,7 +54,6 @@ from .owl import (
     Declaration,
     DataPropertyDomain,
     DataPropertyRange,
-    DisjointClasses,
     EntityKind,
     EquivalentClasses,
     IntersectionOf,
@@ -64,6 +64,7 @@ from .owl import (
     SomeValuesFrom,
     SubClassOf,
     UnionOf,
+    _DisjointRow,
 )
 from .propositional import _rules, _variables
 
@@ -100,12 +101,12 @@ def _rows(items: list) -> Iterator[tuple[object, list]]:
             yield a, items[j:j + _ROW_CHUNK]
 
 
-def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[list[Axiom]]:
+def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Sequence[Axiom]]:
     """Yield the ontology's axioms in the order the module docstring
-    states, in batches (lists): each feature's five base axioms, each
-    relation's or constraint's axioms, an alternative group's pairwise
-    axioms and the DisjointClasses block a row at a time (``_rows``), and
-    each attribute's three axioms.
+    states, in batches: each feature's five base axioms, each relation's
+    or constraint's axioms, an alternative group's pairwise axioms a row
+    at a time (``_rows``), and each attribute's three axioms, as lists;
+    and the DisjointClasses block a row at a time, as ``_DisjointRow``s.
 
     Each feature's terms are built once; every axiom refers to these
     shared, immutable objects. With disjoint=False the DisjointClasses
@@ -152,7 +153,7 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[list[Axio
 
     if disjoint:
         for a, row in _rows([terms[var[name]].cls for name in sorted(var)]):
-            yield [DisjointClasses(a, b) for b in row]
+            yield _DisjointRow(a, row)
 
     # data-property names share one global namespace
     declared: set[str] = set()

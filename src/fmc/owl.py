@@ -30,15 +30,24 @@ field of the wrong type is an ``OwlError`` too. Rendering
 (``_render_axiom``) makes one line per axiom, and ``_lines`` joins the
 lines of a batch into one string. The checker takes a
 ``DisjointClasses`` of two plain ``NamedClass`` operands, nearly all of
-a compiled ontology, with two set lookups, and the renderer writes
-every ``DisjointClasses`` with one f-string. ``fmc compile`` chains the
-two over the compiler's batches, which declare every name before its
-first use, and ``_write_functional`` encodes each batch's text into a
-binary temporary file in one write as it comes, so no batch is kept;
-the output is opened only once the whole stream has checked out. The
-header is rendered first, which is safe because the IRI was checked at
-the call. ``serialize_functional`` and ``write_functional`` use the same
-renderer on a built ``Ontology``.
+a built ontology, with two set lookups, and the renderer writes every
+``DisjointClasses`` with one f-string.
+
+A batch may also be one row of a DisjointClasses block, a
+``_DisjointRow`` of a class and the classes it is disjoint with, whose
+axioms are built only when it is indexed or iterated. The checker
+passes a row whole when every operand is a plain ``NamedClass`` with a
+declared name (one set of the operands' types, one ``issuperset`` over
+their names), and ``_lines`` renders it with one join over the names,
+the same text as its axioms' lines. Any other row is checked an axiom at
+a time, so its first error is the one its axioms raise one by one.
+``fmc compile`` chains the two over the compiler's batches, which
+declare every name before its first use, and ``_write_functional``
+encodes each batch's text into a binary temporary file in one write as
+it comes, so no batch is kept; the output is opened only once the whole
+stream has checked out. The header is rendered first, which is safe
+because the IRI was checked at the call. ``serialize_functional`` and
+``write_functional`` render a built ``Ontology`` an axiom at a time.
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
@@ -60,7 +69,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, repeat
+from operator import attrgetter
 
 from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
 from .model import _value
@@ -186,6 +196,33 @@ class DisjointClasses(Axiom):
     b: NamedClass
 
 
+class _DisjointRow(Sequence):
+    """The axioms ``DisjointClasses(a, b)`` for each b in others, in order:
+    one row of a DisjointClasses block, as one batch.
+
+    Each axiom is built only when it is indexed or iterated, so the
+    checker and the renderer take a row whole, without a value per pair
+    (``_checked_batches``, ``_lines``). A slice is a row too.
+    """
+
+    __slots__ = ("a", "others")
+
+    def __init__(self, a: NamedClass, others: Sequence[NamedClass]):
+        self.a = a
+        self.others = others
+
+    def __len__(self) -> int:
+        return len(self.others)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _DisjointRow(self.a, self.others[i])
+        return DisjointClasses(self.a, self.others[i])
+
+    def __iter__(self) -> Iterator[DisjointClasses]:
+        return map(DisjointClasses, repeat(self.a), self.others)
+
+
 @_value
 class ObjectPropertyRange(Axiom):
     property: str
@@ -267,6 +304,9 @@ def _checked_axioms(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[Se
     return _checked_batches(batches)
 
 
+_name = attrgetter("name")
+
+
 def _checked_batches(batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Axiom]]:
     declared: dict[EntityKind, set[str]] = {kind: set() for kind in EntityKind}
     classes, object_properties, data_properties = declared.values()  # EntityKind order
@@ -304,6 +344,19 @@ def _checked_batches(batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Ax
             raise OwlError(f"unknown class expression {expr!r}")
 
     for batch in batches:
+        # a row of plain NamedClass operands, every name declared, passes in
+        # one step; any other row is checked an axiom at a time, below, for
+        # the error, or to pass it after all (a NamedClass subclass)
+        if type(batch) is _DisjointRow:
+            a, others = batch.a, batch.others
+            try:
+                named = (type(a) is NamedClass and set(map(type, others)) <= {NamedClass}
+                         and a.name in classes and classes.issuperset(map(_name, others)))
+            except TypeError:  # an unhashable name
+                named = False
+            if named:
+                yield batch
+                continue
         for axiom in batch:
             # DisjointClasses first: a compiled ontology is almost all of them.
             # Two declared plain NamedClass operands pass at once; otherwise
@@ -408,10 +461,18 @@ def _header(iri: str) -> str:
 
 def _lines(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[str]:
     """The functional-syntax text in pieces: the header, the lines of each
-    batch of axioms as one string, the closing parenthesis."""
+    checked batch of axioms as one string, the closing parenthesis.
+
+    A ``_DisjointRow`` is rendered with one join over its names, the same
+    text as ``_render_axiom`` makes for each of its axioms."""
     yield _header(iri) + "\n"
     for batch in batches:
-        if batch:
+        if not batch:
+            continue
+        if type(batch) is _DisjointRow:
+            head = f"DisjointClasses(:{batch.a.name} :"
+            yield head + (")\n" + head).join(map(_name, batch.others)) + ")\n"
+        else:
             yield "\n".join(map(_render_axiom, batch)) + "\n"
     yield ")\n"
 

@@ -9,11 +9,12 @@ constraints hold. Attributes never affect validity.
 These rules are stated once, in ``_rules``, over 1-based variables
 (variable ``i`` stands for ``model.features[i - 1]``): one batch per kind
 of rule (root, parent, mandatory, group, constraint), each a few parallel
-columns of variables built with C-level ``map`` and ``zip``. Each kind's
-clause shape (``_implications``, ``_at_least_one``, ``_pairs``) is
-written once and turns the columns into clauses as they are read. Three
-readers share the batches: ``cnf`` joins their clauses in its pinned
-order; ``is_valid_configuration`` tests each batch's clauses against the
+columns of variables read from the model's values with comprehensions
+and ``compress``. Each kind's clause shape (``_implications``,
+``_at_least_one``, ``_pairs``) is written once and turns the columns
+into clauses as they are read. Three readers share the batches:
+``cnf`` joins their clauses in its pinned order;
+``is_valid_configuration`` tests each batch's clauses against the
 selection's true literals with ``map(true.isdisjoint, ...)`` and reports
 each broken rule; and ``fmc.compiler`` places an OWL axiom for each
 relation and constraint. The checker applies an alternative group's
@@ -25,8 +26,8 @@ paper's OWL encoding, holds every pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, repeat
-from operator import add, attrgetter, is_, itemgetter, mul, neg
+from itertools import chain, combinations, compress
+from operator import add, itemgetter, neg
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import FeatureModel, UnknownFeatureError, Variability
@@ -166,27 +167,27 @@ def _rules(model: FeatureModel, var: dict[str, int]) -> tuple[_Batch, ...]:
     root = var[model.root]
     below = features[:root - 1] + features[root:]  # every feature but the root
     children = [*range(1, root), *range(root + 1, n + 1)]
-    parents = list(map(var.__getitem__, map(attrgetter("parent"), below)))
-    is_mandatory = list(map(is_, map(attrgetter("variability"), below),
-                            repeat(Variability.MANDATORY)))
+    # each column read with a comprehension over the values' slots, about
+    # half the cost of map(attrgetter(...)) on CPython 3.11
+    parents = [var[f.parent] for f in below]
+    mandatory = Variability.MANDATORY
+    is_mandatory = [f.variability is mandatory for f in below]
     groups, constraints = model.groups, model.constraints
     # a group has at least two members, so its itemgetter returns a tuple
     members = [itemgetter(*g.members)(var) for g in groups]
     # a kind's ``_value_`` is its value, without the ``value`` property's getter
-    constraint_kinds = list(map(attrgetter("kind._value_"), constraints))
+    constraint_kinds = [c.kind._value_ for c in constraints]
     return (
         _Batch(("root",), ((root,),), _selected),
         _Batch(("parent",) * (n - 1), (children, parents), _implications),
         _Batch(("mandatory",) * is_mandatory.count(True),
                (list(compress(parents, is_mandatory)), list(compress(children, is_mandatory))),
                _implications),
-        _Batch(list(map(attrgetter("kind._value_"), groups)),
-               (list(map(var.__getitem__, map(attrgetter("owner"), groups))), members),
+        _Batch([g.kind._value_ for g in groups], ([var[g.owner] for g in groups], members),
                _at_least_one),
         _Batch(constraint_kinds,
-               (list(map(var.__getitem__, map(attrgetter("source"), constraints))),
-                list(map(mul, map(_SIGN.__getitem__, constraint_kinds),
-                         map(var.__getitem__, map(attrgetter("target"), constraints))))),
+               ([var[c.source] for c in constraints],
+                [_SIGN[kind] * var[c.target] for kind, c in zip(constraint_kinds, constraints)]),
                _implications),
     )
 

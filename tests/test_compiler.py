@@ -356,27 +356,88 @@ def test_a_compile_lets_its_batches_die_young(tmp_path):
     assert gc.get_stats()[0]["collections"] - before < 20
 
 
-def test_an_error_inside_a_batch_stops_its_rendering(batched_model, monkeypatch):
+class _Special(NamedClass):
+    """A NamedClass subclass: the per-axiom checker takes it as a name."""
+
+    __slots__ = ()
+
+
+# Faults planted in a DisjointClasses row: a class in place of the row's
+# first operand, or one more operand in the middle of the others
+ROW_FAULTS = {
+    "undeclared": (None, NamedClass("Undeclared")),
+    "thing-as-a": (owl.THING, None),
+    "thing-among-others": (None, owl.THING),
+    "subclass-as-a": (_Special("Undeclared"), None),
+    "subclass-among-others": (None, _Special("Undeclared")),
+    "unhashable-name-as-a": (NamedClass(["A"]), None),
+    "unhashable-name-among-others": (None, NamedClass(["B"])),
+}
+
+
+@pytest.mark.parametrize("fault", ROW_FAULTS)
+def test_an_error_inside_a_batch_stops_its_rendering(batched_model, fault):
     iri = default_iri(batched_model.root)
     batches = list(_axioms(batched_model))
-    first_row = next(i for i, b in enumerate(batches) if isinstance(b[0], DisjointClasses))
+    first_row = next(i for i, b in enumerate(batches) if type(b) is owl._DisjointRow)
     row = batches[first_row]
+    a, operand = ROW_FAULTS[fault]
     middle = len(row) // 2
-    faulty = [*row[:middle], DisjointClasses(row[0].a, NamedClass("Undeclared")), *row[middle:]]
-    batches[first_row] = faulty
-    # the same error as for the axioms one at a time, and as a built ontology's
-    expected = (owl.UndeclaredNameError, "Class 'Undeclared' used but not declared")
-    with pytest.raises(owl.OwlError) as info:
+    batches[first_row] = owl._DisjointRow(row.a if a is None else a, [
+        *row.others[:middle], *(() if operand is None else (operand,)), *row.others[middle:]])
+    # the same error as a built ontology's, which checks an axiom at a time
+    with pytest.raises(owl.OwlError) as built:
         owl.Ontology(iri, tuple(chain.from_iterable(batches)))
-    assert (type(info.value), str(info.value)) == expected
-    rendered = []
-    render = owl._render_axiom
-    monkeypatch.setattr(owl, "_render_axiom", lambda axiom: rendered.append(axiom) or render(axiom))
-    with pytest.raises(owl.OwlError) as info:
-        for _ in owl._lines(iri, owl._checked_axioms(iri, batches)):
-            pass
-    assert (type(info.value), str(info.value)) == expected
-    assert rendered == list(chain.from_iterable(batches[:first_row]))
+    pieces = []
+    with pytest.raises(owl.OwlError) as streamed:
+        for piece in owl._lines(iri, owl._checked_axioms(iri, batches)):
+            pieces.append(piece)
+    assert (type(streamed.value), str(streamed.value)) == (type(built.value), str(built.value))
+    # the batches before the row are rendered, and no line of the row
+    assert "".join(pieces) == owl._header(iri) + "\n" + "".join(
+        owl._render_axiom(axiom) + "\n" for axiom in chain.from_iterable(batches[:first_row]))
+
+
+def test_a_row_of_named_class_subclasses_is_checked_and_rendered_as_its_axioms(batched_model):
+    # a subclass takes the per-axiom check, which passes it, and renders
+    # as a NamedClass does
+    iri = default_iri(batched_model.root)
+    batches = list(_axioms(batched_model))
+    first_row = next(i for i, b in enumerate(batches) if type(b) is owl._DisjointRow)
+    row = batches[first_row]
+    batches[first_row] = owl._DisjointRow(_Special(row.a.name), [_Special(b.name) for b in row.others])
+    ontology = owl.Ontology(iri, tuple(chain.from_iterable(batches)))
+    assert "".join(owl._lines(iri, owl._checked_axioms(iri, batches))) == serialize_functional(ontology)
+
+
+def test_a_row_is_the_sequence_of_its_axioms(batched_model):
+    row = next(b for b in _axioms(batched_model) if type(b) is owl._DisjointRow)
+    axioms = [DisjointClasses(row.a, b) for b in row.others]
+    assert len(row) == len(axioms) and list(row) == axioms
+    assert [row[i] for i in range(-len(row), len(row))] == axioms + axioms
+    assert list(row[3:9:2]) == axioms[3:9:2] and type(row[3:9:2]) is owl._DisjointRow
+    assert row.index(axioms[5]) == 5 and axioms[-1] in row
+    with pytest.raises(IndexError):
+        row[len(row)]
+
+
+def test_a_checked_row_renders_as_its_axioms_do(batched_model):
+    iri = default_iri(batched_model.root)
+    batches = list(_axioms(batched_model))
+    # the header, one piece per batch (none is empty), the closing parenthesis
+    pieces = list(owl._lines(iri, owl._checked_axioms(iri, batches)))[1:-1]
+    assert len(pieces) == len(batches)
+    rows = [(row, piece) for row, piece in zip(batches, pieces) if type(row) is owl._DisjointRow]
+    assert len(rows) > len(batched_model.features) - 1
+    for row, piece in rows:
+        assert piece == "\n".join(map(owl._render_axiom, row)) + "\n"
+
+
+def test_the_streamed_compile_writes_the_built_ontology(batched_model, tmp_path):
+    iri = default_iri(batched_model.root)
+    path = tmp_path / "o.ofn"
+    owl._write_functional(iri, owl._checked_axioms(iri, _axioms(batched_model)), path)
+    assert path.read_bytes() == serialize_functional(compile_model(batched_model)).encode("utf-8")
 
 
 def test_serializing_holds_the_text_about_once(batched_model):
