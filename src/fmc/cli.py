@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from itertools import chain
 
 from . import analysis
+from ._report import dumps
 from .dsl import ParseError, parse, parse_configuration
 from .lexer import read_source
 from .model import FeatureModel, ModelError, UnknownFeatureError
@@ -81,7 +82,7 @@ def cmd_check(args) -> int:
     model = _load_model(args.input)
     report = analysis.analyze(model)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(dumps(report))
     else:
         print("consistent: " + ("yes" if report["consistent"] else "no (void model)"))
         dead = report["dead_features"]
@@ -100,12 +101,12 @@ def cmd_validate(args) -> int:
     except UnknownFeatureError as exc:
         raise _Failure(1, f"{args.config}: {exc}") from exc
     if args.json:
-        print(json.dumps({
+        print(dumps({
             "valid": valid,
             "violations": [
                 {"rule": v.rule, "features": list(v.features), "message": v.message}
                 for v in violations],
-        }, indent=2))
+        }))
     else:
         if valid:
             print("configuration is valid")

@@ -64,6 +64,7 @@ from .owl import (
     SomeValuesFrom,
     SubClassOf,
     UnionOf,
+    _ROW_CHUNK,
     _DisjointRow,
 )
 from .propositional import _rules, _variables
@@ -83,14 +84,6 @@ class _Terms(NamedTuple):
     cls: NamedClass  # F
     rule: NamedClass  # FRule
     exists: SomeValuesFrom  # ∃hasF.F
-
-
-# A batch of pairs holds at most this many. While a batch is built the one
-# before it is still alive, and below the collector's first threshold (700
-# new objects) both die young. With a batch per whole row, a compile at
-# n=2000 ran about 1900 collections, which promoted the rows to the oldest
-# generation, and took about 15% longer.
-_ROW_CHUNK = 256
 
 
 def _rows(items: list) -> Iterator[tuple[object, list]]:

@@ -103,7 +103,8 @@ class Cursor:
         self.tokens = tokens
         self.pos = 0
         # a catch-all token is one character: only the distinct ones of
-        # those need a look, picked out without a set of every token
+        # those need a look, picked out without a set of every token, which
+        # would hash every distinct token text of a long text
         one_character = {t for t in tokens if len(t) == 1}
         unexpected = {t for t in one_character if not lexicon.token_re.fullmatch(t)}
         if unexpected:

@@ -53,15 +53,18 @@ The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
 are worked out only when an error is raised. A token's kind follows from
 its text: ``(``, ``)``, ``:=``, ``<iri>``, ``:Name``, ``prefix:name``, a
-word, a number, or a ``DisjointClasses(:A :B)`` line as the serializer
-writes it. Each parse builds one ``NamedClass`` per class name and shares
-it among all the axioms that use the name. That compound token, nearly all
-of a compiled ontology, is read with one look and one split; a
-``DisjointClasses`` line of any other spacing or shape is five tokens,
-read by ``parse_axiom``, which words every error. Where no axiom may
-start, the compound reads as the word ``DisjointClasses`` would, and an
-error there names that word at the same position. Class expressions may
-nest at most ``MAX_EXPR_DEPTH`` levels deep.
+word, a number, or a run of up to ``_ROW_CHUNK`` consecutive
+``DisjointClasses(:A :B)`` lines as the serializer writes them, one line
+break apart. Each parse builds one ``NamedClass`` per class name and
+shares it among all the axioms that use the name. A compiled ontology is
+nearly all one such run, so a few hundred tokens, each read with one look:
+its names come from one replace and one split, its axioms from one
+``map``. A ``DisjointClasses`` line of any other spacing or shape ends a
+run and is five tokens, read by ``parse_axiom``, which words every error.
+Where no axiom may start, a run reads as the word ``DisjointClasses``
+would, and an error there names that word at the position of the run's
+first line. Class expressions may nest at most ``MAX_EXPR_DEPTH`` levels
+deep.
 """
 
 from __future__ import annotations
@@ -194,6 +197,14 @@ class EquivalentClasses(Axiom):
 class DisjointClasses(Axiom):
     a: NamedClass
     b: NamedClass
+
+
+# At most this many axioms make one piece of a DisjointClasses block: a
+# batch of the compiler's (``fmc.compiler._rows``) and a token of the
+# reader's. Below the collector's first threshold (700 new objects) a batch
+# and the one before it die young; with a batch per whole row, a compile at
+# n=2000 ran about 1900 collections and took about 15% longer.
+_ROW_CHUNK = 256
 
 
 class _DisjointRow(Sequence):
@@ -547,17 +558,23 @@ class _Interned(dict):
         return named
 
 
+_DISJOINT_LINE = rf"DisjointClasses\(:{NAME} :{NAME}\)"
+
+
 class _OwlParser(Cursor):
     """Tokens are texts: "(", ")", ":=", "<iri>", ":Name", "prefix:name", a
-    word, a number, "DisjointClasses(:A :B)", or "" for end of input."""
+    word, a number, a run of "DisjointClasses(:A :B)" lines, or "" for end
+    of input."""
 
     # "prefix:name" is matched as a word with an optional ":name" after it,
-    # so a word's letters are read once. A DisjointClasses line as the
-    # serializer writes it is one compound token, tried before the word
+    # so a word's letters are read once. A run of up to _ROW_CHUNK
+    # consecutive DisjointClasses lines as the serializer writes them, one
+    # "\n" apart, is one compound token, tried before the word; the run
+    # ends at the last complete line, and the next line starts a new token
     lexicon = Lexicon(
         skip=r"[ \t\r\n]*",
-        token=(rf"[()]|:=|:{NAME}|DisjointClasses\(:{NAME} :{NAME}\)|{NAME}(?::{NAME})?"
-               rf"|<{IRI_CHAR}*>|[0-9]+"),
+        token=(rf"[()]|:=|:{NAME}|{_DISJOINT_LINE}(?:\n{_DISJOINT_LINE}){{0,{_ROW_CHUNK - 1}}}"
+               rf"|{NAME}(?::{NAME})?|<{IRI_CHAR}*>|[0-9]+"),
         end=r"\Z",
         other=r"[^ \t\r\n]",
     )
@@ -598,12 +615,14 @@ class _OwlParser(Cursor):
         pos = self.pos
         while True:
             tok = tokens[pos]
-            # DisjointClasses(:A :B), nearly all of a compiled ontology, is
-            # one token: its two names come from one split. Any other
-            # spacing or shape is five tokens, read by parse_axiom
+            # a run of DisjointClasses(:A :B) lines, nearly all of a compiled
+            # ontology, is one token: its names come from one split, its
+            # axioms from one map. Any other spacing or shape is five
+            # tokens, read by parse_axiom
             if tok[:16] == "DisjointClasses(":
-                a, b = tok[17:-1].split(" :")
-                append(DisjointClasses(named[a], named[b]))
+                terms = list(map(named.__getitem__,
+                                 tok[17:-1].replace(")\nDisjointClasses(:", " :").split(" :")))
+                axioms.extend(map(DisjointClasses, terms[::2], terms[1::2]))
                 pos += 1
                 continue
             if tok == ")":

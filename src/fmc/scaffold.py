@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._report import dumps
 from .owl import (
     DataPropertyDomain,
     DataPropertyRange,
@@ -263,7 +264,7 @@ def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
     document["predicates"] = [
         {"name": p.name, "valid_from": list(p.valid_from), "valid_to": list(p.valid_to)}
         for p in scaffold.predicates]
-    target.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    target.write_text(dumps(document) + "\n", encoding="utf-8")
     return [target]
 
 

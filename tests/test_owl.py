@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+from itertools import groupby
 
 import pytest
 
@@ -29,6 +30,7 @@ from fmc.owl import (
     UndeclaredNameError,
     UnionOf,
     UnsupportedConstructError,
+    _ROW_CHUNK,
     _checked_axioms,
     _OwlParser,
     _render_axiom,
@@ -39,7 +41,8 @@ from fmc.owl import (
     write_functional,
 )
 
-from helpers import random_ontology
+from fmc.compiler import compile_model
+from helpers import random_ontology, random_tree
 
 IRI = "http://example.org/spl/T#"
 
@@ -498,13 +501,29 @@ def test_parse_golden_file_matches_compile(aisco_ontology):
     assert parse_functional(text) == aisco_ontology
 
 
-def test_each_disjoint_classes_line_of_the_golden_file_is_one_token():
+def test_the_run_of_disjoint_classes_lines_of_the_golden_file_is_one_token():
     # a work count, not a timer: the golden file has 154 lines, 78 of them
-    # DisjointClasses lines; read as five tokens each they made 917 tokens
+    # DisjointClasses lines in one run; read as five tokens each they made
+    # 917 tokens, and as one token each 605
     from conftest import GOLDEN_PATH
 
     text = GOLDEN_PATH.read_text(encoding="utf-8")
-    assert len(_OwlParser(text).tokens) == 917 - 4 * 78 == 605
+    assert len(_OwlParser(text).tokens) == 917 - 5 * 78 + 1 == 528
+
+
+def test_a_run_of_disjoint_classes_lines_is_one_token_per_row_chunk():
+    # the compiled DisjointClasses block of over 600 features is one run of
+    # over 180,000 lines, whose first row alone is longer than a token holds
+    ontology = compile_model(random_tree(random.Random("runs"), 601, 20))
+    text = serialize_functional(ontology)
+    runs = [len(list(lines)) for disjoint, lines in
+            groupby(text.split("\n"), lambda line: line.startswith("DisjointClasses("))
+            if disjoint]
+    tokens = [tok for tok in _OwlParser(text).tokens if tok.startswith("DisjointClasses(")]
+    assert max(runs) > _ROW_CHUNK
+    assert len(tokens) == sum(-(-run // _ROW_CHUNK) for run in runs)
+    assert max(tok.count("\n") + 1 for tok in tokens) == _ROW_CHUNK
+    assert parse_functional(text) == ontology
 
 
 def test_parse_functional_file_skips_one_leading_byte_order_mark(tmp_path):
@@ -575,6 +594,13 @@ HEADER = "Prefix(:=<http://x#>)\nOntology(<http://x#>\n"
     ("Prefix(DisjointClasses(:A :B)", "expected ':=', got 'DisjointClasses'", 1, 8),
     ("Prefix(:=<http://x#>)DisjointClasses(:A :B)",
      "expected 'Ontology', got 'DisjointClasses'", 1, 22),
+    # a run of DisjointClasses lines reads as its first line
+    ("Prefix(DisjointClasses(:A :B)\nDisjointClasses(:A :B)",
+     "expected ':=', got 'DisjointClasses'", 1, 8),
+    ("Prefix(:=<http://x#>)DisjointClasses(:A :B)\nDisjointClasses(:A :B)",
+     "expected 'Ontology', got 'DisjointClasses'", 1, 22),
+    ("Prefix(:=<http://x#>)\nOntology(DisjointClasses(:A :B)\nDisjointClasses(:A :B)\n)",
+     "expected 'iri', got 'DisjointClasses'", 2, 10),
 ])
 def test_syntax_errors_carry_position(text, message, line, column):
     with pytest.raises(OwlSyntaxError) as info:
@@ -587,6 +613,7 @@ def test_syntax_errors_carry_position(text, message, line, column):
 
 
 DECLARED = HEADER + "".join(f"Declaration(Class(:{name}))\n" for name in "ABC")
+RUN = "DisjointClasses(:A :B)\n"
 
 
 # where a DisjointClasses line is read in one look, anything unusual takes
@@ -662,6 +689,38 @@ DECLARED = HEADER + "".join(f"Declaration(Class(:{name}))\n" for name in "ABC")
      "unexpected 'DisjointClasses' after ontology", 7, 1),
     (")DisjointClasses(:A :B)", OwlSyntaxError,
      "unexpected 'DisjointClasses' after ontology", 6, 2),
+    # a run of such lines is one token, read where no axiom may start as
+    # its first line is; a line of any other form ends the run
+    ("SubClassOf(DisjointClasses(:A :B)\nDisjointClasses(:A :C) :C)\n)",
+     UnsupportedConstructError, "unsupported construct 'DisjointClasses'", 6, 12),
+    ("SubClassOf(:C DisjointClasses(:A :B)\nDisjointClasses(:A :C))\n)",
+     UnsupportedConstructError, "unsupported construct 'DisjointClasses'", 6, 15),
+    ("Declaration(DisjointClasses(:A :B)\nDisjointClasses(:B :C))\n)",
+     UnsupportedConstructError, "unsupported declaration kind 'DisjointClasses'", 6, 13),
+    (")\nDisjointClasses(:A :B)\nDisjointClasses(:B :C)\n", OwlSyntaxError,
+     "unexpected 'DisjointClasses' after ontology", 7, 1),
+    ("DisjointClasses(:A :B)\nDisjointClasses(:A :C)\nDisjointClasses(:A :B :C)\n)",
+     UnsupportedConstructError,
+     "n-ary DisjointClasses is not supported (expected exactly 2 operands)", 8, 23),
+    ("DisjointClasses(:A :B)\r\nDisjointClasses(:A :C)\r\nDisjointClasses(:A)\n)",
+     OwlSyntaxError, "expected disjoint class (:Name), got ')'", 8, 19),
+    ("DisjointClasses(:A :B)\nDisjointClasses(:A  :C)\nDisjointClasses(:B :C)\n"
+     "DisjointClasses(:A :=)\n)", OwlSyntaxError,
+     "expected disjoint class (:Name), got ':='", 9, 20),
+    # a token holds at most _ROW_CHUNK lines; the next line starts the next
+    pytest.param(RUN * 256 + "DisjointClasses(:A)\n)", OwlSyntaxError,
+                 "expected disjoint class (:Name), got ')'", 262, 19, id="after-256-lines"),
+    pytest.param(RUN * 257 + "DisjointClasses(:A)\n)", OwlSyntaxError,
+                 "expected disjoint class (:Name), got ')'", 263, 19, id="after-257-lines"),
+    pytest.param(RUN * 256 + "))", OwlSyntaxError,
+                 "unexpected ')' after ontology", 262, 2, id="256-lines-then-two-closings"),
+    pytest.param(RUN * 257 + "))", OwlSyntaxError,
+                 "unexpected ')' after ontology", 263, 2, id="257-lines-then-two-closings"),
+    pytest.param("SubClassOf(" + RUN * 257 + ":C)\n)", UnsupportedConstructError,
+                 "unsupported construct 'DisjointClasses'", 6, 12, id="257-lines-as-an-operand"),
+    pytest.param(")\n" + RUN * 257, OwlSyntaxError,
+                 "unexpected 'DisjointClasses' after ontology", 7, 1,
+                 id="257-lines-after-the-ontology"),
 ])
 def test_disjoint_classes_errors_keep_their_position(axiom, error, message, line, column):
     with pytest.raises(OwlSyntaxError) as info:
