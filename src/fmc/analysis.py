@@ -206,10 +206,12 @@ class _Solver:
                     best = lit
         return best
 
-    def solve(self, assumptions: tuple[int, ...] = ()) -> dict[int, bool] | None:
+    def solve(self, assumptions: tuple[int, ...] = ()) -> bytearray | None:
         """A total assignment satisfying the formula and the assumption
-        literals, or None. Variables left unassigned once every clause is
-        satisfied come out False, or True when ``complete`` is set."""
+        literals, or None. The assignment is indexed by variable, 1 for
+        True and 0 for False, and its slot 0 is 0. Variables left
+        unassigned once every clause is satisfied come out False, or True
+        when ``complete`` is set."""
         if self.void:
             return None
         value, clauses, trail = self.value, self.scan, self.trail
@@ -243,8 +245,8 @@ class _Solver:
                 if pointer == count:
                     # values above floor read True; unassigned (0) does only when completing
                     floor = -1 if self.complete else 0
-                    n = self.num_vars
-                    result = dict(zip(range(1, n + 1), map(floor.__lt__, value[1:n + 1])))
+                    result = bytearray(map(floor.__lt__, value[:self.num_vars + 1]))
+                    result[0] = 0  # no variable
                     break
                 lit = self._decision(clauses[pointer])
                 levels.append((len(trail), lit, pointer, True))
@@ -266,8 +268,7 @@ class _Solver:
         return result
 
 
-def _checked(formula: PropositionalFormula,
-             assignment: dict[int, bool] | None) -> dict[int, bool] | None:
+def _checked(formula: PropositionalFormula, assignment: bytearray | None) -> bytearray | None:
     """The assignment, after checking that it satisfies every clause."""
     if assignment is not None and not satisfies(formula, assignment):
         raise AssertionError("solver returned a non-satisfying assignment")
@@ -282,7 +283,10 @@ def solve(formula: PropositionalFormula) -> dict[int, bool] | None:
     empty formula yields all-false. The assignment is re-checked against
     every clause before returning.
     """
-    return _checked(formula, _Solver(formula).solve())
+    witness = _checked(formula, _Solver(formula).solve())
+    if witness is None:
+        return None
+    return dict(zip(range(1, formula.num_vars + 1), map(bool, witness[1:])))
 
 
 def check_consistency(model: FeatureModel) -> bool:
@@ -350,7 +354,7 @@ def dead_features(model: FeatureModel) -> set[str]:
             dead[v] = 1
             decide((v,))
             continue
-        fresh = [u for u in compress(witness, witness.values()) if not alive[u]]
+        fresh = [u for u in compress(range(n + 1), witness) if not alive[u]]
         for u in fresh:
             alive[u] = 1
         decide(fresh)

@@ -47,7 +47,8 @@ encodes each batch's text into a binary temporary file in one write as
 it comes, so no batch is kept; the output is opened only once the whole
 stream has checked out. The header is rendered first, which is safe
 because the IRI was checked at the call. ``serialize_functional`` and
-``write_functional`` render a built ``Ontology`` an axiom at a time.
+``write_functional`` render a built ``Ontology`` through the same
+``_lines``, in slices of ``_WRITE_SLICE`` axioms, an axiom at a time.
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
@@ -59,7 +60,9 @@ break apart. Each parse builds one ``NamedClass`` per class name and
 shares it among all the axioms that use the name. A compiled ontology is
 nearly all one such run, so a few hundred tokens, each read with one look:
 its names come from one replace and one split, its axioms from one
-``map``. A ``DisjointClasses`` line of any other spacing or shape ends a
+``map``, and the token is dropped from the token list once they are
+built, so a read holds a run's text or its axioms, never both. A
+``DisjointClasses`` line of any other spacing or shape ends a
 run and is five tokens, read by ``parse_axiom``, which words every error.
 Where no axiom may start, a run reads as the word ``DisjointClasses``
 would, and an error there names that word at the position of the run's
@@ -72,7 +75,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import chain, filterfalse, repeat
+from itertools import filterfalse, repeat
 from operator import attrgetter
 
 from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
@@ -488,27 +491,32 @@ def _lines(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[str]:
     yield ")\n"
 
 
+# a built ontology is rendered this many axioms at a time
+_WRITE_SLICE = 4096
+
+
+def _slices(axioms: Sequence[Axiom]) -> Iterator[Sequence[Axiom]]:
+    """The axioms in consecutive slices of ``_WRITE_SLICE``."""
+    return (axioms[i:i + _WRITE_SLICE] for i in range(0, len(axioms), _WRITE_SLICE))
+
+
 def serialize_functional(ontology: Ontology) -> str:
     """Render the ontology in OWL 2 functional-style syntax.
 
     One axiom per line between the header and the closing parenthesis,
     so the output has exactly len(axioms) + 3 lines. The owl: and xsd:
     prefixes are treated as built-ins and not declared.
+
+    The text is the join of the pieces ``write_functional`` writes, one
+    per ``_WRITE_SLICE`` axioms, so at its peak it holds about two copies
+    of the text: the pieces and the result.
     """
-    # the lines of all the axioms in one join, the text's only full copy
-    return "\n".join(chain((_header(ontology.iri),), map(_render_axiom, ontology.axioms),
-                           (")", "")))
-
-
-# a built ontology is written this many axioms at a time
-_WRITE_SLICE = 4096
+    return "".join(_lines(ontology.iri, _slices(ontology.axioms)))
 
 
 def write_functional(ontology: Ontology, path) -> None:
     """Write ``serialize_functional(ontology)`` to path."""
-    axioms = ontology.axioms
-    _write_functional(ontology.iri, (axioms[i:i + _WRITE_SLICE]
-                                     for i in range(0, len(axioms), _WRITE_SLICE)), path)
+    _write_functional(ontology.iri, _slices(ontology.axioms), path)
 
 
 def _write_functional(iri: str, batches: Iterable[Sequence[Axiom]], path) -> None:
@@ -559,6 +567,10 @@ class _Interned(dict):
 
 
 _DISJOINT_LINE = rf"DisjointClasses\(:{NAME} :{NAME}\)"
+# the slot of a run token whose axioms are built: no error reads a token
+# before the current one (positions come from the text), and this is the
+# word an error names a run by
+_READ_RUN = "DisjointClasses"
 
 
 class _OwlParser(Cursor):
@@ -617,12 +629,15 @@ class _OwlParser(Cursor):
             tok = tokens[pos]
             # a run of DisjointClasses(:A :B) lines, nearly all of a compiled
             # ontology, is one token: its names come from one split, its
-            # axioms from one map. Any other spacing or shape is five
-            # tokens, read by parse_axiom
+            # axioms from one map. Once they are built the token's slot
+            # takes a shared placeholder, so a read holds the unread runs'
+            # text or their axioms, not both. Any other spacing or shape
+            # is five tokens, read by parse_axiom
             if tok[:16] == "DisjointClasses(":
                 terms = list(map(named.__getitem__,
                                  tok[17:-1].replace(")\nDisjointClasses(:", " :").split(" :")))
                 axioms.extend(map(DisjointClasses, terms[::2], terms[1::2]))
+                tokens[pos] = _READ_RUN
                 pos += 1
                 continue
             if tok == ")":

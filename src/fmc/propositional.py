@@ -207,8 +207,10 @@ def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
                        chain.from_iterable(groups), constraint.clauses()))
 
 
-def satisfies(formula: PropositionalFormula, assignment: Mapping[int, bool]) -> bool:
-    """True iff the total assignment makes every clause true."""
+def satisfies(formula: PropositionalFormula,
+              assignment: Mapping[int, bool] | Sequence[int]) -> bool:
+    """True iff the total assignment, indexed by variable, makes every
+    clause true. A sequence holds 1 for True and 0 for False."""
     for clause in formula.clauses:
         for lit in clause:
             if assignment[abs(lit)] == (lit > 0):

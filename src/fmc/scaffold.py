@@ -14,6 +14,7 @@ file mirrors.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,7 +212,9 @@ _NAMED_FILES = 3
 
 def _prepare(paths: list[Path], overwrite: bool) -> None:
     if not overwrite:
-        existing = [str(p) for p in paths if p.exists()]
+        # lexists: a dangling symbolic link exists too, and a write
+        # through it would create its target, wherever that is
+        existing = [str(p) for p in paths if os.path.lexists(p)]
         if existing:
             named = ", ".join(existing[:_NAMED_FILES])
             if len(existing) > _NAMED_FILES:
@@ -240,7 +243,7 @@ def write(scaffold: SiteScaffold, outdir, overwrite: bool = False,
     here; a refusal counts the existing targets of both phases.
     """
     install = _phase1_target(outdir)
-    if not overwrite and install.exists():
+    if not overwrite and os.path.lexists(install):
         _prepare([install, *_phase2_targets(scaffold, outdir)], overwrite)
     for directory in (Path(outdir), Path(outdir) / "templates"):
         directory.mkdir(parents=True, exist_ok=True)

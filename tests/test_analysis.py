@@ -282,7 +282,7 @@ def test_a_witness_that_breaks_a_clause_is_refused(monkeypatch, aisco_model):
 
     def all_false(self, assumptions=()):
         # breaks the root's unit clause
-        return {v: False for v in range(1, self.num_vars + 1)}
+        return bytearray(self.num_vars + 1)
 
     monkeypatch.setattr(analysis._Solver, "solve", all_false)
     with pytest.raises(AssertionError, match="non-satisfying assignment"):

@@ -273,6 +273,21 @@ def test_scaffold_refusal_writes_nothing(tmp_path, capsys):
     assert main(["scaffold", AISCO, str(outdir), "--overwrite"]) == 0
 
 
+@pytest.mark.parametrize("link", ["templates/AISCO_form.tpl.txt", "install_data.json"])
+def test_scaffold_refuses_a_dangling_link(tmp_path, capsys, link):
+    # a link to a missing file is an existing entry: a write through it
+    # would create the link's target, outside the output directory
+    outdir = tmp_path / "site"
+    (outdir / "templates").mkdir(parents=True)
+    target = tmp_path / "outside.txt"
+    (outdir / link).symlink_to(target)
+    assert main(["scaffold", AISCO, str(outdir)]) == 2
+    assert capsys.readouterr().err == (f"error: refusing to overwrite 1 existing file(s): "
+                                       f"{outdir / link} (pass overwrite to replace)\n")
+    assert not os.path.lexists(target)
+    assert not (outdir / "install_data.json").is_file()
+
+
 def test_scaffold_skip_rule_classes(tmp_path):
     outdir = tmp_path / "site"
     assert main(["scaffold", AISCO, str(outdir), "--skip-rule-classes"]) == 0

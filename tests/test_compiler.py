@@ -30,6 +30,7 @@ from fmc.owl import (
     IntersectionOf,
     NamedClass,
     ObjectPropertyRange,
+    Ontology,
     SomeValuesFrom,
     SubClassOf,
     UnionOf,
@@ -449,8 +450,19 @@ def test_serializing_holds_the_text_about_once(batched_model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the text is 1.36 MB, and one join over the line of every axiom peaks
-    # at 5.41 MB (CPython 3.11). The bound is that plus 10%, which one more
-    # copy of the text, held beside the lines, would break
+    # the text is 1.36 MB. Joined from its pieces of _WRITE_SLICE axioms it
+    # peaks at 2.72 MB (CPython 3.11): the pieces, then the text. The bound
+    # is that plus 10%, which one join over the line of every axiom (5.37
+    # MB) or one more copy of the text would break
     assert size == 1_358_340
-    assert peak < 5_950_000, f"serialize_functional peaked at {peak / 1e6:.2f} MB"
+    assert peak < 3_000_000, f"serialize_functional peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("count", [0, 1, owl._WRITE_SLICE, owl._WRITE_SLICE + 1])
+def test_serializing_joins_the_line_of_every_axiom(batched_model, count):
+    # any first axioms of a compile are an ontology: the compiler declares
+    # every name before its first use
+    compiled = compile_model(batched_model)
+    ontology = Ontology(compiled.iri, compiled.axioms[:count])
+    assert serialize_functional(ontology) == "\n".join(
+        [owl._header(ontology.iri), *map(owl._render_axiom, ontology.axioms), ")", ""])

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -524,6 +525,22 @@ def test_a_run_of_disjoint_classes_lines_is_one_token_per_row_chunk():
     assert len(tokens) == sum(-(-run // _ROW_CHUNK) for run in runs)
     assert max(tok.count("\n") + 1 for tok in tokens) == _ROW_CHUNK
     assert parse_functional(text) == ontology
+
+
+def test_a_read_holds_the_unread_runs_or_their_axioms_not_both():
+    # each run token is dropped once its axioms are built, so over the
+    # ontology it builds a read holds less than one more copy of its text
+    # (0.94 MB over 2.85 MB for this 1.35 MB text, CPython 3.11); with
+    # every token kept to the end it held 2.22 MB over
+    text = serialize_functional(compile_model(random_tree(random.Random("read"), 300, 10)))
+    tracemalloc.start()
+    try:
+        ontology = parse_functional(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ontology.axioms) == text.count("\n") - 3
+    assert peak - held < len(text), f"the read peaked {(peak - held) / 1e6:.2f} MB over its result"
 
 
 def test_parse_functional_file_skips_one_leading_byte_order_mark(tmp_path):
