@@ -10,9 +10,8 @@ features, is quoted in one ``map``. Any other value is left to
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii as _quote  # what json.encoder uses
 from itertools import repeat
-from json.encoder import encode_basestring_ascii as _quote
 
 
 def dumps(value, newline: str = "\n") -> str:
@@ -44,4 +43,5 @@ def dumps(value, newline: str = "\n") -> str:
         return f"{{{items}{newline}}}"
     # any other value, such as a float, a tuple or a key of another type:
     # with ensure_ascii every line break in json's text is one between lines
+    import json
     return json.dumps(value, indent=2).replace("\n", newline)

@@ -6,21 +6,23 @@ and a stdout closed before the report is written;
 3 void model from `check`; 4 invalid configuration from `validate`.
 Reports go to stdout (JSON with --json), logs and errors to stderr.
 
-Only `compile` and `scaffold` import the OWL side (`compiler`, `owl`,
-`scaffold`); `check`, `count` and `validate` never load it.
+Each command imports only what it runs: every command the DSL reader
+(`dsl`, `lexer`, `model`), `propositional` and `_report`; `check` and
+`count` add `analysis`; `compile` and `scaffold` add the OWL side
+(`compiler`, `owl`, and for `scaffold` also `scaffold`). `json` is
+imported only by `count --json` and by a scaffold's trigger registry,
+and `typing` by none.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from contextlib import contextmanager
 from itertools import chain
 
-from . import analysis
 from ._report import dumps
 from .dsl import ParseError, parse, parse_configuration
 from .lexer import read_source
@@ -79,6 +81,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import analysis
     model = _load_model(args.input)
     report = analysis.analyze(model)
     if args.json:
@@ -117,12 +120,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import analysis
     model = _load_model(args.input)
     try:
         count = analysis.count_configurations(model)
     except analysis.EnumerationCapError as exc:
         raise _Failure(2, f"{args.input}: {exc}") from exc
     if args.json:
+        import json
         print(json.dumps({"configuration_count": count}))
     else:
         print(count)

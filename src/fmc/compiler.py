@@ -43,9 +43,9 @@ the output's spool in one encoded write (``fmc.owl``).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
-from typing import NamedTuple
 
 from .model import FeatureModel
 from .owl import (
@@ -78,12 +78,9 @@ def default_iri(root_name: str) -> str:
     return f"http://example.org/spl/{root_name}#"
 
 
-class _Terms(NamedTuple):
-    """The class expressions one feature F contributes to many axioms."""
-
-    cls: NamedClass  # F
-    rule: NamedClass  # FRule
-    exists: SomeValuesFrom  # ∃hasF.F
+# The class expressions one feature F contributes to many axioms: the
+# NamedClass F, the NamedClass FRule and the SomeValuesFrom ∃hasF.F.
+_Terms = namedtuple("_Terms", "cls rule exists")
 
 
 def _rows(items: list) -> Iterator[tuple[object, list]]:

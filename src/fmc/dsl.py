@@ -18,11 +18,15 @@ order of their first members; the parser renumbers any other group ids.
 The parser shares its lexer and token cursor with the OWL reader
 (``fmc.lexer``): the token texts come from one ``findall``, whose skipped
 prefix takes white space and comments, and positions are worked out only
-when an error is raised. The parser compares token texts, and keeps the
-index of a token it may report later (a group's keyword, a duplicate
-name, a constraint's endpoints). A child or group member is read in
-place: a name that is neither a keyword nor taken becomes its ``Feature``
-at once. Any other token there falls back to ``expect_name`` and
+when an error is raised. Plain text is cut by one ``str.split()``
+instead, which is the same list when the text is ASCII, holds no ``#``
+and none of the control characters ``str.split()`` also splits at, and
+every piece is a brace, a colon or one name; any other text, and every
+error position, goes by the ``findall``. The parser compares token
+texts, and keeps the index of a token it may report later (a group's
+keyword, a duplicate name, a constraint's endpoints). A child or group
+member is read in place: a name that is neither a keyword nor taken
+becomes its ``Feature`` at once. Any other token there falls back to ``expect_name`` and
 ``add_feature``, which word every error, so messages, lines and columns
 are the same on either path.
 """
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .lexer import NAME, Cursor, Lexicon, PositionedError, read_source
+from .lexer import NAME, Cursor, Lexicon, PositionedError, is_name_lines, read_source
 from .model import (
     DATATYPES,
     KEYWORDS,
@@ -45,9 +49,13 @@ from .model import (
     Variability,
 )
 
-_NOT_NAMES = frozenset({"{", "}", ":", ""})
+_PUNCTUATION = frozenset("{}:")
+_NOT_NAMES = _PUNCTUATION | {""}
 _RESERVED = _NOT_NAMES | KEYWORDS  # no token here names a feature
 _CHILD_KINDS = {"mandatory": Variability.MANDATORY, "optional": Variability.OPTIONAL}
+# In ASCII text str.split() also splits at the first six, which the DSL
+# does not skip; '#' starts a comment.
+_NOT_SPLIT = "\x0b\x0c\x1c\x1d\x1e\x1f#"
 
 
 class ParseError(PositionedError):
@@ -72,6 +80,19 @@ class _Parser(Cursor):
         self.attributes: dict[str, dict[str, Attribute]] = {}  # by owner, then name
         self.groups: list[Group | None] = []
         self.constraints: list[CrossTreeConstraint] = []
+
+    def _scan(self, text: str) -> list[str]:
+        # One str.split() gives the tokens findall gives when the text is
+        # ASCII, skips only what the lexicon skips, and every piece is one
+        # token: a brace, a colon or a name.
+        if text.isascii() and not any(c in text for c in _NOT_SPLIT):
+            tokens = text.split()
+            names = set(tokens)
+            names -= _PUNCTUATION
+            if is_name_lines("\n".join(names)):
+                tokens.append("")
+                return tokens
+        return super()._scan(text)
 
     def expect_name(self, what: str = "feature name") -> int:
         """Step over a name; return its token index."""

@@ -9,7 +9,10 @@ Every position matches one of the alternatives, so ``findall`` never
 skips ahead. A catch-all token is an unexpected character, raised before
 parsing starts. Offsets, and from them line and column, are worked out
 only when an error is raised: by a ``finditer`` over the same regex to
-the token's index. ``read_source`` reads a model, configuration or OWL
+the token's index. A reader may get the same list faster where it can
+show it is the same: the DSL cuts plain text with one ``str.split()``
+(``fmc.dsl``), and the ``findall`` still defines the tokens and every
+error position. ``read_source`` reads a model, configuration or OWL
 file and drops one leading byte order mark.
 """
 
@@ -93,6 +96,12 @@ class Cursor:
 
     def __init__(self, text: str):
         self.text = text
+        self.tokens = self._scan(text)
+        self.pos = 0
+
+    def _scan(self, text: str) -> list[str]:
+        """The token texts of ``text``, the last one ``""``; an unexpected
+        character raises its error."""
         lexicon = self.lexicon
         tokens = lexicon.scan_re.findall(text)
         # The match that reaches the end of the text is the end of input.
@@ -100,8 +109,6 @@ class Cursor:
         if len(tokens) > 1 and lexicon.end_re.fullmatch(tokens[-2]):
             tokens.pop()
         tokens[-1] = ""
-        self.tokens = tokens
-        self.pos = 0
         # a catch-all token is one character: only the distinct ones of
         # those need a look, picked out without a set of every token, which
         # would hash every distinct token text of a long text
@@ -110,6 +117,7 @@ class Cursor:
         if unexpected:
             at = next(i for i, t in enumerate(tokens) if t in unexpected)
             raise self.error(at, f"unexpected character {tokens[at]!r}")
+        return tokens
 
     def error(self, index: int, message: str,
               cls: type[PositionedError] | None = None) -> PositionedError:

@@ -25,10 +25,10 @@ paper's OWL encoding, holds every pair.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress
 from operator import add, itemgetter, neg
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import FeatureModel, UnknownFeatureError, Variability
 

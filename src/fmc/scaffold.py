@@ -13,7 +13,6 @@ file mirrors.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,6 +122,7 @@ def load_triggers(path) -> dict[str, str]:
 
     Errors (OSError, ScaffoldError) leave naming the path to the caller.
     """
+    import json  # here, so a scaffold without a registry never loads it
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)

@@ -4,9 +4,11 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import fmc
 from fmc.cli import main
 from fmc.compiler import compile_model
 from fmc.dsl import parse
@@ -488,6 +490,33 @@ for argv in (["check", model], ["count", model], ["validate", model, config],
         "check False False False", "count False False False",
         "validate False False False", "compile True True False",
         "scaffold True True True"]
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # a fresh python -S: without site-packages no .pth file loads a module first
+    script = """
+import contextlib, io, sys
+import fmc
+print(*sorted(name for name in sys.modules if name.startswith("fmc.")))
+from fmc.cli import main
+model, config, out = sys.argv[1:]
+for argv in (["validate", model, config], ["validate", model, config, "--json"],
+             ["check", model, "--json"], ["count", model], ["count", model, "--json"],
+             ["compile", model, out + ".ofn"], ["scaffold", model, out]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    print(argv[0] + " --json" * ("--json" in argv),
+          *[name in sys.modules for name in ("fmc.analysis", "json", "typing")])
+"""
+    config = write_config(tmp_path, "AISCO")
+    env = {**os.environ, "PYTHONPATH": str(Path(fmc.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-S", "-c", script, AISCO, config, tmp_path / "out"],
+                            capture_output=True, text=True, check=False, env=env)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    assert result.stdout.splitlines() == [
+        "", "validate False False False", "validate --json False False False",
+        "check --json True False False", "count True False False", "count --json True True False",
+        "compile True True False", "scaffold True True False"]
 
 
 def test_every_export_resolves_on_first_use():

@@ -7,7 +7,14 @@ import pytest
 from fmc.analysis import ENUMERATION_CAP
 from fmc.dsl import ParseError, parse, parse_configuration, parse_file, to_source
 from fmc.lexer import PositionedError
-from fmc.model import ConstraintKind, GroupKind, Variability
+from fmc.model import (
+    Attribute,
+    ConstraintKind,
+    Feature,
+    FeatureModel,
+    GroupKind,
+    Variability,
+)
 
 from helpers import optional_chain, random_model
 
@@ -86,6 +93,40 @@ def test_comments_ignored():
 ])
 def test_comments_run_to_the_end_of_the_line(source, names):
     assert parse(source).feature_names == names
+
+
+# Plain text is cut by one str.split(); each text here fails one of that
+# shortcut's guards and is read by findall alone, to the same result.
+A_WITH_B = FeatureModel("A", (Feature("A", None, Variability.MANDATORY),
+                              Feature("B", "A", Variability.OPTIONAL)))
+
+
+@pytest.mark.parametrize("source,model", [
+    pytest.param("feature A{optional B}", A_WITH_B, id="brace-inside-a-piece"),
+    pytest.param("feature A { attribute a:string }",
+                 FeatureModel("A", (Feature("A", None, Variability.MANDATORY,
+                                            attributes=(Attribute("a", "string"),)),)),
+                 id="colon-inside-a-piece"),
+    pytest.param("feature A { optional B } # end", A_WITH_B, id="comment-without-newline"),
+])
+def test_text_the_split_does_not_cut_parses_the_same(source, model):
+    assert parse(source) == model
+
+
+@pytest.mark.parametrize("source,message,line,col", [
+    pytest.param("feature 9A", "unexpected character '9'", 1, 9, id="digit-first"),
+    pytest.param("feature _A", "unexpected character '_'", 1, 9, id="underscore-first"),
+    pytest.param("feature A {\x0coptional B }", "unexpected character '\\x0c'", 1, 12,
+                 id="form-feed"),
+    pytest.param("feature Caf\xe9", "unexpected character '\xe9'", 1, 12, id="non-ascii-name"),
+    pytest.param("", "expected 'feature', got end of input", 1, 1, id="empty"),
+    pytest.param(" \n\t ", "expected 'feature', got end of input", 2, 3, id="white-space-only"),
+])
+def test_text_the_split_does_not_cut_fails_the_same(source, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert str(info.value) == f"line {line}, column {col}: {message}"
+    assert (info.value.line, info.value.column) == (line, col)
 
 
 @pytest.mark.parametrize("source,fragment,line,col", [

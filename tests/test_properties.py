@@ -31,6 +31,7 @@ from fmc.analysis import count_configurations
 from fmc.cli import main
 from fmc.compiler import CompileError, compile_model
 from fmc.dsl import ParseError, _Parser, parse, parse_configuration, to_source
+from fmc.lexer import Cursor
 from fmc.model import DATATYPES, KEYWORDS, FeatureModel, ModelError
 from fmc import owl
 from fmc.owl import (
@@ -54,8 +55,11 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 # deterministic runs, no example database written next to the tests
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
+# the pieces after "decimal" are cut apart by str.split() or hold a piece
+# that is not one token: the DSL reads each by findall alone
 DSL_PIECES = ["{", "}", ":", "#", " ", "\t", "\n", "\r\n", "F1", "Zed", "9", "*", "\xff",
-              *sorted(KEYWORDS), "string", "decimal"]
+              *sorted(KEYWORDS), "string", "decimal",
+              "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "_x", "A{"]
 # "DisjointClasses(:C0 :C0)", and a run of two such lines, is one token, put
 # by mutation where no axiom may start
 OWL_PIECES = ["(", ")", ":", ":=", "<", ">", "<http://x#>", " ", "\n", "5", "owl:Thing",
@@ -111,6 +115,25 @@ def test_dsl_parse_returns_model_or_parse_error(text):
     else:
         assert isinstance(model, FeatureModel)
         assert parse(to_source(model)) == model
+
+
+class _FindallParser(_Parser):
+    _scan = Cursor._scan  # no str.split() shortcut
+
+
+def read_by(parser_cls, text):
+    """The tokens and the model, or the error's type, message, line and column."""
+    try:
+        parser = parser_cls(text)
+        return parser.tokens, parser.parse_model()
+    except ParseError as error:
+        return type(error), str(error), error.line, error.column
+
+
+@PROPERTY
+@given(DSL_INPUTS)
+def test_dsl_split_reads_what_findall_reads(text):
+    assert read_by(_Parser, text) == read_by(_FindallParser, text)
 
 
 @PROPERTY
