@@ -14,7 +14,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Submodule -> the names it exports, resolved by __getattr__ (PEP 562).
+# Submodule -> the names it exports (``__all__``), resolved by __getattr__ (PEP 562).
 _LAZY = {
     "analysis": (
         "ENUMERATION_CAP",
@@ -73,6 +73,7 @@ _LAZY = {
     ),
 }
 _LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = list(_LAZY_SOURCE)
 
 
 def __getattr__(name):
@@ -88,57 +89,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *_LAZY, *_LAZY_SOURCE})
-
-
-__all__ = [
-    "ENUMERATION_CAP",
-    "Attribute",
-    "Category",
-    "CompileError",
-    "CrossTreeConstraint",
-    "DEFAULT_TRIGGERS",
-    "EnumerationCapError",
-    "Feature",
-    "FeatureModel",
-    "FormField",
-    "FormSpec",
-    "Group",
-    "ModelError",
-    "Ontology",
-    "OwlError",
-    "OwlSyntaxError",
-    "ParseError",
-    "Predicate",
-    "PropositionalFormula",
-    "ScaffoldError",
-    "SiteScaffold",
-    "UndeclaredNameError",
-    "UnknownFeatureError",
-    "UnsupportedConstructError",
-    "Violation",
-    "VoidModelError",
-    "analyze",
-    "check_consistency",
-    "compile_model",
-    "count_configurations",
-    "dead_features",
-    "default_iri",
-    "generate",
-    "is_valid_configuration",
-    "load_triggers",
-    "parse",
-    "parse_configuration",
-    "parse_file",
-    "parse_functional",
-    "parse_functional_file",
-    "satisfies",
-    "serialize_functional",
-    "solve",
-    "to_propositional",
-    "to_source",
-    "validate",
-    "validate_ontology",
-    "write_functional",
-    "write_phase1",
-    "write_phase2",
-]

@@ -11,7 +11,7 @@ Each command imports only what it runs: every command the DSL reader
 `count` add `analysis`; `compile` and `scaffold` add the OWL side
 (`compiler`, `owl`, and for `scaffold` also `scaffold`). `json` is
 imported only by `count --json` and by a scaffold's trigger registry,
-and `typing` by none.
+and `typing`, `dataclasses` and `inspect` by none.
 """
 
 from __future__ import annotations

@@ -33,8 +33,6 @@ are the same on either path.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .lexer import NAME, Cursor, Lexicon, PositionedError, is_name_lines, read_source
 from .model import (
     DATATYPES,
@@ -117,7 +115,9 @@ class _Parser(Cursor):
         self.expect_end("model")
         features = self.by_name
         for owner, attributes in self.attributes.items():  # completed once, at the end
-            features[owner] = replace(features[owner], attributes=tuple(attributes.values()))
+            f = features[owner]
+            features[owner] = Feature(f.name, f.parent, f.variability, f.group,
+                                      tuple(attributes.values()))
         return FeatureModel(root, tuple(features.values()), tuple(self.groups),
                             tuple(self.constraints))
 

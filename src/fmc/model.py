@@ -8,10 +8,12 @@ feature; they never influence which configurations are valid.
 A ``FeatureModel`` validates itself when it is built (``validate``). All
 values are immutable after construction and safe to share.
 
-``Feature``, ``Attribute``, ``Group`` and ``CrossTreeConstraint`` are
-frozen slotted dataclasses built by ``_value``, as the OWL values are
-(``fmc.owl``): a parse builds one ``Feature`` per feature. The type of
-every field, and how an error names it, is one row of ``_FIELDS``.
+Every fmc value class, the model's, ``FeatureModel`` and the OWL and
+scaffold values too, is a frozen class with ``__slots__`` built by
+``_value``, which writes its methods as ``dataclass(frozen=True,
+slots=True)`` would. No command imports ``dataclasses``, nor the
+``inspect`` it imports in turn. The type of every field, and how an
+error names it, is one row of ``_FIELDS``.
 ``validate`` only detects a value of the wrong type: the class of every
 value in a model column, and the types of the names and enum fields,
 are compared for all values at once; a list where a tuple is declared,
@@ -29,7 +31,6 @@ first asked for.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from types import NoneType
 
@@ -37,52 +38,106 @@ from .lexer import is_name, is_name_lines
 
 
 def _value(cls):
-    """Make cls a frozen slotted dataclass whose ``__init__`` stores each
-    field through its slot descriptor (``cls.field.__set__``).
+    """Rebuild cls as a frozen value class with ``__slots__``, as
+    ``dataclass(frozen=True, slots=True)`` would, without importing
+    ``dataclasses``.
 
-    That skips the ``object.__setattr__`` call a frozen dataclass's own
-    ``__init__`` makes per field, about a third of the cost of building a
-    two-field value; a parse builds one ``Feature`` per feature, and an
-    OWL compile several hundred thousand values. A field may have a
-    default value, not a default factory. Fields, defaults, ``repr``,
-    equality, hashing and pickling stay the dataclass's own, and
-    ``__post_init__`` still runs. Assigning or deleting any attribute
-    raises ``FrozenInstanceError``: the dataclass's own ``__setattr__``
-    and ``__delattr__`` name the class from before ``slots=True`` rebuilt
-    it, and raise ``TypeError`` for a name that is not a field (seen on
-    CPython 3.11).
+    The annotated names are the fields, in order; a class attribute of the
+    same name is a field's default. Names in the body's own ``__slots__``
+    hold cached state: ``__init__`` sets them to None, and ``repr``, ``==``
+    and ``hash`` leave them out, while ``copy`` and ``pickle`` keep them.
+    One ``exec`` defines ``__init__``, which stores each field through its
+    slot descriptor (a parse builds one ``Feature`` per feature, an OWL
+    compile hundreds of thousands of values) and runs ``__post_init__``
+    last, and ``__repr__``, ``__eq__``, ``__hash__``, ``__getstate__`` and
+    ``__setstate__``, which act as a frozen dataclass's do. Assigning or
+    deleting any attribute raises ``FrozenInstanceError``.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    params, body, scope = [], [], {}
-    for f in fields(cls):
-        if f.default_factory is not MISSING:
-            raise TypeError(f"{cls.__name__}.{f.name}: a default factory is not supported")
-        # the parameters are the field names, so keywords and
-        # dataclasses.replace work as before
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            params.append(f"{f.name}=default_{f.name}")
-            scope[f"default_{f.name}"] = f.default
-        body.append(f"set_{f.name}(self, {f.name})")
-        scope[f"set_{f.name}"] = getattr(cls, f.name).__set__
+    body = vars(cls)
+    names = tuple(body.get("__annotations__", ()))
+    cached = body.get("__slots__", ())
+    slots = names + tuple(cached)
+    defaults = {name: body[name] for name in names if name in body}
+    cls = type(cls)(cls.__name__, cls.__bases__, {
+        **{k: v for k, v in body.items() if k not in {*slots, "__dict__", "__weakref__"}},
+        "__qualname__": cls.__qualname__, "__slots__": slots, "__match_args__": names,
+        "__setattr__": _refuse_assign, "__delattr__": _refuse_delete, "__replace__": _replace,
+        "__dataclass_fields__": _Dataclass(defaults), "__dataclass_params__": _Dataclass(defaults)})
+    setters = [getattr(cls, name).__set__ for name in slots]
+    scope = {"setters": setters, **{f"set_{n}": s for n, s in zip(slots, setters)},
+             **{f"default_{n}": value for n, value in defaults.items()}}
+    params = "".join(f", {n}=default_{n}" if n in defaults else f", {n}" for n in names)
+    init = [f"set_{n}(self, {n})" for n in names] + [f"set_{n}(self, None)" for n in cached]
     if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n    "
-         + "\n    ".join(body or ["pass"]), scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    cls.__setattr__ = _refuse_assign
-    cls.__delattr__ = _refuse_delete
+        init.append("self.__post_init__()")
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    own = "".join(f"self.{n}, " for n in names)
+    exec(f"""\
+def __init__(self{params}):
+    {"; ".join(init) or "pass"}
+def __repr__(self):
+    return f"{{self.__class__.__qualname__}}({shown})"
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({own}) == ({own.replace("self.", "other.")})
+    return NotImplemented
+def __hash__(self):
+    return hash(({own}))
+def __getstate__(self):
+    return ({"".join(f"self.{n}, " for n in slots)})
+def __setstate__(self, state):
+    for set_slot, value in zip(setters, state):
+        set_slot(self, value)
+""", scope)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__", "__getstate__", "__setstate__"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, scope[name])
     return cls
 
 
+class _Dataclass:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a ``_value``
+    class, made on first access by ``dataclasses`` itself: it decorates a
+    plain twin with the same fields and defaults, and the cached slots as
+    ``init=False`` fields, and both attributes are copied from the twin.
+    So ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
+    work with the stdlib's own ``Field`` objects, and only a process that
+    uses them imports ``dataclasses``."""
+
+    def __init__(self, defaults):
+        self.defaults = defaults
+
+    def __set_name__(self, cls, name):
+        self.cls, self.name = cls, name
+
+    def __get__(self, value, owner):
+        from dataclasses import dataclass, field
+        cls = self.cls
+        cached = cls.__slots__[len(cls.__match_args__):]
+        twin = dataclass(frozen=True)(type(cls.__name__, (), {
+            "__module__": cls.__module__, "__qualname__": cls.__qualname__,
+            "__annotations__": {**vars(cls).get("__annotations__", {}),
+                                **dict.fromkeys(cached, "object")},
+            **self.defaults,
+            **{n: field(init=False, repr=False, compare=False, default=None) for n in cached}}))
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return vars(twin)[self.name]
+
+
+def _replace(self, /, **changes):
+    """``copy.replace`` (Python 3.13+), as on a dataclass."""
+    from dataclasses import replace
+    return replace(self, **changes)
+
+
 def _refuse_assign(self, name, value):
+    from dataclasses import FrozenInstanceError  # loaded only by a refused assignment
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _refuse_delete(self, name):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -159,7 +214,7 @@ class Feature:
     attributes: tuple[Attribute, ...] = ()
 
 
-@dataclass(frozen=True)
+@_value
 class FeatureModel:
     """A feature model: built only if it validates.
 
@@ -172,9 +227,8 @@ class FeatureModel:
     groups: tuple[Group, ...] = ()
     constraints: tuple[CrossTreeConstraint, ...] = ()
 
-    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
-    _children: dict = field(init=False, repr=False, compare=False, default=None)
-    _groups_by_id: dict = field(init=False, repr=False, compare=False, default=None)
+    # indexes, built by __post_init__ and (_children) on first use
+    __slots__ = ("_by_name", "_children", "_groups_by_id")
 
     def __post_init__(self):
         try:

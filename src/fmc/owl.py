@@ -10,7 +10,7 @@ ObjectUnionOf, ObjectSomeValuesFrom and ObjectAllValuesFrom. Names are
 ``parse_functional`` inverts ``serialize_functional``: the checker takes
 exactly what the reader reads, so every ``Ontology`` reads back.
 
-Every value is a frozen slotted dataclass built by ``fmc.model._value``,
+Every value is a frozen slotted value class built by ``fmc.model._value``,
 whose ``__init__`` stores each field through its slot descriptor rather
 than through ``object.__setattr__``; a compiled ontology is hundreds of
 thousands of values. An ``Ontology`` validates itself when it is built

@@ -26,14 +26,13 @@ paper's OWL encoding, holds every pair.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, combinations, compress
 from operator import add, itemgetter, neg
 
-from .model import FeatureModel, UnknownFeatureError, Variability
+from .model import FeatureModel, UnknownFeatureError, Variability, _value
 
 
-@dataclass(frozen=True)
+@_value
 class PropositionalFormula:
     """CNF formula: clauses of signed, 1-based variable indices."""
 
@@ -42,8 +41,7 @@ class PropositionalFormula:
     variables: tuple[str, ...]  # variables[i - 1] is the feature for var i
 
     # built on first use: the name -> variable map, and fmc.analysis's clause store
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
-    _solver_store: object = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("_index", "_solver_store")
 
     def __post_init__(self):
         n = self.num_vars
@@ -220,7 +218,7 @@ def satisfies(formula: PropositionalFormula,
     return True
 
 
-@dataclass(frozen=True)
+@_value
 class Violation:
     """One violated configuration rule and the features involved."""
 

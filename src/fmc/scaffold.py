@@ -14,10 +14,10 @@ file mirrors.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._report import dumps
+from .model import _value
 from .owl import (
     DataPropertyDomain,
     DataPropertyRange,
@@ -39,33 +39,33 @@ class ScaffoldError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@_value
 class Category:
     name: str
     is_rule_class: bool
 
 
-@dataclass(frozen=True)
+@_value
 class Predicate:
     name: str
     valid_from: tuple[str, ...]  # empty = unrestricted
     valid_to: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_value
 class FormField:
     name: str
     datatype: str
     business_logic: str | None = None
 
 
-@dataclass(frozen=True)
+@_value
 class FormSpec:
     category: str
     fields: tuple[FormField, ...]
 
 
-@dataclass(frozen=True)
+@_value
 class SiteScaffold:
     site: str
     categories: tuple[Category, ...]

@@ -194,6 +194,14 @@ def test_check_void_exits_3(void_fm, capsys):
     assert "consistent: no (void model)" in capsys.readouterr().out
 
 
+def test_check_over_the_count_cap_reports_it_and_exits_0(tmp_path, capsys):
+    flat = tmp_path / "flat.fm"
+    flat.write_text("feature R {\n" + "".join(f"  optional F{i}\n" for i in range(25)) + "}\n")
+    assert main(["check", str(flat)]) == 0
+    assert capsys.readouterr().out == (
+        "consistent: yes\ndead features: none\nconfigurations: not counted (over 24 features)\n")
+
+
 def test_validate_valid_configuration(tmp_path, capsys):
     config = write_config(tmp_path, "AISCO", "ProgramData", "PublicationSystem",
                           "FinancialReport")
@@ -474,6 +482,16 @@ def run_python(script, *args):
     return result.stdout
 
 
+def run_bare_python(script, *args):
+    """Run script in a fresh python -S: without site-packages no .pth file
+    loads a module first."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fmc.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-S", "-c", script, *map(str, args)],
+                            capture_output=True, text=True, check=False, env=env)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    return result.stdout
+
+
 def test_only_compile_and_scaffold_load_the_owl_side(tmp_path):
     script = f"""
 import contextlib, io, sys
@@ -493,7 +511,6 @@ for argv in (["check", model], ["count", model], ["validate", model, config],
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # a fresh python -S: without site-packages no .pth file loads a module first
     script = """
 import contextlib, io, sys
 import fmc
@@ -506,17 +523,33 @@ for argv in (["validate", model, config], ["validate", model, config, "--json"],
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
     print(argv[0] + " --json" * ("--json" in argv),
-          *[name in sys.modules for name in ("fmc.analysis", "json", "typing")])
+          *[name in sys.modules
+            for name in ("fmc.analysis", "json", "typing", "dataclasses", "inspect")])
 """
     config = write_config(tmp_path, "AISCO")
-    env = {**os.environ, "PYTHONPATH": str(Path(fmc.__file__).parent.parent)}
-    result = subprocess.run([sys.executable, "-S", "-c", script, AISCO, config, tmp_path / "out"],
-                            capture_output=True, text=True, check=False, env=env)
-    assert result.returncode == 0 and result.stderr == "", result.stderr
-    assert result.stdout.splitlines() == [
-        "", "validate False False False", "validate --json False False False",
-        "check --json True False False", "count True False False", "count --json True True False",
-        "compile True True False", "scaffold True True False"]
+    result = run_bare_python(script, AISCO, config, tmp_path / "out")
+    assert result.splitlines() == [
+        "", "validate False False False False False",
+        "validate --json False False False False False",
+        "check --json True False False False False", "count True False False False False",
+        "count --json True True False False False", "compile True True False False False",
+        "scaffold True True False False False"]
+
+
+def test_value_classes_load_dataclasses_only_for_its_api():
+    script = """
+import sys
+import fmc.model, fmc.propositional, fmc.owl, fmc.scaffold
+from fmc.model import Feature, Variability
+print("dataclasses" in sys.modules, "inspect" in sys.modules)
+import dataclasses
+feature = Feature("B", "A", Variability.OPTIONAL)
+print(*[f.name for f in dataclasses.fields(Feature)])
+print(dataclasses.replace(feature, group=3) == Feature("B", "A", Variability.OPTIONAL, 3))
+print(dataclasses.is_dataclass(fmc.owl.Ontology), dataclasses.asdict(fmc.owl.NamedClass("A")))
+"""
+    assert run_bare_python(script).splitlines() == [
+        "False False", "name parent variability group attributes", "True", "True {'name': 'A'}"]
 
 
 def test_every_export_resolves_on_first_use():

@@ -413,3 +413,29 @@ def test_feature_defaults_and_replace():
         Feature("B", "A", O, nickname="b")
     model = FeatureModel("A", (Feature("A", None, M), feature))
     assert pickle.loads(pickle.dumps(model)) == model
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["fresh", "children-indexed"])
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
+def test_a_copied_model_answers_every_lookup_as_the_original(duplicate, indexed):
+    # the lookups read indexes that are not fields: a copy must carry them
+    model = parse("feature A { mandatory B { alternative { C D } } optional E { or { F G } } }"
+                  " constraints { C requires F }")
+    if indexed:
+        model.children("A")
+    copied = duplicate(model)
+    assert type(copied) is FeatureModel and copied == model
+    assert copied.feature_names == model.feature_names == tuple("ABCDEFG")
+    for name in (*model.feature_names, "Ghost"):
+        assert copied.has_feature(name) is model.has_feature(name)
+        assert copied.children(name) == model.children(name)
+    for name in model.feature_names:
+        assert copied.feature(name) == model.feature(name)
+    with pytest.raises(UnknownFeatureError):
+        copied.feature("Ghost")
+    for group in model.groups:
+        assert copied.group(group.id) == group

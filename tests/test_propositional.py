@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
+from fmc.analysis import solve
 from fmc.dsl import parse
 from fmc.model import (
     ConstraintKind,
@@ -93,6 +96,24 @@ def test_variable_map_is_bijective():
     assert formula.variables == ("A", "B", "C")
     assert [formula.variable(n) for n in formula.variables] == [1, 2, 3]
     assert [formula.feature(i) for i in (1, 2, 3)] == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("solved", [False, True], ids=["fresh", "solved"])
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_formula_answers_as_the_original(duplicate, solved):
+    # variable() and the solver read caches that are not fields: a copy keeps them working
+    formula = to_propositional(parse("feature A { mandatory B alternative { C D } }"))
+    if solved:
+        formula.variable("A")
+        solve(formula)
+    copied = duplicate(formula)
+    assert type(copied) is PropositionalFormula and copied == formula
+    assert [copied.variable(n) for n in formula.variables] == [1, 2, 3, 4]
+    with pytest.raises(KeyError):
+        copied.variable("Ghost")
+    assert solve(copied) == solve(formula) == {1: True, 2: True, 3: True, 4: False}
 
 
 def test_two_node_mandatory_clauses():
