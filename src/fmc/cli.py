@@ -63,7 +63,8 @@ def _compiling(args, *, disjoint: bool = True):
     from . import compiler, owl
     model = _load_model(args.input)
     try:
-        yield args.iri or compiler.default_iri(model.root), compiler._axioms(model, disjoint=disjoint)
+        iri = compiler.default_iri(model.root) if args.iri is None else args.iri
+        yield iri, compiler._axioms(model, disjoint=disjoint)
     except (compiler.CompileError, owl.OwlError) as exc:
         raise _Failure(2, f"{args.input}: {exc}") from exc
 

@@ -169,7 +169,7 @@ def compile_model(model: FeatureModel, iri: str | None = None) -> Ontology:
     on the rule class, becomes a CompileError.
     """
     try:
-        return Ontology(iri or default_iri(model.root),
+        return Ontology(default_iri(model.root) if iri is None else iri,
                         tuple(chain.from_iterable(_axioms(model))))
     except OwlError as exc:
         raise CompileError(str(exc)) from exc

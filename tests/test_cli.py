@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -11,10 +12,12 @@ import pytest
 import fmc
 from fmc.cli import main
 from fmc.compiler import compile_model
-from fmc.dsl import parse
+from fmc.dsl import parse, to_source
 from fmc.owl import parse_functional, serialize_functional
 
+import cli_checks
 from conftest import AISCO_PATH, GOLDEN_PATH
+from helpers import random_tree
 
 AISCO = str(AISCO_PATH)
 
@@ -364,8 +367,8 @@ def test_scaffold_non_utf8_triggers_env_exits_2(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["compile", "scaffold"])
-@pytest.mark.parametrize("iri", [b"http://x\xff#", b"http://x\xc2\xa0#", b"http://x\r#"],
-                         ids=["not-utf8", "nbsp", "cr"])
+@pytest.mark.parametrize("iri", [b"http://x\xff#", b"http://x\xc2\xa0#", b"http://x\r#", b""],
+                         ids=["not-utf8", "nbsp", "cr", "empty"])
 def test_a_bad_iri_on_the_command_line_exits_2(tmp_path, command, iri):
     out = tmp_path / "out"
     result = subprocess.run(
@@ -483,10 +486,11 @@ def run_python(script, *args):
 
 
 def run_bare_python(script, *args):
-    """Run script in a fresh python -S: without site-packages no .pth file
-    loads a module first."""
+    """Run script in a fresh python -S -X dev -W error: without site-packages
+    no .pth file loads a module first, and any warning fails."""
     env = {**os.environ, "PYTHONPATH": str(Path(fmc.__file__).parent.parent)}
-    result = subprocess.run([sys.executable, "-S", "-c", script, *map(str, args)],
+    result = subprocess.run([sys.executable, "-S", "-X", "dev", "-W", "error", "-c", script,
+                             *map(str, args)],
                             capture_output=True, text=True, check=False, env=env)
     assert result.returncode == 0 and result.stderr == "", result.stderr
     return result.stdout
@@ -511,29 +515,32 @@ for argv in (["check", model], ["count", model], ["validate", model, config],
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    script = """
+    script = f"""
 import contextlib, io, sys
 import fmc
 print(*sorted(name for name in sys.modules if name.startswith("fmc.")))
 from fmc.cli import main
 model, config, out = sys.argv[1:]
 for argv in (["validate", model, config], ["validate", model, config, "--json"],
-             ["check", model, "--json"], ["count", model], ["count", model, "--json"],
-             ["compile", model, out + ".ofn"], ["scaffold", model, out]):
+             ["check", model], ["check", model, "--json"], ["count", model],
+             ["count", model, "--json"], ["compile", model, out + ".ofn"], ["scaffold", model, out]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        main(argv)
-    print(argv[0] + " --json" * ("--json" in argv),
-          *[name in sys.modules
-            for name in ("fmc.analysis", "json", "typing", "dataclasses", "inspect")])
+        code = main(argv)
+    print(argv[0] + " --json" * ("--json" in argv), code,
+          *[name in sys.modules for name in ("fmc.analysis", "json", "typing", "dataclasses",
+                                             "inspect", *{OWL_SIDE!r})])
 """
-    config = write_config(tmp_path, "AISCO")
+    config = write_config(tmp_path, "AISCO", "FinancialReport", "ProgramData", "PublicationSystem")
     result = run_bare_python(script, AISCO, config, tmp_path / "out")
     assert result.splitlines() == [
-        "", "validate False False False False False",
-        "validate --json False False False False False",
-        "check --json True False False False False", "count True False False False False",
-        "count --json True True False False False", "compile True True False False False",
-        "scaffold True True False False False"]
+        "", "validate 0 False False False False False False False False",
+        "validate --json 0 False False False False False False False False",
+        "check 0 True False False False False False False False",
+        "check --json 0 True False False False False False False False",
+        "count 0 True False False False False False False False",
+        "count --json 0 True True False False False False False False",
+        "compile 0 True True False False False True True False",
+        "scaffold 0 True True False False False True True True"]
 
 
 def test_value_classes_load_dataclasses_only_for_its_api():
@@ -590,3 +597,10 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (2, b"")
+
+
+def test_the_fresh_process_checks_build_the_inputs_their_bounds_were_measured_on():
+    assert cli_checks.flat(2) == "feature Root {\n  optional F0\n  optional F1\n}\n"
+    assert cli_checks.chain(3) == "feature F0 {\noptional F1 {\noptional F2 {\n}\n}\n}\n"
+    assert cli_checks.group(2) == "feature Root {\n  alternative {\n    M0\n    M1\n  }\n}\n"
+    assert cli_checks.tree(40, 5) == to_source(random_tree(random.Random("40:1"), 40, 5))

@@ -124,6 +124,11 @@ def test_rule_class_name_collision_fails():
         compile_model(model)
 
 
+def test_an_empty_iri_is_refused_not_replaced_by_the_default():
+    with pytest.raises(CompileError, match="invalid ontology IRI ''"):
+        compile_model(parse("feature Only"), "")
+
+
 def test_single_feature_compiles_to_five_axioms():
     ontology = compile_model(parse("feature Only"))
     assert len(ontology.axioms) == 5
