@@ -158,8 +158,9 @@ def cmd_scaffold(args) -> int:
         raise _Failure(2, f"{exc.filename or args.outdir}: {exc.strerror or exc}") from exc
     except scaffold.ScaffoldError as exc:
         raise _Failure(2, str(exc)) from exc
-    for path in written:
-        print(f"wrote {path}", file=sys.stderr)
+    # one write, where a print per line is one system call each on a
+    # line-buffered stderr
+    sys.stderr.write("".join(f"wrote {path}\n" for path in written))
     return 0
 
 

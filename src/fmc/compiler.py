@@ -34,11 +34,13 @@ compile error is raised between batches, where it was met.
 checker into the output file a batch at a time, so no batch is kept
 once it is written, and ``fmc scaffold`` skips the DisjointClasses
 block, which is nearly all of the axioms and which the scaffold does
-not read. A piece of a DisjointClasses row is a ``fmc.owl._DisjointRow``
-of the features' shared ``NamedClass`` terms, which builds no axiom
-value unless it is iterated: the streaming checker passes it in one
-step and the renderer writes it with one join, and each batch reaches
-the output's spool in one encoded write (``fmc.owl``).
+not read. A piece of a DisjointClasses row is a ``fmc.owl._DisjointRow``:
+indexes into the one tuple of the features' shared ``NamedClass`` terms
+that the whole block is cut from, which builds no axiom value unless it
+is iterated. The streaming checker checks that tuple once and then
+passes each row in one step, the renderer writes a row with one join,
+and each batch reaches the output's spool in one encoded write
+(``fmc.owl``).
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ def default_iri(root_name: str) -> str:
 _Terms = namedtuple("_Terms", "cls rule exists")
 
 
-def _rows(items: list) -> Iterator[tuple[object, list]]:
-    """The pairs of ``combinations(items, 2)`` as (a, [b, ...]): each item
-    with the items after it, at most ``_ROW_CHUNK`` of them at a time."""
-    for i, a in enumerate(items[:-1], 1):
-        for j in range(i, len(items), _ROW_CHUNK):
-            yield a, items[j:j + _ROW_CHUNK]
+def _rows(n: int) -> Iterator[tuple[int, range]]:
+    """The index pairs of ``combinations(range(n), 2)`` as (i, range(j, k)):
+    each index with the indexes after it, at most ``_ROW_CHUNK`` at a time."""
+    for i in range(n - 1):
+        for j in range(i + 1, n, _ROW_CHUNK):
+            yield i, range(j, min(j + _ROW_CHUNK, n))
 
 
 def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Sequence[Axiom]]:
@@ -137,13 +139,15 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Sequence[
         else:
             yield [SubClassOf(owner.rule, UnionOf(tuple(exists)))]
             if kind == "alternative":
-                for a, row in _rows(exists):
-                    yield [SubClassOf(owner.rule, ComplementOf(IntersectionOf((a, b))))
-                           for b in row]
+                for i, js in _rows(len(exists)):
+                    a = exists[i]
+                    yield [SubClassOf(owner.rule, ComplementOf(IntersectionOf((a, exists[j]))))
+                           for j in js]
 
     if disjoint:
-        for a, row in _rows([terms[var[name]].cls for name in sorted(var)]):
-            yield _DisjointRow(a, row)
+        block = tuple(terms[var[name]].cls for name in sorted(var))
+        for i, js in _rows(len(block)):
+            yield _DisjointRow(block, i, js)
 
     # data-property names share one global namespace
     declared: set[str] = set()

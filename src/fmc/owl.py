@@ -35,12 +35,16 @@ a built ontology, with two set lookups, and the renderer writes every
 
 A batch may also be one row of a DisjointClasses block, a
 ``_DisjointRow`` of a class and the classes it is disjoint with, whose
-axioms are built only when it is indexed or iterated. The checker
-passes a row whole when every operand is a plain ``NamedClass`` with a
-declared name (one set of the operands' types, one ``issuperset`` over
-their names), and ``_lines`` renders it with one join over the names,
-the same text as its axioms' lines. Any other row is checked an axiom at
-a time, so its first error is the one its axioms raise one by one.
+axioms are built only when it is indexed or iterated. A row holds the
+one tuple of classes its block is cut from and indexes into it, so the
+block is checked once per class, not once per pair: at the block's first
+row the checker checks that every item of the tuple is a plain
+``NamedClass`` with a declared name (one set of the items' types, one
+``issuperset`` over their names), and then passes each row of it whole,
+in O(1). ``_lines`` reads the tuple's names once too, and renders a row
+with one join over a slice of them, the same text as its axioms' lines.
+A row of a tuple that fails the check is checked an axiom at a time, so
+its first error is the one its axioms raise one by one.
 ``fmc compile`` chains the two over the compiler's batches, which
 declare every name before its first use, and ``_write_functional``
 encodes each batch's text into a binary temporary file in one write as
@@ -211,27 +215,51 @@ _ROW_CHUNK = 256
 
 
 class _DisjointRow(Sequence):
-    """The axioms ``DisjointClasses(a, b)`` for each b in others, in order:
-    one row of a DisjointClasses block, as one batch.
+    """The axioms ``DisjointClasses(block[i], block[j])`` for each j in the
+    range js, in order: one row of a DisjointClasses block, as one batch.
 
-    Each axiom is built only when it is indexed or iterated, so the
-    checker and the renderer take a row whole, without a value per pair
-    (``_checked_batches``, ``_lines``). A slice is a row too.
+    block is the one tuple of classes the whole block is cut from, and a
+    row holds only indexes into it, so every operand of a row is an item
+    of its block. So the block is checked once per class, not once per
+    pair: the checker checks the tuple at the block's first row and passes
+    each row of it in O(1), and the renderer reads the tuple's names once
+    and takes a row with one join (``_checked_batches``, ``_lines``). Each
+    axiom is built only when the row is indexed or iterated. A slice is a
+    row too.
     """
 
-    __slots__ = ("a", "others")
+    __slots__ = ("block", "i", "js")
 
-    def __init__(self, a: NamedClass, others: Sequence[NamedClass]):
-        self.a = a
-        self.others = others
+    def __init__(self, block: tuple[NamedClass, ...], i: int, js: range):
+        self.block = block
+        self.i = i
+        self.js = js
+
+    def _is_cut(self) -> bool:
+        """Whether i and js lie in block and js counts up by one, so the
+        row's others are the slice ``block[js.start:js.stop]``."""
+        i, js, n = self.i, self.js, len(self.block)
+        return (type(i) is int and 0 <= i < n and type(js) is range and js.step == 1
+                and 0 <= js.start and js.stop <= n)
+
+    @property
+    def a(self) -> NamedClass:
+        return self.block[self.i]
+
+    @property
+    def others(self) -> Sequence[NamedClass]:
+        block, js = self.block, self.js
+        if self._is_cut():
+            return block[js.start:js.stop]
+        return tuple(map(block.__getitem__, js))
 
     def __len__(self) -> int:
-        return len(self.others)
+        return len(self.js)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _DisjointRow(self.a, self.others[i])
-        return DisjointClasses(self.a, self.others[i])
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _DisjointRow(self.block, self.i, self.js[k])
+        return DisjointClasses(self.a, self.block[self.js[k]])
 
     def __iter__(self) -> Iterator[DisjointClasses]:
         return map(DisjointClasses, repeat(self.a), self.others)
@@ -357,18 +385,23 @@ def _checked_batches(batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Ax
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
+    # the last DisjointClasses block met, and whether it checked out: every
+    # item a plain NamedClass with a declared name. Names are only ever
+    # added, so a block that checked out stays so
+    block, block_ok = None, False
     for batch in batches:
-        # a row of plain NamedClass operands, every name declared, passes in
-        # one step; any other row is checked an axiom at a time, below, for
-        # the error, or to pass it after all (a NamedClass subclass)
+        # the rows of a block that checked out pass in O(1) each; any other
+        # row is checked an axiom at a time, below, for the error, or to pass
+        # it after all (a NamedClass subclass, or a name declared later)
         if type(batch) is _DisjointRow:
-            a, others = batch.a, batch.others
-            try:
-                named = (type(a) is NamedClass and set(map(type, others)) <= {NamedClass}
-                         and a.name in classes and classes.issuperset(map(_name, others)))
-            except TypeError:  # an unhashable name
-                named = False
-            if named:
+            if batch.block is not block:
+                block = batch.block
+                try:
+                    block_ok = (type(block) is tuple and set(map(type, block)) <= {NamedClass}
+                                and classes.issuperset(map(_name, block)))
+                except TypeError:  # an unhashable name
+                    block_ok = False
+            if block_ok and batch._is_cut():
                 yield batch
                 continue
         for axiom in batch:
@@ -478,14 +511,28 @@ def _lines(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[str]:
     checked batch of axioms as one string, the closing parenthesis.
 
     A ``_DisjointRow`` is rendered with one join over its names, the same
-    text as ``_render_axiom`` makes for each of its axioms."""
+    text as ``_render_axiom`` makes for each of its axioms. The names of a
+    block's tuple are read once, and a row cut from it joins a slice of
+    them."""
     yield _header(iri) + "\n"
+    block = names = None  # the last DisjointClasses block met, and its names
     for batch in batches:
         if not batch:
             continue
         if type(batch) is _DisjointRow:
-            head = f"DisjointClasses(:{batch.a.name} :"
-            yield head + (")\n" + head).join(map(_name, batch.others)) + ")\n"
+            if batch.block is not block:
+                block = batch.block
+                try:
+                    names = tuple(map(_name, block)) if type(block) is tuple else None
+                except AttributeError:  # an item that no checked row holds
+                    names = None
+            if names is not None and batch._is_cut():
+                js = batch.js
+                a, others = names[batch.i], names[js.start:js.stop]
+            else:
+                a, others = batch.a.name, map(_name, batch.others)
+            head = f"DisjointClasses(:{a} :"
+            yield head + (")\n" + head).join(others) + ")\n"
         else:
             yield "\n".join(map(_render_axiom, batch)) + "\n"
     yield ")\n"
@@ -649,7 +696,13 @@ class _OwlParser(Cursor):
             pos = self.pos
         self.pos = pos + 1
         self.expect_end("ontology")
-        return Ontology(iri, tuple(axioms))
+        # past the end no syntax error can come, so the tokens go, and the
+        # list once it is copied: neither is held while the copy is made
+        # and validated
+        tokens.clear()
+        del append
+        axioms = tuple(axioms)
+        return Ontology(iri, axioms)
 
     def parse_axiom(self) -> Axiom:
         keyword = self.tokens[self.pos]

@@ -210,18 +210,37 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
 _NAMED_FILES = 3
 
 
+def _refusal(existing: list[str]) -> ScaffoldError:
+    named = ", ".join(existing[:_NAMED_FILES])
+    if len(existing) > _NAMED_FILES:
+        named += f" and {len(existing) - _NAMED_FILES} more"
+    return ScaffoldError(
+        f"refusing to overwrite {len(existing)} existing file(s): {named} "
+        "(pass overwrite to replace)")
+
+
 def _prepare(paths: list[Path], overwrite: bool) -> None:
     if not overwrite:
         # lexists: a dangling symbolic link exists too, and a write
         # through it would create its target, wherever that is
         existing = [str(p) for p in paths if os.path.lexists(p)]
         if existing:
-            named = ", ".join(existing[:_NAMED_FILES])
-            if len(existing) > _NAMED_FILES:
-                named += f" and {len(existing) - _NAMED_FILES} more"
-            raise ScaffoldError(
-                f"refusing to overwrite {len(existing)} existing file(s): {named} "
-                "(pass overwrite to replace)")
+            raise _refusal(existing)
+
+
+def _create(path, text: str, overwrite: bool, dir_fd: int | None = None) -> None:
+    """Write text to path in three system calls: open, write (again only
+    after a short write), close. Without overwrite the file must be new
+    (``O_EXCL``, which also refuses a dangling link), so an existing file
+    raises FileExistsError and is never replaced."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if overwrite else os.O_EXCL),
+                 0o666, dir_fd=dir_fd)
+    try:
+        data = text.encode("utf-8")
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _phase1_target(outdir) -> Path:
@@ -240,7 +259,9 @@ def write(scaffold: SiteScaffold, outdir, overwrite: bool = False,
 
     Phase 2 is written first: it checks all its targets before it writes
     any, so they are built once, there. Phase 1's one target is checked
-    here; a refusal counts the existing targets of both phases.
+    here; a refusal counts the existing targets of both phases. Without
+    overwrite every file is created new, so one that appears after the
+    check is not replaced either.
     """
     install = _phase1_target(outdir)
     if not overwrite and os.path.lexists(install):
@@ -248,7 +269,7 @@ def write(scaffold: SiteScaffold, outdir, overwrite: bool = False,
     for directory in (Path(outdir), Path(outdir) / "templates"):
         directory.mkdir(parents=True, exist_ok=True)
     templates = write_phase2(scaffold, outdir, overwrite, zotonic_notes)
-    return write_phase1(scaffold, outdir, True, zotonic_notes) + templates
+    return write_phase1(scaffold, outdir, overwrite, zotonic_notes) + templates
 
 
 def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
@@ -256,7 +277,6 @@ def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
     """Write install_data.json: categories, predicates, and their rules."""
     Path(outdir).mkdir(parents=True, exist_ok=True)
     target = _phase1_target(outdir)
-    _prepare([target], overwrite)
     document: dict = {}
     if zotonic_notes:
         document["_note"] = ("mirrors a Zotonic site's priv/install_data: "
@@ -267,27 +287,44 @@ def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
     document["predicates"] = [
         {"name": p.name, "valid_from": list(p.valid_from), "valid_to": list(p.valid_to)}
         for p in scaffold.predicates]
-    target.write_text(dumps(document) + "\n", encoding="utf-8")
+    try:
+        _create(target, dumps(document) + "\n", overwrite)
+    except FileExistsError:
+        raise _refusal([str(target)]) from None
     return [target]
 
 
 def write_phase2(scaffold: SiteScaffold, outdir, overwrite: bool = False,
                  zotonic_notes: bool = False) -> list[Path]:
-    """Write one templates/<category>_form.tpl.txt stub per category."""
-    (Path(outdir) / "templates").mkdir(parents=True, exist_ok=True)
+    """Write one templates/<category>_form.tpl.txt stub per category.
+
+    The files are created in the directory opened once, by name. Without
+    overwrite, an empty directory is checked with one listing; any other
+    is checked a target at a time, which also finds a dangling link or,
+    on a case-insensitive file system, a name that differs in case."""
+    templates = Path(outdir) / "templates"
+    templates.mkdir(parents=True, exist_ok=True)
     fields_by_category = {form.category: form.fields for form in scaffold.forms}
     targets = _phase2_targets(scaffold, outdir)
-    _prepare(targets, overwrite)
-    for category, target in zip(scaffold.categories, targets):
-        lines = []
-        if zotonic_notes:
-            lines.append(f"# mirrors a Zotonic admin edit template for {category.name}")
-        lines.append(f"# form for category: {category.name}")
-        for f in fields_by_category.get(category.name, ()):
-            line = f"field: {f.name} ({f.datatype})"
-            if f.business_logic is not None:
-                line += f" [read-only, computed: {f.business_logic}]"
-            lines.append(line)
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    directory = os.open(templates, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        if not overwrite and os.listdir(directory):
+            _prepare(targets, overwrite)
+        for category, target in zip(scaffold.categories, targets):
+            lines = []
+            if zotonic_notes:
+                lines.append(f"# mirrors a Zotonic admin edit template for {category.name}")
+            lines.append(f"# form for category: {category.name}")
+            for f in fields_by_category.get(category.name, ()):
+                line = f"field: {f.name} ({f.datatype})"
+                if f.business_logic is not None:
+                    line += f" [read-only, computed: {f.business_logic}]"
+                lines.append(line)
+            try:
+                _create(target.name, "\n".join(lines) + "\n", overwrite, directory)
+            except OSError as exc:
+                exc.filename = str(target)  # not the name relative to the directory
+                raise
+    finally:
+        os.close(directory)
     return targets

@@ -143,6 +143,23 @@ def every_other_command(tmp):
     expect([p for p in site2.rglob("*") if p.is_file()] == [site2 / "templates"], "site2 written")
 
 
+def scaffold_1200(tmp):
+    """1201 files from tree(600, 30); a second run without --overwrite is
+    refused with one line and leaves every file as it was."""
+    model, site = write(tmp / "tree600.fm", tree(600, 30)), tmp / "site600"
+    _, err, _ = run(tmp, 0, *DEV, "scaffold", model, site, stderr=None)
+    files = sorted(p for p in site.rglob("*") if p.is_file())
+    expect(len(files) == 1201 and sorted(err.splitlines()) == [f"wrote {f}" for f in files],
+           f"scaffold wrote {len(files)} files, reported {err.count(chr(10))} lines")
+    written = {f: f.read_bytes() for f in files}
+    _, err, _ = run(tmp, 2, *DEV, "scaffold", model, site, stderr=None)
+    expect(err.startswith("error: refusing to overwrite 1201 existing file(s): ")
+           and err.endswith(" and 1198 more (pass overwrite to replace)\n")
+           and err.count("\n") == 1, f"unexpected refusal: {err[:300]!r}")
+    expect(all(f.read_bytes() == data for f, data in written.items()), "a refused scaffold wrote")
+    run(tmp, 0, *DEV, "scaffold", model, site, "--overwrite", stderr=None)
+
+
 def flat_20000(tmp):
     """One witness selects every child; one query per feature took minutes."""
     run(tmp, 0, "timeout", "60", *DEV, "check", write(tmp / "flat.fm", flat(20000)),
@@ -213,8 +230,8 @@ def half_million_axioms(tmp):
     return ", ".join(peaks)
 
 
-CHECKS = [golden_ontology, every_other_command, flat_20000, chain_40000, tree_4000,
-          million_features, validate_200000, alternative_200000, half_million_axioms]
+CHECKS = [golden_ontology, every_other_command, scaffold_1200, flat_20000, chain_40000,
+          tree_4000, million_features, validate_200000, alternative_200000, half_million_axioms]
 
 
 def main() -> int:

@@ -262,6 +262,10 @@ def test_scaffold_writes_files(tmp_path, capsys):
     assert "DonationData_form.tpl.txt" in templates
     err = capsys.readouterr().err
     assert err.count("wrote ") == 27
+    # one line per file, install_data.json first
+    lines = err.split("\n")
+    assert lines[0] == f"wrote {outdir / 'install_data.json'}" and lines[-1] == ""
+    assert sorted(lines[1:-1]) == [f"wrote {outdir / 'templates' / name}" for name in templates]
 
 
 def test_scaffold_refuses_overwrite_then_allows(tmp_path, capsys):
@@ -284,6 +288,27 @@ def test_scaffold_refusal_writes_nothing(tmp_path, capsys):
         assert "AISCO_form.tpl.txt" in err and "install_data.json" not in err
         assert not (outdir / "install_data.json").exists()
     assert main(["scaffold", AISCO, str(outdir), "--overwrite"]) == 0
+
+
+def test_scaffold_never_replaces_a_file_made_after_its_check(tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "site"
+    target = outdir / "templates" / "Donor_form.tpl.txt"
+    target.parent.mkdir(parents=True)
+    target.write_text("kept")
+    # the listing misses the file, as it would one made just after it
+    monkeypatch.setattr(os, "listdir", lambda path: [])
+    assert main(["scaffold", AISCO, str(outdir)]) == 2
+    assert capsys.readouterr().err == f"error: {target}: File exists\n"
+    assert target.read_text() == "kept"
+
+
+def test_scaffold_names_the_template_it_could_not_open(tmp_path, capsys):
+    # the error names the whole path, not the name in the templates directory
+    outdir = tmp_path / "site"
+    blocked = outdir / "templates" / "Donor_form.tpl.txt"
+    blocked.mkdir(parents=True)
+    assert main(["scaffold", AISCO, str(outdir), "--overwrite"]) == 2
+    assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
 
 
 @pytest.mark.parametrize("link", ["templates/AISCO_form.tpl.txt", "install_data.json"])

@@ -7,7 +7,7 @@ from itertools import chain
 import pytest
 
 from fmc import owl
-from fmc.compiler import _ROW_CHUNK, CompileError, _axioms, compile_model, default_iri
+from fmc.compiler import _ROW_CHUNK, CompileError, _axioms, _rows, compile_model, default_iri
 from fmc.dsl import parse
 from fmc.model import (
     Attribute,
@@ -368,6 +368,11 @@ class _Special(NamedClass):
     __slots__ = ()
 
 
+def _row(a, others):
+    """The row of a against others, cut from a block of its own."""
+    return owl._DisjointRow((a, *others), 0, range(1, 1 + len(others)))
+
+
 # Faults planted in a DisjointClasses row: a class in place of the row's
 # first operand, or one more operand in the middle of the others
 ROW_FAULTS = {
@@ -389,7 +394,7 @@ def test_an_error_inside_a_batch_stops_its_rendering(batched_model, fault):
     row = batches[first_row]
     a, operand = ROW_FAULTS[fault]
     middle = len(row) // 2
-    batches[first_row] = owl._DisjointRow(row.a if a is None else a, [
+    batches[first_row] = _row(row.a if a is None else a, [
         *row.others[:middle], *(() if operand is None else (operand,)), *row.others[middle:]])
     # the same error as a built ontology's, which checks an axiom at a time
     with pytest.raises(owl.OwlError) as built:
@@ -411,9 +416,75 @@ def test_a_row_of_named_class_subclasses_is_checked_and_rendered_as_its_axioms(b
     batches = list(_axioms(batched_model))
     first_row = next(i for i, b in enumerate(batches) if type(b) is owl._DisjointRow)
     row = batches[first_row]
-    batches[first_row] = owl._DisjointRow(_Special(row.a.name), [_Special(b.name) for b in row.others])
+    batches[first_row] = _row(_Special(row.a.name), [_Special(b.name) for b in row.others])
     ontology = owl.Ontology(iri, tuple(chain.from_iterable(batches)))
     assert "".join(owl._lines(iri, owl._checked_axioms(iri, batches))) == serialize_functional(ontology)
+
+
+def _with_block(batches, block):
+    """The batches with their DisjointClasses rows cut from block instead."""
+    rows = [i for i, b in enumerate(batches) if type(b) is owl._DisjointRow]
+    return [*batches[:rows[0]], *(owl._DisjointRow(block, i, js) for i, js in _rows(len(block))),
+            *batches[rows[-1] + 1:]]
+
+
+# Faults planted at the end of the DisjointClasses block's tuple, so that the
+# rows before the first one that holds the fault check out
+BLOCK_FAULTS = {
+    "undeclared": NamedClass("Undeclared"),
+    "subclass": _Special("Undeclared"),
+    "thing": owl.THING,
+    "unhashable-name": NamedClass(["B"]),
+}
+
+
+@pytest.mark.parametrize("fault", BLOCK_FAULTS)
+def test_a_fault_in_the_block_is_the_error_its_axioms_raise(batched_model, fault):
+    iri = default_iri(batched_model.root)
+    batches = list(_axioms(batched_model))
+    block = next(b for b in batches if type(b) is owl._DisjointRow).block
+    batches = _with_block(batches, (*block, BLOCK_FAULTS[fault]))
+    # the same error as a built ontology's, which checks an axiom at a time
+    with pytest.raises(owl.OwlError) as built:
+        owl.Ontology(iri, tuple(chain.from_iterable(batches)))
+    pieces = []
+    with pytest.raises(owl.OwlError) as streamed:
+        for piece in owl._lines(iri, owl._checked_axioms(iri, batches)):
+            pieces.append(piece)
+    assert (type(streamed.value), str(streamed.value)) == (type(built.value), str(built.value))
+    # every batch before the first row that holds the fault is rendered
+    first = next(k for k, b in enumerate(batches)
+                 if type(b) is owl._DisjointRow and len(block) in b.js)
+    assert type(batches[first - 1]) is owl._DisjointRow
+    assert "".join(pieces) == owl._header(iri) + "\n" + "".join(
+        owl._render_axiom(axiom) + "\n" for axiom in chain.from_iterable(batches[:first]))
+
+
+def test_a_block_of_named_class_subclasses_is_checked_and_rendered_as_its_axioms(batched_model):
+    iri = default_iri(batched_model.root)
+    batches = list(_axioms(batched_model))
+    block = next(b for b in batches if type(b) is owl._DisjointRow).block
+    batches = _with_block(batches, tuple(_Special(c.name) for c in block))
+    ontology = owl.Ontology(iri, tuple(chain.from_iterable(batches)))
+    assert "".join(owl._lines(iri, owl._checked_axioms(iri, batches))) == serialize_functional(ontology)
+
+
+def test_the_block_is_checked_once_not_a_pair_at_a_time(monkeypatch):
+    n = 300
+    model = FeatureModel("Root", (Feature("Root", None, Variability.MANDATORY), *(
+        Feature(f"F{i}", "Root", Variability.OPTIONAL) for i in range(n - 1))))
+    name, reads = owl._name, []
+
+    def counting(item):
+        reads.append(item)
+        return name(item)
+
+    monkeypatch.setattr(owl, "_name", counting)
+    iri = default_iri("Root")
+    rows = sum(type(b) is owl._DisjointRow for b in owl._checked_axioms(iri, _axioms(model)))
+    # each class's name is read once, where a check of every row read the
+    # n(n-1)/2 = 44,850 operands' names
+    assert rows >= n - 1 and n <= len(reads) < 2 * n
 
 
 def test_a_row_is_the_sequence_of_its_axioms(batched_model):

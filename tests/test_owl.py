@@ -529,9 +529,12 @@ def test_a_run_of_disjoint_classes_lines_is_one_token_per_row_chunk():
 
 def test_a_read_holds_the_unread_runs_or_their_axioms_not_both():
     # each run token is dropped once its axioms are built, so over the
-    # ontology it builds a read holds less than one more copy of its text
-    # (0.94 MB over 2.85 MB for this 1.35 MB text, CPython 3.11); with
-    # every token kept to the end it held 2.22 MB over
+    # ontology it builds a read holds less than one more copy of its text;
+    # with every token kept to the end it held 2.22 MB over. The other
+    # tokens and the list of every axiom go before the copy to a tuple is
+    # validated: 0.55 MB over 2.85 MB for this 1.35 MB text (0.49 MB on
+    # CPython 3.12 and 3.13), where holding both through the validation
+    # took 0.94 MB (CPython 3.11)
     text = serialize_functional(compile_model(random_tree(random.Random("read"), 300, 10)))
     tracemalloc.start()
     try:
@@ -540,7 +543,7 @@ def test_a_read_holds_the_unread_runs_or_their_axioms_not_both():
     finally:
         tracemalloc.stop()
     assert len(ontology.axioms) == text.count("\n") - 3
-    assert peak - held < len(text), f"the read peaked {(peak - held) / 1e6:.2f} MB over its result"
+    assert peak - held < len(text) / 2, f"the read peaked {(peak - held) / 1e6:.2f} MB over its result"
 
 
 def test_parse_functional_file_skips_one_leading_byte_order_mark(tmp_path):

@@ -1,9 +1,11 @@
 import json
+import os
 import random
+from itertools import chain
 
 import pytest
 
-from fmc.compiler import compile_model
+from fmc.compiler import _axioms, compile_model, default_iri
 from fmc.dsl import parse
 from fmc.owl import Declaration, DisjointClasses, EntityKind, Ontology
 from fmc.scaffold import (
@@ -283,6 +285,71 @@ def test_a_refused_write_writes_nothing(tmp_path, aisco_ontology, clash):
     assert [p for p in site.rglob("*") if p.is_file()] == [site / target]
     assert (site / target).read_text() == "kept"
     assert len(write(scaffold, site, overwrite=True)) == 27
+
+
+def test_an_unrelated_file_in_templates_is_left_as_it_is(tmp_path, aisco_ontology):
+    scaffold = generate(aisco_ontology)
+    other = tmp_path / "templates" / "notes.txt"
+    other.parent.mkdir()
+    other.write_text("kept")
+    written = write(scaffold, tmp_path)
+    assert len(written) == 27
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted([*written, other])
+    assert other.read_text() == "kept"
+
+
+def test_a_dangling_link_named_like_a_template_is_refused(tmp_path, aisco_ontology):
+    # a write through it would create the link's target, outside the site
+    scaffold = generate(aisco_ontology)
+    site, outside = tmp_path / "site", tmp_path / "outside.txt"
+    link = site / "templates" / "Donor_form.tpl.txt"
+    link.parent.mkdir(parents=True)
+    link.symlink_to(outside)
+    with pytest.raises(ScaffoldError) as info:
+        write(scaffold, site)
+    assert str(info.value) == (f"refusing to overwrite 1 existing file(s): {link} "
+                               "(pass overwrite to replace)")
+    assert sorted(site.rglob("*")) == [link.parent, link]
+    assert not os.path.lexists(outside)
+
+
+def test_a_template_made_after_the_check_is_not_replaced(tmp_path, aisco_ontology, monkeypatch):
+    scaffold = generate(aisco_ontology)
+    target = write(scaffold, tmp_path / "model")[-1].relative_to(tmp_path / "model")
+    site = tmp_path / "site"
+    (site / target).parent.mkdir(parents=True)
+    (site / target).write_text("kept")
+    # the listing misses the file, as it would one made just after it
+    monkeypatch.setattr(os, "listdir", lambda path: [])
+    with pytest.raises(FileExistsError) as info:
+        write(scaffold, site)
+    assert info.value.filename == str(site / target)
+    assert (site / target).read_text() == "kept"
+
+
+def test_an_install_file_made_after_the_check_is_not_replaced(tmp_path, aisco_ontology,
+                                                              monkeypatch):
+    scaffold = generate(aisco_ontology)
+    install = tmp_path / "install_data.json"
+    install.write_text("kept")
+    monkeypatch.setattr(os.path, "lexists", lambda path: False)  # the check misses it
+    with pytest.raises(ScaffoldError) as info:
+        write(scaffold, tmp_path)
+    assert str(info.value) == (f"refusing to overwrite 1 existing file(s): {install} "
+                               "(pass overwrite to replace)")
+    assert install.read_text() == "kept"
+
+
+def test_a_write_into_a_fresh_directory_looks_up_no_template(tmp_path, monkeypatch):
+    # 600 features: 1200 categories, each target looked up on its own
+    # took 1201 lookups
+    model = parse("feature Root {" + "".join(f" optional F{i}" for i in range(599)) + " }")
+    iri = default_iri(model.root)
+    scaffold = generate(Ontology(iri, tuple(chain.from_iterable(_axioms(model, disjoint=False)))))
+    lexists, lookups = os.path.lexists, []
+    monkeypatch.setattr(os.path, "lexists", lambda path: lookups.append(path) or lexists(path))
+    assert len(write(scaffold, tmp_path / "site")) == 1201
+    assert len(lookups) <= 1
 
 
 def test_writes_are_deterministic(tmp_path, aisco_ontology):
