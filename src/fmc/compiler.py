@@ -25,28 +25,27 @@ lexicographic; then the attribute axioms (feature order).
 Every name is declared before its first use: a feature's classes and
 property in its base axioms, a data property right before its domain
 and range. ``_axioms`` yields the axioms in batches: each feature's base
-axioms, each relation's or constraint's, each attribute's, and each row
-of pairs, one class (or group member) against the later ones, in pieces
-of at most ``_ROW_CHUNK``. So no batch holds more than 256 axioms, and a
-compile error is raised between batches, where it was met.
+axioms, each relation's or constraint's, each attribute's, each row of
+an alternative group's pairwise axioms, one member against the later
+ones, in pieces of at most ``_ROW_CHUNK``, and the whole DisjointClasses
+block as one ``fmc.owl._DisjointBlock`` of the features' shared
+``NamedClass`` terms, which builds no axiom value unless it is iterated.
+A compile error is raised between batches, where it was met.
 ``compile_model`` flattens the batches into an ``Ontology``;
 ``fmc compile`` instead streams them through the declare-before-use
 checker into the output file a batch at a time, so no batch is kept
 once it is written, and ``fmc scaffold`` skips the DisjointClasses
 block, which is nearly all of the axioms and which the scaffold does
-not read. A piece of a DisjointClasses row is a ``fmc.owl._DisjointRow``:
-indexes into the one tuple of the features' shared ``NamedClass`` terms
-that the whole block is cut from, which builds no axiom value unless it
-is iterated. The streaming checker checks that tuple once and then
-passes each row in one step, the renderer writes a row with one join,
-and each batch reaches the output's spool in one encoded write
-(``fmc.owl``).
+not read. The streaming checker checks the block's classes once and
+then passes it whole, the renderer writes each row of the block with
+one join, and each piece of text reaches the output's spool in one
+encoded write (``fmc.owl``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator
 from itertools import chain, repeat
 
 from .model import FeatureModel
@@ -67,7 +66,7 @@ from .owl import (
     SubClassOf,
     UnionOf,
     _ROW_CHUNK,
-    _DisjointRow,
+    _DisjointBlock,
 )
 from .propositional import _rules, _variables
 
@@ -93,12 +92,12 @@ def _rows(n: int) -> Iterator[tuple[int, range]]:
             yield i, range(j, min(j + _ROW_CHUNK, n))
 
 
-def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Sequence[Axiom]]:
+def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Collection[Axiom]]:
     """Yield the ontology's axioms in the order the module docstring
     states, in batches: each feature's five base axioms, each relation's
     or constraint's axioms, an alternative group's pairwise axioms a row
     at a time (``_rows``), and each attribute's three axioms, as lists;
-    and the DisjointClasses block a row at a time, as ``_DisjointRow``s.
+    and the DisjointClasses block as one ``_DisjointBlock``.
 
     Each feature's terms are built once; every axiom refers to these
     shared, immutable objects. With disjoint=False the DisjointClasses
@@ -145,9 +144,7 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Sequence[
                            for j in js]
 
     if disjoint:
-        block = tuple(terms[var[name]].cls for name in sorted(var))
-        for i, js in _rows(len(block)):
-            yield _DisjointRow(block, i, js)
+        yield _DisjointBlock(terms[var[name]].cls for name in sorted(var))
 
     # data-property names share one global namespace
     declared: set[str] = set()

@@ -33,18 +33,16 @@ lines of a batch into one string. The checker takes a
 a built ontology, with two set lookups, and the renderer writes every
 ``DisjointClasses`` with one f-string.
 
-A batch may also be one row of a DisjointClasses block, a
-``_DisjointRow`` of a class and the classes it is disjoint with, whose
-axioms are built only when it is indexed or iterated. A row holds the
-one tuple of classes its block is cut from and indexes into it, so the
-block is checked once per class, not once per pair: at the block's first
-row the checker checks that every item of the tuple is a plain
-``NamedClass`` with a declared name (one set of the items' types, one
-``issuperset`` over their names), and then passes each row of it whole,
-in O(1). ``_lines`` reads the tuple's names once too, and renders a row
-with one join over a slice of them, the same text as its axioms' lines.
-A row of a tuple that fails the check is checked an axiom at a time, so
-its first error is the one its axioms raise one by one.
+A batch may also be a whole DisjointClasses block, a ``_DisjointBlock``
+of the classes that are pairwise disjoint, whose axioms are built only
+when it is iterated. The checker checks the block once per class, not
+once per pair: every class a plain ``NamedClass`` with a declared name
+(one set of the classes' types, one ``issuperset`` over their names),
+and then passes it whole. ``_lines`` reads the names once too, and
+renders each row of the block, a class against the later ones, with one
+join, the same text as its axioms' lines. A block that fails the check
+is checked an axiom at a time, so its first error is the one its axioms
+raise one by one.
 ``fmc compile`` chains the two over the compiler's batches, which
 declare every name before its first use, and ``_write_functional``
 encodes each batch's text into a binary temporary file in one write as
@@ -56,7 +54,9 @@ because the IRI was checked at the call. ``serialize_functional`` and
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
-are worked out only when an error is raised. A token's kind follows from
+are worked out only when an error is raised. It reads a ``:Name`` as a
+name under the ontology IRI, so a default prefix other than that IRI is
+an ``UnsupportedConstructError``. A token's kind follows from
 its text: ``(``, ``)``, ``:=``, ``<iri>``, ``:Name``, ``prefix:name``, a
 word, a number, or a run of up to ``_ROW_CHUNK`` consecutive
 ``DisjointClasses(:A :B)`` lines as the serializer writes them, one line
@@ -77,9 +77,9 @@ deep.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import filterfalse, repeat
+from itertools import combinations, filterfalse, starmap
 from operator import attrgetter
 
 from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
@@ -206,63 +206,38 @@ class DisjointClasses(Axiom):
     b: NamedClass
 
 
-# At most this many axioms make one piece of a DisjointClasses block: a
-# batch of the compiler's (``fmc.compiler._rows``) and a token of the
-# reader's. Below the collector's first threshold (700 new objects) a batch
-# and the one before it die young; with a batch per whole row, a compile at
-# n=2000 ran about 1900 collections and took about 15% longer.
+# At most this many axioms make one piece of an alternative group's row of
+# pairwise axioms (``fmc.compiler._rows``), and at most this many lines one
+# run token of the reader's: it bounds the size of both. A group axiom is
+# four tracked objects (SubClassOf, ComplementOf, IntersectionOf and its
+# tuple), so a piece is about 1000 of them. With a piece per whole group
+# row, a streamed compile of an 800-member group ran 917 gen-0 collections
+# against 853, and one of a 1000-member group peaked 0.7-0.8 MiB higher
+# (CPython 3.11).
 _ROW_CHUNK = 256
 
 
-class _DisjointRow(Sequence):
-    """The axioms ``DisjointClasses(block[i], block[j])`` for each j in the
-    range js, in order: one row of a DisjointClasses block, as one batch.
+class _DisjointBlock:
+    """The axioms ``DisjointClasses(a, b)`` for each pair (a, b) of
+    ``combinations(classes, 2)``, in that order: a whole DisjointClasses
+    block as one batch, whose axioms are built only when it is iterated.
 
-    block is the one tuple of classes the whole block is cut from, and a
-    row holds only indexes into it, so every operand of a row is an item
-    of its block. So the block is checked once per class, not once per
-    pair: the checker checks the tuple at the block's first row and passes
-    each row of it in O(1), and the renderer reads the tuple's names once
-    and takes a row with one join (``_checked_batches``, ``_lines``). Each
-    axiom is built only when the row is indexed or iterated. A slice is a
-    row too.
+    The checker checks the classes once, not once per pair, and passes the
+    block whole; the renderer reads their names once and writes a row of
+    the block with one join (``_checked_batches``, ``_lines``).
     """
 
-    __slots__ = ("block", "i", "js")
+    __slots__ = ("classes",)
 
-    def __init__(self, block: tuple[NamedClass, ...], i: int, js: range):
-        self.block = block
-        self.i = i
-        self.js = js
-
-    def _is_cut(self) -> bool:
-        """Whether i and js lie in block and js counts up by one, so the
-        row's others are the slice ``block[js.start:js.stop]``."""
-        i, js, n = self.i, self.js, len(self.block)
-        return (type(i) is int and 0 <= i < n and type(js) is range and js.step == 1
-                and 0 <= js.start and js.stop <= n)
-
-    @property
-    def a(self) -> NamedClass:
-        return self.block[self.i]
-
-    @property
-    def others(self) -> Sequence[NamedClass]:
-        block, js = self.block, self.js
-        if self._is_cut():
-            return block[js.start:js.stop]
-        return tuple(map(block.__getitem__, js))
+    def __init__(self, classes: Iterable[NamedClass]):
+        self.classes = tuple(classes)
 
     def __len__(self) -> int:
-        return len(self.js)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return _DisjointRow(self.block, self.i, self.js[k])
-        return DisjointClasses(self.a, self.block[self.js[k]])
+        n = len(self.classes)
+        return n * (n - 1) // 2
 
     def __iter__(self) -> Iterator[DisjointClasses]:
-        return map(DisjointClasses, repeat(self.a), self.others)
+        return starmap(DisjointClasses, combinations(self.classes, 2))
 
 
 @_value
@@ -329,7 +304,8 @@ def validate_ontology(ontology: Ontology) -> None:
         pass
 
 
-def _checked_axioms(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Axiom]]:
+def _checked_axioms(iri: str,
+                    batches: Iterable[Collection[Axiom]]) -> Iterator[Collection[Axiom]]:
     """Check batches of axioms in one pass, yielding each batch once every
     axiom in it is checked.
 
@@ -349,7 +325,7 @@ def _checked_axioms(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[Se
 _name = attrgetter("name")
 
 
-def _checked_batches(batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Axiom]]:
+def _checked_batches(batches: Iterable[Collection[Axiom]]) -> Iterator[Collection[Axiom]]:
     declared: dict[EntityKind, set[str]] = {kind: set() for kind in EntityKind}
     classes, object_properties, data_properties = declared.values()  # EntityKind order
 
@@ -385,25 +361,18 @@ def _checked_batches(batches: Iterable[Sequence[Axiom]]) -> Iterator[Sequence[Ax
         else:
             raise OwlError(f"unknown class expression {expr!r}")
 
-    # the last DisjointClasses block met, and whether it checked out: every
-    # item a plain NamedClass with a declared name. Names are only ever
-    # added, so a block that checked out stays so
-    block, block_ok = None, False
     for batch in batches:
-        # the rows of a block that checked out pass in O(1) each; any other
-        # row is checked an axiom at a time, below, for the error, or to pass
-        # it after all (a NamedClass subclass, or a name declared later)
-        if type(batch) is _DisjointRow:
-            if batch.block is not block:
-                block = batch.block
-                try:
-                    block_ok = (type(block) is tuple and set(map(type, block)) <= {NamedClass}
-                                and classes.issuperset(map(_name, block)))
-                except TypeError:  # an unhashable name
-                    block_ok = False
-            if block_ok and batch._is_cut():
-                yield batch
-                continue
+        # a block whose every class is a plain NamedClass with a declared
+        # name passes whole; any other is checked an axiom at a time, below,
+        # for the error, or to pass it after all (a NamedClass subclass)
+        if type(batch) is _DisjointBlock:
+            block = batch.classes
+            try:
+                if set(map(type, block)) <= {NamedClass} and classes.issuperset(map(_name, block)):
+                    yield batch
+                    continue
+            except TypeError:  # an unhashable name
+                pass
         for axiom in batch:
             # DisjointClasses first: a compiled ontology is almost all of them.
             # Two declared plain NamedClass operands pass at once; otherwise
@@ -506,34 +475,21 @@ def _header(iri: str) -> str:
     return f"Prefix(:=<{iri}>)\nOntology(<{iri}>"
 
 
-def _lines(iri: str, batches: Iterable[Sequence[Axiom]]) -> Iterator[str]:
+def _lines(iri: str, batches: Iterable[Collection[Axiom]]) -> Iterator[str]:
     """The functional-syntax text in pieces: the header, the lines of each
     checked batch of axioms as one string, the closing parenthesis.
 
-    A ``_DisjointRow`` is rendered with one join over its names, the same
-    text as ``_render_axiom`` makes for each of its axioms. The names of a
-    block's tuple are read once, and a row cut from it joins a slice of
-    them."""
+    A ``_DisjointBlock`` is rendered a row at a time, each row with one
+    join over the names of its later classes, which are read once: the
+    same text as ``_render_axiom`` makes for each of its axioms."""
     yield _header(iri) + "\n"
-    block = names = None  # the last DisjointClasses block met, and its names
     for batch in batches:
-        if not batch:
-            continue
-        if type(batch) is _DisjointRow:
-            if batch.block is not block:
-                block = batch.block
-                try:
-                    names = tuple(map(_name, block)) if type(block) is tuple else None
-                except AttributeError:  # an item that no checked row holds
-                    names = None
-            if names is not None and batch._is_cut():
-                js = batch.js
-                a, others = names[batch.i], names[js.start:js.stop]
-            else:
-                a, others = batch.a.name, map(_name, batch.others)
-            head = f"DisjointClasses(:{a} :"
-            yield head + (")\n" + head).join(others) + ")\n"
-        else:
+        if type(batch) is _DisjointBlock:
+            names = tuple(map(_name, batch.classes))
+            for i, a in enumerate(names[:-1], 1):
+                head = f"DisjointClasses(:{a} :"
+                yield head + (")\n" + head).join(names[i:]) + ")\n"
+        elif batch:
             yield "\n".join(map(_render_axiom, batch)) + "\n"
     yield ")\n"
 
@@ -566,7 +522,7 @@ def write_functional(ontology: Ontology, path) -> None:
     _write_functional(ontology.iri, _slices(ontology.axioms), path)
 
 
-def _write_functional(iri: str, batches: Iterable[Sequence[Axiom]], path) -> None:
+def _write_functional(iri: str, batches: Iterable[Collection[Axiom]], path) -> None:
     """Write the lines of ``serialize_functional`` as the batches come.
 
     The lines go to an anonymous temporary file first, and path is opened
@@ -663,11 +619,15 @@ class _OwlParser(Cursor):
         self.expect("Prefix")
         self.expect("(")
         self.expect(":=")
-        self.expect_iri()
+        prefix = self.expect_iri()
         self.expect(")")
         self.expect("Ontology")
         self.expect("(")
         iri = self.expect_iri()
+        # a :Name is read as a name under the ontology IRI
+        if prefix != iri:
+            raise self.error(self.pos - 1, f"default prefix '{prefix}' is not the ontology IRI "
+                             f"'{iri}'", UnsupportedConstructError)
         tokens, named = self.tokens, self.named
         axioms = []
         append = axioms.append

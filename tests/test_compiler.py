@@ -2,12 +2,12 @@ import dataclasses
 import gc
 import random
 import tracemalloc
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
 from fmc import owl
-from fmc.compiler import _ROW_CHUNK, CompileError, _axioms, _rows, compile_model, default_iri
+from fmc.compiler import _ROW_CHUNK, CompileError, _axioms, compile_model, default_iri
 from fmc.dsl import parse
 from fmc.model import (
     Attribute,
@@ -336,24 +336,43 @@ def test_the_batches_flatten_to_the_compiled_axioms(batched_model):
     assert tuple(chain.from_iterable(_axioms(batched_model))) == compile_model(batched_model).axioms
 
 
-def test_the_disjointness_block_comes_a_row_at_a_time(batched_model):
-    # each batch pairs one class with at most _ROW_CHUNK of the later ones:
-    # no batch may hold the whole block, nor a whole long row
+def _block_at(batches):
+    """The index of the DisjointClasses block among the batches."""
+    return next(i for i, b in enumerate(batches) if type(b) is owl._DisjointBlock)
+
+
+def test_the_disjointness_block_comes_as_one_batch(batched_model):
     classes = sorted(f.name for f in batched_model.features)
     batches = list(_axioms(batched_model))
-    rows = [b for b in batches if isinstance(b[0], DisjointClasses)]
-    later = {a: len(classes) - i - 1 for i, a in enumerate(classes)}
-    assert [(row[0].a.name, len(row)) for row in rows] == [
-        (a, min(_ROW_CHUNK, n - j)) for a, n in later.items() for j in range(0, n, _ROW_CHUNK)]
-    assert all(type(x) is DisjointClasses and x.a is row[0].a for row in rows for x in row)
-    assert max(map(len, batches)) == _ROW_CHUNK < len(classes) - 1
-    assert all(batches)
+    at = _block_at(batches)
+    block = batches.pop(at)
+    assert not any(type(b) is owl._DisjointBlock for b in batches)
+    assert len(block) == len(classes) * (len(classes) - 1) // 2
+    assert [(x.a.name, x.b.name) for x in block] == list(combinations(classes, 2))
+    assert all(type(x) is DisjointClasses for x in block)
+    assert all(batches) and max(map(len, batches)) <= _ROW_CHUNK
+
+
+def test_a_long_alternative_group_comes_a_row_piece_at_a_time():
+    members = [f"M{i}" for i in range(_ROW_CHUNK + 44)]
+    model = parse("feature Root {\n  alternative {\n" + "".join(f"    {m}\n" for m in members)
+                  + "  }\n}\n")
+    pieces = [b for b in _axioms(model, disjoint=False)
+              if all(type(x) is SubClassOf and type(x.sup) is ComplementOf for x in b)]
+    pairs = [tuple(x.sup.operand.operands) for x in chain.from_iterable(pieces)]
+    assert pairs == list(combinations(map(exists, members), 2))
+    # one member against later members that follow one another
+    assert all(len({x.sup.operand.operands[0] for x in piece}) == 1 for piece in pieces)
+    assert max(map(len, pieces)) == _ROW_CHUNK < len(members) - 1
+    assert len(pieces) == sum(-(-k // _ROW_CHUNK) for k in range(1, len(members)))
 
 
 def test_a_compile_lets_its_batches_die_young(tmp_path):
     # the batch being built and the one before it stay under the
     # collector's first threshold (700 new objects), so they die before any
-    # collection: with a batch per whole row, this compile ran about 100
+    # collection, and the DisjointClasses block builds no axiom value: with
+    # a batch of DisjointClasses values per whole row, this compile ran
+    # about 100
     model = FeatureModel("Root", (Feature("Root", None, Variability.MANDATORY), *(
         Feature(f"F{i}", "Root", Variability.OPTIONAL) for i in range(800))))
     iri = default_iri("Root")
@@ -368,34 +387,15 @@ class _Special(NamedClass):
     __slots__ = ()
 
 
-def _row(a, others):
-    """The row of a against others, cut from a block of its own."""
-    return owl._DisjointRow((a, *others), 0, range(1, 1 + len(others)))
-
-
-# Faults planted in a DisjointClasses row: a class in place of the row's
-# first operand, or one more operand in the middle of the others
-ROW_FAULTS = {
-    "undeclared": (None, NamedClass("Undeclared")),
-    "thing-as-a": (owl.THING, None),
-    "thing-among-others": (None, owl.THING),
-    "subclass-as-a": (_Special("Undeclared"), None),
-    "subclass-among-others": (None, _Special("Undeclared")),
-    "unhashable-name-as-a": (NamedClass(["A"]), None),
-    "unhashable-name-among-others": (None, NamedClass(["B"])),
-}
-
-
-@pytest.mark.parametrize("fault", ROW_FAULTS)
-def test_an_error_inside_a_batch_stops_its_rendering(batched_model, fault):
+def _check_fault(batched_model, fault, where):
+    """Plant fault in the DisjointClasses block's classes: before the first
+    one, in the middle or after the last."""
     iri = default_iri(batched_model.root)
     batches = list(_axioms(batched_model))
-    first_row = next(i for i, b in enumerate(batches) if type(b) is owl._DisjointRow)
-    row = batches[first_row]
-    a, operand = ROW_FAULTS[fault]
-    middle = len(row) // 2
-    batches[first_row] = _row(row.a if a is None else a, [
-        *row.others[:middle], *(() if operand is None else (operand,)), *row.others[middle:]])
+    at = _block_at(batches)
+    classes = list(batches[at].classes)
+    classes.insert({"first": 0, "middle": len(classes) // 2, "last": len(classes)}[where], fault)
+    batches[at] = owl._DisjointBlock(classes)
     # the same error as a built ontology's, which checks an axiom at a time
     with pytest.raises(owl.OwlError) as built:
         owl.Ontology(iri, tuple(chain.from_iterable(batches)))
@@ -404,32 +404,32 @@ def test_an_error_inside_a_batch_stops_its_rendering(batched_model, fault):
         for piece in owl._lines(iri, owl._checked_axioms(iri, batches)):
             pieces.append(piece)
     assert (type(streamed.value), str(streamed.value)) == (type(built.value), str(built.value))
-    # the batches before the row are rendered, and no line of the row
+    # the batches before the block are rendered, and no line of the block
     assert "".join(pieces) == owl._header(iri) + "\n" + "".join(
-        owl._render_axiom(axiom) + "\n" for axiom in chain.from_iterable(batches[:first_row]))
+        owl._render_axiom(axiom) + "\n" for axiom in chain.from_iterable(batches[:at]))
 
 
-def test_a_row_of_named_class_subclasses_is_checked_and_rendered_as_its_axioms(batched_model):
-    # a subclass takes the per-axiom check, which passes it, and renders
-    # as a NamedClass does
-    iri = default_iri(batched_model.root)
-    batches = list(_axioms(batched_model))
-    first_row = next(i for i, b in enumerate(batches) if type(b) is owl._DisjointRow)
-    row = batches[first_row]
-    batches[first_row] = _row(_Special(row.a.name), [_Special(b.name) for b in row.others])
-    ontology = owl.Ontology(iri, tuple(chain.from_iterable(batches)))
-    assert "".join(owl._lines(iri, owl._checked_axioms(iri, batches))) == serialize_functional(ontology)
+# Faults planted first in the block's classes, as the first operand of its
+# first row, or in the middle, among that row's others
+ROW_FAULTS = {
+    "undeclared": (NamedClass("Undeclared"), "middle"),
+    "undeclared-as-a": (NamedClass("Undeclared"), "first"),
+    "thing-as-a": (owl.THING, "first"),
+    "thing-among-others": (owl.THING, "middle"),
+    "subclass-as-a": (_Special("Undeclared"), "first"),
+    "subclass-among-others": (_Special("Undeclared"), "middle"),
+    "unhashable-name-as-a": (NamedClass(["A"]), "first"),
+    "unhashable-name-among-others": (NamedClass(["B"]), "middle"),
+}
 
 
-def _with_block(batches, block):
-    """The batches with their DisjointClasses rows cut from block instead."""
-    rows = [i for i, b in enumerate(batches) if type(b) is owl._DisjointRow]
-    return [*batches[:rows[0]], *(owl._DisjointRow(block, i, js) for i, js in _rows(len(block))),
-            *batches[rows[-1] + 1:]]
+@pytest.mark.parametrize("fault", ROW_FAULTS)
+def test_an_error_inside_a_batch_stops_its_rendering(batched_model, fault):
+    _check_fault(batched_model, *ROW_FAULTS[fault])
 
 
-# Faults planted at the end of the DisjointClasses block's tuple, so that the
-# rows before the first one that holds the fault check out
+# Faults planted last in the block's classes, so that its first error is
+# in its last pairs
 BLOCK_FAULTS = {
     "undeclared": NamedClass("Undeclared"),
     "subclass": _Special("Undeclared"),
@@ -440,31 +440,16 @@ BLOCK_FAULTS = {
 
 @pytest.mark.parametrize("fault", BLOCK_FAULTS)
 def test_a_fault_in_the_block_is_the_error_its_axioms_raise(batched_model, fault):
-    iri = default_iri(batched_model.root)
-    batches = list(_axioms(batched_model))
-    block = next(b for b in batches if type(b) is owl._DisjointRow).block
-    batches = _with_block(batches, (*block, BLOCK_FAULTS[fault]))
-    # the same error as a built ontology's, which checks an axiom at a time
-    with pytest.raises(owl.OwlError) as built:
-        owl.Ontology(iri, tuple(chain.from_iterable(batches)))
-    pieces = []
-    with pytest.raises(owl.OwlError) as streamed:
-        for piece in owl._lines(iri, owl._checked_axioms(iri, batches)):
-            pieces.append(piece)
-    assert (type(streamed.value), str(streamed.value)) == (type(built.value), str(built.value))
-    # every batch before the first row that holds the fault is rendered
-    first = next(k for k, b in enumerate(batches)
-                 if type(b) is owl._DisjointRow and len(block) in b.js)
-    assert type(batches[first - 1]) is owl._DisjointRow
-    assert "".join(pieces) == owl._header(iri) + "\n" + "".join(
-        owl._render_axiom(axiom) + "\n" for axiom in chain.from_iterable(batches[:first]))
+    _check_fault(batched_model, BLOCK_FAULTS[fault], "last")
 
 
 def test_a_block_of_named_class_subclasses_is_checked_and_rendered_as_its_axioms(batched_model):
+    # a subclass takes the per-axiom check, which passes it, and renders
+    # as a NamedClass does
     iri = default_iri(batched_model.root)
     batches = list(_axioms(batched_model))
-    block = next(b for b in batches if type(b) is owl._DisjointRow).block
-    batches = _with_block(batches, tuple(_Special(c.name) for c in block))
+    at = _block_at(batches)
+    batches[at] = owl._DisjointBlock(_Special(c.name) for c in batches[at].classes)
     ontology = owl.Ontology(iri, tuple(chain.from_iterable(batches)))
     assert "".join(owl._lines(iri, owl._checked_axioms(iri, batches))) == serialize_functional(ontology)
 
@@ -479,35 +464,37 @@ def test_the_block_is_checked_once_not_a_pair_at_a_time(monkeypatch):
         reads.append(item)
         return name(item)
 
+    def unbuilt(block):
+        raise AssertionError("the block's axioms were built")
+
     monkeypatch.setattr(owl, "_name", counting)
+    monkeypatch.setattr(owl._DisjointBlock, "__iter__", unbuilt)
     iri = default_iri("Root")
-    rows = sum(type(b) is owl._DisjointRow for b in owl._checked_axioms(iri, _axioms(model)))
-    # each class's name is read once, where a check of every row read the
+    blocks = sum(type(b) is owl._DisjointBlock for b in owl._checked_axioms(iri, _axioms(model)))
+    # each class's name is read once, where a check of every pair read the
     # n(n-1)/2 = 44,850 operands' names
-    assert rows >= n - 1 and n <= len(reads) < 2 * n
+    assert blocks == 1 and n <= len(reads) < 2 * n
 
 
-def test_a_row_is_the_sequence_of_its_axioms(batched_model):
-    row = next(b for b in _axioms(batched_model) if type(b) is owl._DisjointRow)
-    axioms = [DisjointClasses(row.a, b) for b in row.others]
-    assert len(row) == len(axioms) and list(row) == axioms
-    assert [row[i] for i in range(-len(row), len(row))] == axioms + axioms
-    assert list(row[3:9:2]) == axioms[3:9:2] and type(row[3:9:2]) is owl._DisjointRow
-    assert row.index(axioms[5]) == 5 and axioms[-1] in row
-    with pytest.raises(IndexError):
-        row[len(row)]
+def test_the_block_is_the_collection_of_its_axioms(batched_model):
+    block = next(b for b in _axioms(batched_model) if type(b) is owl._DisjointBlock)
+    axioms = [DisjointClasses(a, b) for a, b in combinations(block.classes, 2)]
+    # it iterates again, as a flattening after a check would
+    assert len(block) == len(axioms) and list(block) == axioms and list(block) == axioms
+    assert axioms[5] in block and axioms[-1] in block
 
 
-def test_a_checked_row_renders_as_its_axioms_do(batched_model):
+def test_a_checked_block_renders_as_its_axioms_do(batched_model):
     iri = default_iri(batched_model.root)
     batches = list(_axioms(batched_model))
-    # the header, one piece per batch (none is empty), the closing parenthesis
+    at, n = _block_at(batches), len(batched_model.features)
+    # the header, one piece per other batch (none is empty) and one per row
+    # of the block, the closing parenthesis
     pieces = list(owl._lines(iri, owl._checked_axioms(iri, batches)))[1:-1]
-    assert len(pieces) == len(batches)
-    rows = [(row, piece) for row, piece in zip(batches, pieces) if type(row) is owl._DisjointRow]
-    assert len(rows) > len(batched_model.features) - 1
-    for row, piece in rows:
-        assert piece == "\n".join(map(owl._render_axiom, row)) + "\n"
+    assert len(pieces) == len(batches) - 1 + n - 1
+    rows = pieces[at:at + n - 1]
+    assert [row.count("\n") for row in rows] == list(range(n - 1, 0, -1))
+    assert "".join(rows) == "".join(owl._render_axiom(axiom) + "\n" for axiom in batches[at])
 
 
 def test_the_streamed_compile_writes_the_built_ontology(batched_model, tmp_path):

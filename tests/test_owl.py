@@ -583,6 +583,17 @@ def test_syntax_errors(text, fragment):
         parse_functional(text)
 
 
+def test_a_default_prefix_other_than_the_ontology_iri_is_refused():
+    # a :Name is read under the ontology IRI, and written back under it:
+    # a text whose default prefix differs would move every entity
+    text = ("Prefix(:=<http://a.example/x#>)\nOntology(<http://b.example/y#>\n"
+            "Declaration(Class(:X))\n)")
+    with pytest.raises(UnsupportedConstructError) as info:
+        parse_functional(text)
+    assert str(info.value) == ("line 2, column 10: default prefix 'http://a.example/x#' "
+                               "is not the ontology IRI 'http://b.example/y#'")
+
+
 def test_syntax_error_position():
     text = "Prefix(:=<http://x#>)\nOntology(<http://x#>\nDeclaration(Class(A))\n)"
     with pytest.raises(OwlSyntaxError) as info:
