@@ -7,7 +7,9 @@ web-application scaffolds.
 ``import fmc`` loads no submodule: each one, the OWL side (``compiler``,
 ``owl``, ``scaffold``) as well as ``analysis``, ``dsl``, ``model`` and
 ``propositional``, loads on first use of one of its names, so a command
-pays only for what it runs (see ``fmc.cli``).
+pays only for what it runs (see ``fmc.cli``). Compiled from source, as
+with no bytecode cache, ``analysis`` takes about 3-5 ms to load,
+``compiler`` with ``owl`` 18 ms and ``scaffold`` 7 ms more.
 """
 
 from importlib import import_module

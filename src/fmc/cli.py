@@ -7,11 +7,11 @@ and a stdout closed before the report is written;
 Reports go to stdout (JSON with --json), logs and errors to stderr.
 
 Each command imports only what it runs: every command the DSL reader
-(`dsl`, `lexer`, `model`), `propositional` and `_report`; `check` and
-`count` add `analysis`; `compile` and `scaffold` add the OWL side
-(`compiler`, `owl`, and for `scaffold` also `scaffold`). `json` is
-imported only by `count --json` and by a scaffold's trigger registry,
-and `typing`, `dataclasses` and `inspect` by none.
+(`dsl`, `lexer`, `model`) and `propositional`; `check` and `count` add
+`analysis`; `compile` and `scaffold` add the OWL side (`compiler`, `owl`,
+and for `scaffold` also `scaffold`). `json` writes every JSON report and
+is imported only by `check --json`, `validate --json`, `count --json` and
+`scaffold`, and `typing`, `dataclasses` and `inspect` by none.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import sys
 from contextlib import contextmanager
 from itertools import chain
 
-from ._report import dumps
 from .dsl import ParseError, parse, parse_configuration
 from .lexer import read_source
 from .model import FeatureModel, ModelError, UnknownFeatureError
@@ -86,7 +85,8 @@ def cmd_check(args) -> int:
     model = _load_model(args.input)
     report = analysis.analyze(model)
     if args.json:
-        print(dumps(report))
+        import json
+        print(json.dumps(report, indent=2))
     else:
         print("consistent: " + ("yes" if report["consistent"] else "no (void model)"))
         dead = report["dead_features"]
@@ -105,12 +105,13 @@ def cmd_validate(args) -> int:
     except UnknownFeatureError as exc:
         raise _Failure(1, f"{args.config}: {exc}") from exc
     if args.json:
-        print(dumps({
+        import json
+        print(json.dumps({
             "valid": valid,
             "violations": [
                 {"rule": v.rule, "features": list(v.features), "message": v.message}
                 for v in violations],
-        }))
+        }, indent=2))
     else:
         if valid:
             print("configuration is valid")

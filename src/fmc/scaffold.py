@@ -13,10 +13,10 @@ file mirrors.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
-from ._report import dumps
 from .model import _value
 from .owl import (
     DataPropertyDomain,
@@ -122,7 +122,6 @@ def load_triggers(path) -> dict[str, str]:
 
     Errors (OSError, ScaffoldError) leave naming the path to the caller.
     """
-    import json  # here, so a scaffold without a registry never loads it
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -219,13 +218,12 @@ def _refusal(existing: list[str]) -> ScaffoldError:
         "(pass overwrite to replace)")
 
 
-def _prepare(paths: list[Path], overwrite: bool) -> None:
-    if not overwrite:
-        # lexists: a dangling symbolic link exists too, and a write
-        # through it would create its target, wherever that is
-        existing = [str(p) for p in paths if os.path.lexists(p)]
-        if existing:
-            raise _refusal(existing)
+def _prepare(paths: list[Path]) -> None:
+    # lexists: a dangling symbolic link exists too, and a write
+    # through it would create its target, wherever that is
+    existing = [str(p) for p in paths if os.path.lexists(p)]
+    if existing:
+        raise _refusal(existing)
 
 
 def _create(path, text: str, overwrite: bool, dir_fd: int | None = None) -> None:
@@ -265,7 +263,7 @@ def write(scaffold: SiteScaffold, outdir, overwrite: bool = False,
     """
     install = _phase1_target(outdir)
     if not overwrite and os.path.lexists(install):
-        _prepare([install, *_phase2_targets(scaffold, outdir)], overwrite)
+        _prepare([install, *_phase2_targets(scaffold, outdir)])
     for directory in (Path(outdir), Path(outdir) / "templates"):
         directory.mkdir(parents=True, exist_ok=True)
     templates = write_phase2(scaffold, outdir, overwrite, zotonic_notes)
@@ -288,7 +286,7 @@ def write_phase1(scaffold: SiteScaffold, outdir, overwrite: bool = False,
         {"name": p.name, "valid_from": list(p.valid_from), "valid_to": list(p.valid_to)}
         for p in scaffold.predicates]
     try:
-        _create(target, dumps(document) + "\n", overwrite)
+        _create(target, json.dumps(document, indent=2) + "\n", overwrite)
     except FileExistsError:
         raise _refusal([str(target)]) from None
     return [target]
@@ -309,7 +307,7 @@ def write_phase2(scaffold: SiteScaffold, outdir, overwrite: bool = False,
     directory = os.open(templates, os.O_RDONLY | os.O_DIRECTORY)
     try:
         if not overwrite and os.listdir(directory):
-            _prepare(targets, overwrite)
+            _prepare(targets)
         for category, target in zip(scaffold.categories, targets):
             lines = []
             if zotonic_notes:

@@ -187,9 +187,8 @@ def test_check_human_output(capsys):
 
 def test_check_json_report(capsys):
     assert main(["check", AISCO, "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report == {"consistent": True, "dead_features": [],
-                      "configuration_count": 160}
+    assert capsys.readouterr().out == (
+        '{\n  "consistent": true,\n  "dead_features": [],\n  "configuration_count": 160\n}\n')
 
 
 def test_check_void_exits_3(void_fm, capsys):
@@ -521,51 +520,36 @@ def run_bare_python(script, *args):
     return result.stdout
 
 
-def test_only_compile_and_scaffold_load_the_owl_side(tmp_path):
-    script = f"""
-import contextlib, io, sys
-from fmc.cli import main
-model, config, out = sys.argv[1:]
-for argv in (["check", model], ["count", model], ["validate", model, config],
-             ["compile", model, out + ".ofn"], ["scaffold", model, out]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        main(argv)
-    print(argv[0], *[name in sys.modules for name in {OWL_SIDE!r}])
-"""
-    config = write_config(tmp_path, "AISCO")
-    assert run_python(script, AISCO, config, tmp_path / "out").splitlines() == [
-        "check False False False", "count False False False",
-        "validate False False False", "compile True True False",
-        "scaffold True True True"]
-
-
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     script = f"""
 import contextlib, io, sys
 import fmc
 print(*sorted(name for name in sys.modules if name.startswith("fmc.")))
 from fmc.cli import main
-model, config, out = sys.argv[1:]
-for argv in (["validate", model, config], ["validate", model, config, "--json"],
-             ["check", model], ["check", model, "--json"], ["count", model],
-             ["count", model, "--json"], ["compile", model, out + ".ofn"], ["scaffold", model, out]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    print(argv[0] + " --json" * ("--json" in argv), code,
-          *[name in sys.modules for name in ("fmc.analysis", "json", "typing", "dataclasses",
-                                             "inspect", *{OWL_SIDE!r})])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *[name in sys.modules for name in ("fmc.analysis", "json", "_json", "typing",
+                                               "dataclasses", "inspect", *{OWL_SIDE!r})])
 """
-    config = write_config(tmp_path, "AISCO", "FinancialReport", "ProgramData", "PublicationSystem")
-    result = run_bare_python(script, AISCO, config, tmp_path / "out")
-    assert result.splitlines() == [
-        "", "validate 0 False False False False False False False False",
-        "validate --json 0 False False False False False False False False",
-        "check 0 True False False False False False False False",
-        "check --json 0 True False False False False False False False",
-        "count 0 True False False False False False False False",
-        "count --json 0 True True False False False False False False",
-        "compile 0 True True False False False True True False",
-        "scaffold 0 True True False False False True True True"]
+    valid = write_config(tmp_path, "AISCO", "FinancialReport", "ProgramData", "PublicationSystem")
+    invalid = tmp_path / "invalid.txt"
+    invalid.write_text("AISCO\n")
+    out = tmp_path / "out"
+    # each command in a fresh process: columns fmc.analysis, json, _json,
+    # typing, dataclasses, inspect, fmc.compiler, fmc.owl, fmc.scaffold
+    expected = [
+        (["validate", AISCO, valid], "0 False False False False False False False False False"),
+        (["validate", AISCO, invalid], "4 False False False False False False False False False"),
+        (["validate", AISCO, valid, "--json"],
+         "0 False True True False False False False False False"),
+        (["check", AISCO], "0 True False False False False False False False False"),
+        (["check", AISCO, "--json"], "0 True True True False False False False False False"),
+        (["count", AISCO], "0 True False False False False False False False False"),
+        (["count", AISCO, "--json"], "0 True True True False False False False False False"),
+        (["compile", AISCO, f"{out}.ofn"], "0 False False False False False False True True False"),
+        (["scaffold", AISCO, out], "0 False True True False False False True True True")]
+    assert [run_bare_python(script, *argv).splitlines() for argv, _ in expected] == [
+        ["", row] for _, row in expected]
 
 
 def test_value_classes_load_dataclasses_only_for_its_api():

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from fmc import _report
 from fmc.analysis import count_configurations
 from fmc.cli import main
 from fmc.compiler import CompileError, compile_model
@@ -360,29 +359,10 @@ def test_cli_validate_reports_what_the_library_checks(case):
         valid, violations = is_valid_configuration(
             parse(text), parse_configuration(config.decode("utf-8")))
         assert code == (0 if valid else 4)
-        assert json.loads(out) == {
+        assert out == json.dumps({
             "valid": valid,
             "violations": [{"rule": v.rule, "features": list(v.features), "message": v.message}
-                           for v in violations]}
-
-
-# any text, lone surrogates too; floats and tuples take json.dumps's path
-REPORT_TEXT = st.text(st.characters(codec=None), max_size=6)
-REPORTS = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), REPORT_TEXT, st.floats()),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(REPORT_TEXT, max_size=4),
-                            st.dictionaries(REPORT_TEXT, inner, max_size=4),
-                            st.lists(inner, max_size=3).map(tuple),
-                            st.dictionaries(st.integers(), inner, max_size=2)),
-    max_leaves=12)
-
-
-@PROPERTY
-@given(REPORTS)
-@example({"valid": True, "violations": []})
-@example({"a": [], "b": {}, "c": [[], {}], "\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600": "\n\t\"\\"})
-def test_a_report_is_written_as_json_dumps_writes_it(report):
-    assert _report.dumps(report) == json.dumps(report, indent=2)
+                           for v in violations]}, indent=2) + "\n"
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

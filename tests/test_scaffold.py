@@ -225,7 +225,9 @@ def test_scaffold_invariants_enforced():
 def test_write_phase1_schema(tmp_path, aisco_ontology):
     scaffold = generate(aisco_ontology)
     (written,) = write_phase1(scaffold, tmp_path)
-    data = json.loads(written.read_text(encoding="utf-8"))
+    text = written.read_text(encoding="utf-8")
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2) + "\n"
     assert list(data) == ["site", "categories", "predicates"]
     assert data["site"] == "AISCO"
     assert {"name": "AISCORule", "is_rule_class": True} in data["categories"]
