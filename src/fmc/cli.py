@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 input/parse errors (missing file, DSL syntax,
 unknown feature in a configuration); 2 compile, write, or cap errors,
 and a stdout closed before the report is written;
-3 void model from `check`; 4 invalid configuration from `validate`.
+3 void model from `check`; 4 invalid configuration from `validate`;
+130 interrupted (Ctrl-C), with one `error: interrupted` line and no traceback.
 Reports go to stdout (JSON with --json), logs and errors to stderr.
 
 Each command imports only what it runs: every command the DSL reader
@@ -225,6 +226,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
+    except KeyboardInterrupt:
+        # the shell's code for SIGINT; a compile's output path is opened
+        # only once its last batch is rendered, so it is as it was
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

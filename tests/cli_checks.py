@@ -179,6 +179,24 @@ def tree_4000(tmp):
     expect((report["consistent"], len(report["dead_features"])) == (True, 81), "not True 81")
 
 
+def group_800(tmp):
+    """One repair per member and no search; a search per member took 67 s."""
+    out, _, _ = run(tmp, 0, "timeout", "60", *DEV, "check", "--json",
+                    write(tmp / "group.fm", group(800)), stdout=None)
+    report = json.loads(out)
+    expect(report == {"consistent": True, "dead_features": [], "configuration_count": None},
+           f"unexpected report {report}")
+
+
+def tree_16000(tmp):
+    """1631 dead features, as one search per feature no model had selected
+    found them in 7 s."""
+    out, _, _ = run(tmp, 0, "timeout", "60", *DEV, "check", "--json",
+                    write(tmp / "tree16000.fm", tree(16000, 800)), stdout=None)
+    report = json.loads(out)
+    expect((report["consistent"], len(report["dead_features"])) == (True, 1631), "not True 1631")
+
+
 def million_features(tmp):
     """19 MB of DSL with no size limit; the bound is 5% over the 520.5 MiB
     measured on Python 3.11."""
@@ -244,8 +262,8 @@ def two_million_axioms(tmp):
 
 
 CHECKS = [golden_ontology, every_other_command, scaffold_1200, flat_20000, chain_40000,
-          tree_4000, million_features, validate_200000, alternative_200000, half_million_axioms,
-          two_million_axioms]
+          tree_4000, group_800, tree_16000, million_features, validate_200000, alternative_200000,
+          half_million_axioms, two_million_axioms]
 
 
 def main() -> int:

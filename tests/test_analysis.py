@@ -89,7 +89,8 @@ def test_repeated_literals_count_once():
 
 def test_one_solver_answers_every_literal_over_long_clauses():
     # one solver per formula is asked for each literal in turn, as the
-    # dead-feature queries ask; the store it reads is the same afterwards
+    # dead-feature steps ask: a search, a probe, and a repair of a model
+    # where the literal is false; the store it reads is the same afterwards
     rng = random.Random(2718)
     for _ in range(300):
         n = rng.randint(1, 10)
@@ -101,13 +102,27 @@ def test_one_solver_answers_every_literal_over_long_clauses():
         formula = PropositionalFormula(n, tuple(clauses), tuple(f"V{i}" for i in range(n)))
         models = list(truth_table_models(n, clauses))
         solver = analysis._Solver(formula)
-        solver.complete = rng.random() < 0.5
         for lit in [s * v for v in range(1, n + 1) for s in (1, -1)]:
             witness = solver.solve((lit,))
             possible = any((abs(lit) in m) == (lit > 0) for m in models)
             assert (witness is not None) == possible, (clauses, lit)
             if witness is not None:
                 assert witness[abs(lit)] == (lit > 0) and satisfies(formula, witness)
+            assert not (solver.failed(lit) and possible), (clauses, lit)
+            others = [m for m in models if (abs(lit) in m) != (lit > 0)]
+            if not others:
+                continue
+            start = rng.choice(others)
+            model = analysis._by_literal(bytes(v in start for v in range(1, n + 1)))
+            before = model[:]
+            changed = solver.repair(model, lit)
+            if changed is None:
+                assert model == before, (clauses, lit)
+            else:
+                # a model with lit true, changed in exactly the literals returned
+                assert model[lit] and satisfies(formula, model), (clauses, lit)
+                assert sorted(changed) == sorted(
+                    x for x in range(-n, n + 1) if x and model[x] and not before[x])
         fresh = analysis._Store(n, formula.clauses)
         store = analysis._store(formula)
         assert (store.implied, store.occurs, store.scan) == (
@@ -289,11 +304,53 @@ def test_a_witness_that_breaks_a_clause_is_refused(monkeypatch, aisco_model):
         solve(to_propositional(aisco_model))
     with pytest.raises(AssertionError, match="non-satisfying assignment"):
         dead_features(aisco_model)  # its base solve
-    # a sound base witness, then a broken one for a feature it left out
+    monkeypatch.undo()
+    # the base model selects X; A's repair deselects X and selects Y, which
+    # excludes A, so it is stuck and A takes a search, whose model selects
+    # Z; Y is then one repair
+    model = parse("feature R { optional A alternative { X Y Z } }\n"
+                  "constraints { A excludes X Y excludes A }")
+    steps = count_steps(monkeypatch)
+    assert dead_features(model) == set()
+    assert steps == dict(repairs=2, stuck=1, size=3, probes=1, failed=0, searches=1)
+    # a sound base model, then a broken one from that search
     monkeypatch.setattr(analysis._Solver, "solve", lambda self, assumptions=(): (
         all_false(self) if assumptions else real_solve(self, assumptions)))
-    with pytest.raises(AssertionError, match="non-satisfying assignment"):
-        dead_features(aisco_model)
+    with pytest.raises(AssertionError, match="^solver returned a non-satisfying assignment$"):
+        dead_features(model)
+
+
+# the base model selects R, C, D, X and Y; A's repair then sets A, -C, -D, -X
+# and -Y, in that order
+FIXES = parse("feature R { optional A optional C { optional D } optional X { optional Y } }\n"
+              "constraints { A excludes C X requires C }")
+
+
+@pytest.mark.parametrize("name", [
+    "C",  # breaks (-A, -C), the last clause that holds -A, A the first literal set
+    "D",  # breaks (-D, C), the first of the two clauses that hold C
+    "X",  # breaks (-X, C), the last of those two
+    "Y",  # breaks (-Y, X), the one clause that holds X
+])
+def test_a_repair_that_skips_a_fix_is_refused(monkeypatch, name):
+    # the repair leaves the feature selected and out of the literals it
+    # returns, so one clause is false; the re-check of the changed literals
+    # finds it
+    assert dead_features(FIXES) == set()
+    forgotten = -to_propositional(FIXES).variable(name)
+    real_repair = analysis._Solver.repair
+
+    def skips_one_fix(self, model, lit):
+        changed = real_repair(self, model, lit)
+        assert changed is not None and changed[0] == lit
+        if forgotten in changed:
+            changed.remove(forgotten)
+            model[forgotten], model[-forgotten] = 0, 1
+        return changed
+
+    monkeypatch.setattr(analysis._Solver, "repair", skips_one_fix)
+    with pytest.raises(AssertionError, match="^repair returned a non-satisfying assignment$"):
+        dead_features(FIXES)
 
 
 def test_a_store_missing_a_clause_is_caught_by_the_recheck(monkeypatch):
@@ -325,14 +382,80 @@ def count_solver_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def count_steps(monkeypatch) -> dict[str, int]:
+    """Wrap the steps ``dead_features`` takes on ``_Solver`` and count them
+    in the returned dict: ``repairs``, of which ``stuck`` returned None and
+    the others set ``size`` literals in all; ``probes``, of which ``failed``
+    found a conflict; and ``searches``, the solves under an assumption."""
+    steps = dict.fromkeys(("repairs", "stuck", "size", "probes", "failed", "searches"), 0)
+    real_repair, real_failed, real_solve = (
+        analysis._Solver.repair, analysis._Solver.failed, analysis._Solver.solve)
+
+    def repair(self, model, lit):
+        changed = real_repair(self, model, lit)
+        steps["repairs"] += 1
+        steps["stuck"] += changed is None
+        steps["size"] += len(changed or ())
+        return changed
+
+    def failed(self, lit):
+        conflict = real_failed(self, lit)
+        steps["probes"] += 1
+        steps["failed"] += conflict
+        return conflict
+
+    def search(self, assumptions=()):
+        steps["searches"] += bool(assumptions)
+        return real_solve(self, assumptions)
+
+    monkeypatch.setattr(analysis._Solver, "repair", repair)
+    monkeypatch.setattr(analysis._Solver, "failed", failed)
+    monkeypatch.setattr(analysis._Solver, "solve", search)
+    return steps
+
+
 @pytest.mark.parametrize("n", [250, 500, 1000, 2000])
-def test_dead_features_on_a_flat_model_takes_two_solver_calls(monkeypatch, n):
-    # the base witness selects only the root; the first query's witness,
-    # completed with True, selects every optional child at once
+def test_dead_features_on_a_flat_model_takes_one_repair_per_child(monkeypatch, n):
+    # the base model selects only the root; each optional child is one
+    # repair that sets that child alone
     model = parse("feature Root {\n" + "\n".join(f"  optional F{i}" for i in range(n)) + "\n}\n")
-    calls = count_solver_calls(monkeypatch)
+    steps = count_steps(monkeypatch)
     assert dead_features(model) == set()
-    assert calls[0] == 2
+    assert steps == dict(repairs=n, stuck=0, size=n, probes=0, failed=0, searches=0)
+
+
+@pytest.mark.parametrize("k", [100, 200, 400])
+def test_an_alternative_group_takes_one_repair_per_member_and_no_search(monkeypatch, k):
+    # the base model selects the first member; each other member is one
+    # repair that selects it and deselects the one before
+    model = parse("feature Root {\n  alternative {\n"
+                  + "".join(f"    M{i}\n" for i in range(k)) + "  }\n}\n")
+    steps = count_steps(monkeypatch)
+    assert dead_features(model) == set()
+    assert steps == dict(repairs=k - 1, stuck=0, size=2 * (k - 1), probes=0, failed=0, searches=0)
+
+
+def test_dead_feature_work_grows_about_linearly_on_trees(monkeypatch):
+    # totals over 20 seeded trees per rung; the bounds sit over what was
+    # measured when the repair came in: repair sizes of 5888, 13643, 27007
+    # and 68230 (2.32x, 1.98x and 2.53x per doubling, 11.6x over the three),
+    # probes at most n/108 and searches at most n/714 per tree
+    steps = count_steps(monkeypatch)
+    sizes = []
+    for n in (250, 500, 1000, 2000):
+        for key in steps:
+            steps[key] = 0
+        for seed in range(20):
+            rng = random.Random(f"{n}:{seed}")
+            while True:
+                model = random_tree(rng, n, n // 20)
+                if check_consistency(model):
+                    break
+            dead_features(model)
+        sizes.append(steps["size"])
+        assert steps["probes"] * 80 <= n * 20 and steps["searches"] * 250 <= n * 20, (n, steps)
+    assert all(later <= 2.6 * earlier for earlier, later in zip(sizes, sizes[1:])), sizes
+    assert sizes[-1] <= 2.5 ** 3 * sizes[0], sizes
 
 
 @pytest.mark.parametrize("n", [250, 500, 1000, 2000])
@@ -354,15 +477,14 @@ def test_dead_features_queries_on_trees_stay_under_a_twelfth_of_the_features(mon
         assert calls[0] - 1 - len(dead) <= n // 12, (seed, calls[0], len(dead))
 
 
-def test_dead_features_on_a_deep_chain_takes_two_solver_calls(monkeypatch):
-    # the base witness selects every feature but the leaf, a don't-care it
-    # leaves False, and one query selects the leaf; deciding the leaf walks
-    # up the whole chain once, where a walk to the root from every feature
-    # would be quadratic in the depth
+def test_dead_features_on_a_deep_chain_takes_one_repair(monkeypatch):
+    # the base model selects every feature but the leaf (each decision
+    # takes a clause's first unassigned variable True), and one repair sets
+    # the leaf alone; the preorder walk visits the 9600 features once
     model = optional_chain(9600)
-    calls = count_solver_calls(monkeypatch)
+    steps = count_steps(monkeypatch)
     assert dead_features(model) == set()
-    assert calls[0] == 2
+    assert steps == dict(repairs=1, stuck=0, size=1, probes=0, failed=0, searches=0)
 
 
 def dead_subtree(k: int, child_first: bool = False) -> FeatureModel:
@@ -381,13 +503,13 @@ def dead_subtree(k: int, child_first: bool = False) -> FeatureModel:
 
 @pytest.mark.parametrize("k", [1, 5, 10])
 def test_a_dead_subtree_takes_one_query_whatever_its_size(monkeypatch, k):
-    # the base solve, then one unsatisfiable query for A; every feature
-    # below A has a parent already found dead
+    # A's repair is stuck (deselecting the mandatory B deselects the root),
+    # and one probe proves A dead; every feature below A has a dead parent
     model = dead_subtree(k)
-    calls = count_solver_calls(monkeypatch)
+    steps = count_steps(monkeypatch)
     dead = dead_features(model)
     assert dead == {"A", *(f"D{i}" for i in range(k))} == oracle_dead(model)
-    assert calls[0] == 2
+    assert steps == dict(repairs=1, stuck=1, size=0, probes=1, failed=1, searches=0)
 
 
 @pytest.mark.parametrize("k", [1, 5, 10])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -606,6 +607,33 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (2, b"")
+
+
+def test_an_interrupted_command_exits_130_with_one_line(monkeypatch, capsys):
+    from fmc import analysis
+
+    def interrupted(model):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analysis, "analyze", interrupted)
+    assert main(["check", AISCO, "--json"]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
+def test_an_interrupted_compile_leaves_its_output_as_it_was(tmp_path, monkeypatch, capsys):
+    from fmc import compiler
+    real_axioms = compiler._axioms
+
+    def interrupted(model, **options):
+        yield from itertools.islice(real_axioms(model, **options), 3)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(compiler, "_axioms", interrupted)
+    out = tmp_path / "aisco.ofn"
+    out.write_text("before\n")
+    assert main(["compile", AISCO, str(out)]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert out.read_text() == "before\n"
 
 
 def test_the_fresh_process_checks_build_the_inputs_their_bounds_were_measured_on():

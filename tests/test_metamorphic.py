@@ -2,7 +2,7 @@
 
 The brute-force oracles in ``helpers`` stop at about 16 features. These
 relations need no oracle: each one derives a second model from a seeded
-``helpers.random_tree`` model of up to 1000 features and states how the
+``helpers.random_tree`` model of up to 4000 features and states how the
 two reports must relate (Segura, Hierons, Benavides & Ruiz-Cortés,
 "Automated metamorphic testing on the analyses of feature models",
 Information and Software Technology, 2011). A "dead" answer is tied to
@@ -25,7 +25,7 @@ REQUIRES, EXCLUDES = ConstraintKind.REQUIRES, ConstraintKind.EXCLUDES
 
 # (n, seed) of each model; n // 10 constraints leave most models
 # consistent with some dead features, and a few void
-CASES = [(n, seed) for n in (30, 100, 300, 1000) for seed in range(3)]
+CASES = [(n, seed) for n in (30, 100, 300, 1000, 2000, 4000) for seed in range(3)]
 # models within the count cap, so the count is compared too
 COUNTED = [(20, seed) for seed in range(4)]
 
