@@ -8,13 +8,14 @@ one read-only clause store per formula (``_Store``).
 Dead features, the backbone's negative literals, come from one checked
 model W kept up to date: every feature some W selected is alive (Janota,
 Lynce & Marques-Silva, AI Communications 2015). Each other feature F
-takes the first step that settles it: a **repair** of W that sets F true
-and fixes what that breaks, with no backtracking; a **probe**, which finds
-F dead when F alone conflicts at the base level (a failed literal; Van
-Gelder, ISAIM 2008); or a **search** for a model with F. On the
+takes a **repair** of W that sets F true and fixes what that breaks, with
+no backtracking, and only where that is stuck a **search** for a model
+with F. The search first propagates F alone at the base level, so a
+failed literal (Van Gelder, ISAIM 2008) is dead with no decision. On the
 ``analyze`` benchmark's 48 models (seed 1): 1351 repairs, 95 of them
-stuck, 85 dead by probe and 10 searches, in about 18 ms where a search
-per unselected feature took 27 ms; 0.09 s in place of 1.6 s at n=8000.
+stuck and searched, 85 dead by propagation alone, in about 18 ms where a
+search per unselected feature took 27 ms; 0.09 s in place of 1.6 s at
+n=8000.
 
 Counting works on the same CNF: unit propagation, a factor of two per free
 variable, independent components counted once each and cached by their
@@ -173,16 +174,6 @@ class _Solver:
                     trail.append(unit)
         self.head = head
         return True
-
-    def failed(self, lit: int) -> bool:
-        """True if lit is false at the base level, or conflicts when
-        propagated alone there: then no model makes lit true."""
-        if self.value[lit]:  # assigning it again would corrupt the base level
-            return self.value[lit] < 0
-        self._assign(lit)
-        ok = self._propagate()
-        self._undo(self.base)
-        return not ok
 
     def repair(self, model: bytearray, lit: int) -> list[int] | None:
         """Set lit true in ``model``, a model of the formula indexed by
@@ -366,8 +357,6 @@ def dead_features(model: FeatureModel) -> set[str]:
                         raise AssertionError("repair returned a non-satisfying assignment")
                 if lit > 0:
                     alive[lit] = 1
-        elif solver.failed(v):
-            dead[v] = 1
         else:
             witness = _checked(formula, solver.solve((v,)))
             dead[v] = witness is None

@@ -228,7 +228,8 @@ def main(argv=None) -> int:
         return 2
     except KeyboardInterrupt:
         # the shell's code for SIGINT; a compile's output path is opened
-        # only once its last batch is rendered, so it is as it was
+        # only once its last batch is rendered, so an interrupt before
+        # then leaves it as it was
         print("error: interrupted", file=sys.stderr)
         return 130
 
