@@ -31,7 +31,9 @@ ones, in pieces of at most ``_ROW_CHUNK``, and the whole DisjointClasses
 block as one ``fmc.owl._DisjointBlock`` of the features' shared
 ``NamedClass`` terms, which builds no axiom value unless it is iterated.
 A compile error is raised between batches, where it was met.
-``compile_model`` flattens the batches into an ``Ontology``;
+``compile_model`` hands the batches to an ``Ontology`` as an
+``fmc.owl.Axioms``, the other batches merged into tuples of values and
+the block kept whole, the shape a read of the compiled text has;
 ``fmc compile`` instead streams them through the declare-before-use
 checker into the output file a batch at a time, so no batch is kept
 once it is written, and ``fmc scaffold`` skips the DisjointClasses
@@ -46,11 +48,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Collection, Iterator
-from itertools import chain, repeat
+from itertools import repeat
 
 from .model import FeatureModel
 from .owl import (
     Axiom,
+    Axioms,
     ComplementOf,
     Declaration,
     DataPropertyDomain,
@@ -171,6 +174,6 @@ def compile_model(model: FeatureModel, iri: str | None = None) -> Ontology:
     """
     try:
         return Ontology(default_iri(model.root) if iri is None else iri,
-                        tuple(chain.from_iterable(_axioms(model))))
+                        Axioms._of(_axioms(model)))
     except OwlError as exc:
         raise CompileError(str(exc)) from exc

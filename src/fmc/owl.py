@@ -16,14 +16,16 @@ than through ``object.__setattr__``; a compiled ontology is hundreds of
 thousands of values. An ``Ontology`` validates itself when it is built
 (``validate_ontology``), so the serializer and the scaffold need not
 check again; an axiom that uses an undeclared name raises
-``UndeclaredNameError``.
+``UndeclaredNameError``. ``Ontology.axioms`` is an ``Axioms``: a
+read-only sequence, not a ``tuple`` instance, that compares, hashes and
+reprs as the tuple of its axioms does, and holds them as batches.
 
 Validation is one declare-before-use pass (``_checked_axioms``) over
 batches of axioms: it checks the IRI at the call, then each axiom of a
 batch in one loop, yields the batch once it is checked, and raises the
 first error in stream order, so a stream must declare each name before
-it uses it. ``validate_ontology`` runs it over an ontology's axioms as
-one batch, and only if that raises, again as two batches, its
+it uses it. ``validate_ontology`` runs it over the batches of an
+ontology's ``Axioms``, and only if that raises, again as two batches, its
 declarations and then its other axioms: there a name may be used before
 it is declared, and the error reported is the first in that order. A
 field of the wrong type is an ``OwlError`` too. Rendering
@@ -50,7 +52,8 @@ it comes, so no batch is kept; the output is opened only once the whole
 stream has checked out. The header is rendered first, which is safe
 because the IRI was checked at the call. ``serialize_functional`` and
 ``write_functional`` render a built ``Ontology`` through the same
-``_lines``, in slices of ``_WRITE_SLICE`` axioms, an axiom at a time.
+``_lines``: its tuples of values in slices of ``_WRITE_SLICE`` axioms,
+an axiom at a time, and its block row by row.
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
@@ -62,10 +65,15 @@ word, a number, or a run of up to ``_ROW_CHUNK`` consecutive
 ``DisjointClasses(:A :B)`` lines as the serializer writes them, one line
 break apart. Each parse builds one ``NamedClass`` per class name and
 shares it among all the axioms that use the name. A compiled ontology is
-nearly all one such run, so a few hundred tokens, each read with one look:
-its names come from one replace and one split, its axioms from one
-``map``, and the token is dropped from the token list once they are
-built, so a read holds a run's text or its axioms, never both. A
+nearly all one such run, so a few hundred consecutive tokens. Where such
+tokens hold exactly the lines of ``combinations(classes, 2)``, they read
+as one ``_DisjointBlock`` of those classes (``_OwlParser.block``): the
+first row names the classes, and each later token is compared with the
+text the serializer writes for its lines, so no axiom value is built per
+pair. Any other run of them is read a token at a time: its names come
+from one replace and one split, its axioms from one ``map``. Either way
+the tokens are dropped from the token list once they are read, so a read
+holds a run's text or what it reads as, never both. A
 ``DisjointClasses`` line of any other spacing or shape ends a
 run and is five tokens, read by ``parse_axiom``, which words every error.
 Where no axiom may start, a run reads as the word ``DisjointClasses``
@@ -77,10 +85,11 @@ deep.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import combinations, filterfalse, starmap
-from operator import attrgetter
+from itertools import accumulate, chain, combinations, filterfalse, groupby, starmap
+from operator import attrgetter, index
 
 from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
 from .model import _value
@@ -225,7 +234,8 @@ class _DisjointBlock:
     The checker checks the classes once, not once per pair, and passes the
     block whole; the renderer reads their names once and writes a row of
     the block with one join (``_checked_batches``, ``_lines``). This took
-    the benchmark's ``ontology`` pass from 0.628 to 0.592 s.
+    the benchmark's ``ontology`` pass from 0.628 to 0.592 s. The reader
+    reads a block's lines back as one too (``_OwlParser.block``).
     """
 
     __slots__ = ("classes",)
@@ -239,6 +249,100 @@ class _DisjointBlock:
 
     def __iter__(self) -> Iterator[DisjointClasses]:
         return starmap(DisjointClasses, combinations(self.classes, 2))
+
+    def __getitem__(self, k: int) -> DisjointClasses:
+        """The k-th axiom, for 0 <= k < len(self), built alone: row i, the
+        class i against the later ones, starts at axiom i(2n-i-1)/2."""
+        classes = self.classes
+        n = len(classes)
+        i = bisect_right(range(n - 1), k, key=lambda i: i * (2 * n - i - 1) // 2) - 1
+        return DisjointClasses(classes[i], classes[k - i * (2 * n - i - 1) // 2 + i + 1])
+
+
+def _is_block(batch: Collection[Axiom]) -> bool:
+    return type(batch) is _DisjointBlock
+
+
+class Axioms(Sequence):
+    """An ontology's axioms: a read-only sequence, not a ``tuple``, that
+    compares, hashes and reprs as the tuple of its axioms does.
+
+    It holds them as batches: tuples of values, and a whole DisjointClasses
+    block as one ``_DisjointBlock``, whose axioms are built only when they
+    are read. ``len`` adds up the batches, iteration chains them, an index
+    (negative too) builds the one axiom it names, and a slice is a tuple.
+    ``==`` takes a tuple on either side; against another ``Axioms`` of the
+    same batch lengths a block is compared with a block by its classes,
+    which pick out its axioms (its first row names them all). ``Axioms(x)``
+    holds the axioms of any iterable as one batch; a compiled or read
+    ontology holds its block whole (``Axioms._of``).
+    """
+
+    __slots__ = ("_batches", "_ends", "_len")
+
+    def __init__(self, axioms: Iterable[Axiom] = ()):
+        self._hold((tuple(axioms),))  # a tuple is kept, not copied
+
+    @classmethod
+    def _of(cls, batches: Iterable[Collection[Axiom]]) -> Axioms:
+        """The axioms of the batches, each run of batches of values merged
+        into one tuple and each ``_DisjointBlock`` kept whole."""
+        axioms = cls.__new__(cls)
+        kept: list[Collection[Axiom]] = []
+        for is_block, run in groupby(batches, _is_block):
+            kept += run if is_block else (tuple(chain.from_iterable(run)),)
+        axioms._hold(kept)
+        return axioms
+
+    def _hold(self, batches: Iterable[Collection[Axiom]]) -> None:
+        self._batches = batches = tuple(batch for batch in batches if len(batch))
+        self._ends = tuple(accumulate(map(len, batches)))  # each batch's end
+        self._len = self._ends[-1] if batches else 0
+
+    def __reduce__(self):
+        return Axioms._of, (self._batches,)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Axiom]:
+        return chain.from_iterable(self._batches)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._at, range(*i.indices(self._len))))
+        i = index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("Axioms index out of range")
+        return self._at(i)
+
+    def _at(self, i: int) -> Axiom:
+        b = bisect_right(self._ends, i)
+        return self._batches[b][i - self._ends[b - 1] if b else i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Axioms):
+            mine, theirs = self._batches, other._batches
+            if self._ends == other._ends and list(map(type, mine)) == list(map(type, theirs)):
+                return all(a.classes == b.classes if _is_block(a) else a == b
+                           for a, b in zip(mine, theirs))
+            if self._len != other._len:
+                return False
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        if self._len != len(other):
+            return False
+        return all(tuple(batch) == other[start:end] for batch, start, end in
+                   zip(self._batches, (0, *self._ends), self._ends))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @_value
@@ -264,12 +368,13 @@ class Ontology:
     """An ontology whose names are declared: built only if it validates."""
 
     iri: str
-    axioms: tuple[Axiom, ...]
+    axioms: Axioms
 
     def __post_init__(self):
-        # validation reads the axioms twice, so an iterator becomes a
-        # tuple first; a tuple is kept as it is, not copied
-        Ontology.axioms.__set__(self, tuple(self.axioms))
+        # an Axioms is kept as it is; the axioms of any other iterable
+        # become its one batch, a tuple kept as it is, not copied
+        if not isinstance(self.axioms, Axioms):
+            Ontology.axioms.__set__(self, Axioms(self.axioms))
         validate_ontology(self)
 
 
@@ -284,18 +389,22 @@ def validate_ontology(ontology: Ontology) -> None:
     used before it is declared: the declarations are checked first, then
     the other axioms.
 
-    The axioms are checked in the order they come first, as one batch,
-    which is the declarations-first order's verdict whenever it passes: a
-    compiled or written ontology declares each name before its first use.
-    Only if that raises are they checked again, declarations first, as a
+    The axioms are checked in the order they come first, a batch of the
+    ``Axioms`` at a time, so a DisjointClasses block is checked once per
+    class; that is the declarations-first order's verdict whenever it
+    passes: a compiled or written ontology declares each name before its
+    first use. Only if that raises are they checked again, declarations first, as a
     batch of the declarations and a batch of the rest, for the error to
     report, or to find that every name was declared after all. On a
-    300-feature compile (46,530 axioms) one batch takes 5.9 ms, and
-    declarations first 9.7 ms.
+    300-feature compile (46,530 axioms) one batch took 5.9 ms, and
+    declarations first 9.7 ms. A compiled or read ontology holds its block
+    whole, checked once per class: on a 46,838-axiom compile its batches
+    take 0.97 ms where the same axioms as one tuple take 3.8 ms (CPython
+    3.11).
     """
     iri, axioms = ontology.iri, ontology.axioms
     try:
-        for _ in _checked_axioms(iri, (axioms,)):
+        for _ in _checked_axioms(iri, axioms._batches):
             pass
         return
     except OwlError:
@@ -501,9 +610,14 @@ def _lines(iri: str, batches: Iterable[Collection[Axiom]]) -> Iterator[str]:
 _WRITE_SLICE = 4096
 
 
-def _slices(axioms: Sequence[Axiom]) -> Iterator[Sequence[Axiom]]:
-    """The axioms in consecutive slices of ``_WRITE_SLICE``."""
-    return (axioms[i:i + _WRITE_SLICE] for i in range(0, len(axioms), _WRITE_SLICE))
+def _slices(axioms: Axioms) -> Iterator[Collection[Axiom]]:
+    """The batches of the axioms: a block whole, and each tuple of values
+    in consecutive slices of ``_WRITE_SLICE``."""
+    for batch in axioms._batches:
+        if _is_block(batch):
+            yield batch
+        else:
+            yield from (batch[i:i + _WRITE_SLICE] for i in range(0, len(batch), _WRITE_SLICE))
 
 
 def serialize_functional(ontology: Ontology) -> str:
@@ -573,10 +687,15 @@ class _Interned(dict):
 
 
 _DISJOINT_LINE = rf"DisjointClasses\(:{NAME} :{NAME}\)"
-# the slot of a run token whose axioms are built: no error reads a token
+# the slot of a run token once it is read: no error reads a token
 # before the current one (positions come from the text), and this is the
 # word an error names a run by
 _READ_RUN = "DisjointClasses"
+
+
+def _run_names(tok: str) -> list[str]:
+    """The names of a run token's lines, two to a line, in order."""
+    return tok[17:-1].replace(")\nDisjointClasses(:", " :").split(" :")
 
 
 class _OwlParser(Cursor):
@@ -632,23 +751,36 @@ class _OwlParser(Cursor):
             raise self.error(self.pos - 1, f"default prefix '{prefix}' is not the ontology IRI "
                              f"'{iri}'", UnsupportedConstructError)
         tokens, named = self.tokens, self.named
-        axioms = []
+        batches: list[Collection[Axiom]] = []  # lists of values, and blocks
+        axioms: list[Axiom] = []
         append = axioms.append
         pos = self.pos
         while True:
             tok = tokens[pos]
             # a run of DisjointClasses(:A :B) lines, nearly all of a compiled
-            # ontology, is one token: its names come from one split, its
-            # axioms from one map. Once they are built the token's slot
-            # takes a shared placeholder, so a read holds the unread runs'
-            # text or their axioms, not both. Any other spacing or shape
-            # is five tokens, read by parse_axiom
+            # ontology, is one token. A maximal run of such tokens whose
+            # lines are exactly a block's is one _DisjointBlock; any other
+            # run is read a token at a time, its names from one split and
+            # its axioms from one map. Once a run is read its tokens' slots
+            # take a shared placeholder, so a read holds the unread runs'
+            # text or what they are read as, not both. Any other spacing
+            # or shape is five tokens, read by parse_axiom
             if tok[:16] == "DisjointClasses(":
-                terms = list(map(named.__getitem__,
-                                 tok[17:-1].replace(")\nDisjointClasses(:", " :").split(" :")))
-                axioms.extend(map(DisjointClasses, terms[::2], terms[1::2]))
-                tokens[pos] = _READ_RUN
-                pos += 1
+                end = pos + 1
+                while tokens[end][:16] == "DisjointClasses(":
+                    end += 1
+                block = self.block(pos, end)
+                if block is not None:
+                    batches += (axioms, block)
+                    axioms = []
+                    append = axioms.append
+                    tokens[pos:end] = [_READ_RUN] * (end - pos)
+                else:
+                    for pos in range(pos, end):
+                        terms = list(map(named.__getitem__, _run_names(tokens[pos])))
+                        axioms.extend(map(DisjointClasses, terms[::2], terms[1::2]))
+                        tokens[pos] = _READ_RUN
+                pos = end
                 continue
             if tok == ")":
                 break
@@ -660,12 +792,60 @@ class _OwlParser(Cursor):
         self.pos = pos + 1
         self.expect_end("ontology")
         # past the end no syntax error can come, so the tokens go, and the
-        # list once it is copied: neither is held while the copy is made
-        # and validated
+        # lists of values once they are copied: neither is held while the
+        # copy is validated
         tokens.clear()
-        del append
-        axioms = tuple(axioms)
-        return Ontology(iri, axioms)
+        batches.append(axioms)
+        del axioms, append
+        read = Axioms._of(batches)
+        batches.clear()
+        return Ontology(iri, read)
+
+    def block(self, start: int, end: int) -> _DisjointBlock | None:
+        """The ``_DisjointBlock`` whose axioms are exactly the lines of the
+        run tokens ``tokens[start:end]``, or None.
+
+        The block's first row, its first class against each later one, is
+        the lines whose first name is the first line's, and it names the
+        classes. From the token where that row ends, each token is then
+        compared with the text the serializer writes for its lines. Only
+        the classes' names and one token's names or text are held."""
+        tokens = self.tokens
+        first = tokens[start][17:tokens[start].index(" ")]  # the first line's first name
+        names = [first]
+        for pos in range(start, end):
+            terms = _run_names(tokens[pos])
+            firsts = terms[::2]
+            if firsts.count(first) < len(firsts):
+                break
+            names += terms[1::2]
+        else:
+            # the whole run is the first row: one pair, or not a block
+            return _DisjointBlock(map(self.named.__getitem__, names)) if len(names) == 2 else None
+        # the first row ends in this token, whose first line is the class 0
+        # against the class len(names), or starts the second row
+        row, col = 0, len(names)
+        names += terms[1:2 * next(i for i, a in enumerate(firsts) if a != first):2]
+        n = len(names)
+        if col == n:
+            row, col = 1, 2
+        for pos in range(pos, end):
+            tok = tokens[pos]
+            lines, pieces = tok.count("\n") + 1, []
+            while lines:
+                if row == n - 1:  # past the block's last line
+                    return None
+                k = min(lines, n - col)
+                head = f"DisjointClasses(:{names[row]} :"
+                pieces.append(head + (")\n" + head).join(names[col:col + k]) + ")")
+                lines -= k
+                col += k
+                if col == n:
+                    row += 1
+                    col = row + 1
+            if "\n".join(pieces) != tok:
+                return None
+        return _DisjointBlock(map(self.named.__getitem__, names)) if row == n - 1 else None
 
     def parse_axiom(self) -> Axiom:
         keyword = self.tokens[self.pos]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 from .model import _value
@@ -29,6 +30,7 @@ from .owl import (
     Ontology,
     SomeValuesFrom,
     SubClassOf,
+    _is_block,
 )
 
 TRIGGER_KINDS = ("Sum", "Count", "Average")
@@ -147,7 +149,9 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
     One form per category with a field per datatype property on it.
 
     DisjointClasses axioms are never read, so an ontology without them
-    gives the same scaffold; ``fmc scaffold`` compiles without them.
+    gives the same scaffold; ``fmc scaffold`` compiles without them, and
+    the DisjointClasses block of a compiled or read ontology is skipped
+    whole, without building its axioms.
     """
     triggers = normalize_triggers(DEFAULT_TRIGGERS if registry is None else registry)
 
@@ -157,7 +161,8 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
     uses: list[tuple[str, str]] = []  # (C, P) per SubClassOf(C, ∃P.X)
     field_domain: dict[str, str] = {}
     field_type: dict[str, str] = {}
-    for axiom in ontology.axioms:
+    values = (batch for batch in ontology.axioms._batches if not _is_block(batch))
+    for axiom in chain.from_iterable(values):
         if isinstance(axiom, Declaration):
             declared[axiom.kind].append(axiom.name)
         elif isinstance(axiom, SubClassOf):

@@ -3,7 +3,8 @@ import dataclasses
 import pickle
 import random
 import tracemalloc
-from itertools import groupby
+from collections.abc import Sequence
+from itertools import combinations, groupby
 
 import pytest
 
@@ -43,6 +44,7 @@ from fmc.owl import (
 )
 
 from fmc.compiler import compile_model
+from fmc.model import Feature, FeatureModel, Variability
 from helpers import random_ontology, random_tree
 
 IRI = "http://example.org/spl/T#"
@@ -210,7 +212,7 @@ def named_classes(value, found):
     """Append every NamedClass inside value to found, in order."""
     if isinstance(value, NamedClass):
         found.append(value)
-    elif isinstance(value, tuple):
+    elif isinstance(value, (tuple, fmc.owl.Axioms)):
         for item in value:
             named_classes(item, found)
     elif dataclasses.is_dataclass(value):
@@ -528,13 +530,11 @@ def test_a_run_of_disjoint_classes_lines_is_one_token_per_row_chunk():
 
 
 def test_a_read_holds_the_unread_runs_or_their_axioms_not_both():
-    # each run token is dropped once its axioms are built, so over the
-    # ontology it builds a read holds less than one more copy of its text;
-    # with every token kept to the end it held 2.22 MB over. The other
-    # tokens and the list of every axiom go before the copy to a tuple is
-    # validated: 0.55 MB over 2.85 MB for this 1.35 MB text (0.49 MB on
-    # CPython 3.12 and 3.13), where holding both through the validation
-    # took 0.94 MB (CPython 3.11)
+    # the block's run tokens are held until their check is done and then
+    # dropped, and the block holds its classes, not an axiom per pair: for
+    # this 1.35 MB text the read peaks at 2.18 MB and keeps 0.34 MB
+    # (CPython 3.11), where building every pair's axiom peaked at 3.40 MB
+    # and kept 2.85 MB. The bounds are those plus about 10%
     text = serialize_functional(compile_model(random_tree(random.Random("read"), 300, 10)))
     tracemalloc.start()
     try:
@@ -543,7 +543,189 @@ def test_a_read_holds_the_unread_runs_or_their_axioms_not_both():
     finally:
         tracemalloc.stop()
     assert len(ontology.axioms) == text.count("\n") - 3
-    assert peak - held < len(text) / 2, f"the read peaked {(peak - held) / 1e6:.2f} MB over its result"
+    assert peak < 1.8 * len(text), f"the read peaked at {peak / 1e6:.2f} MB"
+    assert held < 0.28 * len(text), f"the read kept {held / 1e6:.2f} MB"
+
+
+def blocks(ontology):
+    return sum(type(batch) is fmc.owl._DisjointBlock for batch in ontology.axioms._batches)
+
+
+def unbuilt(block):
+    raise AssertionError("the block's axioms were built")
+
+
+def test_a_compiled_text_reads_as_one_block_that_is_never_iterated(monkeypatch):
+    # a work count: the read, len, the text and == against the compile take
+    # the block's pairs, about 45,000, from its classes, and build none
+    model = random_tree(random.Random("work"), 300, 10)
+    text = serialize_functional(compile_model(model))
+    monkeypatch.setattr(fmc.owl._DisjointBlock, "__iter__", unbuilt)
+    ontology = parse_functional(text)
+    assert blocks(ontology) == 1
+    assert len(ontology.axioms) == text.count("\n") - 3
+    assert serialize_functional(ontology) == text
+    assert ontology == compile_model(model) and compile_model(model) == ontology
+
+
+def flat(n):
+    return FeatureModel("R", (Feature("R", None, Variability.MANDATORY), *(
+        Feature(f"C{i}", "R", Variability.OPTIONAL) for i in range(n - 1))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _ROW_CHUNK, _ROW_CHUNK + 1, _ROW_CHUNK + 2,
+                               2 * _ROW_CHUNK + 1])
+def test_a_compiled_block_of_any_size_reads_as_one_block(n):
+    # at n = 257 and 513 the first row ends where a run token ends
+    model = flat(n)
+    text = serialize_functional(compile_model(model))
+    ontology = parse_functional(text)
+    assert blocks(ontology) == (n > 1) and ontology == compile_model(model)
+    assert len(ontology.axioms) == text.count("\n") - 3 and serialize_functional(ontology) == text
+
+
+def general(text):
+    """The text read with every DisjointClasses line as five tokens, by
+    parse_axiom, the way a reader with no run tokens reads it."""
+    return parse_functional(text.replace("DisjointClasses(:", "DisjointClasses( :"))
+
+
+def read_as_general(text):
+    """Read text, check it reads to the values and the text that the general
+    path gives, and return what it read."""
+    ontology, values = parse_functional(text), general(text)
+    assert tuple(ontology.axioms) == tuple(values.axioms) and ontology == values
+    assert serialize_functional(ontology) == serialize_functional(values)
+    return ontology
+
+
+BLOCK_TEXT = serialize_functional(compile_model(random_tree(random.Random("blocks"), 12, 2)))
+
+
+def mutated(mutate):
+    lines = BLOCK_TEXT.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("DisjointClasses("))
+    end = max(i for i, line in enumerate(lines) if line.startswith("DisjointClasses(")) + 1
+    return "\n".join(mutate(lines, at, end))
+
+
+def swap_lines(lines, at, end):
+    lines[at + 3], lines[at + 4] = lines[at + 4], lines[at + 3]
+    return lines
+
+
+def swap_rows(lines, at, end):
+    # a row of the block is its lines of one first class
+    rows = [list(row) for _, row in groupby(lines[at:end], lambda line: line.split(" ")[0])]
+    rows[1], rows[2] = rows[2], rows[1]
+    lines[at:end] = [line for row in rows for line in row]
+    return lines
+
+
+def rename(lines, at, end):
+    # the class F3 of every line becomes Nowhere, declared nowhere
+    lines[at:end] = [line.replace(":F3 ", ":Nowhere ").replace(":F3)", ":Nowhere)")
+                     for line in lines[at:end]]
+    return lines
+
+
+# a run of DisjointClasses lines that is exactly a block's reads as one
+# _DisjointBlock, any other as a value per line: either way as the general
+# path reads it, and back to the same text
+@pytest.mark.parametrize("mutate,block", [
+    (lambda lines, at, end: lines, 1),
+    (swap_rows, 0),
+    (swap_lines, 0),
+    (lambda lines, at, end: lines[:at + 5] + lines[at + 6:], 0),
+    (lambda lines, at, end: lines[:at + 6] + lines[at + 5:], 0),
+    (lambda lines, at, end: lines[:end] + [lines[at]] + lines[end:], 0),
+    (lambda lines, at, end: lines[:at + 7] + [""] + lines[at + 7:], 1),
+    (lambda lines, at, end: "\r\n".join(lines).split("\n"), 1),
+    (lambda lines, at, end: lines[:at + 1] + lines[end:], 1),
+], ids=["as-written", "two-rows-swapped", "two-lines-swapped", "a-line-dropped", "a-line-duplicated",
+        "an-extra-line-after", "a-blank-line-inside", "crlf", "one-pair"])
+def test_a_run_that_is_not_exactly_a_block_reads_a_value_per_line(mutate, block):
+    assert blocks(read_as_general(mutated(mutate))) == block
+
+
+def test_a_block_with_an_undeclared_class_raises_the_error_of_its_axioms():
+    text = mutated(rename)
+    with pytest.raises(UndeclaredNameError) as info:
+        parse_functional(text)
+    with pytest.raises(UndeclaredNameError) as values:
+        general(text)
+    assert str(info.value) == str(values.value) == "Class 'Nowhere' used but not declared"
+
+
+FIVE = ("Prefix(:=<http://x#>)\nOntology(<http://x#>\n"
+        + "".join(f"Declaration(Class(:{name}))\n" for name in "ABCDE"))
+PAIRS = [f"DisjointClasses(:{a} :{b})" for a, b in combinations("ABCDE", 2)]
+
+
+@pytest.mark.parametrize("at", range(len(PAIRS) + 1))
+def test_every_line_of_a_small_block_is_checked(at):
+    # with a blank line at any boundary the run is still the block; with
+    # any line dropped, repeated, or swapped with the next, it is not
+    lines = PAIRS[:at] + [""] + PAIRS[at:]
+    assert blocks(read_as_general(FIVE + "\n".join(lines) + "\n)\n")) == 1
+    if at < len(PAIRS):
+        for lines in (PAIRS[:at] + PAIRS[at + 1:], PAIRS[:at + 1] + PAIRS[at:],
+                      PAIRS[:at] + PAIRS[at + 1:at + 2] + PAIRS[at:at + 1] + PAIRS[at + 2:]):
+            ontology = read_as_general(FIVE + "\n".join(lines) + "\n)\n")
+            assert blocks(ontology) == (lines == PAIRS)
+
+
+@pytest.mark.parametrize("classes,block", [("ABA", 1), ("AAB", 0), ("AA", 1), ("AB", 1)])
+def test_a_block_of_repeated_classes_reads_as_its_lines(classes, block):
+    # the first row names the classes: from A, A, B it would name A, A, B, B
+    lines = [f"DisjointClasses(:{a} :{b})" for a, b in combinations(classes, 2)]
+    assert blocks(read_as_general(FIVE + "\n".join(lines) + "\n)\n")) == block
+
+
+def test_two_blocks_read_as_two_blocks_with_the_values_between():
+    rows = "\n".join(f"DisjointClasses(:{a} :{b})" for a, b in combinations("ABC", 2))
+    text = FIVE + rows + "\nSubClassOf(:A :B)\n" + rows.replace("A", "D") + "\n)\n"
+    ontology = read_as_general(text)
+    assert [type(batch).__name__ for batch in ontology.axioms._batches] == [
+        "tuple", "_DisjointBlock", "tuple", "_DisjointBlock"]
+
+
+def test_the_axioms_are_a_sequence_that_acts_as_their_tuple():
+    ontology = parse_functional(BLOCK_TEXT)
+    axioms, values = ontology.axioms, tuple(ontology.axioms)
+    assert type(axioms) is fmc.owl.Axioms and not isinstance(axioms, tuple)
+    assert isinstance(axioms, Sequence) and blocks(ontology) == 1
+    assert axioms == values and values == axioms and not axioms != values and not values != axioms
+    for other in (values[:-1], values[1:], values[::-1], values[:-1] + (THING,), ()):
+        assert axioms != other and other != axioms and not axioms == other
+    assert hash(axioms) == hash(values) and repr(axioms) == repr(values)
+    assert len(axioms) == len(values) == BLOCK_TEXT.count("\n") - 3
+    assert [axioms[i] for i in range(-len(values), len(values))] == [*values, *values]
+    for i in (len(values), -len(values) - 1):
+        with pytest.raises(IndexError):
+            axioms[i]
+    for cut in (slice(None), slice(3, -3), slice(-5, None), slice(None, None, -7),
+                slice(2, 400, 3), slice(10, 2), slice(0, 0)):
+        assert type(axioms[cut]) is tuple and axioms[cut] == values[cut]
+    # one batch of values, or a block; the same axioms either way
+    built = Ontology(ontology.iri, values)
+    assert blocks(built) == 0 and built.axioms == axioms and axioms == built.axioms
+    assert built == ontology and hash(built) == hash(ontology)
+    changed = Ontology(ontology.iri, values[:-1] + (values[-2],))
+    assert changed.axioms != axioms and axioms != changed.axioms
+    assert Ontology(ontology.iri, axioms).axioms is axioms
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda value: pickle.loads(pickle.dumps(value))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_the_axioms_copy_with_their_block(copier):
+    ontology = parse_functional(BLOCK_TEXT)
+    for axioms in (copier(ontology.axioms), copier(ontology).axioms):
+        assert type(axioms) is fmc.owl.Axioms and axioms == ontology.axioms
+        assert [type(batch) for batch in axioms._batches] == [
+            type(batch) for batch in ontology.axioms._batches]
+    assert copier(ontology) == ontology
 
 
 def test_parse_functional_file_skips_one_leading_byte_order_mark(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from fmc.compiler import _axioms, compile_model, default_iri
 from fmc.dsl import parse
-from fmc.owl import Declaration, DisjointClasses, EntityKind, Ontology
+from fmc import owl
+from fmc.owl import Declaration, DisjointClasses, EntityKind, Ontology, parse_functional, serialize_functional
 from fmc.scaffold import (
     DEFAULT_TRIGGERS,
     Category,
@@ -24,7 +25,7 @@ from fmc.scaffold import (
     write_phase2,
 )
 
-from helpers import random_model
+from helpers import random_model, random_tree
 
 
 def scaffold_for(source, **kwargs):
@@ -375,3 +376,17 @@ def test_zotonic_notes_flavor(tmp_path, aisco_ontology):
     write_phase2(scaffold, tmp_path, zotonic_notes=True)
     text = (tmp_path / "templates" / "AISCO_form.tpl.txt").read_text()
     assert text.splitlines()[0] == "# mirrors a Zotonic admin edit template for AISCO"
+
+
+def test_a_read_ontology_is_scaffolded_without_building_its_block(monkeypatch):
+    # the block of a read ontology, 44,850 pairs of 300 classes, is skipped
+    # whole: no DisjointClasses is built
+    model = random_tree(random.Random("scaffold"), 300, 10)
+    text = serialize_functional(compile_model(model))
+    expected = generate(compile_model(model))
+
+    def unbuilt(block):
+        raise AssertionError("the block's axioms were built")
+
+    monkeypatch.setattr(owl._DisjointBlock, "__iter__", unbuilt)
+    assert generate(parse_functional(text)) == expected
