@@ -372,7 +372,7 @@ def count_configurations(model: FeatureModel) -> int:
     before any clause is built, rather than approximating; the cap also
     bounds the branching depth.
     """
-    n = len(model.features)
+    n = len(model._index)
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"model has {n} features; counting is capped at {ENUMERATION_CAP}")
@@ -472,6 +472,6 @@ def analyze(model: FeatureModel) -> dict:
         count = None
     return {
         "consistent": consistent,
-        "dead_features": [name for name in model.feature_names if name in dead],
+        "dead_features": [name for name in model._index if name in dead],
         "configuration_count": count,
     }

@@ -71,7 +71,7 @@ from .owl import (
     _ROW_CHUNK,
     _DisjointBlock,
 )
-from .propositional import _rules, _variables
+from .propositional import _rules
 
 
 class CompileError(Exception):
@@ -106,10 +106,9 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Collectio
     shared, immutable objects. With disjoint=False the DisjointClasses
     block, which only a reasoner reads, is left out.
     """
-    var = _variables(model)
+    var = model._index  # a feature's variable, the model's name index
     terms = [None]  # terms[v]: the terms of variable v's feature
-    for feature in model.features:
-        name = feature.name
+    for name in var:
         cls = NamedClass(name)
         t = _Terms(cls, NamedClass(name + "Rule"), SomeValuesFrom("has" + name, cls))
         terms.append(t)
@@ -124,7 +123,7 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Collectio
     # each relation at its first non-owner feature (distinct features, so the
     # sort compares nothing else); constraints last, as declared. A rule
     # names the variables of its clause, the owner first
-    _, _, mandatory, group, constraint = _rules(model, var)
+    _, _, mandatory, group, constraint = _rules(model)
     relations = sorted((min(map(abs, clause[1:])), kind, clause)
                        for batch in (mandatory, group)
                        for kind, clause in zip(batch.rules, batch.clauses()))
@@ -151,13 +150,13 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Collectio
 
     # data-property names share one global namespace
     declared: set[str] = set()
-    for feature in model.features:
-        for attr in feature.attributes:
+    for t, attributes in zip(terms[1:], model._attributes):
+        for attr in attributes:
             if attr.name in declared:
                 raise CompileError(
                     f"duplicate data property '{attr.name}' (attribute names are global)")
             declared.add(attr.name)
-            cls = terms[var[feature.name]].cls
+            cls = t.cls
             yield [
                 Declaration(EntityKind.DATA_PROPERTY, attr.name),
                 DataPropertyDomain(attr.name, cls),

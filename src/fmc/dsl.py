@@ -26,9 +26,13 @@ error position, goes by the ``findall``. The parser compares token
 texts, and keeps the index of a token it may report later (a group's
 keyword, a duplicate name, a constraint's endpoints). A child or group
 member is read in place: a name that is neither a keyword nor taken
-becomes its ``Feature`` at once. Any other token there falls back to ``expect_name`` and
-``add_feature``, which word every error, so messages, lines and columns
-are the same on either path.
+joins the model's columns at once (``fmc.model``): its position in the
+name index, which also finds a taken name, and its parent, variability
+and group id; a feature's attributes are added to their column at the
+end. No ``Feature`` is built: the model builds its ``features`` when
+they are first read. Any other token there falls back to
+``expect_name`` and ``add_feature``, which word every error, so
+messages, lines and columns are the same on either path.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .model import (
     Attribute,
     ConstraintKind,
     CrossTreeConstraint,
-    Feature,
     FeatureModel,
     Group,
     GroupKind,
@@ -74,7 +77,11 @@ class _Parser(Cursor):
 
     def __init__(self, source: str):
         super().__init__(source)
-        self.by_name: dict[str, Feature] = {}  # in declaration order
+        # the model's columns (fmc.model._COLUMNS), but for the attributes
+        self.index: dict[str, int] = {}  # name -> 1-based position
+        self.parents: list[str | None] = []
+        self.variabilities: list[Variability] = []
+        self.group_ids: list[int | None] = []
         self.attributes: dict[str, dict[str, Attribute]] = {}  # by owner, then name
         self.groups: list[Group | None] = []
         self.constraints: list[CrossTreeConstraint] = []
@@ -114,20 +121,22 @@ class _Parser(Cursor):
         if self.tokens[self.pos] == "constraints":
             self.parse_constraints()
         self.expect_end("model")
-        features = self.by_name
-        for owner, attributes in self.attributes.items():  # completed once, at the end
-            f = features[owner]
-            features[owner] = Feature(f.name, f.parent, f.variability, f.group,
-                                      tuple(attributes.values()))
-        return FeatureModel(root, tuple(features.values()), tuple(self.groups),
-                            tuple(self.constraints))
+        index = self.index
+        attributes = [()] * len(index)
+        for owner, declared in self.attributes.items():  # a column only at the end
+            attributes[index[owner] - 1] = tuple(declared.values())
+        return FeatureModel._of(root, tuple(self.groups), tuple(self.constraints), index,
+                                self.parents, self.variabilities, self.group_ids, attributes)
 
     def add_feature(self, at: int, parent: str | None,
                     variability: Variability, group: int | None = None) -> None:
         name = self.tokens[at]
-        if name in self.by_name:
+        if name in self.index:
             raise self.error(at, f"duplicate feature name '{name}'")
-        self.by_name[name] = Feature(name, parent, variability, group)
+        self.index[name] = len(self.index) + 1
+        self.parents.append(parent)
+        self.variabilities.append(variability)
+        self.group_ids.append(group)
 
     def parse_body(self, owner: str) -> None:
         """Parse a ``{...}`` body with everything nested in it.
@@ -141,7 +150,9 @@ class _Parser(Cursor):
         ``expect_name`` and ``add_feature``, which raise its error.
         """
         self.expect("{")
-        tokens, by_name, groups = self.tokens, self.by_name, self.groups
+        tokens, index, groups = self.tokens, self.index, self.groups
+        add_parent, add_variability, add_group = (
+            self.parents.append, self.variabilities.append, self.group_ids.append)
         member = Variability.GROUP_MEMBER
         stack: list[tuple] = []
         intro = group_id = members = None
@@ -158,22 +169,28 @@ class _Parser(Cursor):
                 continue
             if intro is not None:
                 name = tok
-                if name in _RESERVED or name in by_name:
+                if name in _RESERVED or name in index:
                     if name == "":
                         raise self.error(pos, "unclosed group: expected '}'")
                     self.pos = pos
                     # raises: a name that is no name, a keyword or a duplicate
                     self.add_feature(self.expect_name("group member name"), owner, member, group_id)
-                by_name[name] = Feature(name, owner, member, group_id)
+                index[name] = len(index) + 1
+                add_parent(owner)
+                add_variability(member)
+                add_group(group_id)
                 members.append(name)
                 pos += 1
             elif tok == "mandatory" or tok == "optional":
                 kind = _CHILD_KINDS[tok]
                 name = tokens[pos + 1]
-                if name in _RESERVED or name in by_name:
+                if name in _RESERVED or name in index:
                     self.pos = pos + 1
                     self.add_feature(self.expect_name(), owner, kind)  # raises, as above
-                by_name[name] = Feature(name, owner, kind)
+                index[name] = len(index) + 1
+                add_parent(owner)
+                add_variability(kind)
+                add_group(None)
                 pos += 2
             elif tok == "or" or tok == "alternative":
                 self.pos = pos + 1
@@ -246,7 +263,7 @@ class _Parser(Cursor):
     def endpoint(self) -> int:
         """Step over a constraint's endpoint, a declared feature; return its index."""
         at = self.expect_name()
-        if self.tokens[at] not in self.by_name:
+        if self.tokens[at] not in self.index:
             raise self.error(at, f"unknown feature '{self.tokens[at]}' in constraint")
         return at
 

@@ -14,6 +14,17 @@ scaffold values too, is a frozen class with ``__slots__`` built by
 slots=True)`` would. No command imports ``dataclasses``, nor the
 ``inspect`` it imports in turn. The type of every field, and how an
 error names it, is one row of ``_FIELDS``.
+
+A model holds its features as parallel columns: one name index (each
+name's 1-based position, which is also its variable in the model's CNF)
+and a column each of parents, variabilities, group ids and attributes.
+The DSL parser fills the columns and builds no ``Feature``
+(``FeatureModel._of``); a model built in code reads them from its
+``features``. ``validate``, the analyses and the compiler read only the
+columns, and a parsed model builds its ``features`` the first time they
+are read, once: ``feature``, ``children``, ``==``, ``hash``, ``repr``,
+``pickle``, ``copy`` and ``dataclasses.replace`` all read that tuple.
+
 ``validate`` only detects a value of the wrong type: the class of every
 value in a model column, and the types of the names and enum fields,
 are compared for all values at once; a list where a tuple is declared,
@@ -32,6 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import islice
 from types import NoneType
 
 from .lexer import is_name, is_name_lines
@@ -47,11 +59,13 @@ def _value(cls):
     hold cached state: ``__init__`` sets them to None, and ``repr``, ``==``
     and ``hash`` leave them out, while ``copy`` and ``pickle`` keep them.
     One ``exec`` defines ``__init__``, which stores each field through its
-    slot descriptor (a parse builds one ``Feature`` per feature, an OWL
-    compile hundreds of thousands of values) and runs ``__post_init__``
-    last, and ``__repr__``, ``__eq__``, ``__hash__``, ``__getstate__`` and
-    ``__setstate__``, which act as a frozen dataclass's do. Assigning or
-    deleting any attribute raises ``FrozenInstanceError``.
+    slot descriptor (an OWL compile builds hundreds of thousands of values)
+    and runs ``__post_init__`` last, and ``__repr__``, ``__eq__``,
+    ``__hash__``, ``__getstate__`` and ``__setstate__``, which act as a
+    frozen dataclass's do. They read each field as an attribute, so a slot
+    left unset is filled by the class's ``__getattr__``
+    (``FeatureModel.features``). Assigning or deleting any attribute raises
+    ``FrozenInstanceError``.
     """
     body = vars(cls)
     names = tuple(body.get("__annotations__", ()))
@@ -220,6 +234,8 @@ class FeatureModel:
 
     ``features`` preserves declaration order (parents before their
     children); that order drives every deterministic downstream output.
+    The model keeps its features as columns (``_COLUMNS``); a model read by
+    the DSL parser builds its ``features`` from them on first read.
     """
 
     root: str
@@ -227,14 +243,22 @@ class FeatureModel:
     groups: tuple[Group, ...] = ()
     constraints: tuple[CrossTreeConstraint, ...] = ()
 
-    # indexes, built by __post_init__ and (_children) on first use
-    __slots__ = ("_by_name", "_children", "_groups_by_id")
+    # the columns (see _COLUMNS), and indexes: _groups_by_id built with the
+    # columns, _children on first use. Nothing writes to them once built
+    __slots__ = ("_index", "_parents", "_variabilities", "_group_ids", "_attributes",
+                 "_groups_by_id", "_children")
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "_by_name", {f.name: f for f in self.features})
-            object.__setattr__(self, "_groups_by_id", {g.id: g for g in self.groups})
-            validate(self)
+            features = self.features
+            # a list where a tuple is declared, or a value of another class
+            # (a namedtuple for a Feature), would leave the model unhashable,
+            # or unequal to the model its DSL text reads back as
+            if type(features) is not tuple or set(map(type, features)) - {Feature}:
+                raise _wrong_field(self)
+            self._hold(dict(zip([f.name for f in features], range(1, len(features) + 1))),
+                       [f.parent for f in features], [f.variability for f in features],
+                       [f.group for f in features], [f.attributes for f in features])
         except (TypeError, AttributeError):
             # an index or a lookup met a field of the wrong type: name it
             error = _wrong_field(self)
@@ -242,14 +266,43 @@ class FeatureModel:
                 raise
             raise error from None
 
+    @classmethod
+    def _of(cls, root: str, groups: tuple[Group, ...],
+            constraints: tuple[CrossTreeConstraint, ...], *columns) -> FeatureModel:
+        """The model of the columns, in ``_COLUMNS`` order, as the DSL parser
+        reads them: validated, with ``features`` left to its first read."""
+        model = cls.__new__(cls)
+        for name, value in (("root", root), ("groups", groups), ("constraints", constraints),
+                            ("_children", None)):
+            object.__setattr__(model, name, value)
+        model._hold(*columns)
+        return model
+
+    def _hold(self, *columns) -> None:
+        for name, column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_groups_by_id", {g.id: g for g in self.groups})
+        validate(self)
+
+    def __getattr__(self, name: str):
+        # called only for a slot not set: a parsed model's features, built once
+        if name != "features":
+            raise AttributeError(f"'FeatureModel' object has no attribute '{name}'",
+                                 name=name, obj=self)
+        features = tuple(map(Feature, self._index, self._parents, self._variabilities,
+                             self._group_ids, self._attributes))
+        object.__setattr__(self, "features", features)
+        return features
+
     def feature(self, name: str) -> Feature:
         try:
-            return self._by_name[name]
+            at = self._index[name]
         except KeyError:
             raise UnknownFeatureError([name]) from None
+        return self.features[at - 1]
 
     def has_feature(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._index
 
     def children(self, name: str) -> tuple[Feature, ...]:
         children = self._children
@@ -267,7 +320,13 @@ class FeatureModel:
 
     @property
     def feature_names(self) -> tuple[str, ...]:
-        return tuple(self._by_name)  # in feature order: the names are unique
+        return tuple(self._index)  # in feature order
+
+
+# A model's columns, entry i of each for features[i]: the name index (name
+# -> i + 1, in feature order), then the Feature fields after the name, in
+# field order. A parser fills them; nothing writes to them once built.
+_COLUMNS = ("_index", "_parents", "_variabilities", "_group_ids", "_attributes")
 
 
 # The type of every field of the model values, one row a field in the
@@ -300,48 +359,49 @@ def validate(model: FeatureModel) -> None:
     """Check every structural invariant; raise ModelError on the first failure.
 
     This runs when a ``FeatureModel`` is built, so every model, parsed or
-    built in code, has passed it. A field of the wrong type is only
-    detected here; ``_wrong_field`` names it.
+    built in code, has passed it. It reads the model's columns. A field of
+    the wrong type is only detected here, or for ``features`` given in code
+    by ``FeatureModel.__post_init__``; ``_wrong_field`` names it.
     """
-    features, groups, by_name = model.features, model.groups, model._by_name
-    # a list where a tuple is declared, or a value of another class (a
-    # namedtuple for a Feature), would leave the model unhashable, or
-    # unequal to the model its DSL text reads back as
-    for values, cls in ((features, Feature), (groups, Group),
-                        (model.constraints, CrossTreeConstraint)):
+    index, parents, variabilities = model._index, model._parents, model._variabilities
+    groups, constraints = model.groups, model.constraints
+    for values, cls in ((groups, Group), (constraints, CrossTreeConstraint)):
         if type(values) is not tuple or set(map(type, values)) - {cls}:
             raise _wrong_field(model)
     # Joining the names, for the name check below, is their str check
     try:
-        lines = "\n".join(by_name)
+        lines = "\n".join(index)
     except TypeError:
         raise _wrong_field(model) from None
-    if len(by_name) != len(features):
-        names = Counter(f.name for f in features)
+    if len(index) != len(parents):
+        # only features given in code can repeat a name: a parser's index
+        # is the names it read
+        names = Counter(f.name for f in model.features)
         dupes = sorted(n for n, count in names.items() if count > 1)
         raise ModelError(f"duplicate feature name(s): {', '.join(dupes)}")
     # all names in one match; the loop runs only to name the first bad one.
     # A name holding the separator adds one, so it never passes as two
-    if not (lines.count("\n") == len(by_name) - 1 and is_name_lines(lines)
-            and KEYWORDS.isdisjoint(by_name)):
-        for name in by_name:
+    if not (lines.count("\n") == len(index) - 1 and is_name_lines(lines)
+            and KEYWORDS.isdisjoint(index)):
+        for name in index:
             if not is_name(name):
                 raise ModelError(f"invalid feature name '{name}'")
             if name in KEYWORDS:
                 raise ModelError(f"feature name '{name}' is a reserved keyword")
     # a comprehension reads a slot at about half the cost of an attrgetter
-    if ({type(f.variability) for f in features} - {Variability}
+    if (set(map(type, variabilities)) - {Variability}
             or {type(g.kind) for g in groups} - {GroupKind}
-            or {type(c.kind) for c in model.constraints} - {ConstraintKind}):
+            or {type(c.kind) for c in constraints} - {ConstraintKind}):
         raise _wrong_field(model)
 
-    parents = [f.parent for f in features]
-    if parents.count(None) != 1:
-        raise ModelError(f"expected exactly one root feature, found {parents.count(None)}")
-    root = features[parents.index(None)]
-    if root.name != model.root:
-        raise ModelError(f"root field is '{model.root}' but the parentless feature is '{root.name}'")
-    if root.variability is not Variability.MANDATORY:
+    roots = parents.count(None)
+    if roots != 1:
+        raise ModelError(f"expected exactly one root feature, found {roots}")
+    at = parents.index(None)
+    root = next(islice(index, at, None))
+    if root != model.root:
+        raise ModelError(f"root field is '{model.root}' but the parentless feature is '{root}'")
+    if variabilities[at] is not Variability.MANDATORY:
         raise ModelError("the root feature must be mandatory")
 
     # One pass over the features. Parent links must form a tree rooted at
@@ -349,40 +409,40 @@ def validate(model: FeatureModel) -> None:
     # the others are decided after the pass, in feature order.
     group_member = Variability.GROUP_MEMBER  # one enum lookup, not one per feature
     groups_by_id = model._groups_by_id
-    reached = {root.name}
-    later: list[Feature] = []
+    reached = {root}
+    later: list[str] = []
     members_by_group: dict[tuple[str, int], set[str]] = {}
-    unknown_group = None  # the first feature naming a group id no group has
-    for f in features:
-        parent, group = f.parent, f.group
+    unknown_group = None  # the first feature naming a group id no group has, and the id
+    for name, parent, variability, group, attributes in zip(
+            index, parents, variabilities, model._group_ids, model._attributes):
         if parent in reached:
-            reached.add(f.name)
+            reached.add(name)
         elif parent is not None:
-            if parent not in by_name:
-                raise ModelError(f"feature '{f.name}' has unknown parent '{parent}'")
-            later.append(f)
-        if (f.variability is group_member) != (group is not None):
-            raise ModelError(f"feature '{f.name}': group id and group-member variability "
+            if parent not in index:
+                raise ModelError(f"feature '{name}' has unknown parent '{parent}'")
+            later.append(name)
+        if (variability is group_member) != (group is not None):
+            raise ModelError(f"feature '{name}': group id and group-member variability "
                              "must occur together")
         if group is not None:
             if type(group) is not int:
                 raise _wrong_field(model)
-            members_by_group.setdefault((parent, group), set()).add(f.name)
+            members_by_group.setdefault((parent, group), set()).add(name)
             if unknown_group is None and group not in groups_by_id:
-                unknown_group = f
-        if f.attributes != ():  # a list, even an empty one, is refused there
-            _validate_attributes(model, f)
+                unknown_group = name, group
+        if attributes != ():  # a list, even an empty one, is refused there
+            _validate_attributes(model, name, attributes)
 
     # A feature listed before its parent: walk up until a reached feature.
     # The first one that never gets there lies on or below a cycle, and the
     # walk up from it names the cycle's entry.
-    for f in later:
-        path, cur = {}, f  # the names walked, in order
-        while cur.name not in reached:
-            if cur.name in path:
-                raise ModelError(f"cycle in parent references involving '{cur.name}'")
-            path[cur.name] = None
-            cur = by_name[cur.parent]
+    for name in later:
+        path, cur = {}, name  # the names walked, in order
+        while cur not in reached:
+            if cur in path:
+                raise ModelError(f"cycle in parent references involving '{cur}'")
+            path[cur] = None
+            cur = parents[index[cur] - 1]
         reached.update(path)
 
     group_ids = [g.id for g in groups]
@@ -391,7 +451,7 @@ def validate(model: FeatureModel) -> None:
     for g in groups:
         if type(g.id) is not int or type(g.members) is not tuple:
             raise _wrong_field(model)
-        if g.owner not in by_name:
+        if g.owner not in index:
             raise ModelError(f"group {g.id} has unknown owner '{g.owner}'")
         if len(g.members) < 2:
             raise ModelError(f"group {g.id} under '{g.owner}' needs at least 2 members")
@@ -401,30 +461,28 @@ def validate(model: FeatureModel) -> None:
             raise ModelError(
                 f"group {g.id} members must be exactly the group-member children of '{g.owner}'")
     if unknown_group is not None:
-        raise ModelError(
-            f"feature '{unknown_group.name}' references unknown group {unknown_group.group}")
+        raise ModelError("feature '{}' references unknown group {}".format(*unknown_group))
 
-    for c in model.constraints:
+    for c in constraints:
         for endpoint in (c.source, c.target):
-            if endpoint not in by_name:
+            if endpoint not in index:
                 raise ModelError(f"constraint references unknown feature '{endpoint}'")
         if c.source == c.target:
             raise ModelError(f"constraint source and target are the same feature '{c.source}'")
 
 
-def _validate_attributes(model: FeatureModel, f: Feature) -> None:
-    attributes = f.attributes
+def _validate_attributes(model: FeatureModel, name: str, attributes) -> None:
     if type(attributes) is not tuple or set(map(type, attributes)) - {Attribute}:
         raise _wrong_field(model)
     attr_names = [a.name for a in attributes]
     if len(attr_names) != len(set(attr_names)):
-        raise ModelError(f"feature '{f.name}' declares duplicate attribute names")
+        raise ModelError(f"feature '{name}' declares duplicate attribute names")
     for a in attributes:
         if not is_name(a.name):  # a TypeError on a non-str name: __post_init__ names it
-            raise ModelError(f"invalid attribute name '{a.name}' on feature '{f.name}'")
+            raise ModelError(f"invalid attribute name '{a.name}' on feature '{name}'")
         if a.name in KEYWORDS:
             raise ModelError(
-                f"attribute name '{a.name}' on feature '{f.name}' is a reserved keyword")
+                f"attribute name '{a.name}' on feature '{name}' is a reserved keyword")
         if a.datatype not in DATATYPES:
             raise ModelError(f"attribute '{a.name}' has unknown datatype '{a.datatype}'")
 

@@ -393,9 +393,13 @@ def validate_ontology(ontology: Ontology) -> None:
     ``Axioms`` at a time, so a DisjointClasses block is checked once per
     class; that is the declarations-first order's verdict whenever it
     passes: a compiled or written ontology declares each name before its
-    first use. Only if that raises are they checked again, declarations first, as a
-    batch of the declarations and a batch of the rest, for the error to
-    report, or to find that every name was declared after all. On a
+    first use. Only if that raises are they checked again, declarations
+    first, as a batch of the declarations and then each batch without its
+    own, for the error to report, or to find that every name was declared
+    after all. A block holds no declaration, so it stays whole there too:
+    with its first declaration moved to its end, a 1000-feature tree's
+    14.6 MB text reads in 0.09 s, as fast as written, where building every
+    pair in that pass took 0.73 s (best of 3). On a
     300-feature compile (46,530 axioms) one batch took 5.9 ms, and
     declarations first 9.7 ms. A compiled or read ontology holds its block
     whole, checked once per class: on a 46,838-axiom compile its batches
@@ -410,9 +414,14 @@ def validate_ontology(ontology: Ontology) -> None:
     except OwlError:
         pass
     is_declaration = Declaration.__instancecheck__  # a C call per axiom
-    # the second batch is built only once the first has checked out
-    batches = (tuple(split(is_declaration, axioms)) for split in (filter, filterfalse))
-    for _ in _checked_axioms(iri, batches):
+    batches = axioms._batches
+    declarations = tuple(filter(is_declaration, chain.from_iterable(
+        batch for batch in batches if not _is_block(batch))))
+    # each batch after the declarations is built only once those before it
+    # have checked out
+    rest = (batch if _is_block(batch) else tuple(filterfalse(is_declaration, batch))
+            for batch in batches)
+    for _ in _checked_axioms(iri, chain((declarations,), rest)):
         pass
 
 

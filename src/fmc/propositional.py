@@ -7,10 +7,11 @@ alternative-group owner has exactly one selected member; requires/excludes
 constraints hold. Attributes never affect validity.
 
 These rules are stated once, in ``_rules``, over 1-based variables
-(variable ``i`` stands for ``model.features[i - 1]``): one batch per kind
-of rule (root, parent, mandatory, group, constraint), each a few parallel
-columns of variables read from the model's values with comprehensions
-and ``compress``. Each kind's clause shape (``_implications``,
+(variable ``i`` stands for ``model.features[i - 1]``; the model's name
+index maps each name to its variable): one batch per kind of rule (root,
+parent, mandatory, group, constraint), each a few parallel columns of
+variables read from the model's columns and values with ``map``,
+comprehensions and ``compress``. Each kind's clause shape (``_implications``,
 ``_at_least_one``, ``_pairs``) is written once and turns the columns
 into clauses as they are read. Three readers share the batches:
 ``cnf`` joins their clauses in its pinned order;
@@ -86,12 +87,7 @@ def _clause_error(clause: tuple[int, ...], num_vars: int) -> str | None:
 
 def to_propositional(model: FeatureModel) -> PropositionalFormula:
     """Encode the model's configuration semantics as CNF (see ``cnf``)."""
-    return PropositionalFormula(len(model.features), cnf(model), model.feature_names)
-
-
-def _variables(model: FeatureModel) -> dict[str, int]:
-    """Feature name -> its variable, 1-based in feature order."""
-    return dict(zip(model.feature_names, range(1, len(model.features) + 1)))
+    return PropositionalFormula(len(model._index), cnf(model), model.feature_names)
 
 
 class _Batch:
@@ -147,10 +143,9 @@ def _pairs(members) -> Iterator[tuple[int, int]]:
 _SIGN = {"requires": 1, "excludes": -1}
 
 
-def _rules(model: FeatureModel, var: dict[str, int]) -> tuple[_Batch, ...]:
-    """Every configuration rule over the variables ``var``
-    (``_variables(model)``), as the batches root, parent, mandatory, group
-    and constraint.
+def _rules(model: FeatureModel) -> tuple[_Batch, ...]:
+    """Every configuration rule over the model's variables (its name
+    index), as the batches root, parent, mandatory, group and constraint.
 
     This is the one statement of the rules: ``cnf``,
     ``is_valid_configuration`` and the compiler (``compiler._axioms``) read
@@ -161,15 +156,17 @@ def _rules(model: FeatureModel, var: dict[str, int]) -> tuple[_Batch, ...]:
     A batch lists its rules in feature order (a parent or mandatory rule
     by its child), group order or declaration order.
     """
-    features, n = model.features, len(var)
-    root = var[model.root]
-    below = features[:root - 1] + features[root:]  # every feature but the root
+    var = model._index
+    n, root = len(var), var[model.root]
+    # every feature but the root: its variable, its parent's, and whether
+    # it is mandatory, from the model's columns
     children = [*range(1, root), *range(root + 1, n + 1)]
-    # each column read with a comprehension over the values' slots, about
-    # half the cost of map(attrgetter(...)) on CPython 3.11
-    parents = [var[f.parent] for f in below]
-    mandatory = Variability.MANDATORY
-    is_mandatory = [f.variability is mandatory for f in below]
+    parents = list(map(var.__getitem__, model._parents[:root - 1] + model._parents[root:]))
+    mandatory, variabilities = Variability.MANDATORY, model._variabilities
+    is_mandatory = [v is mandatory for v in variabilities[:root - 1] + variabilities[root:]]
+    # each column of the group and constraint values read with a
+    # comprehension over their slots, about half the cost of
+    # map(attrgetter(...)) on CPython 3.11
     groups, constraints = model.groups, model.constraints
     # a group has at least two members, so its itemgetter returns a tuple
     members = [itemgetter(*g.members)(var) for g in groups]
@@ -198,7 +195,7 @@ def cnf(model: FeatureModel) -> tuple[tuple[int, ...], ...]:
     order: at-least-one, then pairwise at-most-one for alternatives);
     cross-tree constraints (declaration order).
     """
-    root, parent, mandatory, group, constraint = _rules(model, _variables(model))
+    root, parent, mandatory, group, constraint = _rules(model)
     groups = (chain((clause,), _pairs(members) if rule == "alternative" else ())
               for rule, clause, members in zip(group.rules, group.clauses(), group.columns[1]))
     return tuple(chain(root.clauses(), parent.clauses(), mandatory.clauses(),
@@ -251,7 +248,7 @@ def is_valid_configuration(model: FeatureModel,
     lists them all, sorted, so no set order shows in the message.
     """
     selected = set(config)
-    var = _variables(model)
+    var = model._index
     unknown = sorted(selected.difference(var))
     if unknown:
         raise UnknownFeatureError(unknown)
@@ -260,7 +257,7 @@ def is_valid_configuration(model: FeatureModel,
     chosen = set(map(var.__getitem__, selected))
     true = set(range(-len(var), 0)).difference(map(neg, chosen))
     true |= chosen
-    root, parent, mandatory, group, constraint = _rules(model, var)
+    root, parent, mandatory, group, constraint = _rules(model)
     # a group constrains its members only under a selected owner, where its
     # at-least-one clause has no true literal to spare; an alternative
     # group's pairs there can break only among its selected members

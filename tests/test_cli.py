@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ from fmc.dsl import parse, to_source
 from fmc.owl import parse_functional, serialize_functional
 
 import cli_checks
-from conftest import AISCO_PATH, GOLDEN_PATH
+from conftest import AISCO_PATH, GOLDEN_PATH, REPO_ROOT
 from helpers import random_tree
 
 AISCO = str(AISCO_PATH)
@@ -498,6 +499,31 @@ def test_one_process_answers_each_command_as_a_fresh_one(tmp_path, capsys):
     assert runs == [fresh(argv) for argv in calls]
     assert [code for code, _, _ in runs] == [0, 0, 4, 2, 2, 0]
     assert all(err.startswith("usage: fmc ") for _, _, err in runs[3:5])
+
+
+def test_check_count_and_validate_build_no_feature_value(tmp_path, monkeypatch, capsys):
+    # the parse fills the model's columns, which is all these commands read
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmark"))
+    gen = importlib.import_module("gen")
+    rng = random.Random("columns")
+    generated = gen.tree(rng, 300)
+    gen.add_constraints(rng, generated, 10)
+    gen.add_attributes(rng, generated, 0.2)
+    source = tmp_path / "tree.fm"
+    source.write_text(gen.render(generated), encoding="utf-8")
+    config = tmp_path / "tree.txt"
+    config.write_text("".join(f"{name}\n" for name in sorted(gen.configuration(rng, generated))))
+    built = []
+    init = fmc.model.Feature.__init__
+    monkeypatch.setattr(fmc.model.Feature, "__init__",
+                        lambda self, *args: (built.append(args[0]), init(self, *args))[1])
+    codes = []
+    for model, selected in ((AISCO, write_config(tmp_path, "AISCO")), (source, config)):
+        for argv in (["check", model], ["count", model], ["validate", model, selected]):
+            codes.append(main([*map(str, argv), "--json"]))
+    capsys.readouterr()
+    assert (codes, built) == ([0, 0, 4, 0, 2, 4], [])
+    assert len(parse(source.read_text(encoding="utf-8")).features) == len(built) == 300
 
 
 OWL_SIDE = ("fmc.compiler", "fmc.owl", "fmc.scaffold")

@@ -439,3 +439,135 @@ def test_a_copied_model_answers_every_lookup_as_the_original(duplicate, indexed)
         copied.feature("Ghost")
     for group in model.groups:
         assert copied.group(group.id) == group
+
+
+# The column model: a parsed model holds its features as columns and builds
+# its Feature values on first read; a model built in code reads its columns
+# from its features. Either way it is the same value.
+SOURCE = ("feature A { attribute a : string  mandatory B { alternative { C D } }"
+          "  optional E { attribute e : integer  attribute f : date  or { F G } } }"
+          " constraints { C requires F  G excludes D }")
+
+
+def built_in_code():
+    return FeatureModel("A", (
+        Feature("A", None, M, attributes=(Attribute("a", "string"),)), Feature("B", "A", M),
+        Feature("C", "B", G, 0), Feature("D", "B", G, 0),
+        Feature("E", "A", O, attributes=(Attribute("e", "integer"), Attribute("f", "date"))),
+        Feature("F", "E", G, 1), Feature("G", "E", G, 1),
+    ), (Group(0, "B", GroupKind.ALTERNATIVE, ("C", "D")), Group(1, "E", GroupKind.OR, ("F", "G"))),
+        (CrossTreeConstraint(ConstraintKind.REQUIRES, "C", "F"),
+         CrossTreeConstraint(ConstraintKind.EXCLUDES, "G", "D")))
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda model: model, *COPIES.values(), dataclasses.replace,
+    lambda model: dataclasses.replace(model, root="A")],
+    ids=["itself", *COPIES, "replace", "replace-root"])
+def test_a_parsed_model_is_the_model_built_in_code(duplicate):
+    # each duplicate is made before anything has read the parsed features
+    model, parsed = built_in_code(), duplicate(parse(SOURCE))
+    assert type(parsed) is FeatureModel and type(parsed.features) is tuple
+    assert parsed == model and model == parsed and not parsed != model
+    assert hash(parsed) == hash(model) and repr(parsed) == repr(model)
+    assert parsed.features == model.features and parsed.feature_names == model.feature_names
+    assert pickle.loads(pickle.dumps(model)) == parsed
+
+
+@pytest.mark.parametrize("first", ["features", "feature", "children", "hash", "copy"])
+def test_a_parsed_model_builds_its_features_once(first, monkeypatch):
+    model = parse(SOURCE)
+    built = []
+    init = Feature.__init__
+    monkeypatch.setattr(Feature, "__init__", lambda self, *args: (built.append(args[0]),
+                                                                  init(self, *args))[1])
+    validate(model)
+    assert model.feature_names == tuple("ABCDEFG") and model.has_feature("G") and built == []
+    {"features": lambda: model.features, "feature": lambda: model.feature("G"),
+     "children": lambda: model.children("A"), "hash": lambda: hash(model),
+     "copy": lambda: copy.copy(model)}[first]()
+    features = model.features
+    assert built == list("ABCDEFG") and model.features is features
+    for i, name in enumerate(model.feature_names):
+        assert model.feature(name) is features[i]
+    assert model.children("A") == (features[1], features[4])
+    assert all(a is b for a, b in zip(model.children("E"), features[5:]))
+    assert copy.copy(model).features is features and built == list("ABCDEFG")
+
+
+def test_only_features_is_built_on_read():
+    model = parse(SOURCE)
+    assert not hasattr(model, "__dict__") and not hasattr(model, "nickname")
+    with pytest.raises(AttributeError, match="'FeatureModel' object has no attribute 'nickname'"):
+        model.nickname  # noqa: B018
+
+
+# Every structural error, worded exactly; the wrong-type errors are above.
+# Where a model has two faults, the first named is reported.
+STRUCTURAL_ERRORS = [
+    ((Feature("A", None, M), Feature("B", "A", M), Feature("B", "A", O), Feature("A", "B", O)),
+     (), (), "duplicate feature name(s): A, B"),
+    ((Feature("A", None, M), Feature("9lives", "A", O)), (), (), "invalid feature name '9lives'"),
+    ((Feature("A", "B", M), Feature("B", "A", M)), (), (), "expected exactly one root feature, found 0"),
+    ((Feature("A", None, M), Feature("B", None, M)), (), (),
+     "expected exactly one root feature, found 2"),
+    ((Feature("B", None, M), Feature("A", "B", M)), (), (),
+     "root field is 'A' but the parentless feature is 'B'"),
+    ((Feature("A", None, O),), (), (), "the root feature must be mandatory"),
+    ((Feature("A", None, M), Feature("B", "Nope", O)), (), (),
+     "feature 'B' has unknown parent 'Nope'"),
+    ((Feature("A", None, M), Feature("B", 5, O)), (), (), "feature 'B' has unknown parent '5'"),
+    ((Feature("A", None, M), Feature("D", "B", O), Feature("B", "C", O), Feature("C", "B", O)),
+     (), (), "cycle in parent references involving 'B'"),
+    ((Feature("A", None, M), Feature("B", "A", G)), (), (),
+     "feature 'B': group id and group-member variability must occur together"),
+    ((Feature("A", None, M), Feature("B", "A", G, 7), Feature("C", "A", G, 7)), (), (),
+     "feature 'B' references unknown group 7"),
+    ((Feature("A", None, M), Feature("B", "A", G, 0), Feature("C", "A", G, 0)),
+     (Group(0, "A", GroupKind.OR, ("B", "C")), Group(0, "A", GroupKind.OR, ("B", "C"))), (),
+     "duplicate group ids"),
+    ((Feature("A", None, M), Feature("B", "A", G, 0), Feature("C", "A", G, 0)),
+     (Group(0, "Z", GroupKind.OR, ("B", "C")),), (), "group 0 has unknown owner 'Z'"),
+    ((Feature("A", None, M), Feature("B", "A", G, 0)), (Group(0, "A", GroupKind.OR, ("B",)),), (),
+     "group 0 under 'A' needs at least 2 members"),
+    ((Feature("A", None, M), Feature("B", "A", G, 0), Feature("C", "A", G, 0)),
+     (Group(0, "A", GroupKind.OR, ("B", "C", "B")),), (),
+     "group 0 members must be exactly the group-member children of 'A'"),
+    ((Feature("A", None, M), Feature("B", "A", G, 0), Feature("C", "A", G, 1),
+      Feature("D", "A", G, 1)), (Group(1, "A", GroupKind.OR, ("C", "D")),), (),
+     "feature 'B' references unknown group 0"),
+    ((Feature("A", None, M, attributes=(Attribute("x", "string"), Attribute("x", "date"))),),
+     (), (), "feature 'A' declares duplicate attribute names"),
+    ((Feature("A", None, M), Feature("B", "A", O, attributes=(Attribute("2x", "string"),))),
+     (), (), "invalid attribute name '2x' on feature 'B'"),
+    ((Feature("A", None, M, attributes=(Attribute("x", "float"),)),), (), (),
+     "attribute 'x' has unknown datatype 'float'"),
+    ((Feature("A", None, M), Feature("B", "A", O)), (),
+     (CrossTreeConstraint(ConstraintKind.REQUIRES, "B", "Z"),),
+     "constraint references unknown feature 'Z'"),
+    ((Feature("A", None, M), Feature("B", "A", O)), (),
+     (CrossTreeConstraint(ConstraintKind.EXCLUDES, "B", "B"),),
+     "constraint source and target are the same feature 'B'"),
+    # two faults each
+    ((Feature("A", None, M), Feature("B", "A", O), Feature("B", "A", O, attributes=[])), (), (),
+     "duplicate feature name(s): B"),
+    ((Feature("A", None, M), Feature("B", "A", O), Feature("B", "A", O)), (), ("B requires A",),
+     "model constraints[0] must be a CrossTreeConstraint, got str"),
+    ((Feature("A", None, M), Feature("B", "Z", O), Feature("C", "A", O, attributes=[])), (), (),
+     "feature 'B' has unknown parent 'Z'"),
+    ((Feature("A", None, M), Feature("B", "A", O, attributes=(Attribute("x", "float"),)),
+      Feature("C", "Z", O)), (), (), "attribute 'x' has unknown datatype 'float'"),
+    ((Feature("A", None, M), Feature("B", "A", G, "0")), (), (),
+     "feature 'B' group must be an int, got str"),
+    ((Feature("A", None, M), Feature("or", "A", M), Feature("B", "A", "optional")), (), (),
+     "feature name 'or' is a reserved keyword"),
+    ((Feature("A", None, M), Feature("B", "A", "optional"), Feature("C", "Z", O)), (), (),
+     "feature 'B' variability must be a Variability, got str"),
+]
+
+
+@pytest.mark.parametrize("features, groups, constraints, message", STRUCTURAL_ERRORS)
+def test_a_model_built_in_code_names_its_first_fault(features, groups, constraints, message):
+    with pytest.raises(ModelError) as info:
+        FeatureModel("A", features, groups, constraints)
+    assert str(info.value) == message

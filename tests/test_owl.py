@@ -568,6 +568,21 @@ def test_a_compiled_text_reads_as_one_block_that_is_never_iterated(monkeypatch):
     assert ontology == compile_model(model) and compile_model(model) == ontology
 
 
+def test_a_late_declaration_leaves_the_block_unbuilt(monkeypatch):
+    # a use before its declaration sends the read to the declarations-first
+    # check, which passes the block whole: a block holds no declaration
+    model = random_tree(random.Random("work"), 300, 10)
+    lines = serialize_functional(compile_model(model)).split("\n")
+    first = next(i for i, line in enumerate(lines) if line.startswith("Declaration("))
+    lines.insert(-2, lines.pop(first))  # before the closing ")" and the final newline
+    text = "\n".join(lines)
+    expected = parse_functional(text)
+    monkeypatch.setattr(fmc.owl._DisjointBlock, "__iter__", unbuilt)
+    ontology = parse_functional(text)
+    assert blocks(ontology) == 1 and ontology == expected
+    assert serialize_functional(ontology) == text
+
+
 def flat(n):
     return FeatureModel("R", (Feature("R", None, Variability.MANDATORY), *(
         Feature(f"C{i}", "R", Variability.OPTIONAL) for i in range(n - 1))))
