@@ -21,8 +21,6 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import contextmanager
-from itertools import chain
 
 from .dsl import ParseError, parse, parse_configuration
 from .lexer import read_source
@@ -56,27 +54,23 @@ def _load_model(path: str) -> FeatureModel:
         raise _Failure(1, f"{path}: {exc}") from exc
 
 
-@contextmanager
-def _compiling(args, *, disjoint: bool = True):
-    """The IRI and the axiom batches of the input model (see
-    ``compiler._axioms``); a compile error met in the block exits 2."""
-    from . import compiler, owl
+def _compile(args):
+    """The ontology of the input model; a compile error exits 2."""
+    from . import compiler
     model = _load_model(args.input)
     try:
-        iri = compiler.default_iri(model.root) if args.iri is None else args.iri
-        yield iri, compiler._axioms(model, disjoint=disjoint)
-    except (compiler.CompileError, owl.OwlError) as exc:
+        return compiler.compile_model(model, args.iri)
+    except compiler.CompileError as exc:
         raise _Failure(2, f"{args.input}: {exc}") from exc
 
 
 def cmd_compile(args) -> int:
     from . import owl
-    with _compiling(args) as (iri, axioms):
-        try:
-            # each batch is checked and written as it is built; none is kept
-            owl._write_functional(iri, owl._checked_axioms(iri, axioms), args.output)
-        except OSError as exc:
-            raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
+    ontology = _compile(args)
+    try:
+        owl.write_functional(ontology, args.output)
+    except OSError as exc:
+        raise _Failure(2, f"{args.output}: {exc.strerror or exc}") from exc
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
@@ -138,10 +132,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_scaffold(args) -> int:
-    from . import owl, scaffold
-    # the site reads no DisjointClasses axiom, so none is built
-    with _compiling(args, disjoint=False) as (iri, axioms):
-        ontology = owl.Ontology(iri, tuple(chain.from_iterable(axioms)))
+    from . import scaffold
+    ontology = _compile(args)
     registry = None
     triggers_path = os.environ.get(TRIGGERS_ENV)
     if triggers_path:
@@ -228,7 +220,7 @@ def main(argv=None) -> int:
         return 2
     except KeyboardInterrupt:
         # the shell's code for SIGINT; a compile's output path is opened
-        # only once its last batch is rendered, so an interrupt before
+        # only once its whole text is rendered, so an interrupt before
         # then leaves it as it was
         print("error: interrupted", file=sys.stderr)
         return 130

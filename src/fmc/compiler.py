@@ -25,23 +25,19 @@ lexicographic; then the attribute axioms (feature order).
 Every name is declared before its first use: a feature's classes and
 property in its base axioms, a data property right before its domain
 and range. ``_axioms`` yields the axioms in batches: each feature's base
-axioms, each relation's or constraint's, each attribute's, each row of
-an alternative group's pairwise axioms, one member against the later
-ones, in pieces of at most ``_ROW_CHUNK``, and the whole DisjointClasses
-block as one ``fmc.owl._DisjointBlock`` of the features' shared
-``NamedClass`` terms, which builds no axiom value unless it is iterated.
-A compile error is raised between batches, where it was met.
-``compile_model`` hands the batches to an ``Ontology`` as an
-``fmc.owl.Axioms``, the other batches merged into tuples of values and
-the block kept whole, the shape a read of the compiled text has;
-``fmc compile`` instead streams them through the declare-before-use
-checker into the output file a batch at a time, so no batch is kept
-once it is written, and ``fmc scaffold`` skips the DisjointClasses
-block, which is nearly all of the axioms and which the scaffold does
-not read. The streaming checker checks the block's classes once and
-then passes it whole, the renderer writes each row of the block with
-one join, and each piece of text reaches the output's spool in one
-encoded write (``fmc.owl``).
+axioms, each relation's or constraint's, each attribute's, and the two
+quadratic blocks of the encoding each as one ``fmc.owl._PairBlock`` of
+shared terms, which builds no axiom value unless it is read: an
+alternative group's pairwise axioms as the block of its members'
+``∃hasB.B`` under the owner's rule class, and the DisjointClasses block
+of the feature classes. A compile error is raised between batches,
+where it was met. ``compile_model`` hands the batches to an ``Ontology``
+as an ``fmc.owl.Axioms``, the other batches merged into tuples of values
+and each block kept whole. ``fmc compile`` writes that ontology and
+``fmc scaffold`` maps it to a site, which skips the blocks. Either way
+the ontology holds values in proportion to the model, and only its text
+is quadratic: each block is checked by its first row and rendered a row
+at a time (``fmc.owl``).
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ from .owl import (
     DataPropertyRange,
     EntityKind,
     EquivalentClasses,
-    IntersectionOf,
     NamedClass,
     ObjectPropertyRange,
     Ontology,
@@ -68,8 +63,7 @@ from .owl import (
     SomeValuesFrom,
     SubClassOf,
     UnionOf,
-    _ROW_CHUNK,
-    _DisjointBlock,
+    _PairBlock,
 )
 from .propositional import _rules
 
@@ -87,24 +81,15 @@ def default_iri(root_name: str) -> str:
 _Terms = namedtuple("_Terms", "cls rule exists")
 
 
-def _rows(n: int) -> Iterator[tuple[int, range]]:
-    """The index pairs of ``combinations(range(n), 2)`` as (i, range(j, k)):
-    each index with the indexes after it, at most ``_ROW_CHUNK`` at a time."""
-    for i in range(n - 1):
-        for j in range(i + 1, n, _ROW_CHUNK):
-            yield i, range(j, min(j + _ROW_CHUNK, n))
-
-
-def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Collection[Axiom]]:
+def _axioms(model: FeatureModel) -> Iterator[Collection[Axiom]]:
     """Yield the ontology's axioms in the order the module docstring
     states, in batches: each feature's five base axioms, each relation's
-    or constraint's axioms, an alternative group's pairwise axioms a row
-    at a time (``_rows``), and each attribute's three axioms, as lists;
-    and the DisjointClasses block as one ``_DisjointBlock``.
+    or constraint's axioms and each attribute's three axioms, as lists;
+    each alternative group's pairwise axioms and the DisjointClasses block
+    as ``_PairBlock``s.
 
     Each feature's terms are built once; every axiom refers to these
-    shared, immutable objects. With disjoint=False the DisjointClasses
-    block, which only a reasoner reads, is left out.
+    shared, immutable objects.
     """
     var = model._index  # a feature's variable, the model's name index
     terms = [None]  # terms[v]: the terms of variable v's feature
@@ -140,13 +125,9 @@ def _axioms(model: FeatureModel, *, disjoint: bool = True) -> Iterator[Collectio
         else:
             yield [SubClassOf(owner.rule, UnionOf(tuple(exists)))]
             if kind == "alternative":
-                for i, js in _rows(len(exists)):
-                    a = exists[i]
-                    yield [SubClassOf(owner.rule, ComplementOf(IntersectionOf((a, exists[j]))))
-                           for j in js]
+                yield _PairBlock(exists, owner.rule)
 
-    if disjoint:
-        yield _DisjointBlock(terms[var[name]].cls for name in sorted(var))
+    yield _PairBlock(terms[var[name]].cls for name in sorted(var))
 
     # data-property names share one global namespace
     declared: set[str] = set()

@@ -23,37 +23,32 @@ reprs as the tuple of its axioms does, and holds them as batches.
 Validation is one declare-before-use pass (``_checked_axioms``) over
 batches of axioms: it checks the IRI at the call, then each axiom of a
 batch in one loop, yields the batch once it is checked, and raises the
-first error in stream order, so a stream must declare each name before
-it uses it. ``validate_ontology`` runs it over the batches of an
+first error in batch order, so the batches must declare each name before
+they use it. ``validate_ontology`` runs it over the batches of an
 ontology's ``Axioms``, and only if that raises, again as two batches, its
 declarations and then its other axioms: there a name may be used before
 it is declared, and the error reported is the first in that order. A
 field of the wrong type is an ``OwlError`` too. Rendering
 (``_render_axiom``) makes one line per axiom, and ``_lines`` joins the
 lines of a batch into one string. The checker takes a
-``DisjointClasses`` of two plain ``NamedClass`` operands, nearly all of
-a built ontology, with two set lookups, and the renderer writes every
-``DisjointClasses`` with one f-string.
+``DisjointClasses`` of two plain ``NamedClass`` operands with two set
+lookups, and the renderer writes every ``DisjointClasses`` with one
+f-string.
 
-A batch may also be a whole DisjointClasses block, a ``_DisjointBlock``
-of the classes that are pairwise disjoint, whose axioms are built only
-when it is iterated. The checker checks the block once per class, not
-once per pair: every class a plain ``NamedClass`` with a declared name
-(one set of the classes' types, one ``issuperset`` over their names),
-and then passes it whole. ``_lines`` reads the names once too, and
-renders each row of the block, a class against the later ones, with one
-join, the same text as its axioms' lines. A block that fails the check
-is checked an axiom at a time, so its first error is the one its axioms
-raise one by one.
-``fmc compile`` chains the two over the compiler's batches, which
-declare every name before its first use, and ``_write_functional``
-encodes each batch's text into a binary temporary file in one write as
-it comes, so no batch is kept; the output is opened only once the whole
-stream has checked out. The header is rendered first, which is safe
-because the IRI was checked at the call. ``serialize_functional`` and
-``write_functional`` render a built ``Ontology`` through the same
-``_lines``: its tuples of values in slices of ``_WRITE_SLICE`` axioms,
-an axiom at a time, and its block row by row.
+A batch may also be a ``_PairBlock``: the axiom of every pair of a tuple
+of terms, built only when it is read. With no rule class it is the
+DisjointClasses block of a compiled ontology, nearly all of its axioms;
+with one it is an alternative group's pairwise exclusions. The checker
+checks a block's first row, its first term against each later one, an
+axiom at a time, and passes the block whole: every term is in that row,
+so the row holds the block's first error if it has one. ``_lines``
+renders each term once and writes each row of a block with one join,
+the same text as its axioms' lines. ``serialize_functional`` and
+``write_functional`` render an ``Ontology`` through ``_lines``: its
+tuples of values in slices of ``_WRITE_SLICE`` axioms, an axiom at a
+time, and its blocks row by row. ``write_functional`` encodes each piece
+of text into a binary temporary file in one write, and opens its output
+only once the whole text is rendered.
 
 The reader shares its lexer and token cursor with the DSL parser
 (``fmc.lexer``): the token texts come from one ``findall``, and positions
@@ -67,7 +62,7 @@ break apart. Each parse builds one ``NamedClass`` per class name and
 shares it among all the axioms that use the name. A compiled ontology is
 nearly all one such run, so a few hundred consecutive tokens. Where such
 tokens hold exactly the lines of ``combinations(classes, 2)``, they read
-as one ``_DisjointBlock`` of those classes (``_OwlParser.block``): the
+as one ``_PairBlock`` of those classes (``_OwlParser.block``): the
 first row names the classes, and each later token is compared with the
 text the serializer writes for its lines, so no axiom value is built per
 pair. Any other run of them is read a token at a time: its names come
@@ -89,7 +84,7 @@ from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import accumulate, chain, combinations, filterfalse, groupby, starmap
-from operator import attrgetter, index
+from operator import index
 
 from .lexer import IRI_CHAR, NAME, Cursor, Lexicon, PositionedError, is_name, read_source
 from .model import _value
@@ -215,67 +210,77 @@ class DisjointClasses(Axiom):
     b: NamedClass
 
 
-# At most this many axioms make one piece of an alternative group's row of
-# pairwise axioms (``fmc.compiler._rows``), and at most this many lines one
-# run token of the reader's: it bounds the size of both. A group axiom is
-# four tracked objects (SubClassOf, ComplementOf, IntersectionOf and its
-# tuple), so a piece is about 1000 of them. With a piece per whole group
-# row, a streamed compile of an 800-member group ran 917 gen-0 collections
-# against 853, and one of a 1000-member group peaked 0.7-0.8 MiB higher
-# (CPython 3.11).
+# At most this many consecutive ``DisjointClasses(:A :B)`` lines make one
+# run token of the reader's (``_OwlParser.lexicon``): it bounds a token's
+# size. The value was chosen, by its gen-0 collections and peak, for the
+# compiler's pieces of a group's pairwise axioms, which a ``_PairBlock``
+# has since replaced; the reader's tokens were never timed against it.
 _ROW_CHUNK = 256
 
 
-class _DisjointBlock:
-    """The axioms ``DisjointClasses(a, b)`` for each pair (a, b) of
-    ``combinations(classes, 2)``, in that order: a whole DisjointClasses
-    block as one batch, whose axioms are built only when it is iterated.
+class _PairBlock:
+    """The axiom of each pair (a, b) of ``combinations(terms, 2)``, in that
+    order, as one batch whose axioms are built only when they are read:
+    ``DisjointClasses(a, b)`` with no rule, a DisjointClasses block, and
+    ``SubClassOf(rule, ¬(a ⊓ b))`` with a rule class, an alternative
+    group's exclusions.
 
-    The checker checks the classes once, not once per pair, and passes the
-    block whole; the renderer reads their names once and writes a row of
-    the block with one join (``_checked_batches``, ``_lines``). This took
-    the benchmark's ``ontology`` pass from 0.628 to 0.592 s. The reader
-    reads a block's lines back as one too (``_OwlParser.block``).
+    The checker checks the block's first row an axiom at a time and passes
+    it whole; the renderer renders each term once and writes a row of the
+    block with one join (``_checked_batches``, ``_lines``). The reader
+    reads a DisjointClasses block's lines back as one too
+    (``_OwlParser.block``).
     """
 
-    __slots__ = ("classes",)
+    __slots__ = ("terms", "rule")
 
-    def __init__(self, classes: Iterable[NamedClass]):
-        self.classes = tuple(classes)
+    def __init__(self, terms: Iterable[ClassExpression], rule: ClassExpression | None = None):
+        self.terms = tuple(terms)
+        self.rule = rule
 
     def __len__(self) -> int:
-        n = len(self.classes)
+        n = len(self.terms)
         return n * (n - 1) // 2
 
-    def __iter__(self) -> Iterator[DisjointClasses]:
-        return starmap(DisjointClasses, combinations(self.classes, 2))
+    def __iter__(self) -> Iterator[Axiom]:
+        return starmap(self._pair, combinations(self.terms, 2))
 
-    def __getitem__(self, k: int) -> DisjointClasses:
+    def __getitem__(self, k: int) -> Axiom:
         """The k-th axiom, for 0 <= k < len(self), built alone: row i, the
-        class i against the later ones, starts at axiom i(2n-i-1)/2."""
-        classes = self.classes
-        n = len(classes)
+        term i against the later ones, starts at axiom i(2n-i-1)/2."""
+        terms = self.terms
+        n = len(terms)
         i = bisect_right(range(n - 1), k, key=lambda i: i * (2 * n - i - 1) // 2) - 1
-        return DisjointClasses(classes[i], classes[k - i * (2 * n - i - 1) // 2 + i + 1])
+        return self._pair(terms[i], terms[k - i * (2 * n - i - 1) // 2 + i + 1])
+
+    def _first_row(self) -> Iterator[Axiom]:
+        """The axioms of the first term against each later one."""
+        terms = self.terms
+        return map(self._pair, terms[:1] * (len(terms) - 1), terms[1:])
+
+    def _pair(self, a: ClassExpression, b: ClassExpression) -> Axiom:
+        if self.rule is None:
+            return DisjointClasses(a, b)
+        return SubClassOf(self.rule, ComplementOf(IntersectionOf((a, b))))
 
 
 def _is_block(batch: Collection[Axiom]) -> bool:
-    return type(batch) is _DisjointBlock
+    return type(batch) is _PairBlock
 
 
 class Axioms(Sequence):
     """An ontology's axioms: a read-only sequence, not a ``tuple``, that
     compares, hashes and reprs as the tuple of its axioms does.
 
-    It holds them as batches: tuples of values, and a whole DisjointClasses
-    block as one ``_DisjointBlock``, whose axioms are built only when they
-    are read. ``len`` adds up the batches, iteration chains them, an index
-    (negative too) builds the one axiom it names, and a slice is a tuple.
-    ``==`` takes a tuple on either side; against another ``Axioms`` of the
-    same batch lengths a block is compared with a block by its classes,
-    which pick out its axioms (its first row names them all). ``Axioms(x)``
-    holds the axioms of any iterable as one batch; a compiled or read
-    ontology holds its block whole (``Axioms._of``).
+    It holds them as batches: tuples of values, and each ``_PairBlock``
+    whole, whose axioms are built only when they are read. ``len`` adds up
+    the batches, iteration chains them, an index (negative too) builds the
+    one axiom it names, and a slice is a tuple. ``==`` takes a tuple on
+    either side and compares span by span: where both sides hold a block
+    over the same axioms, by the blocks' rules and terms, which pick out
+    their axioms (a block's first row names every term), and elsewhere by
+    values. ``Axioms(x)`` holds the axioms of any iterable as one batch; a
+    compiled or read ontology holds its blocks whole (``Axioms._of``).
     """
 
     __slots__ = ("_batches", "_ends", "_len")
@@ -286,7 +291,7 @@ class Axioms(Sequence):
     @classmethod
     def _of(cls, batches: Iterable[Collection[Axiom]]) -> Axioms:
         """The axioms of the batches, each run of batches of values merged
-        into one tuple and each ``_DisjointBlock`` kept whole."""
+        into one tuple and each ``_PairBlock`` kept whole."""
         axioms = cls.__new__(cls)
         kept: list[Collection[Axiom]] = []
         for is_block, run in groupby(batches, _is_block):
@@ -298,6 +303,10 @@ class Axioms(Sequence):
         self._batches = batches = tuple(batch for batch in batches if len(batch))
         self._ends = tuple(accumulate(map(len, batches)))  # each batch's end
         self._len = self._ends[-1] if batches else 0
+
+    def _spans(self) -> Iterator[tuple[tuple[int, int], Collection[Axiom]]]:
+        """Each batch's (start, end) and the batch."""
+        return zip(zip((0, *self._ends), self._ends), self._batches)
 
     def __reduce__(self):
         return Axioms._of, (self._batches,)
@@ -324,19 +333,21 @@ class Axioms(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Axioms):
-            mine, theirs = self._batches, other._batches
-            if self._ends == other._ends and list(map(type, mine)) == list(map(type, theirs)):
-                return all(a.classes == b.classes if _is_block(a) else a == b
-                           for a, b in zip(mine, theirs))
-            if self._len != other._len:
-                return False
-            other = tuple(other)
-        elif not isinstance(other, tuple):
+            theirs = dict(other._spans())
+        elif isinstance(other, tuple):
+            theirs = {}
+        else:
             return NotImplemented
         if self._len != len(other):
             return False
-        return all(tuple(batch) == other[start:end] for batch, start, end in
-                   zip(self._batches, (0, *self._ends), self._ends))
+        for span, batch in self._spans():
+            twin = theirs.get(span)
+            if _is_block(batch) and _is_block(twin):
+                if (batch.rule, batch.terms) != (twin.rule, twin.terms):
+                    return False
+            elif tuple(batch) != (other[slice(*span)] if twin is None else tuple(twin)):
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(tuple(self))
@@ -390,21 +401,22 @@ def validate_ontology(ontology: Ontology) -> None:
     the other axioms.
 
     The axioms are checked in the order they come first, a batch of the
-    ``Axioms`` at a time, so a DisjointClasses block is checked once per
-    class; that is the declarations-first order's verdict whenever it
-    passes: a compiled or written ontology declares each name before its
-    first use. Only if that raises are they checked again, declarations
-    first, as a batch of the declarations and then each batch without its
-    own, for the error to report, or to find that every name was declared
-    after all. A block holds no declaration, so it stays whole there too:
+    ``Axioms`` at a time, so a ``_PairBlock`` is checked by its first row;
+    that is the declarations-first order's verdict whenever it passes: a
+    compiled or written ontology declares each name before its first use.
+    Only if that raises are they checked again, declarations first, as a
+    batch of the declarations and then each batch without its own, for
+    the error to report, or to find that every name was declared after
+    all. A block holds no declaration, so it stays whole there too:
     with its first declaration moved to its end, a 1000-feature tree's
     14.6 MB text reads in 0.09 s, as fast as written, where building every
     pair in that pass took 0.73 s (best of 3). On a
     300-feature compile (46,530 axioms) one batch took 5.9 ms, and
-    declarations first 9.7 ms. A compiled or read ontology holds its block
-    whole, checked once per class: on a 46,838-axiom compile its batches
-    take 0.97 ms where the same axioms as one tuple take 3.8 ms (CPython
-    3.11).
+    declarations first 9.7 ms. A compiled or read ontology holds its
+    blocks whole, each checked by its first row: on a 46,956-axiom compile
+    with 20 alternative groups its batches take 1.8 ms (2.8 ms with the
+    groups' pairs as values), where the same axioms as one tuple take 6.0
+    ms (best of 7, CPython 3.11).
     """
     iri, axioms = ontology.iri, ontology.axioms
     try:
@@ -430,20 +442,19 @@ def _checked_axioms(iri: str,
     """Check batches of axioms in one pass, yielding each batch once every
     axiom in it is checked.
 
-    The IRI is checked at the call, before any batch is pulled, so a
-    writer may render the header at once. The stream must declare each
-    name before it uses it, as the compiler's does: the first error in
-    stream order is raised when it is met, and a use of a name not
-    declared yet is an error.
+    The IRI is checked at the call, before any batch is pulled. The
+    batches must declare each name before they use it, as the compiler's
+    do: the first error in batch order is raised when it is met, and a use
+    of a name not declared yet is an error. A ``_PairBlock`` is checked by
+    its first row, an axiom at a time: that row holds every term and the
+    rule, and a block holds no declaration, so the row raises the block's
+    first error if it has one, and the block passes whole otherwise.
     """
     if not isinstance(iri, str):
         raise _wrong_type("ontology IRI", "a str", iri)
     if not _IRI_RE.fullmatch(iri):
         raise OwlError(f"invalid ontology IRI {iri!r}")
     return _checked_batches(batches)
-
-
-_name = attrgetter("name")
 
 
 def _checked_batches(batches: Iterable[Collection[Axiom]]) -> Iterator[Collection[Axiom]]:
@@ -483,19 +494,9 @@ def _checked_batches(batches: Iterable[Collection[Axiom]]) -> Iterator[Collectio
             raise OwlError(f"unknown class expression {expr!r}")
 
     for batch in batches:
-        # a block whose every class is a plain NamedClass with a declared
-        # name passes whole; any other is checked an axiom at a time, below,
-        # for the error, or to pass it after all (a NamedClass subclass)
-        if type(batch) is _DisjointBlock:
-            block = batch.classes
-            try:
-                if set(map(type, block)) <= {NamedClass} and classes.issuperset(map(_name, block)):
-                    yield batch
-                    continue
-            except TypeError:  # an unhashable name
-                pass
-        for axiom in batch:
-            # DisjointClasses first: a compiled ontology is almost all of them.
+        # a block is checked by its first row, which holds every term
+        for axiom in batch._first_row() if _is_block(batch) else batch:
+            # DisjointClasses first: an ontology built of values is almost all of them.
             # Two declared plain NamedClass operands pass at once; otherwise
             # check_class raises the error, or passes a NamedClass subclass
             if isinstance(axiom, DisjointClasses):
@@ -600,16 +601,21 @@ def _lines(iri: str, batches: Iterable[Collection[Axiom]]) -> Iterator[str]:
     """The functional-syntax text in pieces: the header, the lines of each
     checked batch of axioms as one string, the closing parenthesis.
 
-    A ``_DisjointBlock`` is rendered a row at a time, each row with one
-    join over the names of its later classes, which are read once: the
-    same text as ``_render_axiom`` makes for each of its axioms."""
+    A ``_PairBlock`` is rendered a row at a time, each row with one join
+    over the texts of its later terms, each term rendered once: the same
+    text as ``_render_axiom`` makes for each of its axioms."""
     yield _header(iri) + "\n"
     for batch in batches:
-        if type(batch) is _DisjointBlock:
-            names = tuple(map(_name, batch.classes))
-            for i, a in enumerate(names[:-1], 1):
-                head = f"DisjointClasses(:{a} :"
-                yield head + (")\n" + head).join(names[i:]) + ")\n"
+        if _is_block(batch):
+            texts = tuple(map(_render_expr, batch.terms))
+            if batch.rule is None:
+                start, end = "DisjointClasses(", ")"
+            else:
+                rule = _render_expr(batch.rule)
+                start, end = f"SubClassOf({rule} ObjectComplementOf(ObjectIntersectionOf(", ")))"
+            for i, a in enumerate(texts[:-1], 1):
+                head = f"{start}{a} "
+                yield head + f"{end}\n{head}".join(texts[i:]) + end + "\n"
         elif batch:
             yield "\n".join(map(_render_axiom, batch)) + "\n"
     yield ")\n"
@@ -644,29 +650,24 @@ def serialize_functional(ontology: Ontology) -> str:
 
 
 def write_functional(ontology: Ontology, path) -> None:
-    """Write ``serialize_functional(ontology)`` to path."""
-    _write_functional(ontology.iri, _slices(ontology.axioms), path)
+    """Write ``serialize_functional(ontology)`` to path.
 
-
-def _write_functional(iri: str, batches: Iterable[Collection[Axiom]], path) -> None:
-    """Write the lines of ``serialize_functional`` as the batches come.
-
-    The lines go to an anonymous temporary file first, and path is opened
-    for writing only once the last batch is rendered. So an error raised
-    by the batches leaves path as it was, or absent, and path is opened
-    just as ``open(path, "w")`` would: links, owner and mode stay, and
-    it may be a device or a pipe.
+    The text goes to an anonymous temporary file first, and path is opened
+    for writing only once the whole text is rendered. So an interrupt or
+    an error while rendering leaves path as it was, or absent, and path is
+    opened just as ``open(path, "w")`` would: links, owner and mode stay,
+    and it may be a device or a pipe.
     """
     # imported here, as only a write needs them: tempfile would add about
     # 8 ms to every start of the command line
     import shutil
     import tempfile
 
-    # the spool is binary and takes each batch's lines in one encoded
+    # the spool is binary and takes each piece of text in one encoded
     # write: a text spool, opened for reading too, resets its decoder on
     # every write
     with tempfile.TemporaryFile() as spool:
-        for text in _lines(iri, batches):
+        for text in _lines(ontology.iri, _slices(ontology.axioms)):
             spool.write(text.encode("utf-8"))
         spool.seek(0)
         with open(path, "wb") as fh:
@@ -768,7 +769,7 @@ class _OwlParser(Cursor):
             tok = tokens[pos]
             # a run of DisjointClasses(:A :B) lines, nearly all of a compiled
             # ontology, is one token. A maximal run of such tokens whose
-            # lines are exactly a block's is one _DisjointBlock; any other
+            # lines are exactly a block's is one _PairBlock; any other
             # run is read a token at a time, its names from one split and
             # its axioms from one map. Once a run is read its tokens' slots
             # take a shared placeholder, so a read holds the unread runs'
@@ -810,8 +811,8 @@ class _OwlParser(Cursor):
         batches.clear()
         return Ontology(iri, read)
 
-    def block(self, start: int, end: int) -> _DisjointBlock | None:
-        """The ``_DisjointBlock`` whose axioms are exactly the lines of the
+    def block(self, start: int, end: int) -> _PairBlock | None:
+        """The ``_PairBlock`` whose axioms are exactly the lines of the
         run tokens ``tokens[start:end]``, or None.
 
         The block's first row, its first class against each later one, is
@@ -830,7 +831,7 @@ class _OwlParser(Cursor):
             names += terms[1::2]
         else:
             # the whole run is the first row: one pair, or not a block
-            return _DisjointBlock(map(self.named.__getitem__, names)) if len(names) == 2 else None
+            return _PairBlock(map(self.named.__getitem__, names)) if len(names) == 2 else None
         # the first row ends in this token, whose first line is the class 0
         # against the class len(names), or starts the second row
         row, col = 0, len(names)
@@ -854,7 +855,7 @@ class _OwlParser(Cursor):
                     col = row + 1
             if "\n".join(pieces) != tok:
                 return None
-        return _DisjointBlock(map(self.named.__getitem__, names)) if row == n - 1 else None
+        return _PairBlock(map(self.named.__getitem__, names)) if row == n - 1 else None
 
     def parse_axiom(self) -> Axiom:
         keyword = self.tokens[self.pos]

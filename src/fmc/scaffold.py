@@ -148,10 +148,12 @@ def generate(ontology: Ontology, registry: dict[str, str] | None = None,
     is resolved to its feature class via the C ≡ ∃hasF.F equivalence.
     One form per category with a field per datatype property on it.
 
-    DisjointClasses axioms are never read, so an ontology without them
-    gives the same scaffold; ``fmc scaffold`` compiles without them, and
-    the DisjointClasses block of a compiled or read ontology is skipped
-    whole, without building its axioms.
+    DisjointClasses axioms and an alternative group's pairwise exclusions
+    are never read, so an ontology without them gives the same scaffold.
+    A compiled ontology holds both as blocks (``fmc.owl._PairBlock``), and
+    a read one its DisjointClasses block. A block is skipped whole, without
+    building its axioms, so ``fmc scaffold`` maps the ontology that ``fmc
+    compile`` writes and builds the pairs of neither block.
     """
     triggers = normalize_triggers(DEFAULT_TRIGGERS if registry is None else registry)
 

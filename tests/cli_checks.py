@@ -57,7 +57,7 @@ print(read_peak, peak(), file=sys.stderr)
 with open(sys.argv[3], "w", encoding="utf-8", newline="\\n") as fh:
     fh.write(text)
 """
-# write_functional renders every axiom on its own, unlike the streamed compile
+# the compile through the library, without the command line
 BUILD = ("import sys; from fmc.compiler import compile_model; from fmc.dsl import parse_file; "
          "from fmc.owl import write_functional; "
          "write_functional(compile_model(parse_file(sys.argv[1])), sys.argv[2])")
@@ -111,7 +111,7 @@ def run(tmp: Path, want: int, *argv, stdout: "str | None" = "", stderr: "str | N
     return (*got, peak / 1024)
 
 
-def bounded(name: str, peak: float, bound: int) -> str:
+def bounded(name: str, peak: float, bound: float) -> str:
     expect(peak < bound, f"{name}: peak RSS {peak:.1f} MiB over the {bound} MiB bound")
     return f"{name} {peak:.1f} MiB (bound {bound})"
 
@@ -231,6 +231,30 @@ def alternative_200000(tmp):
     expect(json.loads(out) == {"valid": False, "violations": [violation]}, "unexpected report")
 
 
+def alternative_1000(tmp):
+    """An alternative group of 1000 members: its 499,500 pairwise axioms
+    are one block, checked by its first row and written a row at a time,
+    and the scaffold skips it whole. With a value per pair the compile
+    took 3.5 s, and the scaffold 4.0 s at 121.2 MiB. The bounds are 5% over the
+    peaks measured on Python 3.11: the compile 14.9-15.1 MiB and the
+    scaffold 18.3-18.5 MiB."""
+    model, ontology = write(tmp / "group1000.fm", group(1000)), tmp / "group1000.ofn"
+    built, site = tmp / "group1000-built.ofn", tmp / "site1000"
+    _, _, peak = run(tmp, 0, "timeout", "60", *FMC, "compile", model, ontology,
+                     stderr=f"wrote {ontology}\n")
+    peaks = [bounded("compile", peak, 15.9)]
+    data = ontology.read_bytes()
+    pairs = data.count(b"\nSubClassOf(:RootRule ObjectComplementOf(ObjectIntersectionOf(")
+    expect(pairs == 499_500, f"{pairs} group lines, expected 499,500")
+    run(tmp, 0, sys.executable, "-S", "-c", BUILD, model, built)
+    expect(built.read_bytes() == data, f"{built.name} differs from the compile")
+    ontology.unlink()
+    built.unlink()
+    _, err, peak = run(tmp, 0, "timeout", "60", *FMC, "scaffold", model, site, stderr=None)
+    expect(err.count("\n") == 2003, f"scaffold reported {err.count(chr(10))} files, expected 2003")
+    return ", ".join(peaks + [bounded("scaffold", peak, 19.4)])
+
+
 def read_back(tmp: Path, ontology: Path) -> "tuple[float, float]":
     """Read the ontology in a fresh process, and write it back with
     write_functional and with serialize_functional: both copies must be
@@ -251,7 +275,7 @@ def read_back(tmp: Path, ontology: Path) -> "tuple[float, float]":
 def half_million_axioms(tmp):
     """506,188 axioms (14.7 MB), read back, serialized and built with
     compile_model to the same bytes. Peaks measured on Python 3.11: the
-    compile 14.2 MiB (building every value took about 98 MiB), the read
+    compile 14.9-15.3 MiB (building every value took about 98 MiB), the read
     41.4 MiB, and 42.2 MiB with serialize after it (an axiom value per
     DisjointClasses pair read to 66.9 MiB, and one join over every axiom's
     line took 111.6 with serialize). The read bounds are 5% over those."""
@@ -268,8 +292,8 @@ def half_million_axioms(tmp):
 
 def two_million_axioms(tmp):
     """2001 features: the DisjointClasses block is rendered a whole row at a
-    time, up to 2000 lines, and the compile stays as flat as at 1000
-    features (15.0 MiB measured on Python 3.11; 60.3 MB of output). The
+    time, up to 2000 lines, and the compile stays nearly as flat as at 1000
+    features (16.0-16.4 MiB measured on Python 3.11; 60.3 MB of output). The
     block reads back as its 2001 classes: the read peaked at 131.8 MiB,
     the text and its tokens, where an axiom value per pair took 238.6 MiB,
     and no higher with serialize after it; the bounds are 5% over that."""
@@ -286,7 +310,7 @@ def two_million_axioms(tmp):
 
 CHECKS = [golden_ontology, every_other_command, scaffold_1200, flat_20000, chain_40000,
           tree_4000, group_800, tree_16000, million_features, validate_200000, alternative_200000,
-          half_million_axioms, two_million_axioms]
+          alternative_1000, half_million_axioms, two_million_axioms]
 
 
 def main() -> int:

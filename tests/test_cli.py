@@ -13,7 +13,7 @@ import pytest
 
 import fmc
 from fmc.cli import main
-from fmc.compiler import compile_model
+from fmc.compiler import CompileError, compile_model
 from fmc.dsl import parse, to_source
 from fmc.owl import parse_functional, serialize_functional
 
@@ -117,6 +117,25 @@ def test_compile_error_outranks_an_unwritable_output(tmp_path, capsys):
     src.write_text(DUPLICATE_ATTRIBUTE)
     assert main(["compile", str(src), str(tmp_path / "missing" / "o.ofn")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {src}: duplicate data property")
+
+
+# the rule class ARule clashes, and the attribute total is declared twice
+DOUBLY_FAULTY = ("feature A { optional ARule { attribute total : decimal } "
+                 "optional C { attribute total : decimal } }\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--iri", "bad iri"]], ids=["model", "model-and-iri"])
+def test_a_doubly_faulty_model_fails_with_the_error_of_compile_model(tmp_path, capsys, extra):
+    src = tmp_path / "model.fm"
+    src.write_text(DOUBLY_FAULTY)
+    with pytest.raises(CompileError) as info:
+        compile_model(parse(DOUBLY_FAULTY), extra[1] if extra else None)
+    assert str(info.value).startswith("duplicate data property 'total'")
+    assert main(["compile", str(src), str(tmp_path / "o.ofn"), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {src}: {info.value}\n"
+    assert main(["scaffold", str(src), str(tmp_path / "site"), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {src}: {info.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.fm"]
 
 
 def test_compile_rewrites_an_existing_output_in_place(tmp_path):

@@ -2,12 +2,12 @@ import dataclasses
 import gc
 import random
 import tracemalloc
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 import pytest
 
 from fmc import owl
-from fmc.compiler import _ROW_CHUNK, CompileError, _axioms, compile_model, default_iri
+from fmc.compiler import CompileError, _axioms, compile_model, default_iri
 from fmc.dsl import parse
 from fmc.model import (
     Attribute,
@@ -336,9 +336,15 @@ def test_the_batches_flatten_to_the_compiled_axioms(batched_model):
     assert tuple(chain.from_iterable(_axioms(batched_model))) == compile_model(batched_model).axioms
 
 
-def _block_at(batches):
-    """The index of the DisjointClasses block among the batches."""
-    return next(i for i, b in enumerate(batches) if type(b) is owl._DisjointBlock)
+def _blocks(batches):
+    return [b for b in batches if owl._is_block(b)]
+
+
+def _block_at(batches, rule=False):
+    """The index of the DisjointClasses block among the batches, whose rule
+    is None, or with rule=True of the first alternative group's block."""
+    return next(i for i, b in enumerate(batches)
+                if owl._is_block(b) and (b.rule is not None) == rule)
 
 
 def test_the_disjointness_block_comes_as_one_batch(batched_model):
@@ -346,38 +352,49 @@ def test_the_disjointness_block_comes_as_one_batch(batched_model):
     batches = list(_axioms(batched_model))
     at = _block_at(batches)
     block = batches.pop(at)
-    assert not any(type(b) is owl._DisjointBlock for b in batches)
+    # the other blocks are the alternative groups', one each
+    groups = [g for g in batched_model.groups if g.kind is GroupKind.ALTERNATIVE]
+    assert [b.rule is not None for b in _blocks(batches)] == [True] * len(groups)
     assert len(block) == len(classes) * (len(classes) - 1) // 2
     assert [(x.a.name, x.b.name) for x in block] == list(combinations(classes, 2))
     assert all(type(x) is DisjointClasses for x in block)
-    assert all(batches) and max(map(len, batches)) <= _ROW_CHUNK
+    # every other batch is one feature's, relation's or attribute's values
+    assert all(0 < len(b) <= 5 for b in batches if not owl._is_block(b))
 
 
-def test_a_long_alternative_group_comes_a_row_piece_at_a_time():
-    members = [f"M{i}" for i in range(_ROW_CHUNK + 44)]
-    model = parse("feature Root {\n  alternative {\n" + "".join(f"    {m}\n" for m in members)
-                  + "  }\n}\n")
-    pieces = [b for b in _axioms(model, disjoint=False)
-              if all(type(x) is SubClassOf and type(x.sup) is ComplementOf for x in b)]
-    pairs = [tuple(x.sup.operand.operands) for x in chain.from_iterable(pieces)]
-    assert pairs == list(combinations(map(exists, members), 2))
-    # one member against later members that follow one another
-    assert all(len({x.sup.operand.operands[0] for x in piece}) == 1 for piece in pieces)
-    assert max(map(len, pieces)) == _ROW_CHUNK < len(members) - 1
-    assert len(pieces) == sum(-(-k // _ROW_CHUNK) for k in range(1, len(members)))
+def group_model(members):
+    return parse("feature Root {\n  alternative {\n" + "".join(f"    {m}\n" for m in members)
+                 + "  }\n}\n")
 
 
-def test_a_compile_lets_its_batches_die_young(tmp_path):
-    # the batch being built and the one before it stay under the
-    # collector's first threshold (700 new objects), so they die before any
-    # collection, and the DisjointClasses block builds no axiom value: with
-    # a batch of DisjointClasses values per whole row, this compile ran
-    # about 100
+def test_a_long_alternative_group_is_one_block_of_its_pairs():
+    members = [f"M{i}" for i in range(300)]
+    model = group_model(members)
+    batches = list(_axioms(model))
+    (block,) = [b for b in _blocks(batches) if b.rule is not None]
+    values = [SubClassOf(NamedClass("RootRule"), ComplementOf(IntersectionOf((a, b))))
+              for a, b in combinations(map(exists, members), 2)]
+    assert block.rule == NamedClass("RootRule") and block.terms == tuple(map(exists, members))
+    assert len(block) == len(values) == 44_850 and list(block) == values
+    assert [block[k] for k in range(len(block))] == values
+    iri = default_iri("Root")
+    assert "".join(owl._lines(iri, [block])) == "".join(
+        [owl._header(iri) + "\n", *(owl._render_axiom(x) + "\n" for x in values), ")\n"])
+    # and the compiled ontology holds it whole, as the same axioms
+    compiled = compile_model(model)
+    assert [(b.rule, b.terms) for b in _blocks(compiled.axioms._batches)
+            if b.rule is not None] == [(block.rule, block.terms)]
+    assert compiled.axioms == tuple(chain.from_iterable(batches))
+
+
+def test_a_compile_builds_no_value_per_pair(tmp_path):
+    # a work count: the compile builds its values and its block, but no
+    # pair of the block, and ran 9 gen-0 collections (CPython 3.11);
+    # building a batch of DisjointClasses values per whole row ran about 100
     model = FeatureModel("Root", (Feature("Root", None, Variability.MANDATORY), *(
         Feature(f"F{i}", "Root", Variability.OPTIONAL) for i in range(800))))
-    iri = default_iri("Root")
     before = gc.get_stats()[0]["collections"]
-    owl._write_functional(iri, owl._checked_axioms(iri, _axioms(model)), tmp_path / "o.ofn")
+    owl.write_functional(compile_model(model), tmp_path / "o.ofn")
     assert gc.get_stats()[0]["collections"] - before < 20
 
 
@@ -387,15 +404,21 @@ class _Special(NamedClass):
     __slots__ = ()
 
 
-def _check_fault(batched_model, fault, where):
-    """Plant fault in the DisjointClasses block's classes: before the first
-    one, in the middle or after the last."""
+def _check_fault(batched_model, fault, where, rule=False):
+    """Plant fault in a block's terms: before the first one, in the middle
+    or after the last. The block is the DisjointClasses block, or with
+    rule=True the first alternative group's, whose rule class fault
+    replaces where is "rule"."""
     iri = default_iri(batched_model.root)
     batches = list(_axioms(batched_model))
-    at = _block_at(batches)
-    classes = list(batches[at].classes)
-    classes.insert({"first": 0, "middle": len(classes) // 2, "last": len(classes)}[where], fault)
-    batches[at] = owl._DisjointBlock(classes)
+    at = _block_at(batches, rule)
+    block = batches[at]
+    terms = list(block.terms)
+    if where == "rule":
+        batches[at] = owl._PairBlock(terms, fault)
+    else:
+        terms.insert({"first": 0, "middle": len(terms) // 2, "last": len(terms)}[where], fault)
+        batches[at] = owl._PairBlock(terms, block.rule)
     # the same error as a built ontology's, which checks an axiom at a time
     with pytest.raises(owl.OwlError) as built:
         owl.Ontology(iri, tuple(chain.from_iterable(batches)))
@@ -443,13 +466,29 @@ def test_a_fault_in_the_block_is_the_error_its_axioms_raise(batched_model, fault
     _check_fault(batched_model, BLOCK_FAULTS[fault], "last")
 
 
+# Faults planted in an alternative group's block: its rule class, or a
+# member's term, first, in the middle or last
+GROUP_FAULTS = {
+    "undeclared-rule": (NamedClass("UndeclaredRule"), "rule"),
+    "undeclared-property": (SomeValuesFrom("hasUndeclared", NamedClass("F0")), "middle"),
+    "undeclared-property-first": (SomeValuesFrom("hasUndeclared", NamedClass("F0")), "first"),
+    "undeclared-filler": (SomeValuesFrom("hasF0", NamedClass("Undeclared")), "last"),
+    "subclass-term": (_Special("Undeclared"), "middle"),
+}
+
+
+@pytest.mark.parametrize("fault", GROUP_FAULTS)
+def test_a_fault_in_a_group_block_is_the_error_its_axioms_raise(batched_model, fault):
+    _check_fault(batched_model, *GROUP_FAULTS[fault], rule=True)
+
+
 def test_a_block_of_named_class_subclasses_is_checked_and_rendered_as_its_axioms(batched_model):
     # a subclass takes the per-axiom check, which passes it, and renders
     # as a NamedClass does
     iri = default_iri(batched_model.root)
     batches = list(_axioms(batched_model))
     at = _block_at(batches)
-    batches[at] = owl._DisjointBlock(_Special(c.name) for c in batches[at].classes)
+    batches[at] = owl._PairBlock(_Special(c.name) for c in batches[at].terms)
     ontology = owl.Ontology(iri, tuple(chain.from_iterable(batches)))
     assert "".join(owl._lines(iri, owl._checked_axioms(iri, batches))) == serialize_functional(ontology)
 
@@ -458,27 +497,30 @@ def test_the_block_is_checked_once_not_a_pair_at_a_time(monkeypatch):
     n = 300
     model = FeatureModel("Root", (Feature("Root", None, Variability.MANDATORY), *(
         Feature(f"F{i}", "Root", Variability.OPTIONAL) for i in range(n - 1))))
-    name, reads = owl._name, []
+    pair, pairs = owl._PairBlock._pair, []
 
-    def counting(item):
-        reads.append(item)
-        return name(item)
+    def counting(block, a, b):
+        pairs.append((a, b))
+        return pair(block, a, b)
 
-    def unbuilt(block):
-        raise AssertionError("the block's axioms were built")
-
-    monkeypatch.setattr(owl, "_name", counting)
-    monkeypatch.setattr(owl._DisjointBlock, "__iter__", unbuilt)
+    monkeypatch.setattr(owl._PairBlock, "_pair", counting)
+    monkeypatch.setattr(owl._PairBlock, "__iter__", unbuilt)
     iri = default_iri("Root")
-    blocks = sum(type(b) is owl._DisjointBlock for b in owl._checked_axioms(iri, _axioms(model)))
-    # each class's name is read once, where a check of every pair read the
-    # n(n-1)/2 = 44,850 operands' names
-    assert blocks == 1 and n <= len(reads) < 2 * n
+    blocks = _blocks(owl._checked_axioms(iri, _axioms(model)))
+    # its first row is checked, the n - 1 pairs of its first class, where
+    # a check of every pair built the n(n-1)/2 = 44,850 axioms
+    assert len(blocks) == 1 and len(pairs) == n - 1
+    assert {a for a, _ in pairs} == {blocks[0].terms[0]}
+
+
+def unbuilt(block):
+    raise AssertionError("the block's axioms were built")
 
 
 def test_the_block_is_the_collection_of_its_axioms(batched_model):
-    block = next(b for b in _axioms(batched_model) if type(b) is owl._DisjointBlock)
-    axioms = [DisjointClasses(a, b) for a, b in combinations(block.classes, 2)]
+    batches = list(_axioms(batched_model))
+    block = batches[_block_at(batches)]
+    axioms = [DisjointClasses(a, b) for a, b in combinations(block.terms, 2)]
     # it iterates again, as a flattening after a check would
     assert len(block) == len(axioms) and list(block) == axioms and list(block) == axioms
     assert axioms[5] in block and axioms[-1] in block
@@ -487,21 +529,27 @@ def test_the_block_is_the_collection_of_its_axioms(batched_model):
 def test_a_checked_block_renders_as_its_axioms_do(batched_model):
     iri = default_iri(batched_model.root)
     batches = list(_axioms(batched_model))
-    at, n = _block_at(batches), len(batched_model.features)
-    # the header, one piece per other batch (none is empty) and one per row
-    # of the block, the closing parenthesis
+    # the header, one piece per batch of values (none is empty) and one per
+    # row of each block, the closing parenthesis
     pieces = list(owl._lines(iri, owl._checked_axioms(iri, batches)))[1:-1]
-    assert len(pieces) == len(batches) - 1 + n - 1
-    rows = pieces[at:at + n - 1]
-    assert [row.count("\n") for row in rows] == list(range(n - 1, 0, -1))
-    assert "".join(rows) == "".join(owl._render_axiom(axiom) + "\n" for axiom in batches[at])
+    sizes = [len(b.terms) - 1 if owl._is_block(b) else 1 for b in batches]
+    assert len(pieces) == sum(sizes)
+    starts = [0, *accumulate(sizes)]
+    for at, batch in enumerate(batches):
+        if owl._is_block(batch):
+            rows = pieces[starts[at]:starts[at + 1]]
+            n = len(batch.terms)
+            assert [row.count("\n") for row in rows] == list(range(n - 1, 0, -1))
+            assert "".join(rows) == "".join(owl._render_axiom(axiom) + "\n" for axiom in batch)
 
 
-def test_the_streamed_compile_writes_the_built_ontology(batched_model, tmp_path):
-    iri = default_iri(batched_model.root)
+def test_a_written_compile_is_the_line_of_every_axiom(batched_model, tmp_path):
+    ontology = compile_model(batched_model)
     path = tmp_path / "o.ofn"
-    owl._write_functional(iri, owl._checked_axioms(iri, _axioms(batched_model)), path)
-    assert path.read_bytes() == serialize_functional(compile_model(batched_model)).encode("utf-8")
+    owl.write_functional(ontology, path)
+    assert path.read_bytes() == "\n".join(
+        [owl._header(ontology.iri), *map(owl._render_axiom, tuple(ontology.axioms)), ")", ""]
+    ).encode("utf-8")
 
 
 def test_serializing_holds_the_text_about_once(batched_model):

@@ -44,7 +44,7 @@ from fmc.owl import (
 )
 
 from fmc.compiler import compile_model
-from fmc.model import Feature, FeatureModel, Variability
+from fmc.model import Feature, FeatureModel, GroupKind, Variability
 from helpers import random_ontology, random_tree
 
 IRI = "http://example.org/spl/T#"
@@ -454,7 +454,7 @@ def test_a_name_never_declared_comes_before_a_later_error():
 def test_a_value_out_of_place_is_an_owl_error(axiom, message):
     decl = Declaration(EntityKind.CLASS, "A")
     assert first_error(decl, axiom) == (OwlError, message)
-    # the stream checker that fmc compile runs says the same
+    # the one-pass checker says the same when its batches declare first
     with pytest.raises(OwlError) as info:
         list(_checked_axioms(IRI, [(decl, axiom)]))
     assert type(info.value) is OwlError and str(info.value) == message
@@ -548,19 +548,32 @@ def test_a_read_holds_the_unread_runs_or_their_axioms_not_both():
 
 
 def blocks(ontology):
-    return sum(type(batch) is fmc.owl._DisjointBlock for batch in ontology.axioms._batches)
+    """The number of DisjointClasses blocks, those whose rule is None."""
+    return sum(fmc.owl._is_block(batch) and batch.rule is None
+               for batch in ontology.axioms._batches)
 
 
-def unbuilt(block):
-    raise AssertionError("the block's axioms were built")
+def unbuilt_disjoint(monkeypatch):
+    """Make iterating a DisjointClasses block fail; a group's still iterates."""
+    iterate = fmc.owl._PairBlock.__iter__
+
+    def unbuilt(block):
+        if block.rule is None:
+            raise AssertionError("the block's axioms were built")
+        return iterate(block)
+
+    monkeypatch.setattr(fmc.owl._PairBlock, "__iter__", unbuilt)
 
 
 def test_a_compiled_text_reads_as_one_block_that_is_never_iterated(monkeypatch):
     # a work count: the read, len, the text and == against the compile take
-    # the block's pairs, about 45,000, from its classes, and build none
+    # the block's pairs, about 45,000, from its classes, and build none. The
+    # compile's alternative groups are blocks too, which the read holds as
+    # values: == compares those spans value by value
     model = random_tree(random.Random("work"), 300, 10)
+    assert GroupKind.ALTERNATIVE in {g.kind for g in model.groups}
     text = serialize_functional(compile_model(model))
-    monkeypatch.setattr(fmc.owl._DisjointBlock, "__iter__", unbuilt)
+    unbuilt_disjoint(monkeypatch)
     ontology = parse_functional(text)
     assert blocks(ontology) == 1
     assert len(ontology.axioms) == text.count("\n") - 3
@@ -577,7 +590,7 @@ def test_a_late_declaration_leaves_the_block_unbuilt(monkeypatch):
     lines.insert(-2, lines.pop(first))  # before the closing ")" and the final newline
     text = "\n".join(lines)
     expected = parse_functional(text)
-    monkeypatch.setattr(fmc.owl._DisjointBlock, "__iter__", unbuilt)
+    unbuilt_disjoint(monkeypatch)
     ontology = parse_functional(text)
     assert blocks(ontology) == 1 and ontology == expected
     assert serialize_functional(ontology) == text
@@ -645,7 +658,7 @@ def rename(lines, at, end):
 
 
 # a run of DisjointClasses lines that is exactly a block's reads as one
-# _DisjointBlock, any other as a value per line: either way as the general
+# _PairBlock, any other as a value per line: either way as the general
 # path reads it, and back to the same text
 @pytest.mark.parametrize("mutate,block", [
     (lambda lines, at, end: lines, 1),
@@ -702,7 +715,7 @@ def test_two_blocks_read_as_two_blocks_with_the_values_between():
     text = FIVE + rows + "\nSubClassOf(:A :B)\n" + rows.replace("A", "D") + "\n)\n"
     ontology = read_as_general(text)
     assert [type(batch).__name__ for batch in ontology.axioms._batches] == [
-        "tuple", "_DisjointBlock", "tuple", "_DisjointBlock"]
+        "tuple", "_PairBlock", "tuple", "_PairBlock"]
 
 
 def test_the_axioms_are_a_sequence_that_acts_as_their_tuple():
@@ -731,16 +744,40 @@ def test_the_axioms_are_a_sequence_that_acts_as_their_tuple():
     assert Ontology(ontology.iri, axioms).axioms is axioms
 
 
+def test_blocks_over_the_same_axioms_compare_by_their_rules_and_terms(monkeypatch):
+    a, b, c = map(NamedClass, "ABC")
+
+    def axioms(*block):
+        return fmc.owl.Axioms._of([(Declaration(EntityKind.CLASS, "A"),), fmc.owl._PairBlock(*block)])
+
+    values = tuple(axioms((a, b, c)))
+
+    def unbuilt(block):
+        raise AssertionError("the block's axioms were built")
+
+    monkeypatch.setattr(fmc.owl._PairBlock, "__iter__", unbuilt)
+    assert axioms((a, b, c)) == axioms((a, b, c))
+    assert axioms((a, b, c)) != axioms((a, c, b))
+    assert axioms((a, b, c)) != axioms((a, b, c), a)
+    monkeypatch.undo()
+    # against values, or a block over other spans, the values compare
+    assert axioms((a, b, c)) == values and values == axioms((a, b, c))
+    assert axioms((a, b, c)) == fmc.owl.Axioms(values) == axioms((a, b, c))
+
+
 @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
                                     lambda value: pickle.loads(pickle.dumps(value))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_the_axioms_copy_with_their_block(copier):
-    ontology = parse_functional(BLOCK_TEXT)
-    for axioms in (copier(ontology.axioms), copier(ontology).axioms):
-        assert type(axioms) is fmc.owl.Axioms and axioms == ontology.axioms
-        assert [type(batch) for batch in axioms._batches] == [
-            type(batch) for batch in ontology.axioms._batches]
-    assert copier(ontology) == ontology
+    # a read block, and a compile's group block, which has a rule class
+    group = compile_model(random_tree(random.Random("work"), 300, 10))
+    assert any(fmc.owl._is_block(b) and b.rule is not None for b in group.axioms._batches)
+    for ontology in (parse_functional(BLOCK_TEXT), group):
+        for axioms in (copier(ontology.axioms), copier(ontology).axioms):
+            assert type(axioms) is fmc.owl.Axioms and axioms == ontology.axioms
+            assert [(type(batch), getattr(batch, "rule", None)) for batch in axioms._batches] == [
+                (type(batch), getattr(batch, "rule", None)) for batch in ontology.axioms._batches]
+        assert copier(ontology) == ontology
 
 
 def test_parse_functional_file_skips_one_leading_byte_order_mark(tmp_path):

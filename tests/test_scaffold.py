@@ -1,12 +1,12 @@
 import json
 import os
 import random
-from itertools import chain
 
 import pytest
 
-from fmc.compiler import _axioms, compile_model, default_iri
+from fmc.compiler import compile_model
 from fmc.dsl import parse
+from fmc.model import GroupKind
 from fmc import owl
 from fmc.owl import Declaration, DisjointClasses, EntityKind, Ontology, parse_functional, serialize_functional
 from fmc.scaffold import (
@@ -347,8 +347,7 @@ def test_a_write_into_a_fresh_directory_looks_up_no_template(tmp_path, monkeypat
     # 600 features: 1200 categories, each target looked up on its own
     # took 1201 lookups
     model = parse("feature Root {" + "".join(f" optional F{i}" for i in range(599)) + " }")
-    iri = default_iri(model.root)
-    scaffold = generate(Ontology(iri, tuple(chain.from_iterable(_axioms(model, disjoint=False)))))
+    scaffold = generate(compile_model(model))
     lexists, lookups = os.path.lexists, []
     monkeypatch.setattr(os.path, "lexists", lambda path: lookups.append(path) or lexists(path))
     assert len(write(scaffold, tmp_path / "site")) == 1201
@@ -380,13 +379,15 @@ def test_zotonic_notes_flavor(tmp_path, aisco_ontology):
 
 def test_a_read_ontology_is_scaffolded_without_building_its_block(monkeypatch):
     # the block of a read ontology, 44,850 pairs of 300 classes, is skipped
-    # whole: no DisjointClasses is built
+    # whole: no DisjointClasses is built. So are the compile's blocks, its
+    # alternative groups' too
     model = random_tree(random.Random("scaffold"), 300, 10)
+    assert GroupKind.ALTERNATIVE in {g.kind for g in model.groups}
     text = serialize_functional(compile_model(model))
-    expected = generate(compile_model(model))
 
     def unbuilt(block):
         raise AssertionError("the block's axioms were built")
 
-    monkeypatch.setattr(owl._DisjointBlock, "__iter__", unbuilt)
+    monkeypatch.setattr(owl._PairBlock, "__iter__", unbuilt)
+    expected = generate(compile_model(model))
     assert generate(parse_functional(text)) == expected
